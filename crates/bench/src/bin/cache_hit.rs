@@ -82,14 +82,16 @@ fn artifact() -> RunArtifact {
 /// (summation order). Digest parity is the exact-replay guarantee, so
 /// the replayed pool must be isomorphism-free.
 fn graph_pool(pool_size: usize) -> Vec<Graph> {
-    let mut pool: Vec<Graph> = Vec::new();
-    let push_unique = |pool: &mut Vec<Graph>, candidate: Graph| {
-        let hash = qgraph::canon::wl_hash(&candidate);
-        let duplicate = pool.iter().any(|g| {
-            qgraph::canon::wl_hash(g) == hash && qgraph::canon::are_isomorphic(g, &candidate)
-        });
+    use qgraph::canon::{are_isomorphic_with, Fingerprint};
+
+    let mut pool: Vec<(Graph, Fingerprint)> = Vec::new();
+    let push_unique = |pool: &mut Vec<(Graph, Fingerprint)>, candidate: Graph| {
+        let print = Fingerprint::of(&candidate);
+        let duplicate = pool
+            .iter()
+            .any(|(g, p)| are_isomorphic_with(g, p, &candidate, &print));
         if !duplicate {
-            pool.push(candidate);
+            pool.push((candidate, print));
         }
     };
     for n in 3..=12usize {
@@ -108,7 +110,7 @@ fn graph_pool(pool_size: usize) -> Vec<Graph> {
         attempts += 1;
     }
     pool.truncate(pool_size);
-    pool
+    pool.into_iter().map(|(g, _)| g).collect()
 }
 
 /// A Zipf(s = 1.1) index stream over `pool_size` ranks: rank r is drawn

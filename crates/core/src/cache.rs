@@ -4,23 +4,35 @@
 //! or isomorphic up to node relabeling, and the paper's whole premise is
 //! that the optimal `(γ, β)` depend on graph *structure*. This module
 //! caches [`crate::serve::PredictionOutcome`]s keyed by the
-//! permutation-invariant [`qgraph::canon::wl_hash`], so a structurally
-//! repeated graph is answered from memory instead of paying another GNN
-//! forward (and, with verification on, another `2^n` simulation).
+//! permutation-invariant [`qgraph::canon::Fingerprint`] hash, so a
+//! structurally repeated graph is answered from memory instead of paying
+//! another GNN forward (and, with verification on, another `2^n`
+//! simulation).
+//!
+//! Each entry stores its graph's fingerprint (hash plus refined node
+//! colors). A request's fingerprint is computed once, by the caller via
+//! [`PredictionCache::fingerprint`] or inside [`PredictionCache::lookup`] /
+//! [`PredictionCache::insert`], and serves the bucket probe, every exact
+//! comparison, and the insert on a miss; no comparison recomputes either
+//! graph's colors. The colors are seeded with triangle counts and distance
+//! profiles, so random regular graphs of one shape — which plain 1-WL
+//! hashes alike — land in different buckets, and a miss rarely has to
+//! reject any colliding entry.
 //!
 //! ## Correctness contract
 //!
-//! * **A WL-hash collision can never serve wrong parameters.** Every bucket
+//! * **A hash collision can never serve wrong parameters.** Every bucket
 //!   hit re-checks the stored graph against the incoming one with the exact
-//!   matcher [`qgraph::canon::are_isomorphic`]; a colliding non-isomorphic
-//!   entry is skipped (and counted in [`CacheStats::collisions`]).
+//!   matcher [`qgraph::canon::are_isomorphic_with`]; a colliding
+//!   non-isomorphic entry is skipped (and counted in
+//!   [`CacheStats::collisions`]).
 //! * **A retrained artifact never serves stale angles.** Entries are keyed
 //!   by the publishing generation. [`PredictionCache::invalidate_all`] runs
 //!   eagerly on every hot-swap, and lookups additionally purge any entry
 //!   whose generation differs from the requester's — so even an insert that
 //!   races a swap can only ever produce a dead entry, never a stale hit.
-//! * **A broken cache degrades, never fails.** The entire lookup/insert
-//!   path runs under `catch_unwind` (exercised via the
+//! * **A broken cache degrades, never fails.** The fingerprint and the
+//!   entire lookup/insert path run under `catch_unwind` (exercised via the
 //!   [`crate::faults::CACHE_LOOKUP`] failpoint): a panicking hash or lookup
 //!   is contained and reported as a normal miss, and the request proceeds
 //!   down the ordinary GNN rung.
@@ -36,7 +48,8 @@
 //! ## Bounds
 //!
 //! The cache is sharded (`shards` independent mutexes; the shard is picked
-//! by hash) and bounded both by entry count and by estimated bytes. Bounds
+//! by hash) and bounded both by entry count and by estimated bytes (the
+//! stored graph, its fingerprint's colors, and the outcome). Bounds
 //! are enforced per shard at `capacity / shards`, so the global bounds hold
 //! by construction at all times. Eviction is least-recently-used per shard.
 
@@ -44,7 +57,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use qgraph::{canon, Graph};
+use qgraph::canon::{self, Fingerprint};
+use qgraph::Graph;
 
 use crate::faults;
 use crate::serve::PredictionOutcome;
@@ -151,8 +165,9 @@ pub struct CacheStats {
     /// Entries dropped by generation invalidation (eager on hot-swap plus
     /// lazy purges during lookup/insert).
     pub invalidations: u64,
-    /// Bucket hits where the WL hash matched but the exact isomorphism
-    /// check rejected the stored graph — the collision fallback working.
+    /// Lookups where a stored entry's hash matched but the exact
+    /// isomorphism check rejected its graph — the collision fallback
+    /// working.
     pub collisions: u64,
     /// Lookup/insert faults contained by the cache (each such lookup also
     /// counts as a miss).
@@ -175,7 +190,7 @@ impl CacheStats {
 }
 
 struct Entry {
-    hash: u64,
+    fingerprint: Fingerprint,
     generation: u64,
     graph: Graph,
     outcome: PredictionOutcome,
@@ -217,14 +232,16 @@ impl Shard {
 }
 
 /// Conservative estimate of an entry's resident bytes: the struct itself,
-/// the stored graph (edge list + adjacency), and the outcome's heap tails.
-fn entry_bytes(graph: &Graph, outcome: &PredictionOutcome) -> usize {
+/// the stored graph (edge list + adjacency), the fingerprint's colors, and
+/// the outcome's heap tails.
+fn entry_bytes(graph: &Graph, fingerprint: &Fingerprint, outcome: &PredictionOutcome) -> usize {
     let graph_bytes = graph.m() * std::mem::size_of::<qgraph::Edge>()
         + 2 * graph.m() * std::mem::size_of::<(usize, f64)>()
         + graph.n() * std::mem::size_of::<Vec<(usize, f64)>>();
-    let outcome_bytes = 2 * outcome.params.depth() * std::mem::size_of::<f64>()
-        + outcome.skips.len() * 64;
-    std::mem::size_of::<Entry>() + graph_bytes + outcome_bytes
+    let color_bytes = std::mem::size_of_val(fingerprint.colors());
+    let outcome_bytes =
+        2 * outcome.params.depth() * std::mem::size_of::<f64>() + outcome.skips.len() * 64;
+    std::mem::size_of::<Entry>() + graph_bytes + color_bytes + outcome_bytes
 }
 
 /// Sharded, memory-bounded, generation-aware LRU over canonical graph
@@ -302,6 +319,30 @@ impl PredictionCache {
             .unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
+    /// Counts a contained fault on the lookup path, which is also a miss.
+    fn lookup_fault(&self) {
+        self.lookup_faults.fetch_add(1, Ordering::Relaxed);
+        self.misses.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// `graph`'s fingerprint, computed once per request for
+    /// [`Self::lookup_with`] and [`Self::insert_with`]. `None` when the
+    /// cache is disabled (so a cache-less deployment never hashes), or when
+    /// the computation panicked: that is contained like a lookup fault and
+    /// counted as a miss, and the caller skips the cache for this request.
+    pub fn fingerprint(&self, graph: &Graph) -> Option<Fingerprint> {
+        if !self.enabled {
+            return None;
+        }
+        match catch_unwind(AssertUnwindSafe(|| Fingerprint::of(graph))) {
+            Ok(fingerprint) => Some(fingerprint),
+            Err(_) => {
+                self.lookup_fault();
+                None
+            }
+        }
+    }
+
     /// Looks up a cached outcome for a graph structurally equal to `graph`
     /// under the given artifact generation.
     ///
@@ -310,28 +351,44 @@ impl PredictionCache {
     /// one injected via [`faults::CACHE_LOOKUP`]) is contained and reported
     /// as a miss.
     pub fn lookup(&self, graph: &Graph, generation: u64) -> Option<PredictionOutcome> {
+        let fingerprint = self.fingerprint(graph)?;
+        self.lookup_with(graph, &fingerprint, generation)
+    }
+
+    /// [`Self::lookup`] with `graph`'s fingerprint already computed (see
+    /// [`Self::fingerprint`]).
+    pub fn lookup_with(
+        &self,
+        graph: &Graph,
+        fingerprint: &Fingerprint,
+        generation: u64,
+    ) -> Option<PredictionOutcome> {
         if !self.enabled {
             return None;
         }
-        match catch_unwind(AssertUnwindSafe(|| self.lookup_inner(graph, generation))) {
+        match catch_unwind(AssertUnwindSafe(|| {
+            self.lookup_inner(graph, fingerprint, generation)
+        })) {
             Ok(found) => found,
             Err(_) => {
-                self.lookup_faults.fetch_add(1, Ordering::Relaxed);
-                self.misses.fetch_add(1, Ordering::Relaxed);
+                self.lookup_fault();
                 None
             }
         }
     }
 
-    fn lookup_inner(&self, graph: &Graph, generation: u64) -> Option<PredictionOutcome> {
-        if let Some(action) = faults::fire_may_panic(faults::CACHE_LOOKUP) {
-            // Non-panic injection: the lookup aborts before hashing.
-            let _ = action;
-            self.lookup_faults.fetch_add(1, Ordering::Relaxed);
-            self.misses.fetch_add(1, Ordering::Relaxed);
+    fn lookup_inner(
+        &self,
+        graph: &Graph,
+        fingerprint: &Fingerprint,
+        generation: u64,
+    ) -> Option<PredictionOutcome> {
+        if faults::fire_may_panic(faults::CACHE_LOOKUP).is_some() {
+            // Non-panic injection: the lookup aborts before probing.
+            self.lookup_fault();
             return None;
         }
-        let hash = canon::wl_hash(graph);
+        let hash = fingerprint.hash();
         let mut shard = self.lock_shard(hash);
         let purged = shard.purge_stale(generation);
         if purged > 0 {
@@ -340,14 +397,16 @@ impl PredictionCache {
         let mut collided = false;
         let mut found = None;
         for idx in 0..shard.entries.len() {
-            if shard.entries[idx].hash != hash {
+            let entry = &shard.entries[idx];
+            if entry.fingerprint.hash() != hash {
                 continue;
             }
             // Collision fallback: the hash bucket is only a candidate set.
-            // Exact structural comparison decides, so a WL collision can
+            // Exact structural comparison decides, so a hash collision can
             // never serve the colliding entry's parameters.
-            let entry = &shard.entries[idx];
-            if entry.graph == *graph || canon::are_isomorphic(&entry.graph, graph) {
+            if entry.graph == *graph
+                || canon::are_isomorphic_with(&entry.graph, &entry.fingerprint, graph, fingerprint)
+            {
                 found = Some(idx);
                 break;
             }
@@ -380,20 +439,38 @@ impl PredictionCache {
     /// already present is refreshed instead of duplicated. Panics are
     /// contained exactly as in [`PredictionCache::lookup`].
     pub fn insert(&self, graph: &Graph, generation: u64, outcome: &PredictionOutcome) {
-        if !self.enabled {
-            return;
-        }
-        let contained = catch_unwind(AssertUnwindSafe(|| {
-            self.insert_inner(graph, generation, outcome)
-        }));
-        if contained.is_err() {
+        self.insert_contained(|| {
+            self.insert_inner(graph, &Fingerprint::of(graph), generation, outcome)
+        });
+    }
+
+    /// [`Self::insert`] with `graph`'s fingerprint already computed (see
+    /// [`Self::fingerprint`]).
+    pub fn insert_with(
+        &self,
+        graph: &Graph,
+        fingerprint: &Fingerprint,
+        generation: u64,
+        outcome: &PredictionOutcome,
+    ) {
+        self.insert_contained(|| self.insert_inner(graph, fingerprint, generation, outcome));
+    }
+
+    fn insert_contained(&self, insert: impl FnOnce()) {
+        if self.enabled && catch_unwind(AssertUnwindSafe(insert)).is_err() {
             self.lookup_faults.fetch_add(1, Ordering::Relaxed);
         }
     }
 
-    fn insert_inner(&self, graph: &Graph, generation: u64, outcome: &PredictionOutcome) {
-        let hash = canon::wl_hash(graph);
-        let bytes = entry_bytes(graph, outcome);
+    fn insert_inner(
+        &self,
+        graph: &Graph,
+        fingerprint: &Fingerprint,
+        generation: u64,
+        outcome: &PredictionOutcome,
+    ) {
+        let hash = fingerprint.hash();
+        let bytes = entry_bytes(graph, fingerprint, outcome);
         if bytes > self.per_shard_bytes {
             return;
         }
@@ -404,18 +481,18 @@ impl PredictionCache {
         }
         shard.tick += 1;
         let tick = shard.tick;
-        if let Some(existing) = shard
-            .entries
-            .iter_mut()
-            .find(|e| e.hash == hash && (e.graph == *graph || canon::are_isomorphic(&e.graph, graph)))
-        {
+        if let Some(existing) = shard.entries.iter_mut().find(|e| {
+            e.fingerprint.hash() == hash
+                && (e.graph == *graph
+                    || canon::are_isomorphic_with(&e.graph, &e.fingerprint, graph, fingerprint))
+        }) {
             existing.last_used = tick;
             return;
         }
         let mut stored = outcome.clone();
         stored.cached = false;
         shard.entries.push(Entry {
-            hash,
+            fingerprint: fingerprint.clone(),
             generation,
             graph: graph.clone(),
             outcome: stored,
@@ -545,24 +622,93 @@ mod tests {
         assert_eq!(hit.params, outcome_for(1.5).params);
     }
 
+    /// Two triangle-free cubic graphs on 12 nodes that are not isomorphic
+    /// yet share a canonical hash (the pair `qgraph::canon`'s tests pin).
+    fn collision_pair() -> (Graph, Graph) {
+        // Edge lists, flattened: (u0, v0, u1, v1, …).
+        let graph = |flat: [usize; 36]| {
+            let pairs: Vec<(usize, usize)> = flat.chunks(2).map(|e| (e[0], e[1])).collect();
+            Graph::from_edges(12, &pairs).unwrap()
+        };
+        let a = graph([
+            10, 11, 0, 8, 1, 7, 6, 10, 1, 9, 6, 9, 7, 8, 8, 10, 2, 9, 0, 6, 4, 5, 5, 11, 2, 4, 0,
+            4, 3, 11, 2, 3, 1, 5, 3, 7,
+        ]);
+        let b = graph([
+            1, 4, 7, 10, 7, 9, 0, 3, 1, 3, 6, 11, 2, 11, 0, 7, 6, 10, 5, 10, 4, 8, 4, 11, 5, 8, 8,
+            9, 3, 6, 0, 2, 2, 5, 1, 9,
+        ]);
+        (a, b)
+    }
+
     #[test]
     fn wl_collision_never_serves_the_colliding_entry() {
         let cache = PredictionCache::new(CacheConfig::default());
-        let c6 = Graph::cycle(6).unwrap();
-        let tri2 =
-            Graph::from_edges(6, &[(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]).unwrap();
-        assert_eq!(canon::wl_hash(&c6), canon::wl_hash(&tri2), "collision pair");
-        cache.insert(&c6, 0, &outcome_for(1.0));
-        // The colliding structure must miss, not inherit C6's parameters.
-        assert_eq!(cache.lookup(&tri2, 0), None);
+        let (a, b) = collision_pair();
+        assert_eq!(canon::wl_hash(&a), canon::wl_hash(&b), "collision pair");
+        assert!(!canon::are_isomorphic(&a, &b));
+        cache.insert(&a, 0, &outcome_for(1.0));
+        // The colliding structure must miss, not inherit a's parameters.
+        assert_eq!(cache.lookup(&b, 0), None);
         assert_eq!(cache.stats().collisions, 1);
         // Once both are present, each serves its own outcome.
-        cache.insert(&tri2, 0, &outcome_for(2.0));
-        assert_eq!(cache.lookup(&c6, 0).unwrap().params, outcome_for(1.0).params);
+        cache.insert(&b, 0, &outcome_for(2.0));
+        assert_eq!(cache.lookup(&a, 0).unwrap().params, outcome_for(1.0).params);
+        assert_eq!(cache.lookup(&b, 0).unwrap().params, outcome_for(2.0).params);
+    }
+
+    #[test]
+    fn two_cycle_shapes_no_longer_collide() {
+        // C6 vs 2×C3 is the classic 1-WL collision; triangle counts now
+        // put the two graphs in different buckets, so neither lookup has a
+        // colliding entry to reject.
+        let cache = PredictionCache::new(CacheConfig::default());
+        let c6 = Graph::cycle(6).unwrap();
+        let tri2 = Graph::from_edges(6, &[(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]).unwrap();
+        assert_ne!(canon::wl_hash(&c6), canon::wl_hash(&tri2));
+        cache.insert(&c6, 0, &outcome_for(1.0));
+        assert_eq!(cache.lookup(&tri2, 0), None);
+        assert_eq!(cache.stats().collisions, 0);
+    }
+
+    #[test]
+    fn resident_bytes_count_the_stored_colors() {
+        let cache = PredictionCache::new(CacheConfig::default());
+        let g = Graph::cycle(15).unwrap();
+        let fingerprint = Fingerprint::of(&g);
+        let outcome = outcome_for(1.0);
+        cache.insert_with(&g, &fingerprint, 0, &outcome);
         assert_eq!(
-            cache.lookup(&tri2, 0).unwrap().params,
-            outcome_for(2.0).params
+            cache.resident_bytes(),
+            entry_bytes(&g, &fingerprint, &outcome)
         );
+        // Each of the 15 stored colors is counted: against a one-color
+        // fingerprint the estimate grows by 14 words.
+        let one_color = Fingerprint::of(&Graph::empty(1).unwrap());
+        assert_eq!(
+            entry_bytes(&g, &fingerprint, &outcome) - entry_bytes(&g, &one_color, &outcome),
+            14 * std::mem::size_of::<u64>()
+        );
+    }
+
+    #[test]
+    fn precomputed_fingerprint_serves_lookup_and_insert() {
+        let cache = PredictionCache::new(CacheConfig::default());
+        let g = Graph::cycle(9).unwrap();
+        let fingerprint = cache.fingerprint(&g).expect("enabled cache fingerprints");
+        assert_eq!(cache.lookup_with(&g, &fingerprint, 0), None);
+        cache.insert_with(&g, &fingerprint, 0, &outcome_for(3.0));
+        // The plain entry points agree with the precomputed ones.
+        let relabeled = g.relabel(&[8, 6, 4, 2, 0, 1, 3, 5, 7]);
+        assert_eq!(
+            cache.lookup(&relabeled, 0).unwrap().params,
+            outcome_for(3.0).params
+        );
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.inserts), (1, 1, 1));
+        assert!(PredictionCache::new(CacheConfig::disabled())
+            .fingerprint(&g)
+            .is_none());
     }
 
     #[test]
@@ -583,7 +729,7 @@ mod tests {
     #[test]
     fn byte_bound_evicts_before_count_bound() {
         // Shard byte budget fits roughly two path-graph entries.
-        let probe = entry_bytes(&graph(0), &outcome_for(0.0));
+        let probe = entry_bytes(&graph(0), &Fingerprint::of(&graph(0)), &outcome_for(0.0));
         let config = CacheConfig::default()
             .with_shards(1)
             .with_capacity_entries(100)

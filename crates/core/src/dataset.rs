@@ -529,8 +529,9 @@ impl Dataset {
     }
 
     /// The isomorphism-deduped labeling path: partition the batch into
-    /// isomorphism classes (WL-hash buckets refined by the exact matcher —
-    /// a WL collision can never merge distinct structures), simulate only
+    /// isomorphism classes (fingerprint-hash buckets refined by the exact
+    /// matcher — a hash collision can never merge distinct structures; each
+    /// graph's fingerprint is computed once), simulate only
     /// the first-seen representative of each class on its usual per-index
     /// RNG substream, then replicate its relabeling-invariant label scalars
     /// onto every duplicate. Representatives are therefore bit-identical to
@@ -545,13 +546,17 @@ impl Dataset {
     ) -> (Dataset, LabelReport) {
         use std::collections::HashMap;
 
+        use qgraph::canon::{are_isomorphic_with, Fingerprint};
+
+        let prints: Vec<Fingerprint> = graphs.iter().map(Fingerprint::of).collect();
         let mut rep_of: Vec<usize> = (0..graphs.len()).collect();
         let mut buckets: HashMap<u64, Vec<usize>> = HashMap::new();
         for (index, graph) in graphs.iter().enumerate() {
-            let bucket = buckets.entry(qgraph::canon::wl_hash(graph)).or_default();
+            let print = &prints[index];
+            let bucket = buckets.entry(print.hash()).or_default();
             match bucket
                 .iter()
-                .find(|&&rep| qgraph::canon::are_isomorphic(&graphs[rep], graph))
+                .find(|&&rep| are_isomorphic_with(&graphs[rep], &prints[rep], graph, print))
             {
                 Some(&rep) => rep_of[index] = rep,
                 None => bucket.push(index),

@@ -777,18 +777,24 @@ impl GuardedPredictor {
     /// canonical-form cache when one is attached: a structurally equal
     /// graph already answered under this generation is served from memory
     /// (after the usual cap/envelope admission), and a clean GNN answer is
-    /// memoized on the way out. Cache faults degrade to a normal miss.
+    /// memoized on the way out. The graph's fingerprint is computed once
+    /// and serves both the lookup and the insert. Cache faults degrade to a
+    /// normal miss.
     fn predict_graph(&self, graph: &Graph) -> Result<PredictionOutcome, RequestError> {
         let envelope = self.admit_graph(graph)?;
-        if let Some((cache, generation)) = &self.cache {
-            if let Some(hit) = cache.lookup(graph, *generation) {
+        let keyed = self
+            .cache
+            .as_ref()
+            .and_then(|(cache, generation)| Some((cache, *generation, cache.fingerprint(graph)?)));
+        if let Some((cache, generation, fingerprint)) = &keyed {
+            if let Some(hit) = cache.lookup_with(graph, fingerprint, *generation) {
                 return Ok(hit);
             }
         }
         let outcome = self.run_ladder(graph, envelope);
-        if let Some((cache, generation)) = &self.cache {
+        if let Some((cache, generation, fingerprint)) = &keyed {
             if outcome.is_clean() {
-                cache.insert(graph, *generation, &outcome);
+                cache.insert_with(graph, fingerprint, *generation, &outcome);
             }
         }
         Ok(outcome)

@@ -4,135 +4,334 @@
 //! question cheaply: *is this graph structurally the same as one we have
 //! already seen?* Two tools cooperate:
 //!
-//! 1. [`wl_hash`] — a deterministic 64-bit hash built from Weisfeiler–Leman
-//!    (WL) color refinement. It is **permutation-invariant**: relabeling the
-//!    nodes of a graph never changes the hash, so isomorphic graphs always
-//!    land in the same bucket.
-//! 2. [`are_isomorphic`] — an exact isomorphism check used as the collision
-//!    fallback on every bucket hit. WL-1 refinement cannot separate certain
-//!    non-isomorphic pairs (the classic example at this scale: the 6-cycle
-//!    vs. two disjoint triangles — both 2-regular on 6 nodes), so a hash
-//!    match alone is never trusted to serve cached parameters.
+//! 1. [`Fingerprint`] — a graph's refined node colors plus a deterministic
+//!    64-bit hash of them ([`wl_hash`] returns the hash alone). Both are
+//!    **permutation-invariant**: relabeling the nodes of a graph never
+//!    changes the hash, so isomorphic graphs always land in the same
+//!    bucket. A consumer computes a graph's fingerprint once and reuses it
+//!    for every bucket probe and every exact comparison.
+//! 2. [`are_isomorphic_with`] (and the convenience [`are_isomorphic`]) — an
+//!    exact isomorphism check used as the collision fallback on every
+//!    bucket hit, so a hash match alone is never trusted to serve cached
+//!    parameters. The refined colors prune its search: a node may only map
+//!    to a node of the same color.
+//!
+//! ## Coloring
+//!
+//! Color refinement in the Weisfeiler–Leman style, with stronger seeds and
+//! rounds. Plain 1-WL starts from degrees, so it gives every node of a
+//! d-regular graph the same color and every d-regular graph on n nodes the
+//! same hash — and the paper's graphs are random regular graphs. Here:
+//!
+//! * a node's **initial color** folds its degree, its triangle count, and
+//!   its BFS distance profile (how many nodes sit at hop distance 1, 2, …).
+//!   On a dense graph (more than half of all node pairs are edges) the
+//!   triangle count and the profile are taken in the complement graph,
+//!   where they carry information: every node of a dense regular graph has
+//!   the profile `[d, n - 1 - d]`;
+//! * every **refinement round** folds a node's color with the multiset of
+//!   `(neighbor color, edge-weight bits, common-neighbor count)` over its
+//!   incident edges. At least one round always runs, so edge weights
+//!   always reach the colors.
+//!
+//! All of these are isomorphism invariants, so the hash stays
+//! permutation-invariant and color-class pruning in the matcher stays
+//! sound. Triangle counts alone leave most random cubic graphs unseparated
+//! (they are mostly triangle-free); the distance profile is what splits
+//! them. Multisets are folded as wrapping sums of mixed values, which is
+//! independent of adjacency order without sorting. The seeds cost
+//! O(n² · ⌈n/64⌉) word operations on adjacency bitsets, about as long as
+//! the refinement itself at the paper's n ≤ 15; above the matcher's
+//! 1024-node guard the distance profile is skipped.
 //!
 //! ## Collision posture
 //!
 //! * Isomorphic graphs **always** collide (by construction — the hash is a
 //!   graph invariant). That is the cache's hit path.
-//! * Non-isomorphic graphs collide only when (a) WL-1 refinement cannot
-//!   distinguish them *and* (b) the 64-bit FNV-1a folds of `n`, `m`, the
-//!   edge-weight multiset and the refined color multiset agree. For the
-//!   paper's envelope (n ≤ 15) WL-equivalent non-isomorphic pairs are rare
-//!   and random 64-bit collisions are negligible; both are rendered harmless
-//!   by the exact [`are_isomorphic`] comparison every consumer performs
-//!   before treating a bucket hit as a structural match.
+//! * Non-isomorphic graphs collide when the refinement cannot distinguish
+//!   them (or, negligibly, when two 64-bit folds agree). That does happen
+//!   inside the paper's envelope: among 300 seeded random cubic graphs on
+//!   12 nodes, 13 non-isomorphic pairs still share a hash. Strongly regular
+//!   graphs with equal parameters (the smallest: the Shrikhande graph and
+//!   the 4×4 rook's graph, 16 nodes) are never separated by refinement of
+//!   this kind. For the serving shapes (12–15 nodes, degree 5..=n-6) no
+//!   such pair shows up among 300 draws per shape (a seeded test pins this;
+//!   EXPERIMENTS.md has the per-shape counts). Every consumer runs the
+//!   exact matcher before treating a bucket hit as a structural match, so a
+//!   collision costs one extra comparison, never a wrong answer.
 //! * [`are_isomorphic`] is **one-sided conservative**: it may return `false`
 //!   for a genuinely isomorphic pair if its backtracking budget is exhausted
-//!   (astronomically unlikely at n ≤ 15 — color classes prune the search),
-//!   but it never returns `true` for a non-isomorphic pair. A false negative
-//!   costs a cache miss or a duplicate simulation, never a wrong answer.
+//!   (color classes prune the search; vertex-transitive graphs, whose nodes
+//!   all share one color, are the slow case), but it never returns `true`
+//!   for a non-isomorphic pair. A false negative costs a cache miss or a
+//!   duplicate simulation, never a wrong answer.
 
 use crate::Graph;
 
-/// FNV-1a 64-bit offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a 64-bit prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+/// Seed of every hash fold.
+const SEED: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// Assignment budget for the backtracking isomorphism search. Exhausting it
 /// yields a conservative `false` (treated as "not proven isomorphic").
 const ISO_STEP_BUDGET: u64 = 1_000_000;
 
 /// Node-count guard for the O(n²) scratch the matcher allocates. Graphs
-/// larger than this are compared by exact equality only (the serving
-/// envelope caps n at 15, so this is purely defensive).
+/// larger than this are compared by exact equality only, and their
+/// fingerprints skip the O(n³/64) distance profiles (the serving envelope
+/// caps n at 15, so this is purely defensive).
 const ISO_MAX_NODES: usize = 1024;
 
+/// SplitMix64's finalizer: a bijective, well-avalanched 64-bit mix.
 #[inline]
-fn fnv_byte(mut h: u64, b: u8) -> u64 {
-    h ^= b as u64;
-    h = h.wrapping_mul(FNV_PRIME);
-    h
+fn mix(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
 }
 
+/// Folds `v` into the running hash `h`. Injective in `v` for a fixed `h`.
 #[inline]
-fn fnv_u64(mut h: u64, v: u64) -> u64 {
-    for b in v.to_le_bytes() {
-        h = fnv_byte(h, b);
-    }
-    h
+fn fold(h: u64, v: u64) -> u64 {
+    mix(h ^ v)
 }
 
-/// One WL refinement pass: each node's new color is a hash of its old color
-/// and the **sorted** multiset of `(neighbor color, edge-weight bits)` pairs.
-/// Sorting makes the pass independent of adjacency-list insertion order, and
-/// therefore of node labeling.
-fn wl_round(graph: &Graph, colors: &[u64]) -> Vec<u64> {
-    let mut next = Vec::with_capacity(graph.n());
-    let mut signature: Vec<(u64, u64)> = Vec::new();
-    for v in 0..graph.n() {
-        signature.clear();
-        for &(u, w) in graph.neighbors(v) {
-            signature.push((colors[u], w.to_bits()));
-        }
-        signature.sort_unstable();
-        let mut h = fnv_u64(FNV_OFFSET, colors[v]);
-        for &(c, wb) in &signature {
-            h = fnv_u64(h, c);
-            h = fnv_u64(h, wb);
-        }
-        next.push(h);
-    }
-    next
+/// Indices of the set bits of a bitset, ascending.
+fn ones(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(k, &word)| {
+        let mut word = word;
+        std::iter::from_fn(move || {
+            (word != 0).then(|| {
+                let bit = word.trailing_zeros() as usize;
+                word &= word - 1;
+                k * 64 + bit
+            })
+        })
+    })
 }
 
-fn distinct_count(colors: &[u64]) -> usize {
-    let mut sorted: Vec<u64> = colors.to_vec();
+/// Adjacency rows as bitsets, `words` 64-bit words per node.
+struct BitRows {
+    words: usize,
+    bits: Vec<u64>,
+}
+
+impl BitRows {
+    fn new(graph: &Graph) -> Self {
+        let words = graph.n().div_ceil(64);
+        let mut bits = vec![0u64; graph.n() * words];
+        for e in graph.edges() {
+            bits[e.u * words + e.v / 64] |= 1 << (e.v % 64);
+            bits[e.v * words + e.u / 64] |= 1 << (e.u % 64);
+        }
+        BitRows { words, bits }
+    }
+
+    /// The complement graph's rows (no self-loops).
+    fn complement(&self, n: usize) -> Self {
+        // Bits past node n - 1 in each row's last word stay clear.
+        let tail = if n.is_multiple_of(64) {
+            u64::MAX
+        } else {
+            (1 << (n % 64)) - 1
+        };
+        let mut bits: Vec<u64> = self.bits.iter().map(|&word| !word).collect();
+        for v in 0..n {
+            let row = &mut bits[v * self.words..(v + 1) * self.words];
+            row[self.words - 1] &= tail;
+            row[v / 64] &= !(1 << (v % 64));
+        }
+        BitRows {
+            words: self.words,
+            bits,
+        }
+    }
+
+    fn row(&self, v: usize) -> &[u64] {
+        &self.bits[v * self.words..(v + 1) * self.words]
+    }
+
+    /// Number of common neighbors of `u` and `v`.
+    fn common(&self, u: usize, v: usize) -> u64 {
+        self.row(u)
+            .iter()
+            .zip(self.row(v))
+            .map(|(a, b)| (a & b).count_ones() as u64)
+            .sum()
+    }
+
+    /// Number of triangles through `v`.
+    fn triangles(&self, v: usize) -> u64 {
+        // Each triangle is counted once from each of its two edges at `v`.
+        ones(self.row(v)).map(|u| self.common(u, v)).sum::<u64>() / 2
+    }
+
+    /// Fills `profile[k]` with the number of nodes at hop distance `k + 1`
+    /// from `source` (bitset BFS; unreachable nodes are not counted).
+    fn distance_profile(&self, source: usize, scratch: &mut BfsScratch, profile: &mut Vec<u64>) {
+        let BfsScratch {
+            visited,
+            frontier,
+            next,
+        } = scratch;
+        visited.fill(0);
+        frontier.fill(0);
+        visited[source / 64] |= 1 << (source % 64);
+        frontier[source / 64] |= 1 << (source % 64);
+        profile.clear();
+        loop {
+            next.fill(0);
+            for v in ones(frontier) {
+                for (acc, &word) in next.iter_mut().zip(self.row(v)) {
+                    *acc |= word;
+                }
+            }
+            let mut reached = 0u64;
+            for (acc, seen) in next.iter_mut().zip(visited.iter_mut()) {
+                *acc &= !*seen;
+                *seen |= *acc;
+                reached += acc.count_ones() as u64;
+            }
+            if reached == 0 {
+                return;
+            }
+            profile.push(reached);
+            std::mem::swap(frontier, next);
+        }
+    }
+}
+
+/// Reusable word buffers for [`BitRows::distance_profile`].
+struct BfsScratch {
+    visited: Vec<u64>,
+    frontier: Vec<u64>,
+    next: Vec<u64>,
+}
+
+/// A graph's refined node colors and the canonical hash folded from them.
+///
+/// Compute it once per graph with [`Fingerprint::of`] and reuse it: the hash
+/// keys a bucket, and [`are_isomorphic_with`] uses the colors to prune its
+/// search, so neither has to be recomputed per comparison. See the module
+/// docs for the coloring and the collision posture.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Fingerprint {
+    hash: u64,
+    colors: Vec<u64>,
+}
+
+impl Fingerprint {
+    /// Refines `graph`'s node colors to a stable partition and hashes them.
+    ///
+    /// Refinement stops as soon as a round fails to increase the number of
+    /// distinct colors (the partition has stabilized), and is capped at `n`
+    /// rounds; both stopping rules are themselves permutation-invariant, so
+    /// the color *multiset* and the hash are graph invariants. Multisets
+    /// (neighbor signatures, the final colors) are folded as wrapping sums
+    /// of mixed values, which makes them independent of adjacency order
+    /// without sorting.
+    pub fn of(graph: &Graph) -> Self {
+        let n = graph.n();
+        let rows = BitRows::new(graph);
+        // Incidence in CSR form: node `v`'s edges are
+        // `incident[start[v]..start[v + 1]]`, each `(neighbor, edge key)`
+        // where the key folds the weight bits with the common-neighbor count.
+        let mut start = Vec::with_capacity(n + 1);
+        let mut incident: Vec<(usize, u64)> = Vec::with_capacity(2 * graph.m());
+        let mut colors: Vec<u64> = Vec::with_capacity(n);
+        let mut scratch = BfsScratch {
+            visited: vec![0; rows.words],
+            frontier: vec![0; rows.words],
+            next: vec![0; rows.words],
+        };
+        // The structural seeds come from the sparser of the graph and its
+        // complement: refinement cannot tell a graph's complement structure
+        // apart any better than its own, and on a dense graph every node's
+        // own distance profile is the uninformative [d, n - 1 - d].
+        let complement = (4 * graph.m() > n * n.saturating_sub(1)).then(|| rows.complement(n));
+        // Edge weights enter through the edge keys of the first round,
+        // which always runs, so the seeds leave them out.
+        let mut profile = Vec::new();
+        for v in 0..n {
+            start.push(incident.len());
+            let mut twice_triangles = 0;
+            for &(u, w) in graph.neighbors(v) {
+                let common = rows.common(u, v);
+                twice_triangles += common;
+                incident.push((u, fold(w.to_bits(), common)));
+            }
+            // Each triangle at `v` is counted once from each of its two
+            // edges at `v`.
+            let triangles = match &complement {
+                Some(complement) => complement.triangles(v),
+                None => twice_triangles / 2,
+            };
+            let mut h = fold(fold(SEED, graph.degree(v) as u64), triangles);
+            // All-pairs BFS is O(n³/64); above the matcher's size guard the
+            // colors no longer prune anything, so the profile is skipped.
+            if n <= ISO_MAX_NODES {
+                complement.as_ref().unwrap_or(&rows).distance_profile(
+                    v,
+                    &mut scratch,
+                    &mut profile,
+                );
+                for &count in &profile {
+                    h = fold(h, count);
+                }
+            }
+            colors.push(h);
+        }
+        start.push(incident.len());
+
+        let mut sorted = Vec::with_capacity(n);
+        let mut classes = distinct_count(&colors, &mut sorted);
+        let mut next = vec![0u64; n];
+        for _ in 0..n {
+            for (v, color) in next.iter_mut().enumerate() {
+                let signature = incident[start[v]..start[v + 1]]
+                    .iter()
+                    .fold(0u64, |acc, &(u, key)| {
+                        acc.wrapping_add(mix(colors[u] ^ key))
+                    });
+                *color = fold(colors[v], signature);
+            }
+            std::mem::swap(&mut colors, &mut next);
+            let next_classes = distinct_count(&colors, &mut sorted);
+            if next_classes <= classes {
+                break;
+            }
+            classes = next_classes;
+        }
+
+        let color_sum = colors.iter().fold(0u64, |acc, &c| acc.wrapping_add(mix(c)));
+        let hash = fold(fold(fold(SEED, n as u64), graph.m() as u64), color_sum);
+        Fingerprint { hash, colors }
+    }
+
+    /// The canonical 64-bit hash: `n`, `m` and the multiset of refined
+    /// colors, folded together.
+    pub fn hash(&self) -> u64 {
+        self.hash
+    }
+
+    /// The refined color of each node, indexed like the graph's nodes.
+    pub fn colors(&self) -> &[u64] {
+        &self.colors
+    }
+}
+
+/// Number of distinct values in `colors`, sorting a copy in `sorted`.
+fn distinct_count(colors: &[u64], sorted: &mut Vec<u64>) -> usize {
+    sorted.clear();
+    sorted.extend_from_slice(colors);
     sorted.sort_unstable();
     sorted.dedup();
     sorted.len()
 }
 
-/// Runs WL color refinement to a stable partition and returns the final
-/// per-node colors.
-///
-/// The initial color of a node folds its degree with the sorted multiset of
-/// its incident edge-weight bits — the same degree signal the paper's GNN
-/// features start from. Refinement stops as soon as a pass fails to increase
-/// the number of distinct colors (the partition has stabilized), and is
-/// capped at `n` passes; both stopping rules are themselves
-/// permutation-invariant, so the returned color *multiset* is a graph
-/// invariant.
-pub fn wl_colors(graph: &Graph) -> Vec<u64> {
-    let mut colors = Vec::with_capacity(graph.n());
-    let mut weight_bits: Vec<u64> = Vec::new();
-    for v in 0..graph.n() {
-        weight_bits.clear();
-        weight_bits.extend(graph.neighbors(v).iter().map(|&(_, w)| w.to_bits()));
-        weight_bits.sort_unstable();
-        let mut h = fnv_u64(FNV_OFFSET, graph.degree(v) as u64);
-        for &wb in &weight_bits {
-            h = fnv_u64(h, wb);
-        }
-        colors.push(h);
-    }
-    let mut classes = distinct_count(&colors);
-    for _ in 0..graph.n() {
-        let next = wl_round(graph, &colors);
-        let next_classes = distinct_count(&next);
-        colors = next;
-        if next_classes <= classes {
-            break;
-        }
-        classes = next_classes;
-    }
-    colors
-}
-
-/// Deterministic, permutation-invariant 64-bit canonical hash of a graph.
-///
-/// Folds `n`, `m` and the sorted multiset of refined WL colors into FNV-1a.
-/// Isomorphic graphs always produce the same hash; see the module docs for
-/// the collision posture on non-isomorphic graphs.
+/// Deterministic, permutation-invariant 64-bit canonical hash of a graph:
+/// [`Fingerprint::hash`] of [`Fingerprint::of`]. Isomorphic graphs always
+/// produce the same hash; see the module docs for the collision posture on
+/// non-isomorphic graphs.
 ///
 /// ```
 /// use qgraph::{canon, Graph};
@@ -141,16 +340,15 @@ pub fn wl_colors(graph: &Graph) -> Vec<u64> {
 /// let h = g.relabel(&[4, 2, 0, 1, 3]);
 /// assert_eq!(canon::wl_hash(&g), canon::wl_hash(&h));
 /// assert_ne!(canon::wl_hash(&g), canon::wl_hash(&Graph::star(5).unwrap()));
+///
+/// // Both 2-regular on six nodes, yet triangle counts tell them apart.
+/// let c6 = Graph::cycle(6).unwrap();
+/// let triangles =
+///     Graph::from_edges(6, &[(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]).unwrap();
+/// assert_ne!(canon::wl_hash(&c6), canon::wl_hash(&triangles));
 /// ```
 pub fn wl_hash(graph: &Graph) -> u64 {
-    let mut colors = wl_colors(graph);
-    colors.sort_unstable();
-    let mut h = fnv_u64(FNV_OFFSET, graph.n() as u64);
-    h = fnv_u64(h, graph.m() as u64);
-    for &c in &colors {
-        h = fnv_u64(h, c);
-    }
-    h
+    Fingerprint::of(graph).hash()
 }
 
 /// Weight-bits adjacency lookup used by the matcher: `adj[u][v]` is
@@ -166,13 +364,9 @@ fn bit_matrix(graph: &Graph) -> Vec<Vec<Option<u64>>> {
     adj
 }
 
-/// Exact isomorphism test (weights must match bit-for-bit).
-///
-/// Cheap invariants (`n`, `m`, the WL color multiset) reject most
-/// non-isomorphic pairs outright; survivors go through color-class-pruned
-/// backtracking. The search is budgeted: if it exceeds its step budget it
-/// returns `false` — a conservative answer that can only cause a cache miss
-/// or a duplicate simulation, never a wrong match (see module docs).
+/// Exact isomorphism test (weights must match bit-for-bit), computing both
+/// fingerprints. Callers that compare one graph against many should compute
+/// each [`Fingerprint`] once and call [`are_isomorphic_with`].
 ///
 /// ```
 /// use qgraph::{canon, Graph};
@@ -180,9 +374,7 @@ fn bit_matrix(graph: &Graph) -> Vec<Vec<Option<u64>>> {
 /// let c6 = Graph::cycle(6).unwrap();
 /// let triangles =
 ///     Graph::from_edges(6, &[(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]).unwrap();
-/// // WL-1 cannot separate these two 2-regular graphs...
-/// assert_eq!(canon::wl_hash(&c6), canon::wl_hash(&triangles));
-/// // ...but the exact matcher can.
+/// assert!(canon::are_isomorphic(&c6, &c6.relabel(&[3, 0, 4, 1, 5, 2])));
 /// assert!(!canon::are_isomorphic(&c6, &triangles));
 /// ```
 pub fn are_isomorphic(a: &Graph, b: &Graph) -> bool {
@@ -192,8 +384,27 @@ pub fn are_isomorphic(a: &Graph, b: &Graph) -> bool {
     if a.n() > ISO_MAX_NODES {
         return a == b;
     }
-    let colors_a = wl_colors(a);
-    let colors_b = wl_colors(b);
+    are_isomorphic_with(a, &Fingerprint::of(a), b, &Fingerprint::of(b))
+}
+
+/// Exact isomorphism test on graphs with precomputed fingerprints (`fa` must
+/// be `a`'s, `fb` must be `b`'s).
+///
+/// Cheap invariants (`n`, `m`, the hash, the color multiset) reject most
+/// non-isomorphic pairs outright; survivors go through color-class-pruned
+/// backtracking. The search is budgeted: if it exceeds its step budget it
+/// returns `false` — a conservative answer that can only cause a cache miss
+/// or a duplicate simulation, never a wrong match (see module docs).
+pub fn are_isomorphic_with(a: &Graph, fa: &Fingerprint, b: &Graph, fb: &Fingerprint) -> bool {
+    debug_assert_eq!(fa.colors.len(), a.n(), "fingerprint of another graph");
+    debug_assert_eq!(fb.colors.len(), b.n(), "fingerprint of another graph");
+    if a.n() != b.n() || a.m() != b.m() || fa.hash != fb.hash {
+        return false;
+    }
+    if a.n() > ISO_MAX_NODES {
+        return a == b;
+    }
+    let (colors_a, colors_b) = (&fa.colors, &fb.colors);
     let mut sorted_a = colors_a.clone();
     let mut sorted_b = colors_b.clone();
     sorted_a.sort_unstable();
@@ -212,8 +423,8 @@ pub fn are_isomorphic(a: &Graph, b: &Graph) -> bool {
 
     let mut search = Search {
         order: &order,
-        colors_a: &colors_a,
-        colors_b: &colors_b,
+        colors_a,
+        colors_b,
         adj_a: &bit_matrix(a),
         adj_b: &bit_matrix(b),
         mapping: vec![None; n], // a-node -> b-node
@@ -336,18 +547,143 @@ mod tests {
         assert!(are_isomorphic(&heavy, &heavy_flipped));
     }
 
+    /// A non-isomorphic pair that still shares a hash: the first connected
+    /// pair of colliding `random_regular(12, 3)` draws from
+    /// `StdRng::seed_from_u64(7)`. Both are triangle-free and cubic, so
+    /// degrees and triangle counts cannot tell them apart, and neither can
+    /// their distance profiles or the refinement.
+    fn cubic_collision_pair() -> (Graph, Graph) {
+        // Edge lists, flattened: (u0, v0, u1, v1, …).
+        let graph = |flat: [usize; 36]| {
+            let pairs: Vec<(usize, usize)> = flat.chunks(2).map(|e| (e[0], e[1])).collect();
+            Graph::from_edges(12, &pairs).unwrap()
+        };
+        let a = graph([
+            10, 11, 0, 8, 1, 7, 6, 10, 1, 9, 6, 9, 7, 8, 8, 10, 2, 9, 0, 6, 4, 5, 5, 11, 2, 4, 0,
+            4, 3, 11, 2, 3, 1, 5, 3, 7,
+        ]);
+        let b = graph([
+            1, 4, 7, 10, 7, 9, 0, 3, 1, 3, 6, 11, 2, 11, 0, 7, 6, 10, 5, 10, 4, 8, 4, 11, 5, 8, 8,
+            9, 3, 6, 0, 2, 2, 5, 1, 9,
+        ]);
+        (a, b)
+    }
+
     #[test]
     fn wl_collision_pair_is_separated_by_exact_matcher() {
-        // The canonical WL-1 failure case at this scale: C6 vs. 2×C3. Both
-        // are 2-regular on 6 nodes with 6 unit edges, so refinement assigns
-        // every node the same color and the hashes collide — which is
-        // exactly why bucket hits must run the exact matcher.
+        // Refinement assigns both graphs the same color multiset, so the
+        // hashes collide — which is exactly why bucket hits must run the
+        // exact matcher.
+        let (a, b) = cubic_collision_pair();
+        assert!(a.is_connected() && b.is_connected());
+        assert!(a.is_triangle_free() && b.is_triangle_free());
+        assert_eq!(wl_hash(&a), wl_hash(&b));
+        assert!(!are_isomorphic(&a, &b));
+        assert!(are_isomorphic(&a, &a.relabel(&perm_of(12, 3))));
+    }
+
+    #[test]
+    fn triangle_counts_separate_c6_from_two_triangles() {
+        // Both are 2-regular on 6 nodes with 6 unit edges, so plain 1-WL
+        // gives them one hash; triangle counts now tell them apart.
         let c6 = Graph::cycle(6).unwrap();
-        let tri2 =
-            Graph::from_edges(6, &[(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]).unwrap();
-        assert_eq!(wl_hash(&c6), wl_hash(&tri2));
+        let tri2 = Graph::from_edges(6, &[(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]).unwrap();
+        assert_ne!(wl_hash(&c6), wl_hash(&tri2));
         assert!(!are_isomorphic(&c6, &tri2));
-        assert!(are_isomorphic(&c6, &c6.relabel(&perm_of(6, 3))));
+    }
+
+    fn complement(g: &Graph) -> Graph {
+        let mut c = Graph::empty(g.n()).unwrap();
+        for u in 0..g.n() {
+            for v in (u + 1)..g.n() {
+                if !g.has_edge(u, v) {
+                    c.add_edge(u, v, 1.0).unwrap();
+                }
+            }
+        }
+        c
+    }
+
+    #[test]
+    fn dense_graphs_are_seeded_from_their_complement() {
+        // 9-regular on 12 nodes: every node's own distance profile is
+        // [9, 2] and refinement cannot split either graph, but their
+        // complements are C12 and C5 + C7, whose profiles differ.
+        let c12 = Graph::cycle(12).unwrap();
+        let mut c5_c7 = Graph::empty(12).unwrap();
+        for (start, len) in [(0usize, 5usize), (5, 7)] {
+            for i in 0..len {
+                c5_c7
+                    .add_edge(start + i, start + (i + 1) % len, 1.0)
+                    .unwrap();
+            }
+        }
+        let (a, b) = (complement(&c12), complement(&c5_c7));
+        assert_eq!((a.regular_degree(), b.regular_degree()), (Some(9), Some(9)));
+        assert_ne!(wl_hash(&a), wl_hash(&b));
+        assert!(!are_isomorphic(&a, &b));
+        assert!(are_isomorphic(&a, &a.relabel(&perm_of(12, 5))));
+    }
+
+    #[test]
+    fn colors_follow_the_relabeling() {
+        use qrand::{rngs::StdRng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(11);
+        let g = crate::generate::random_regular(14, 5, &mut rng).unwrap();
+        let perm = perm_of(14, 2);
+        let (fg, fh) = (Fingerprint::of(&g), Fingerprint::of(&g.relabel(&perm)));
+        assert_eq!(fg.hash(), fh.hash());
+        for (v, &image) in perm.iter().enumerate() {
+            assert_eq!(fg.colors()[v], fh.colors()[image], "node {v}");
+        }
+    }
+
+    /// Non-isomorphic pairs that share a hash among `graphs`.
+    fn colliding_pairs(graphs: &[Graph]) -> usize {
+        let prints: Vec<Fingerprint> = graphs.iter().map(Fingerprint::of).collect();
+        let mut pairs = 0;
+        for i in 0..graphs.len() {
+            for j in 0..i {
+                if prints[i].hash() == prints[j].hash()
+                    && !are_isomorphic_with(&graphs[i], &prints[i], &graphs[j], &prints[j])
+                {
+                    pairs += 1;
+                }
+            }
+        }
+        pairs
+    }
+
+    #[test]
+    fn serving_shapes_have_no_colliding_pairs() {
+        // The shapes regular serving traffic draws from: 12-15 nodes,
+        // degree 5..=n-6. Plain 1-WL hashes each whole shape alike.
+        use qrand::{rngs::StdRng, SeedableRng};
+        for n in 12..=15usize {
+            for d in (5..=n - 6).filter(|d| (n * d).is_multiple_of(2)) {
+                let mut rng = StdRng::seed_from_u64((n * 100 + d) as u64);
+                let graphs: Vec<Graph> = (0..300)
+                    .map(|_| crate::generate::random_regular(n, d, &mut rng).unwrap())
+                    .collect();
+                assert_eq!(colliding_pairs(&graphs), 0, "shape ({n}, {d})");
+            }
+        }
+    }
+
+    #[test]
+    fn cubic_relabelings_match_within_budget() {
+        // Cubic graphs are the sparse shapes that keep a few collisions, so
+        // their matcher runs on coarser colors; every relabeled copy must
+        // still be found before the step budget runs out.
+        use qrand::{rngs::StdRng, SeedableRng};
+        for n in (4..=14usize).step_by(2) {
+            let mut rng = StdRng::seed_from_u64(n as u64);
+            for draw in 0..40u64 {
+                let g = crate::generate::random_regular(n, 3, &mut rng).unwrap();
+                let h = g.relabel(&perm_of(n, draw));
+                assert!(are_isomorphic(&g, &h), "n = {n}, draw {draw}");
+            }
+        }
     }
 
     #[test]

@@ -4,16 +4,16 @@
 //! The contract under test:
 //!
 //! 1. **Canonical hashing** — `wl_hash` is invariant under node
-//!    relabeling (fuzzed with qcheck over random graphs × random
-//!    permutations) and separates obviously distinct structures
-//!    (path vs star).
+//!    relabeling (fuzzed with qcheck over random, random regular and
+//!    weighted graphs × random permutations, plus a graph above 64 nodes)
+//!    and separates distinct structures (path vs star, C6 vs 2×C3).
 //! 2. **Bit-exact replies** — a cache hit is bit-identical to the fresh
 //!    [`GuardedPredictor::handle`] reply it memoized, apart from the
 //!    `cached` marker. Holds for the same graph, for isomorphic
 //!    relabelings, across shard counts, and per artifact generation.
-//! 3. **Collision safety** — a constructed WL-collision pair (C6 vs
-//!    2×C3: same WL colors, not isomorphic) never cross-serves: each
-//!    graph gets its own parameters, never the colliding entry's.
+//! 3. **Collision safety** — a colliding pair (two triangle-free cubic
+//!    graphs on 12 nodes: same hash, not isomorphic) never cross-serves:
+//!    each graph gets its own parameters, never the colliding entry's.
 
 use std::sync::Arc;
 
@@ -29,7 +29,7 @@ use qgraph::canon::{are_isomorphic, wl_hash};
 use qgraph::Graph;
 use qrand::rngs::StdRng;
 use qrand::seq::SliceRandom;
-use qrand::SeedableRng;
+use qrand::{Rng, SeedableRng};
 
 /// An untrained artifact with a wide envelope: cheap to build per qcheck
 /// case, deterministic bits for a fixed seed.
@@ -69,6 +69,28 @@ fn random_graph(seed: u64) -> Graph {
     qgraph::generate::erdos_renyi(n, 0.5, &mut rng).unwrap()
 }
 
+/// A random regular instance inside the artifact envelope: 12-15 nodes,
+/// any feasible degree from 2 up.
+fn random_regular_graph(seed: u64) -> Graph {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let n = 12 + (seed % 4) as usize;
+    let degrees: Vec<usize> = (2..n).filter(|d| (n * d).is_multiple_of(2)).collect();
+    let d = degrees[(seed / 4) as usize % degrees.len()];
+    qgraph::generate::random_regular(n, d, &mut rng).unwrap()
+}
+
+/// `graph` with each edge's weight drawn from a small set, so equal
+/// weights recur and the weight multiset alone does not pin the labeling.
+fn reweighted(graph: &Graph, seed: u64) -> Graph {
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x3e16_47a1);
+    let triples: Vec<(usize, usize, f64)> = graph
+        .edges()
+        .iter()
+        .map(|e| (e.u, e.v, [0.5, 1.0, 2.0][rng.gen_range(0..3)]))
+        .collect();
+    Graph::from_weighted_edges(graph.n(), &triples).unwrap()
+}
+
 fn random_perm(n: usize, seed: u64) -> Vec<usize> {
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5bf0_3635);
     let mut perm: Vec<usize> = (0..n).collect();
@@ -96,6 +118,26 @@ qcheck::properties! {
     /// and the exact matcher agrees the relabeling is an isomorphism.
     fn wl_hash_is_invariant_under_relabeling(seed in qcheck::any_u64()) {
         let graph = random_graph(seed);
+        let relabeled = graph.relabel(&random_perm(graph.n(), seed));
+        qcheck::prop_assert_eq!(wl_hash(&graph), wl_hash(&relabeled));
+        qcheck::prop_assert!(are_isomorphic(&graph, &relabeled));
+    }
+
+    /// Acceptance 1 (fuzz) on the paper's graphs: random regular graphs,
+    /// whose nodes 1-WL cannot tell apart, keep their hash under
+    /// relabeling and are matched by the exact check.
+    fn hash_is_invariant_on_random_regular_graphs(seed in qcheck::any_u64()) {
+        let graph = random_regular_graph(seed);
+        let relabeled = graph.relabel(&random_perm(graph.n(), seed));
+        qcheck::prop_assert_eq!(wl_hash(&graph), wl_hash(&relabeled));
+        qcheck::prop_assert!(are_isomorphic(&graph, &relabeled));
+    }
+
+    /// Acceptance 1 (fuzz) on weighted graphs: weights travel with their
+    /// edges under relabeling, and the hash and matcher follow them.
+    fn hash_is_invariant_on_weighted_graphs(seed in qcheck::any_u64()) {
+        let base = if seed % 2 == 0 { random_graph(seed) } else { random_regular_graph(seed) };
+        let graph = reweighted(&base, seed);
         let relabeled = graph.relabel(&random_perm(graph.n(), seed));
         qcheck::prop_assert_eq!(wl_hash(&graph), wl_hash(&relabeled));
         qcheck::prop_assert!(are_isomorphic(&graph, &relabeled));
@@ -151,40 +193,92 @@ fn path_and_star_hash_differently() {
     assert!(!are_isomorphic(&path, &star));
 }
 
-/// C6 and 2×C3: the classic 1-WL collision (both 2-regular on six
-/// nodes), used here as the constructed collision pair the issue
-/// requires. Their WL hashes collide; the graphs are not isomorphic.
-fn collision_pair() -> (Graph, Graph) {
+#[test]
+fn hash_is_invariant_above_64_nodes() {
+    // 100 nodes span two bitset words, so the multi-word paths of the
+    // triangle, common-neighbor and distance-profile code all run.
+    let mut rng = StdRng::seed_from_u64(6400);
+    let graph = reweighted(
+        &qgraph::generate::random_regular(100, 3, &mut rng).unwrap(),
+        6400,
+    );
+    for seed in 0..4 {
+        let relabeled = graph.relabel(&random_perm(graph.n(), seed));
+        assert_eq!(wl_hash(&graph), wl_hash(&relabeled), "perm seed {seed}");
+        assert!(are_isomorphic(&graph, &relabeled), "perm seed {seed}");
+    }
+    // Moving one edge changes the structure and the hash.
+    let mut triples: Vec<(usize, usize, f64)> =
+        graph.edges().iter().map(|e| (e.u, e.v, e.weight)).collect();
+    let (u, v, w) = triples.pop().unwrap();
+    let moved = (0..graph.n())
+        .find(|&x| x != u && x != v && !graph.has_edge(u, x))
+        .unwrap();
+    triples.push((u, moved, w));
+    let other = Graph::from_weighted_edges(graph.n(), &triples).unwrap();
+    assert_ne!(wl_hash(&graph), wl_hash(&other));
+    assert!(!are_isomorphic(&graph, &other));
+}
+
+#[test]
+fn c6_and_two_triangles_are_separated_by_the_hash() {
+    // The classic 1-WL collision (both 2-regular on six nodes): triangle
+    // counts now give the two graphs different hashes.
     let c6 = Graph::cycle(6).unwrap();
-    let two_c3 =
-        Graph::from_edges(6, &[(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]).unwrap();
-    assert_eq!(wl_hash(&c6), wl_hash(&two_c3), "pair must collide under WL");
+    let two_c3 = Graph::from_edges(6, &[(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]).unwrap();
+    assert_ne!(wl_hash(&c6), wl_hash(&two_c3));
     assert!(!are_isomorphic(&c6, &two_c3));
-    (c6, two_c3)
+}
+
+/// Two triangle-free cubic graphs on 12 nodes: the first connected
+/// colliding pair among `random_regular(12, 3)` draws from
+/// `StdRng::seed_from_u64(7)`. Their hashes collide; the graphs are not
+/// isomorphic.
+fn collision_pair() -> (Graph, Graph) {
+    // Edge lists, flattened: (u0, v0, u1, v1, …).
+    let graph = |flat: [usize; 36]| {
+        let pairs: Vec<(usize, usize)> = flat.chunks(2).map(|e| (e[0], e[1])).collect();
+        Graph::from_edges(12, &pairs).unwrap()
+    };
+    let a = graph([
+        10, 11, 0, 8, 1, 7, 6, 10, 1, 9, 6, 9, 7, 8, 8, 10, 2, 9, 0, 6, 4, 5, 5, 11, 2, 4, 0, 4, 3,
+        11, 2, 3, 1, 5, 3, 7,
+    ]);
+    let b = graph([
+        1, 4, 7, 10, 7, 9, 0, 3, 1, 3, 6, 11, 2, 11, 0, 7, 6, 10, 5, 10, 4, 8, 4, 11, 5, 8, 8, 9,
+        3, 6, 0, 2, 2, 5, 1, 9,
+    ]);
+    assert_eq!(wl_hash(&a), wl_hash(&b), "pair must collide");
+    assert!(!are_isomorphic(&a, &b));
+    (a, b)
 }
 
 #[test]
 fn wl_collision_never_cross_serves() {
-    let (c6, two_c3) = collision_pair();
+    let (a, b) = collision_pair();
     let cache = Arc::new(PredictionCache::new(CacheConfig::default()));
     let served = cached_predictor(&cache, 0);
 
-    // Warm the cache with C6 only. The colliding 2×C3 must NOT hit it:
+    // Warm the cache with `a` only. The colliding `b` must NOT hit it:
     // the exact matcher behind the hash bucket rejects the collision and
     // the request runs the ladder fresh.
-    let fresh_c6 = serve(&served, &c6);
-    let fresh_two_c3 = serve(&served, &two_c3);
-    assert!(!fresh_two_c3.cached, "collision must not serve a false hit");
-    assert_eq!(cache.stats().collisions, 1, "the rejected bucket probe is counted");
+    let fresh_a = serve(&served, &a);
+    let fresh_b = serve(&served, &b);
+    assert!(!fresh_b.cached, "collision must not serve a false hit");
+    assert_eq!(
+        cache.stats().collisions,
+        1,
+        "the rejected bucket probe is counted"
+    );
 
     // With both resident in the same bucket, each graph serves its own
     // memoized parameters — bit-identical to its fresh reply, never the
     // colliding entry's.
-    let hit_c6 = serve(&served, &c6);
-    let hit_two_c3 = serve(&served, &two_c3);
-    assert!(hit_c6.cached && hit_two_c3.cached);
-    assert_eq!(unmarked(hit_c6), fresh_c6);
-    assert_eq!(unmarked(hit_two_c3), fresh_two_c3);
+    let hit_a = serve(&served, &a);
+    let hit_b = serve(&served, &b);
+    assert!(hit_a.cached && hit_b.cached);
+    assert_eq!(unmarked(hit_a), fresh_a);
+    assert_eq!(unmarked(hit_b), fresh_b);
 }
 
 #[test]
