@@ -35,7 +35,9 @@ use qaoa_gnn::dataset::LabelReport;
 use qaoa_gnn::pipeline::PipelineConfig;
 use qaoa_gnn::serve::ServeRequest;
 use qaoa_gnn::serve_loop::{LoopConfig, ServeLoop};
+use qaoa_gnn::store::{fnv1a_extend, FNV1A_OFFSET};
 use qaoa_gnn::{CacheConfig, RunArtifact, TrainingEnvelope};
+use qaoa_gnn_bench::parse_flag;
 use qgraph::Graph;
 use qrand::rngs::StdRng;
 use qrand::{Rng, SeedableRng};
@@ -133,17 +135,6 @@ fn zipf_stream(pool_size: usize, requests: usize, seed: u64) -> Vec<usize> {
         .collect()
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv_u64(hash: u64, value: u64) -> u64 {
-    let mut hash = hash;
-    for byte in value.to_le_bytes() {
-        hash = (hash ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
-
 struct Phase {
     name: &'static str,
     elapsed_secs: f64,
@@ -155,26 +146,19 @@ struct Phase {
 /// reply's bits (angles + rung quality, `cached` marker excluded).
 fn run_phase(name: &'static str, config: LoopConfig, pool: &[Graph], stream: &[usize]) -> Phase {
     let serve = ServeLoop::new(artifact(), config);
-    let mut digest = FNV_OFFSET;
+    let mut digest = FNV1A_OFFSET;
     let start = Instant::now();
     for &index in stream {
         let done = serve.handle_wait(ServeRequest::from_graph(pool[index].clone()));
         let outcome = done.response.result.expect("in-envelope request serves");
         let (gamma, beta) = outcome.angles();
-        digest = fnv_u64(digest, gamma.to_bits());
-        digest = fnv_u64(digest, beta.to_bits());
-        digest = fnv_u64(digest, u64::from(outcome.rung.quality()));
+        digest = fnv1a_extend(digest, &gamma.to_bits().to_le_bytes());
+        digest = fnv1a_extend(digest, &beta.to_bits().to_le_bytes());
+        digest = fnv1a_extend(digest, &u64::from(outcome.rung.quality()).to_le_bytes());
     }
     let elapsed_secs = start.elapsed().as_secs_f64();
     let hit_rate = serve.cache_stats().hit_rate();
     Phase { name, elapsed_secs, digest, hit_rate }
-}
-
-fn parse_flag(args: &[String], name: &str) -> Option<usize> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
 }
 
 fn main() -> ExitCode {

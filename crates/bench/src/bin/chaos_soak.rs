@@ -38,7 +38,9 @@ use qaoa_gnn::faults::{self, FaultSchedule};
 use qaoa_gnn::pipeline::PipelineConfig;
 use qaoa_gnn::serve::ServeRequest;
 use qaoa_gnn::serve_loop::{LoopConfig, ServeLoop};
+use qaoa_gnn::store::{fnv1a_extend, FNV1A_OFFSET};
 use qaoa_gnn::{BreakerState, Health, RunArtifact, TrainingEnvelope};
+use qaoa_gnn_bench::parse_flag;
 use qgraph::Graph;
 use qrand::rngs::StdRng;
 use qrand::SeedableRng;
@@ -79,23 +81,6 @@ fn artifact_with_seed(seed: u64) -> RunArtifact {
     }
 }
 
-fn parse_flag(args: &[String], name: &str) -> Option<usize> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-}
-
-/// FNV-1a fold of one reply's replayable content into the run digest.
-fn fold(digest: u64, bytes: &[u8]) -> u64 {
-    let mut h = digest;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 struct RunReport {
     digest: u64,
     elapsed_secs: f64,
@@ -127,29 +112,29 @@ fn run_once(seed: u64, requests: u64, workers: usize) -> RunReport {
             .with_batch_size(8),
     );
     let start = Instant::now();
-    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    let mut digest = FNV1A_OFFSET;
     for i in 0..requests {
         let n = 3 + (i % 10) as usize;
         let done = serve
             .submit(ServeRequest::from_graph(Graph::cycle(n).expect("cycle")))
             .wait();
-        digest = fold(digest, &done.generation.to_le_bytes());
+        digest = fnv1a_extend(digest, &done.generation.to_le_bytes());
         match &done.response.result {
             Ok(outcome) => {
                 let (gamma, beta) = outcome.angles();
-                digest = fold(digest, &[1, outcome.rung.quality(), outcome.clamped as u8]);
-                digest = fold(digest, &gamma.to_bits().to_le_bytes());
-                digest = fold(digest, &beta.to_bits().to_le_bytes());
-                digest = fold(digest, &(outcome.skips.len() as u64).to_le_bytes());
+                digest = fnv1a_extend(digest, &[1, outcome.rung.quality(), outcome.clamped as u8]);
+                digest = fnv1a_extend(digest, &gamma.to_bits().to_le_bytes());
+                digest = fnv1a_extend(digest, &beta.to_bits().to_le_bytes());
+                digest = fnv1a_extend(digest, &(outcome.skips.len() as u64).to_le_bytes());
                 for skip in &outcome.skips {
-                    digest = fold(digest, format!("{:?}", skip.reason).as_bytes());
+                    digest = fnv1a_extend(digest, format!("{:?}", skip.reason).as_bytes());
                 }
             }
-            Err(error) => digest = fold(digest, format!("0{error:?}").as_bytes()),
+            Err(error) => digest = fnv1a_extend(digest, format!("0{error:?}").as_bytes()),
         }
         if i == requests / 2 {
             let swap = serve.swap_artifact(artifact_with_seed(seed ^ 1));
-            digest = fold(digest, format!("swap {swap:?}").as_bytes());
+            digest = fnv1a_extend(digest, format!("swap {swap:?}").as_bytes());
         }
     }
     let elapsed_secs = start.elapsed().as_secs_f64();

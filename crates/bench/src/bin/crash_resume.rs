@@ -36,6 +36,7 @@ use std::time::{Duration, Instant};
 use gnn::train::TrainConfig;
 use gnn::GnnKind;
 use qaoa_gnn::pipeline::{Pipeline, PipelineConfig};
+use qaoa_gnn::store::fnv1a;
 use qgraph::generate::DatasetSpec;
 use qrand::rngs::StdRng;
 use qrand::{Rng, SeedableRng};
@@ -49,15 +50,6 @@ const CHILD_STALL_MS: &str = "120000";
 fn fail(msg: &str) -> ExitCode {
     eprintln!("FAIL: {msg}");
     ExitCode::FAILURE
-}
-
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 /// The run every subprocess executes: one GCN pipeline with labeling
@@ -333,7 +325,7 @@ fn main() -> ExitCode {
     println!(
         "crash_resume: control artifact {} bytes, fnv64 {:#018x} ({:.1}s)",
         control_bytes.len(),
-        fnv64(&control_bytes),
+        fnv1a(&control_bytes),
         started.elapsed().as_secs_f64()
     );
 
@@ -376,9 +368,9 @@ fn main() -> ExitCode {
     if chaos_bytes != control_bytes {
         return fail(&format!(
             "artifact diverged: control fnv64 {:#018x} ({} bytes) vs chaos {:#018x} ({} bytes)",
-            fnv64(&control_bytes),
+            fnv1a(&control_bytes),
             control_bytes.len(),
-            fnv64(&chaos_bytes),
+            fnv1a(&chaos_bytes),
             chaos_bytes.len()
         ));
     }

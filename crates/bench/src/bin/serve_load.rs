@@ -42,6 +42,7 @@ use qaoa_gnn::pipeline::PipelineConfig;
 use qaoa_gnn::serve::ServeRequest;
 use qaoa_gnn::serve_loop::{LoopConfig, ServeLoop};
 use qaoa_gnn::{RunArtifact, ServeConfig, TrainingEnvelope};
+use qaoa_gnn_bench::parse_flag;
 use qgraph::Graph;
 use qrand::rngs::StdRng;
 use qrand::SeedableRng;
@@ -117,13 +118,6 @@ impl PhaseReport {
     fn throughput(&self) -> f64 {
         self.requests as f64 / self.elapsed_secs
     }
-}
-
-fn parse_flag(args: &[String], name: &str) -> Option<usize> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
 }
 
 fn main() -> ExitCode {

@@ -136,6 +136,15 @@ pub fn f2(v: f64) -> String {
     format!("{v:.2}")
 }
 
+/// The value after flag `name` in `args` (`--requests 500`), parsed;
+/// `None` when the flag is absent, has no value, or does not parse.
+pub fn parse_flag(args: &[String], name: &str) -> Option<usize> {
+    args.iter()
+        .position(|a| a == name)
+        .and_then(|i| args.get(i + 1))
+        .and_then(|v| v.parse().ok())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,5 +172,17 @@ mod tests {
     fn formatting_helpers() {
         assert_eq!(f4(1.0 / 3.0), "0.3333");
         assert_eq!(f2(3.275), "3.27");
+    }
+
+    #[test]
+    fn parse_flag_reads_the_following_value() {
+        let args: Vec<String> = ["--smoke", "--requests", "500", "--pool", "x", "--swaps"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        assert_eq!(parse_flag(&args, "--requests"), Some(500));
+        assert_eq!(parse_flag(&args, "--pool"), None, "unparsable");
+        assert_eq!(parse_flag(&args, "--swaps"), None, "no value");
+        assert_eq!(parse_flag(&args, "--burst"), None, "absent");
     }
 }

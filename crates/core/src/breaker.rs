@@ -50,6 +50,8 @@
 use std::collections::VecDeque;
 use std::sync::Mutex;
 
+use crate::env;
+
 /// Observable breaker state (see the module docs for the transitions).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BreakerState {
@@ -122,33 +124,25 @@ impl BreakerConfig {
     /// `QAOA_GNN_BREAKER_PROBE_INTERVAL`, `QAOA_GNN_BREAKER_PROBES`.
     pub fn from_env() -> Self {
         let mut config = BreakerConfig::default();
-        let parse = |key: &str| {
-            std::env::var(key)
-                .ok()
-                .and_then(|v| v.trim().parse::<u64>().ok())
-        };
-        if let Some(window) = parse("QAOA_GNN_BREAKER_WINDOW") {
-            config.window = window as usize;
+        if let Some(window) = env::num("QAOA_GNN_BREAKER_WINDOW") {
+            config.window = window;
         }
-        if let Some(min_samples) = parse("QAOA_GNN_BREAKER_MIN_SAMPLES") {
-            config.min_samples = min_samples as usize;
+        if let Some(min_samples) = env::num("QAOA_GNN_BREAKER_MIN_SAMPLES") {
+            config.min_samples = min_samples;
         }
-        if let Some(threshold) = std::env::var("QAOA_GNN_BREAKER_THRESHOLD")
-            .ok()
-            .and_then(|v| v.trim().parse::<f64>().ok())
-        {
+        if let Some(threshold) = env::num::<f64>("QAOA_GNN_BREAKER_THRESHOLD") {
             config.failure_threshold = threshold.clamp(0.0, 1.0);
         }
-        if let Some(cooldown) = parse("QAOA_GNN_BREAKER_COOLDOWN") {
+        if let Some(cooldown) = env::num("QAOA_GNN_BREAKER_COOLDOWN") {
             config.cooldown = cooldown;
         }
-        if let Some(max_cooldown) = parse("QAOA_GNN_BREAKER_MAX_COOLDOWN") {
+        if let Some(max_cooldown) = env::num("QAOA_GNN_BREAKER_MAX_COOLDOWN") {
             config.max_cooldown = max_cooldown;
         }
-        if let Some(interval) = parse("QAOA_GNN_BREAKER_PROBE_INTERVAL") {
+        if let Some(interval) = env::num("QAOA_GNN_BREAKER_PROBE_INTERVAL") {
             config.probe_interval = interval;
         }
-        if let Some(probes) = parse("QAOA_GNN_BREAKER_PROBES") {
+        if let Some(probes) = env::num("QAOA_GNN_BREAKER_PROBES") {
             config.probe_successes = probes;
         }
         config.sanitized()

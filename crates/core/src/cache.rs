@@ -60,6 +60,7 @@ use std::sync::Mutex;
 use qgraph::canon::{self, Fingerprint};
 use qgraph::Graph;
 
+use crate::env;
 use crate::faults;
 use crate::serve::PredictionOutcome;
 
@@ -113,18 +114,13 @@ impl CacheConfig {
     /// `..._BYTES=0`) disables the cache explicitly.
     pub fn from_env() -> Self {
         let mut config = CacheConfig::default();
-        let parse = |key: &str| {
-            std::env::var(key)
-                .ok()
-                .and_then(|v| v.trim().parse::<usize>().ok())
-        };
-        if let Some(shards) = parse("QAOA_GNN_CACHE_SHARDS") {
+        if let Some(shards) = env::num("QAOA_GNN_CACHE_SHARDS") {
             config.shards = shards;
         }
-        if let Some(entries) = parse("QAOA_GNN_CACHE_ENTRIES") {
+        if let Some(entries) = env::num("QAOA_GNN_CACHE_ENTRIES") {
             config.capacity_entries = entries;
         }
-        if let Some(bytes) = parse("QAOA_GNN_CACHE_BYTES") {
+        if let Some(bytes) = env::num("QAOA_GNN_CACHE_BYTES") {
             config.max_bytes = bytes;
         }
         config

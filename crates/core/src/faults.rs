@@ -170,12 +170,7 @@ impl std::fmt::Display for FaultAction {
 /// resume after it.
 pub fn stall_budget_ms() -> u64 {
     static BUDGET: OnceLock<u64> = OnceLock::new();
-    *BUDGET.get_or_init(|| {
-        std::env::var("QAOA_GNN_STALL_MS")
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .unwrap_or(30_000)
-    })
+    *BUDGET.get_or_init(|| crate::env::num("QAOA_GNN_STALL_MS").unwrap_or(30_000))
 }
 
 /// Sleeps in 10 ms slices until the stall budget is spent. Kept slice-wise

@@ -38,6 +38,7 @@
 pub mod breaker;
 pub mod cache;
 pub mod dataset;
+mod env;
 pub mod eval;
 pub mod faults;
 pub mod fixed;

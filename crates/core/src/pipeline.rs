@@ -11,6 +11,7 @@ use gnn::{GnnKind, GnnModel, GraphContext, ModelConfig};
 use qgraph::generate::DatasetSpec;
 
 use crate::dataset::{Dataset, DatasetError, FailurePolicy, LabelConfig, LabelReport};
+use crate::env;
 use crate::eval::{self, EvalConfig, EvaluationReport};
 use crate::fixed::{self, FixedAngleStats};
 use crate::sdp::{self, SdpConfig, SdpStats};
@@ -115,37 +116,31 @@ impl PipelineConfig {
     ///   architectures derive one path per architecture from it, see
     ///   [`crate::store::artifact_path_for_kind`]).
     pub fn from_env() -> Self {
-        let full = matches!(std::env::var("QAOA_GNN_FULL"), Ok(v) if !v.is_empty() && v != "0");
-        let mut config = if full { Self::paper_scale() } else { Self::quick() };
-        let parse = |key: &str| {
-            std::env::var(key)
-                .ok()
-                .and_then(|v| v.trim().parse::<u64>().ok())
+        let mut config = if env::flag("QAOA_GNN_FULL") {
+            Self::paper_scale()
+        } else {
+            Self::quick()
         };
-        if let Some(threads) = parse("QAOA_GNN_THREADS") {
-            config = config.with_threads(threads as usize);
+        if let Some(threads) = env::num("QAOA_GNN_THREADS") {
+            config = config.with_threads(threads);
         }
-        if let Some(sim_threads) = parse("QAOA_GNN_SIM_THREADS") {
-            config = config.with_sim_threads(sim_threads as usize);
+        if let Some(sim_threads) = env::num("QAOA_GNN_SIM_THREADS") {
+            config = config.with_sim_threads(sim_threads);
         }
-        if let Some(iterations) = parse("QAOA_GNN_ITERATIONS") {
-            config = config.with_iterations(iterations as usize);
+        if let Some(iterations) = env::num("QAOA_GNN_ITERATIONS") {
+            config = config.with_iterations(iterations);
         }
-        if let Some(seed) = parse("QAOA_GNN_SEED") {
+        if let Some(seed) = env::num("QAOA_GNN_SEED") {
             config = config.with_seed(seed);
         }
-        if let Ok(dir) = std::env::var("QAOA_GNN_CHECKPOINT_DIR") {
-            if !dir.trim().is_empty() {
-                config = config.with_checkpoint_dir(Some(PathBuf::from(dir.trim())));
-            }
+        if let Some(dir) = env::path("QAOA_GNN_CHECKPOINT_DIR") {
+            config = config.with_checkpoint_dir(Some(dir));
         }
-        if let Ok(path) = std::env::var("QAOA_GNN_ARTIFACT") {
-            if !path.trim().is_empty() {
-                config = config.with_artifact_path(Some(PathBuf::from(path.trim())));
-            }
+        if let Some(path) = env::path("QAOA_GNN_ARTIFACT") {
+            config = config.with_artifact_path(Some(path));
         }
-        if let Some(every) = parse("QAOA_GNN_CHECKPOINT_EVERY") {
-            config = config.with_checkpoint_every(every as usize);
+        if let Some(every) = env::num("QAOA_GNN_CHECKPOINT_EVERY") {
+            config = config.with_checkpoint_every(every);
         }
         config
     }

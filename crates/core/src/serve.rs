@@ -42,14 +42,13 @@
 //! [`GuardedPredictor::handle`], taking a [`ServeRequest`] message — a
 //! graph-or-text payload plus per-request policy (deadline, [`Priority`],
 //! a [`Rung`] quality floor) — and returning a [`ServeResponse`]. The
-//! historical `predict` / `predict_text` / `serve_batch` trio survives as
-//! thin deprecated wrappers over the same internals, proven bit-identical
-//! in `tests/serve_loop.rs`. The deadline and priority fields are
-//! honored by the concurrent request loop ([`crate::serve_loop`]), which
-//! also drives the **load-shed path** ([`GuardedPredictor::handle_shed`]):
-//! under saturation a request skips the GNN rung — recorded as
-//! [`SkipReason::Shed`] — and is answered from the cheap fixed-angle
-//! rung instead of queueing unboundedly.
+//! concurrent request loop ([`crate::serve_loop`]) calls `handle` per
+//! request behind an outer `catch_unwind`, so one poisoned request cannot
+//! take down its batch. The loop also honors the deadline and priority
+//! fields and drives the **load-shed path**
+//! ([`GuardedPredictor::handle_shed`]): under saturation a request skips
+//! the GNN rung — recorded as [`SkipReason::Shed`] — and is answered from
+//! the cheap fixed-angle rung instead of queueing unboundedly.
 //!
 //! Every defense is exercised by deterministic fault injection
 //! ([`crate::faults`]) rather than trusted on inspection — see
@@ -63,6 +62,7 @@ use qaoa::{fixed_angle, Evaluator, MaxCutHamiltonian, Params, QaoaCircuit};
 use qgraph::io::ParseLimits;
 use qgraph::{Graph, ParseError};
 
+use crate::env;
 use crate::faults::{self, FaultAction};
 use crate::store::{ArtifactError, EnvelopeViolation, RunArtifact, TrainingEnvelope};
 
@@ -115,24 +115,19 @@ impl ServeConfig {
     ///   (shared with the training pipeline's variable).
     pub fn from_env() -> Self {
         let mut config = ServeConfig::default();
-        let parse = |key: &str| {
-            std::env::var(key)
-                .ok()
-                .and_then(|v| v.trim().parse::<usize>().ok())
-        };
-        if matches!(std::env::var("QAOA_GNN_SERVE_STRICT"), Ok(v) if !v.is_empty() && v != "0") {
+        if env::flag("QAOA_GNN_SERVE_STRICT") {
             config = config.with_strict_envelope(true);
         }
-        if let Some(cap) = parse("QAOA_GNN_SERVE_VERIFY_MAX_NODES") {
+        if let Some(cap) = env::num("QAOA_GNN_SERVE_VERIFY_MAX_NODES") {
             config = config.with_verify_max_nodes(cap);
         }
-        if let Some(max_nodes) = parse("QAOA_GNN_SERVE_MAX_NODES") {
+        if let Some(max_nodes) = env::num("QAOA_GNN_SERVE_MAX_NODES") {
             config.limits.max_nodes = max_nodes;
         }
-        if let Some(max_edges) = parse("QAOA_GNN_SERVE_MAX_EDGES") {
+        if let Some(max_edges) = env::num("QAOA_GNN_SERVE_MAX_EDGES") {
             config.limits.max_edges = max_edges;
         }
-        if let Some(sim_threads) = parse("QAOA_GNN_SIM_THREADS") {
+        if let Some(sim_threads) = env::num("QAOA_GNN_SIM_THREADS") {
             config = config.with_sim_threads(sim_threads);
         }
         config
@@ -518,9 +513,8 @@ pub enum RequestError {
     /// healthy saturation sheds instead of refusing).
     Admission(String),
     /// The guarded pipeline itself panicked through every rung-level
-    /// defense (only reachable from [`GuardedPredictor::serve_batch`] and
-    /// the serving loop's workers, which contain it to the offending
-    /// item).
+    /// defense (only reachable from the serving loop's workers, which
+    /// contain it to the offending item).
     Internal(String),
 }
 
@@ -696,63 +690,8 @@ impl GuardedPredictor {
         shed_response(&self.config, self.envelope(), request, queue_depth)
     }
 
-    /// Serves a request arriving as graph text: strict limited parsing,
-    /// then the ladder.
-    ///
-    /// # Errors
-    ///
-    /// [`RequestError::Parse`] with the typed, line-numbered cause; then
-    /// anything the graph path rejects.
-    #[deprecated(
-        since = "0.2.0",
-        note = "route requests through `GuardedPredictor::handle` with a typed `ServeRequest`"
-    )]
-    pub fn predict_text(&self, text: &str) -> Result<PredictionOutcome, RequestError> {
-        let graph = qgraph::io::graph_from_str_limited(text, &self.config.limits)?;
-        self.predict_graph(&graph)
-    }
-
-    /// Serves a request arriving as a pre-built graph: cap checks, envelope
-    /// check, then the ladder. Never panics; the fallback rung is total, so
-    /// an accepted request always yields finite in-domain parameters.
-    ///
-    /// # Errors
-    ///
-    /// [`RequestError::TooManyNodes`] / [`RequestError::TooManyEdges`] when
-    /// the request exceeds the serving caps, and
-    /// [`RequestError::OutOfEnvelope`] under strict envelope policy.
-    #[deprecated(
-        since = "0.2.0",
-        note = "route requests through `GuardedPredictor::handle` with a typed `ServeRequest`"
-    )]
-    pub fn predict(&self, graph: &Graph) -> Result<PredictionOutcome, RequestError> {
-        self.predict_graph(graph)
-    }
-
-    /// Serves a batch, isolating requests from each other: a request that
-    /// somehow panics through every rung-level defense is contained by an
-    /// outer `catch_unwind` and reported as [`RequestError::Internal`] for
-    /// that item alone — the rest of the batch is served normally.
-    #[deprecated(
-        since = "0.2.0",
-        note = "submit typed `ServeRequest`s through `serve_loop::ServeLoop` (or map \
-                `GuardedPredictor::handle` over the batch)"
-    )]
-    pub fn serve_batch(&self, graphs: &[Graph]) -> Vec<Result<PredictionOutcome, RequestError>> {
-        graphs
-            .iter()
-            .map(|g| {
-                catch_unwind(AssertUnwindSafe(|| self.predict_graph(g))).unwrap_or_else(
-                    |payload| Err(RequestError::Internal(panic_message(&payload))),
-                )
-            })
-            .collect()
-    }
-
     /// [`Self::handle`] without the response wrapper: payload dispatch,
-    /// the ladder, then the rung floor. The deprecated `predict` /
-    /// `predict_text` wrappers call the same `predict_graph` below with no
-    /// floor, which is what keeps them bit-identical to the typed path.
+    /// the ladder, then the rung floor.
     fn handle_request(
         &self,
         request: &ServeRequest,
@@ -1076,8 +1015,6 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 #[cfg(test)]
 mod tests {
-    #![allow(deprecated)] // the legacy wrapper trio is exercised on purpose
-
     use super::*;
     use gnn::train::TrainHistory;
     use gnn::{GnnKind, GnnModel};
@@ -1115,6 +1052,11 @@ mod tests {
         }
     }
 
+    /// Serves one graph through the typed entry point.
+    fn serve(served: &GuardedPredictor, graph: &Graph) -> Result<PredictionOutcome, RequestError> {
+        served.handle(&ServeRequest::from_graph(graph.clone())).result
+    }
+
     #[test]
     fn clean_request_is_bit_identical_to_raw_predict() {
         let artifact = tiny_artifact(Some(wide_envelope()));
@@ -1122,42 +1064,13 @@ mod tests {
         let served = GuardedPredictor::new(artifact, ServeConfig::default());
         let g = Graph::cycle(8).unwrap();
         let (rg, rb) = raw.predict(&g);
-        let outcome = served.predict(&g).unwrap();
+        let outcome = serve(&served, &g).unwrap();
         assert!(outcome.is_clean());
         assert_eq!(outcome.envelope, EnvelopeStatus::InEnvelope);
         let (sg, sb) = outcome.angles();
         assert_eq!(rg.to_bits(), sg.to_bits());
         assert_eq!(rb.to_bits(), sb.to_bits());
         assert!(outcome.verified_score.is_some());
-    }
-
-    #[test]
-    fn handle_graph_payload_matches_legacy_predict_exactly() {
-        let served =
-            GuardedPredictor::new(tiny_artifact(Some(wide_envelope())), ServeConfig::default());
-        let g = Graph::cycle(8).unwrap();
-        let legacy = served.predict(&g).unwrap();
-        let typed = served.handle(&ServeRequest::from_graph(g));
-        assert_eq!(typed.result.unwrap(), legacy);
-    }
-
-    #[test]
-    fn handle_text_payload_matches_legacy_predict_text_exactly() {
-        let served =
-            GuardedPredictor::new(tiny_artifact(Some(wide_envelope())), ServeConfig::default());
-        let g = Graph::cycle(6).unwrap();
-        let text = qgraph::io::graph_to_string(&g);
-        let legacy = served.predict_text(&text).unwrap();
-        let typed = served.handle(&ServeRequest::from_text(text));
-        assert_eq!(typed.result.unwrap(), legacy);
-        // Malformed text is the same typed rejection on both paths.
-        match served
-            .handle(&ServeRequest::from_text("n 3\ne 0 1 nan\n"))
-            .result
-        {
-            Err(RequestError::Parse(e)) => assert_eq!(e.line, 2),
-            other => panic!("expected Parse error, got {other:?}"),
-        }
     }
 
     #[test]
@@ -1215,11 +1128,13 @@ mod tests {
             GuardedPredictor::new(tiny_artifact(Some(wide_envelope())), ServeConfig::default());
         let g = Graph::cycle(6).unwrap();
         let text = qgraph::io::graph_to_string(&g);
-        let from_text = served.predict_text(&text).unwrap();
-        let from_graph = served.predict(&g).unwrap();
-        assert_eq!(from_text, from_graph);
+        let from_text = served.handle(&ServeRequest::from_text(text)).result;
+        assert_eq!(from_text.unwrap(), serve(&served, &g).unwrap());
         // Malformed text is a typed rejection, not a panic or a fallback.
-        match served.predict_text("n 3\ne 0 1 nan\n") {
+        match served
+            .handle(&ServeRequest::from_text("n 3\ne 0 1 nan\n"))
+            .result
+        {
             Err(RequestError::Parse(e)) => assert_eq!(e.line, 2),
             other => panic!("expected Parse error, got {other:?}"),
         }
@@ -1234,7 +1149,7 @@ mod tests {
         let big = Graph::cycle(10).unwrap();
         let served =
             GuardedPredictor::new(tiny_artifact(Some(narrow.clone())), ServeConfig::default());
-        let outcome = served.predict(&big).unwrap();
+        let outcome = serve(&served, &big).unwrap();
         assert_ne!(outcome.rung, Rung::Gnn);
         assert!(matches!(outcome.envelope, EnvelopeStatus::Violated(_)));
         assert!(outcome
@@ -1246,7 +1161,7 @@ mod tests {
             tiny_artifact(Some(narrow)),
             ServeConfig::default().with_strict_envelope(true),
         );
-        match strict.predict(&big) {
+        match serve(&strict, &big) {
             Err(RequestError::OutOfEnvelope(EnvelopeViolation::NodeCount { n: 10, .. })) => {}
             other => panic!("expected strict rejection, got {other:?}"),
         }
@@ -1255,7 +1170,7 @@ mod tests {
     #[test]
     fn pre_envelope_artifact_serves_with_unknown_status() {
         let served = GuardedPredictor::new(tiny_artifact(None), ServeConfig::default());
-        let outcome = served.predict(&Graph::cycle(5).unwrap()).unwrap();
+        let outcome = serve(&served, &Graph::cycle(5).unwrap()).unwrap();
         assert_eq!(outcome.rung, Rung::Gnn);
         assert_eq!(outcome.envelope, EnvelopeStatus::Unknown);
         assert!(outcome.summary().contains("envelope unknown"));
@@ -1270,7 +1185,7 @@ mod tests {
                 ..ParseLimits::serving()
             }),
         );
-        match served.predict(&Graph::cycle(9).unwrap()) {
+        match serve(&served, &Graph::cycle(9).unwrap()) {
             Err(RequestError::TooManyNodes { n: 9, cap: 8 }) => {}
             other => panic!("expected TooManyNodes, got {other:?}"),
         }
@@ -1284,7 +1199,7 @@ mod tests {
         let served =
             GuardedPredictor::new(tiny_artifact(Some(wide_envelope())), ServeConfig::default());
         let _fault = faults::armed(faults::FORWARD, FaultAction::Nan, 1);
-        let outcome = served.predict(&g).unwrap();
+        let outcome = serve(&served, &g).unwrap();
         assert_eq!(outcome.rung, Rung::Fallback);
         assert_eq!(outcome.angles(), (1.0, 0.5)); // the envelope mean
         assert_eq!(outcome.skips.len(), 2);
@@ -1292,7 +1207,7 @@ mod tests {
 
         let bare = GuardedPredictor::new(tiny_artifact(None), ServeConfig::default());
         let _fault = faults::armed(faults::FORWARD, FaultAction::Nan, 1);
-        let outcome = bare.predict(&g).unwrap();
+        let outcome = serve(&bare, &g).unwrap();
         assert_eq!(outcome.rung, Rung::Fallback);
         assert_eq!(outcome.angles(), default_init());
     }

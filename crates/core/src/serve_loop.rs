@@ -116,6 +116,7 @@ use qpool::swap::SwapCell;
 use crate::breaker::{
     BreakerConfig, BreakerDecision, BreakerState, CircuitBreaker, GnnObservation,
 };
+use crate::env;
 use crate::faults;
 use crate::cache::{CacheConfig, CacheStats, PredictionCache};
 use crate::serve::{
@@ -196,21 +197,16 @@ impl LoopConfig {
             cache,
             ..LoopConfig::default()
         };
-        let parse = |key: &str| {
-            std::env::var(key)
-                .ok()
-                .and_then(|v| v.trim().parse::<usize>().ok())
-        };
-        if let Some(workers) = parse("QAOA_GNN_SERVE_WORKERS") {
+        if let Some(workers) = env::num("QAOA_GNN_SERVE_WORKERS") {
             config.workers = workers;
         }
-        if let Some(capacity) = parse("QAOA_GNN_SERVE_QUEUE") {
+        if let Some(capacity) = env::num("QAOA_GNN_SERVE_QUEUE") {
             config.queue_capacity = capacity;
         }
-        if let Some(watermark) = parse("QAOA_GNN_SERVE_SHED") {
+        if let Some(watermark) = env::num("QAOA_GNN_SERVE_SHED") {
             config.shed_watermark = watermark;
         }
-        if let Some(batch) = parse("QAOA_GNN_SERVE_BATCH") {
+        if let Some(batch) = env::num("QAOA_GNN_SERVE_BATCH") {
             config.batch_size = batch;
         }
         config

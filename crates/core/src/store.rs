@@ -133,6 +133,31 @@ pub const JOURNAL_FILE: &str = "journal.tsv";
 /// Journal layout version; bumped on incompatible format changes.
 const JOURNAL_VERSION: u64 = 1;
 
+/// FNV-1a 64-bit offset basis: the starting value of a running
+/// [`fnv1a_extend`] digest.
+pub const FNV1A_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds one 64-bit word into an FNV-1a hash as a single step (`hash ^=
+/// word; hash *= prime`). The byte fold below is this step per byte;
+/// graph fingerprints and run identities fold whole words.
+fn fnv1a_word(hash: u64, word: u64) -> u64 {
+    (hash ^ word).wrapping_mul(0x0000_0100_0000_01b3)
+}
+
+/// Folds `bytes` into a running FNV-1a hash; start from [`FNV1A_OFFSET`].
+/// Lets a digest accumulate over many records without buffering them.
+pub fn fnv1a_extend(hash: u64, bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(hash, |hash, &b| fnv1a_word(hash, u64::from(b)))
+}
+
+/// FNV-1a over raw bytes: the per-section checksum of run artifacts and
+/// training checkpoints, and the digest the bench bins compare runs by.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    fnv1a_extend(FNV1A_OFFSET, bytes)
+}
+
 /// Order-sensitive FNV-1a fingerprint of a graph batch: node counts, edge
 /// endpoints, and weight bits. A checkpoint records this so a resume
 /// against different graphs (or a reordered batch, which would silently
@@ -148,18 +173,13 @@ pub fn fingerprint_graph_refs<'a, I>(graphs: I) -> u64
 where
     I: ExactSizeIterator<Item = &'a Graph>,
 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |v: u64| {
-        hash ^= v;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    };
-    mix(graphs.len() as u64);
+    let mut hash = fnv1a_word(FNV1A_OFFSET, graphs.len() as u64);
     for graph in graphs {
-        mix(graph.n() as u64);
+        hash = fnv1a_word(hash, graph.n() as u64);
         for edge in graph.edges() {
-            mix(edge.u as u64);
-            mix(edge.v as u64);
-            mix(edge.weight.to_bits());
+            for word in [edge.u as u64, edge.v as u64, edge.weight.to_bits()] {
+                hash = fnv1a_word(hash, word);
+            }
         }
     }
     hash
@@ -269,9 +289,10 @@ impl LabelJournal {
                 )));
             }
         } else {
-            let mut f = fs::File::create(&meta_path)?;
-            f.write_all(meta.to_pretty().as_bytes())?;
-            f.sync_data()?;
+            // Atomic, so a kill mid-write cannot leave a torn meta file that
+            // would refuse every later resume. No failpoint: arming one here
+            // would shift the budgets of the journal and checkpoint ones.
+            write_atomic(&meta_path, meta.to_pretty().as_bytes(), None)?;
         }
         let journal_path = dir.join(JOURNAL_FILE);
         let (completed, valid_len) = match fs::read_to_string(&journal_path) {
@@ -411,22 +432,6 @@ pub const ARTIFACT_FORMAT: &str = "qaoa-gnn-run-artifact";
 /// Current artifact schema version; bumped on incompatible changes.
 pub const ARTIFACT_VERSION: u64 = 1;
 
-/// The artifact's section names, in serialization order. Every section is
-/// individually checksummed.
-const ARTIFACT_SECTIONS: [&str; 5] = ["config", "weights", "history", "label_report", "dataset"];
-
-/// FNV-1a over raw bytes — the artifact's per-section integrity hash (the
-/// same function family as [`fingerprint_graphs`], applied to serialized
-/// section text instead of graph structure).
-fn fnv1a_bytes(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 /// Flushes a directory so a rename inside it is durable. Some filesystems
 /// refuse to open a directory for writing; `sync_all` on a read handle is
 /// the portable spelling.
@@ -435,11 +440,11 @@ fn fsync_dir(dir: &Path) -> io::Result<()> {
 }
 
 /// The crash-safe write protocol every persisted file in this module uses:
-/// write `path.tmp`, fsync it, fire `failpoint`, rename over `path`, fsync
-/// the parent directory. A crash (or SIGKILL) at any instant leaves either
-/// the previous file or the new one on disk — the rename is the single
-/// commit point. Parent directories are created.
-fn write_atomic(path: &Path, bytes: &[u8], failpoint: &str) -> io::Result<()> {
+/// write `path.tmp`, fsync it, fire `failpoint` (if any), rename over
+/// `path`, fsync the parent directory. A crash (or SIGKILL) at any instant
+/// leaves either the previous file or the new one on disk — the rename is
+/// the single commit point. Parent directories are created.
+fn write_atomic(path: &Path, bytes: &[u8], failpoint: Option<&str>) -> io::Result<()> {
     if let Some(parent) = path.parent() {
         if !parent.as_os_str().is_empty() {
             fs::create_dir_all(parent)?;
@@ -458,9 +463,11 @@ fn write_atomic(path: &Path, bytes: &[u8], failpoint: &str) -> io::Result<()> {
     // Between flush and rename: the widest window where a crash must leave
     // the previous file untouched. `Stall` parks here so a chaos harness
     // can SIGKILL into it deterministically.
-    if faults::fire_may_panic(failpoint).is_some() {
-        let _ = fs::remove_file(&tmp);
-        return Err(io::Error::other(format!("fault injected: {failpoint}")));
+    if let Some(failpoint) = failpoint {
+        if faults::fire_may_panic(failpoint).is_some() {
+            let _ = fs::remove_file(&tmp);
+            return Err(io::Error::other(format!("fault injected: {failpoint}")));
+        }
     }
     fs::rename(&tmp, path)?;
     match path.parent() {
@@ -691,6 +698,116 @@ impl From<WeightError> for ArtifactError {
     }
 }
 
+/// The sealed-file layout [`RunArtifact`] and [`TrainCheckpoint`] share:
+///
+/// ```text
+/// { "format": …, "version": …,
+///   "sections": { "<name>": …, … },
+///   "checksums": { "<name>": <fnv1a of the section's compact JSON> } }
+/// ```
+///
+/// `sections` are required, in serialization order; `optional` names one
+/// section that may be absent but is checksummed like the rest when present.
+struct SealedFormat<const N: usize> {
+    format: &'static str,
+    version: u64,
+    sections: [&'static str; N],
+    optional: Option<&'static str>,
+}
+
+impl<const N: usize> SealedFormat<N> {
+    /// Builds the file's JSON tree from section values (in `sections`
+    /// order, then the optional one), checksumming each. The section trees
+    /// are moved in, not copied.
+    fn seal(&self, values: [Json; N], optional: Option<Json>) -> Json {
+        let extra = self.optional.zip(optional);
+        let sections: Vec<(String, Json)> = self
+            .sections
+            .into_iter()
+            .zip(values)
+            .chain(extra)
+            .map(|(name, value)| (name.to_string(), value))
+            .collect();
+        let checksums: Vec<(String, Json)> = sections
+            .iter()
+            .map(|(name, value)| {
+                (
+                    name.clone(),
+                    Json::uint(fnv1a(value.to_compact().as_bytes())),
+                )
+            })
+            .collect();
+        Json::Obj(vec![
+            ("format".to_string(), Json::Str(self.format.to_string())),
+            ("version".to_string(), Json::uint(self.version)),
+            ("sections".to_string(), Json::Obj(sections)),
+            ("checksums".to_string(), Json::Obj(checksums)),
+        ])
+    }
+
+    /// Verifies a sealed tree in the order format → version → section
+    /// presence → checksums and returns the verified section trees (the
+    /// optional one `None` when absent), ready to decode.
+    fn unseal<'a>(
+        &self,
+        json: &'a Json,
+    ) -> Result<([&'a Json; N], Option<&'a Json>), ArtifactError> {
+        let format = json
+            .get_opt("format")
+            .ok()
+            .flatten()
+            .and_then(|v| v.as_str().ok())
+            .unwrap_or("");
+        if format != self.format {
+            return Err(ArtifactError::Format {
+                found: format.to_string(),
+            });
+        }
+        let version = json.get("version")?.as_u64()?;
+        if version != self.version {
+            return Err(ArtifactError::Version {
+                found: version,
+                supported: self.version,
+            });
+        }
+        let sections = json.get("sections")?;
+        let checksums = json.get("checksums")?;
+        let verify = |name: &'static str, section: &'a Json| -> Result<&'a Json, ArtifactError> {
+            let stored = checksums
+                .get_opt(name)?
+                .ok_or(ArtifactError::MissingSection(name))?
+                .as_u64()?;
+            // Parsing is lossless (shortest-round-trip floats, exact
+            // integers), so re-serializing the parsed section reproduces
+            // the exact bytes the writer hashed.
+            let computed = fnv1a(section.to_compact().as_bytes());
+            if computed != stored {
+                return Err(ArtifactError::ChecksumMismatch {
+                    section: name,
+                    stored,
+                    computed,
+                });
+            }
+            Ok(section)
+        };
+        let mut verified = [json; N];
+        for (slot, name) in verified.iter_mut().zip(self.sections) {
+            let section = sections
+                .get_opt(name)?
+                .ok_or(ArtifactError::MissingSection(name))?;
+            *slot = verify(name, section)?;
+        }
+        let extra = match self.optional {
+            Some(name) => sections
+                .get_opt(name)?
+                .map(|s| verify(name, s))
+                .transpose()?,
+            None => None,
+        };
+        Ok((verified, extra))
+    }
+}
+
 /// A whole training run as one self-describing file: the configuration that
 /// produced it, the trained weights (bit-exact), the training history, the
 /// labeling report, and a fingerprint of the dataset it was trained on.
@@ -730,40 +847,32 @@ pub struct RunArtifact {
     pub envelope: Option<TrainingEnvelope>,
 }
 
+/// The run artifact's sealed layout; `envelope` was added after version 1
+/// shipped, so it is optional.
+const ARTIFACT_SEAL: SealedFormat<5> = SealedFormat {
+    format: ARTIFACT_FORMAT,
+    version: ARTIFACT_VERSION,
+    sections: ["config", "weights", "history", "label_report", "dataset"],
+    optional: Some("envelope"),
+};
+
 impl RunArtifact {
     /// Builds the artifact's JSON tree, checksumming each section.
     pub fn to_json(&self) -> Json {
-        let mut sections: Vec<(String, Json)> = vec![
-            ("config".to_string(), self.config.to_json()),
-            ("weights".to_string(), self.weights.to_json()),
-            ("history".to_string(), self.history.to_json()),
-            ("label_report".to_string(), self.label_report.to_json()),
-            (
-                "dataset".to_string(),
-                Json::Obj(vec![(
-                    "fingerprint".to_string(),
-                    Json::uint(self.dataset_fingerprint),
-                )]),
-            ),
-        ];
-        if let Some(envelope) = &self.envelope {
-            sections.push(("envelope".to_string(), envelope.to_json()));
-        }
-        let checksums: Vec<(String, Json)> = sections
-            .iter()
-            .map(|(name, value)| {
-                (
-                    name.clone(),
-                    Json::uint(fnv1a_bytes(value.to_compact().as_bytes())),
-                )
-            })
-            .collect();
-        Json::Obj(vec![
-            ("format".to_string(), Json::Str(ARTIFACT_FORMAT.to_string())),
-            ("version".to_string(), Json::uint(ARTIFACT_VERSION)),
-            ("sections".to_string(), Json::Obj(sections)),
-            ("checksums".to_string(), Json::Obj(checksums)),
-        ])
+        let dataset = Json::Obj(vec![(
+            "fingerprint".to_string(),
+            Json::uint(self.dataset_fingerprint),
+        )]);
+        ARTIFACT_SEAL.seal(
+            [
+                self.config.to_json(),
+                self.weights.to_json(),
+                self.history.to_json(),
+                self.label_report.to_json(),
+                dataset,
+            ],
+            self.envelope.as_ref().map(ToJson::to_json),
+        )
     }
 
     /// Decodes and fully validates an artifact from its JSON tree.
@@ -773,76 +882,17 @@ impl RunArtifact {
     /// See [`ArtifactError`]; checks run in order format → version →
     /// section presence → checksums → section decode → weight validation.
     pub fn from_json(json: &Json) -> Result<Self, ArtifactError> {
-        let format = json
-            .get_opt("format")
-            .ok()
-            .flatten()
-            .and_then(|v| v.as_str().ok())
-            .unwrap_or("");
-        if format != ARTIFACT_FORMAT {
-            return Err(ArtifactError::Format {
-                found: format.to_string(),
-            });
-        }
-        let version = json.get("version")?.as_u64()?;
-        if version != ARTIFACT_VERSION {
-            return Err(ArtifactError::Version {
-                found: version,
-                supported: ARTIFACT_VERSION,
-            });
-        }
-        let sections = json.get("sections")?;
-        let checksums = json.get("checksums")?;
-        let mut verified: Vec<&Json> = Vec::with_capacity(ARTIFACT_SECTIONS.len());
-        for name in ARTIFACT_SECTIONS {
-            let section = sections
-                .get_opt(name)?
-                .ok_or(ArtifactError::MissingSection(name))?;
-            let stored = checksums
-                .get_opt(name)?
-                .ok_or(ArtifactError::MissingSection(name))?
-                .as_u64()?;
-            // Parsing is lossless (shortest-round-trip floats, exact
-            // integers), so re-serializing the parsed section reproduces
-            // the exact bytes the writer hashed.
-            let computed = fnv1a_bytes(section.to_compact().as_bytes());
-            if computed != stored {
-                return Err(ArtifactError::ChecksumMismatch {
-                    section: name,
-                    stored,
-                    computed,
-                });
-            }
-            verified.push(section);
-        }
-        // The envelope section is optional (added after version 1 shipped)
-        // but checksummed like every other section when present.
-        let envelope = match sections.get_opt("envelope")? {
-            Some(section) => {
-                let stored = checksums
-                    .get_opt("envelope")?
-                    .ok_or(ArtifactError::MissingSection("envelope"))?
-                    .as_u64()?;
-                let computed = fnv1a_bytes(section.to_compact().as_bytes());
-                if computed != stored {
-                    return Err(ArtifactError::ChecksumMismatch {
-                        section: "envelope",
-                        stored,
-                        computed,
-                    });
-                }
-                Some(TrainingEnvelope::from_json(section)?)
-            }
-            None => None,
-        };
-        let weights = ModelWeights::from_json(verified[1])?;
+        let ([config, weights, history, label_report, dataset], envelope) =
+            ARTIFACT_SEAL.unseal(json)?;
+        let envelope = envelope.map(TrainingEnvelope::from_json).transpose()?;
+        let weights = ModelWeights::from_json(weights)?;
         weights.validate()?;
         Ok(RunArtifact {
-            config: PipelineConfig::from_json(verified[0])?,
+            config: PipelineConfig::from_json(config)?,
             weights,
-            history: TrainHistory::from_json(verified[2])?,
-            label_report: LabelReport::from_json(verified[3])?,
-            dataset_fingerprint: verified[4].get("fingerprint")?.as_u64()?,
+            history: TrainHistory::from_json(history)?,
+            label_report: LabelReport::from_json(label_report)?,
+            dataset_fingerprint: dataset.get("fingerprint")?.as_u64()?,
             envelope,
         })
     }
@@ -861,7 +911,7 @@ impl RunArtifact {
     pub fn save<P: AsRef<Path>>(&self, path: P) -> io::Result<()> {
         let mut bytes = self.to_json().to_pretty().into_bytes();
         bytes.push(b'\n');
-        write_atomic(path.as_ref(), &bytes, faults::ARTIFACT_SAVE)
+        write_atomic(path.as_ref(), &bytes, Some(faults::ARTIFACT_SAVE))
     }
 
     /// Reads and fully validates an artifact from `path`.
@@ -939,8 +989,13 @@ pub const TRAIN_CHECKPOINT_FORMAT: &str = "qaoa-gnn-train-checkpoint";
 /// Current training-checkpoint schema version.
 pub const TRAIN_CHECKPOINT_VERSION: u64 = 1;
 
-/// The checkpoint's section names, in serialization order.
-const TRAIN_CHECKPOINT_SECTIONS: [&str; 2] = ["meta", "state"];
+/// The training checkpoint's sealed layout.
+const CHECKPOINT_SEAL: SealedFormat<2> = SealedFormat {
+    format: TRAIN_CHECKPOINT_FORMAT,
+    version: TRAIN_CHECKPOINT_VERSION,
+    sections: ["meta", "state"],
+    optional: None,
+};
 
 /// Where a run's training checkpoint for `kind` lives inside a checkpoint
 /// directory: `train.<slug>.ckpt.json`, one file per architecture so the
@@ -968,17 +1023,11 @@ pub fn train_identity(
     normalized.checkpoint_every = 0;
     normalized.labeling.threads = 0;
     normalized.labeling.sim_threads = 0;
-    let mut hash = fnv1a_bytes(normalized.to_json().to_compact().as_bytes());
-    let mut mix = |v: u64| {
-        hash ^= v;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    };
-    mix(fnv1a_bytes(kind_slug(kind).as_bytes()));
-    mix(dataset_fingerprint);
-    for word in rng_state {
-        mix(word);
-    }
-    hash
+    let config_hash = fnv1a(normalized.to_json().to_compact().as_bytes());
+    [fnv1a(kind_slug(kind).as_bytes()), dataset_fingerprint]
+        .into_iter()
+        .chain(rng_state)
+        .fold(config_hash, fnv1a_word)
 }
 
 /// A mid-training snapshot as one self-describing, checksummed file: the
@@ -1012,34 +1061,11 @@ pub struct TrainCheckpoint {
 impl TrainCheckpoint {
     /// Builds the checkpoint's JSON tree, checksumming each section.
     pub fn to_json(&self) -> Json {
-        let sections: Vec<(String, Json)> = vec![
-            (
-                "meta".to_string(),
-                Json::Obj(vec![
-                    ("kind".to_string(), self.kind.to_json()),
-                    ("identity".to_string(), Json::uint(self.identity)),
-                ]),
-            ),
-            ("state".to_string(), self.state.to_json()),
-        ];
-        let checksums: Vec<(String, Json)> = sections
-            .iter()
-            .map(|(name, value)| {
-                (
-                    name.clone(),
-                    Json::uint(fnv1a_bytes(value.to_compact().as_bytes())),
-                )
-            })
-            .collect();
-        Json::Obj(vec![
-            (
-                "format".to_string(),
-                Json::Str(TRAIN_CHECKPOINT_FORMAT.to_string()),
-            ),
-            ("version".to_string(), Json::uint(TRAIN_CHECKPOINT_VERSION)),
-            ("sections".to_string(), Json::Obj(sections)),
-            ("checksums".to_string(), Json::Obj(checksums)),
-        ])
+        let meta = Json::Obj(vec![
+            ("kind".to_string(), self.kind.to_json()),
+            ("identity".to_string(), Json::uint(self.identity)),
+        ]);
+        CHECKPOINT_SEAL.seal([meta, self.state.to_json()], None)
     }
 
     /// Decodes and fully validates a checkpoint from its JSON tree.
@@ -1050,49 +1076,11 @@ impl TrainCheckpoint {
     /// presence → checksums → section decode, so a torn, truncated, or
     /// bit-flipped file fails typed, never by panic.
     pub fn from_json(json: &Json) -> Result<Self, ArtifactError> {
-        let format = json
-            .get_opt("format")
-            .ok()
-            .flatten()
-            .and_then(|v| v.as_str().ok())
-            .unwrap_or("");
-        if format != TRAIN_CHECKPOINT_FORMAT {
-            return Err(ArtifactError::Format {
-                found: format.to_string(),
-            });
-        }
-        let version = json.get("version")?.as_u64()?;
-        if version != TRAIN_CHECKPOINT_VERSION {
-            return Err(ArtifactError::Version {
-                found: version,
-                supported: TRAIN_CHECKPOINT_VERSION,
-            });
-        }
-        let sections = json.get("sections")?;
-        let checksums = json.get("checksums")?;
-        let mut verified: Vec<&Json> = Vec::with_capacity(TRAIN_CHECKPOINT_SECTIONS.len());
-        for name in TRAIN_CHECKPOINT_SECTIONS {
-            let section = sections
-                .get_opt(name)?
-                .ok_or(ArtifactError::MissingSection(name))?;
-            let stored = checksums
-                .get_opt(name)?
-                .ok_or(ArtifactError::MissingSection(name))?
-                .as_u64()?;
-            let computed = fnv1a_bytes(section.to_compact().as_bytes());
-            if computed != stored {
-                return Err(ArtifactError::ChecksumMismatch {
-                    section: name,
-                    stored,
-                    computed,
-                });
-            }
-            verified.push(section);
-        }
+        let ([meta, state], _) = CHECKPOINT_SEAL.unseal(json)?;
         Ok(TrainCheckpoint {
-            kind: GnnKind::from_json(verified[0].get("kind")?)?,
-            identity: verified[0].get("identity")?.as_u64()?,
-            state: gnn::train::TrainState::from_json(verified[1])?,
+            kind: GnnKind::from_json(meta.get("kind")?)?,
+            identity: meta.get("identity")?.as_u64()?,
+            state: gnn::train::TrainState::from_json(state)?,
         })
     }
 
@@ -1107,7 +1095,7 @@ impl TrainCheckpoint {
     pub fn save<P: AsRef<Path>>(&self, path: P) -> io::Result<()> {
         let mut bytes = self.to_json().to_pretty().into_bytes();
         bytes.push(b'\n');
-        write_atomic(path.as_ref(), &bytes, faults::CHECKPOINT_WRITE)
+        write_atomic(path.as_ref(), &bytes, Some(faults::CHECKPOINT_WRITE))
     }
 
     /// Reads and fully validates a checkpoint from `path`.
@@ -1219,16 +1207,55 @@ mod tests {
         let (straight, _) = Dataset::resume_labeling(&dir, &graphs, &config, 78).unwrap();
         let journal_path = dir.join(JOURNAL_FILE);
         let full = fs::read_to_string(&journal_path).unwrap();
-        let half: String = full
-            .lines()
-            .take(graphs.len() / 2)
-            .flat_map(|l| [l, "\n"])
-            .collect();
+        let lines: Vec<&str> = full.lines().collect();
+        let keep = graphs.len() / 2;
+        let half: String = lines[..keep].iter().flat_map(|l| [*l, "\n"]).collect();
         fs::write(&journal_path, &half).unwrap();
         let (resumed, report) = Dataset::resume_labeling(&dir, &graphs, &config, 78).unwrap();
         assert_eq!(resumed, straight, "resume must be bit-identical");
         assert!(report.is_complete());
         assert_eq!(report.labeled, graphs.len());
+        // Killed mid-append: the kept half plus a torn (unterminated)
+        // fragment of the next record.
+        let torn = format!("{half}{}", &lines[keep][..5]);
+        fs::write(&journal_path, &torn).unwrap();
+        let (resumed, report) = Dataset::resume_labeling(&dir, &graphs, &config, 78).unwrap();
+        assert_eq!(
+            resumed, straight,
+            "resume past a torn fragment must be bit-identical"
+        );
+        assert!(report.is_complete());
+        // The torn fragment was dropped: one whole record per graph again
+        // (workers finish in any order, so compare as sets).
+        let mut healed: Vec<String> = fs::read_to_string(&journal_path)
+            .unwrap()
+            .lines()
+            .map(String::from)
+            .collect();
+        let mut expected = lines.clone();
+        healed.sort();
+        expected.sort();
+        assert_eq!(healed, expected);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn torn_meta_tmp_does_not_block_resume() {
+        let graphs = journal_graphs(36, 4);
+        let config = LabelConfig::quick(25);
+        let dir = temp_dir("journal_meta_tmp");
+        // A kill during the first run's meta write: only a torn tmp file.
+        fs::create_dir_all(&dir).unwrap();
+        let tmp = dir.join(format!("{JOURNAL_META_FILE}.tmp"));
+        fs::write(&tmp, "{\"version\": 1, \"se").unwrap();
+        let (resumed, report) = Dataset::resume_labeling(&dir, &graphs, &config, 83).unwrap();
+        let (straight, _) = Dataset::label_graphs_checked(&graphs, &config, 83);
+        assert_eq!(resumed, straight);
+        assert!(report.is_complete());
+        assert!(!tmp.exists(), "the meta write commits by rename");
+        // The committed meta is whole, so the next open resumes (a no-op).
+        let (again, _) = Dataset::resume_labeling(&dir, &graphs, &config, 83).unwrap();
+        assert_eq!(again, straight);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1518,5 +1545,118 @@ mod tests {
         let err = load_dataset(&dir).unwrap_err();
         assert!(err.to_string().contains("does not match depth"));
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    // Golden pins: values recorded before the FNV-1a and sealed-file code
+    // was consolidated. Journals, checkpoint identities and artifacts on
+    // disk hold these digests, so any change here breaks compatibility.
+
+    fn pin_graphs() -> Vec<Graph> {
+        let mut weighted = Graph::empty(4).unwrap();
+        weighted.add_edge(0, 1, 0.5).unwrap();
+        weighted.add_edge(1, 2, -1.25).unwrap();
+        weighted.add_edge(2, 3, 3.0).unwrap();
+        vec![
+            Graph::cycle(5).unwrap(),
+            Graph::complete(4).unwrap(),
+            weighted,
+        ]
+    }
+
+    fn pin_model_config() -> gnn::ModelConfig {
+        gnn::ModelConfig {
+            hidden_dim: 4,
+            ..gnn::ModelConfig::default()
+        }
+    }
+
+    fn saved_bytes(name: &str, save: impl FnOnce(&Path) -> io::Result<()>) -> Vec<u8> {
+        let dir = temp_dir(name);
+        let path = dir.join("pin.json");
+        save(&path).unwrap();
+        let bytes = fs::read(&path).unwrap();
+        fs::remove_dir_all(&dir).unwrap();
+        bytes
+    }
+
+    #[test]
+    fn fnv1a_matches_golden_values() {
+        let buffer: Vec<u8> = (0..1024u32)
+            .map(|i| (i.wrapping_mul(37) ^ (i >> 3)) as u8)
+            .collect();
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(&buffer), 0x3132_fed4_99d8_7825);
+        // A running digest over split input equals the one-shot hash.
+        assert_eq!(
+            fnv1a_extend(fnv1a(&buffer[..300]), &buffer[300..]),
+            fnv1a(&buffer)
+        );
+    }
+
+    #[test]
+    fn fingerprint_and_identity_match_golden_values() {
+        assert_eq!(fingerprint_graphs(&pin_graphs()), 0xce02_3fc8_05a6_cb22);
+        let identity = train_identity(
+            GnnKind::Sage,
+            &PipelineConfig::quick(),
+            0x00c0_ffee,
+            [1, 2, 3, 4],
+        );
+        assert_eq!(identity, 0xb4a1_f3fa_2bd5_0178);
+    }
+
+    #[test]
+    fn saved_artifact_bytes_match_golden_digest() {
+        use qrand::SeedableRng;
+        let mut rng = qrand::rngs::StdRng::seed_from_u64(2024);
+        let model = GnnModel::new(GnnKind::Gcn, pin_model_config(), &mut rng);
+        let artifact = RunArtifact {
+            config: PipelineConfig::quick(),
+            weights: model.export_weights(),
+            history: TrainHistory::default(),
+            label_report: LabelReport::clean(3),
+            dataset_fingerprint: fingerprint_graphs(&pin_graphs()),
+            envelope: Some(TrainingEnvelope {
+                min_nodes: 3,
+                max_nodes: 9,
+                max_degree: 4,
+                feature_dim: 16,
+                mean_gamma: 0.75,
+                mean_beta: 0.375,
+            }),
+        };
+        let bytes = saved_bytes("pin_artifact", |path| artifact.save(path));
+        assert_eq!((bytes.len(), fnv1a(&bytes)), (6241, 0xef1f_d7fa_6516_cba9));
+    }
+
+    #[test]
+    fn saved_checkpoint_bytes_match_golden_digest() {
+        use qrand::SeedableRng;
+        let mut rng = qrand::rngs::StdRng::seed_from_u64(2025);
+        let config = pin_model_config();
+        let model = GnnModel::new(GnnKind::Gcn, config.clone(), &mut rng);
+        let examples: Vec<gnn::train::Example> = pin_graphs()
+            .iter()
+            .enumerate()
+            .map(|(i, g)| gnn::train::Example {
+                context: gnn::GraphContext::new(g, &config.features, config.gin_eps),
+                target: [0.2 + 0.1 * i as f64, 0.7 - 0.1 * i as f64],
+            })
+            .collect();
+        let mut last = None;
+        let train_config = gnn::train::TrainConfig::quick(2);
+        gnn::train::train_resumable(&model, &examples, &train_config, &mut rng, None, 1, |s| {
+            last = Some(s.clone());
+            Ok(())
+        })
+        .unwrap();
+        let checkpoint = TrainCheckpoint {
+            kind: GnnKind::Gcn,
+            identity: 0x0123_4567_89ab_cdef,
+            state: last.unwrap(),
+        };
+        let bytes = saved_bytes("pin_checkpoint", |path| checkpoint.save(path));
+        assert_eq!((bytes.len(), fnv1a(&bytes)), (18002, 0x39ca_d386_2186_a62c));
     }
 }

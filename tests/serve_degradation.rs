@@ -18,11 +18,6 @@
 //! guarded prediction on a real trained artifact equals the raw
 //! `build_model().predict()` path bit-for-bit).
 
-// The legacy predict/predict_text/serve_batch wrappers are exercised here
-// on purpose: this suite pins their behavior, and tests/serve_loop.rs
-// proves them bit-identical to the typed `handle` path.
-#![allow(deprecated)]
-
 use qrand::rngs::StdRng;
 use qrand::SeedableRng;
 
@@ -33,8 +28,8 @@ use qaoa_gnn::faults::{self, FaultAction};
 use qaoa_gnn::pipeline::{Pipeline, PipelineConfig};
 use qaoa_gnn::store::LabelJournal;
 use qaoa_gnn::{
-    ArtifactError, GuardedPredictor, RequestError, RunArtifact, Rung, ServeConfig, SkipReason,
-    TrainingEnvelope,
+    ArtifactError, GuardedPredictor, PredictionOutcome, RequestError, RunArtifact, Rung,
+    ServeConfig, ServeRequest, SkipReason, TrainingEnvelope,
 };
 use qgraph::generate::DatasetSpec;
 use qgraph::Graph;
@@ -77,6 +72,13 @@ fn predictor() -> GuardedPredictor {
     GuardedPredictor::new(tiny_artifact(), ServeConfig::default())
 }
 
+/// Serves one graph through the typed entry point.
+fn serve(served: &GuardedPredictor, graph: &Graph) -> Result<PredictionOutcome, RequestError> {
+    served
+        .handle(&ServeRequest::from_graph(graph.clone()))
+        .result
+}
+
 #[test]
 fn artifact_load_fault_is_a_typed_error() {
     let dir = temp_dir("artifact_load_fault");
@@ -102,7 +104,7 @@ fn weight_build_error_disables_gnn_rung_not_the_predictor() {
     let _fault = faults::armed(faults::WEIGHT_BUILD, FaultAction::Error, 1);
     let served = predictor();
     assert!(!served.model_available());
-    let outcome = served.predict(&Graph::cycle(8).unwrap()).unwrap();
+    let outcome = serve(&served, &Graph::cycle(8).unwrap()).unwrap();
     assert_eq!(outcome.rung, Rung::FixedAngle);
     assert!(matches!(
         outcome.skips[0].reason,
@@ -119,7 +121,7 @@ fn weight_build_panic_is_contained_at_construction() {
     let _fault = faults::armed(faults::WEIGHT_BUILD, FaultAction::Panic, 1);
     let served = predictor(); // must not unwind out of new()
     assert!(!served.model_available());
-    let outcome = served.predict(&Graph::cycle(6).unwrap()).unwrap();
+    let outcome = serve(&served, &Graph::cycle(6).unwrap()).unwrap();
     assert_eq!(outcome.rung, Rung::FixedAngle);
     match &outcome.skips[0].reason {
         SkipReason::ModelUnavailable(msg) => assert!(msg.contains("panicked")),
@@ -131,7 +133,7 @@ fn weight_build_panic_is_contained_at_construction() {
 fn forward_nan_degrades_to_fixed_angles() {
     let served = predictor();
     let _fault = faults::armed(faults::FORWARD, FaultAction::Nan, 1);
-    let outcome = served.predict(&Graph::cycle(8).unwrap()).unwrap();
+    let outcome = serve(&served, &Graph::cycle(8).unwrap()).unwrap();
     assert_eq!(outcome.rung, Rung::FixedAngle);
     assert!(matches!(
         outcome.skips[0].reason,
@@ -145,12 +147,12 @@ fn forward_nan_degrades_to_fixed_angles() {
 fn forward_panic_is_contained_and_degrades() {
     let served = predictor();
     let _fault = faults::armed(faults::FORWARD, FaultAction::Panic, 1);
-    let outcome = served.predict(&Graph::cycle(8).unwrap()).unwrap();
+    let outcome = serve(&served, &Graph::cycle(8).unwrap()).unwrap();
     assert_eq!(outcome.rung, Rung::FixedAngle);
     assert_eq!(outcome.skips[0].reason, SkipReason::Panicked);
     drop(_fault);
     // The contained panic left the model usable: the next request is clean.
-    let clean = served.predict(&Graph::cycle(8).unwrap()).unwrap();
+    let clean = serve(&served, &Graph::cycle(8).unwrap()).unwrap();
     assert!(clean.is_clean());
 }
 
@@ -158,7 +160,7 @@ fn forward_panic_is_contained_and_degrades() {
 fn sim_eval_nan_fails_gnn_verification_then_fixed_angles_serve() {
     let served = predictor();
     let _fault = faults::armed(faults::SIM_EVAL, FaultAction::Nan, 1);
-    let outcome = served.predict(&Graph::cycle(8).unwrap()).unwrap();
+    let outcome = serve(&served, &Graph::cycle(8).unwrap()).unwrap();
     assert_eq!(outcome.rung, Rung::FixedAngle);
     assert_eq!(outcome.skips[0].reason, SkipReason::VerificationFailed);
     // The budget was spent on the GNN rung; fixed angles verified for real.
@@ -170,7 +172,7 @@ fn sim_eval_nan_fails_gnn_verification_then_fixed_angles_serve() {
 fn sim_eval_nan_twice_exhausts_verified_rungs_to_fallback() {
     let served = predictor();
     let _fault = faults::armed(faults::SIM_EVAL, FaultAction::Nan, 2);
-    let outcome = served.predict(&Graph::cycle(8).unwrap()).unwrap();
+    let outcome = serve(&served, &Graph::cycle(8).unwrap()).unwrap();
     assert_eq!(outcome.rung, Rung::Fallback);
     assert_eq!(outcome.skips.len(), 2);
     assert!(outcome
@@ -186,7 +188,7 @@ fn sim_eval_nan_twice_exhausts_verified_rungs_to_fallback() {
 fn sim_eval_panic_is_contained_and_degrades() {
     let served = predictor();
     let _fault = faults::armed(faults::SIM_EVAL, FaultAction::Panic, 1);
-    let outcome = served.predict(&Graph::cycle(8).unwrap()).unwrap();
+    let outcome = serve(&served, &Graph::cycle(8).unwrap()).unwrap();
     assert_eq!(outcome.rung, Rung::FixedAngle);
     assert_eq!(outcome.skips[0].reason, SkipReason::Panicked);
 }
@@ -225,13 +227,13 @@ fn cache_lookup_panic_degrades_to_a_gnn_rung_miss() {
     let graph = Graph::cycle(8).unwrap();
 
     // Warm the cache, then prove the warm path actually hits.
-    let fresh = served.predict(&graph).unwrap();
+    let fresh = serve(&served, &graph).unwrap();
     assert!(fresh.is_clean() && !fresh.cached);
-    assert!(served.predict(&graph).unwrap().cached);
+    assert!(serve(&served, &graph).unwrap().cached);
 
     for action in [FaultAction::Panic, FaultAction::Error] {
         let _fault = faults::armed(faults::CACHE_LOOKUP, action, 1);
-        let outcome = served.predict(&graph).unwrap();
+        let outcome = serve(&served, &graph).unwrap();
         // The broken lookup is a normal GNN-rung miss: full ladder, no
         // degradation, bits identical to the fresh prediction.
         assert!(outcome.is_clean(), "degraded: {}", outcome.summary());
@@ -243,7 +245,7 @@ fn cache_lookup_panic_degrades_to_a_gnn_rung_miss() {
     assert_eq!(stats.hits, 1);
 
     // Disarmed, the cache serves hits again — bit-identical minus marker.
-    let hit = served.predict(&graph).unwrap();
+    let hit = serve(&served, &graph).unwrap();
     assert!(hit.cached);
     let mut unmarked = hit;
     unmarked.cached = false;
@@ -253,13 +255,13 @@ fn cache_lookup_panic_degrades_to_a_gnn_rung_miss() {
 #[test]
 fn batch_isolates_a_poisoned_request() {
     let served = predictor();
-    let graphs = vec![
+    let graphs = [
         Graph::cycle(8).unwrap(),
         Graph::complete(5).unwrap(),
         Graph::star(6).unwrap(),
     ];
     let _fault = faults::armed(faults::FORWARD, FaultAction::Panic, 1);
-    let outcomes = served.serve_batch(&graphs);
+    let outcomes: Vec<_> = graphs.iter().map(|g| serve(&served, g)).collect();
     assert_eq!(outcomes.len(), 3);
     // The single injected panic hits the first request and is contained
     // there; the rest of the batch serves cleanly on the GNN.
@@ -302,7 +304,7 @@ fn disarmed_guarded_serving_is_bit_identical_to_raw_path() {
     let mut checked = 0;
     for entry in pipeline.train_dataset.entries.iter().take(5) {
         let (rg, rb) = raw.predict(&entry.graph);
-        let outcome = served.predict(&entry.graph).unwrap();
+        let outcome = serve(&served, &entry.graph).unwrap();
         assert!(outcome.is_clean(), "unexpected degradation: {}", outcome.summary());
         let (sg, sb) = outcome.angles();
         assert_eq!(rg.to_bits(), sg.to_bits());
@@ -313,7 +315,7 @@ fn disarmed_guarded_serving_is_bit_identical_to_raw_path() {
 
     // An out-of-envelope request degrades with the violation recorded.
     let big = Graph::cycle(envelope.max_nodes + 3).unwrap();
-    let outcome = served.predict(&big).unwrap();
+    let outcome = serve(&served, &big).unwrap();
     assert_ne!(outcome.rung, Rung::Gnn);
     assert!(matches!(
         outcome.skips[0].reason,
@@ -333,7 +335,7 @@ fn hostile_text_requests_are_typed_rejections() {
         ("n 3\ne 0 7 1.0\n", 2),            // endpoint out of range
         ("nonsense\n", 1),                  // not the format at all
     ] {
-        match served.predict_text(text) {
+        match served.handle(&ServeRequest::from_text(text)).result {
             Err(RequestError::Parse(e)) => {
                 assert_eq!(e.line, bad_line, "wrong line for {text:?}");
             }

@@ -1,12 +1,10 @@
-//! The concurrent serving loop under fire: typed-API parity with the
-//! legacy entry points, load shedding at the watermark / capacity /
+//! The concurrent serving loop under fire: text-vs-graph payload parity
+//! on a trained artifact, load shedding at the watermark / capacity /
 //! deadline boundaries, mid-traffic hot-swap correctness (no torn or
 //! stale artifact, old generation keeps serving on a refused swap), the
 //! `admission` and `hot_swap` failpoints, and the zero-drop shutdown
 //! contract. The lock-free `SwapCell` primitive itself is stress-tested
 //! in `qpool::swap`; this file tests the serving protocol built on it.
-
-#![allow(deprecated)] // legacy wrappers exercised on purpose (parity proofs)
 
 use qrand::rngs::StdRng;
 use qrand::SeedableRng;
@@ -61,9 +59,9 @@ fn small_loop(queue_capacity: usize, shed_watermark: usize) -> ServeLoop {
 
 // ---------------------------------------------------------------- parity
 
-/// The acceptance criterion: `handle(ServeRequest)` is bit-identical to
-/// the legacy `predict` / `predict_text` paths for in-envelope requests —
-/// on a *real trained* artifact, not just the cheap fixture.
+/// The acceptance criterion: a text payload is bit-identical to the same
+/// graph sent pre-built, on a *real trained* artifact, not just the cheap
+/// fixture.
 #[test]
 fn handle_is_bit_identical_to_legacy_paths_on_trained_artifact() {
     let mut rng = StdRng::seed_from_u64(8201);
@@ -80,35 +78,17 @@ fn handle_is_bit_identical_to_legacy_paths_on_trained_artifact() {
 
     for n in [4usize, 6, 9, 12] {
         let graph = Graph::cycle(n).unwrap();
-        let legacy = served.predict(&graph).unwrap();
-        let typed = served
-            .handle(&ServeRequest::from_graph(graph.clone()))
+        let text = qgraph::io::graph_to_string(&graph);
+        let from_graph = served
+            .handle(&ServeRequest::from_graph(graph))
             .result
             .unwrap();
-        assert_eq!(typed, legacy, "graph payload diverged at n={n}");
-        let (lg, lb) = legacy.angles();
-        let (tg, tb) = typed.angles();
-        assert_eq!(lg.to_bits(), tg.to_bits());
-        assert_eq!(lb.to_bits(), tb.to_bits());
-
-        let text = qgraph::io::graph_to_string(&graph);
-        let legacy_text = served.predict_text(&text).unwrap();
-        let typed_text = served.handle(&ServeRequest::from_text(text)).result.unwrap();
-        assert_eq!(typed_text, legacy_text, "text payload diverged at n={n}");
-        assert_eq!(typed_text, legacy, "text and graph payloads diverged at n={n}");
-    }
-}
-
-#[test]
-fn serve_batch_matches_handle_per_item() {
-    let served = GuardedPredictor::new(artifact(8301), ServeConfig::default());
-    let graphs: Vec<Graph> = (3..9).map(|n| Graph::cycle(n).unwrap()).collect();
-    let batch = served.serve_batch(&graphs);
-    for (graph, legacy) in graphs.iter().zip(batch) {
-        let typed = served
-            .handle(&ServeRequest::from_graph(graph.clone()))
-            .result;
-        assert_eq!(typed.unwrap(), legacy.unwrap());
+        let from_text = served.handle(&ServeRequest::from_text(text)).result.unwrap();
+        assert_eq!(from_text, from_graph, "text and graph payloads diverged at n={n}");
+        let (gg, gb) = from_graph.angles();
+        let (tg, tb) = from_text.angles();
+        assert_eq!(gg.to_bits(), tg.to_bits());
+        assert_eq!(gb.to_bits(), tb.to_bits());
     }
 }
 
