@@ -1,5 +1,6 @@
-//! Micro-benchmarks of GNN inference and training steps for all four
-//! architectures — the per-example cost of the §4.1 training loop.
+//! Micro-benchmarks of GNN inference (model and frozen) and training steps
+//! for all four architectures — the per-example cost of the §4.1 training
+//! loop and of one served prediction.
 
 use qbench::Bench;
 use qrand::rngs::StdRng;
@@ -22,6 +23,18 @@ fn bench_predict(bench: &mut Bench) {
         let model = GnnModel::new(kind, ModelConfig::default(), &mut rng);
         let ctx = &ctx;
         bench.bench_with_input("gnn_predict_n12", kind, move || model.predict_ctx(ctx));
+    }
+}
+
+/// The same forward on a model frozen once up front: the serving path's
+/// cost without `gnn_predict_n12`'s per-call weight copy.
+fn bench_frozen_predict(bench: &mut Bench) {
+    let ctx = context();
+    for kind in GnnKind::ALL {
+        let mut rng = StdRng::seed_from_u64(22);
+        let frozen = GnnModel::new(kind, ModelConfig::default(), &mut rng).freeze();
+        let ctx = &ctx;
+        bench.bench_with_input("gnn_frozen_predict_n12", kind, move || frozen.predict_ctx(ctx));
     }
 }
 
@@ -65,6 +78,7 @@ fn bench_hidden_dim_scaling(bench: &mut Bench) {
 fn main() {
     let mut bench = Bench::from_env();
     bench_predict(&mut bench);
+    bench_frozen_predict(&mut bench);
     bench_train_step(&mut bench);
     bench_hidden_dim_scaling(&mut bench);
     bench.finish();

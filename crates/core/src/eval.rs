@@ -11,7 +11,7 @@
 
 use qrand::Rng;
 
-use gnn::GnnModel;
+use gnn::{Frozen, GnnModel};
 use qaoa::optimize::NelderMead;
 use qaoa::warm_start::{self, InitStrategy};
 use qaoa::{Evaluator, MaxCutHamiltonian, Params, QaoaCircuit};
@@ -131,6 +131,16 @@ pub fn compare_on_graph<R: Rng + ?Sized>(
     config: &EvalConfig,
     rng: &mut R,
 ) -> GraphComparison {
+    compare_frozen(&model.freeze(), graph, config, rng)
+}
+
+/// [`compare_on_graph`] on an already frozen model.
+fn compare_frozen<R: Rng + ?Sized>(
+    model: &Frozen,
+    graph: &Graph,
+    config: &EvalConfig,
+    rng: &mut R,
+) -> GraphComparison {
     let circuit = QaoaCircuit::new(MaxCutHamiltonian::new(graph));
     let mut evaluator = Evaluator::new(&circuit);
     let random_ratio = measure(
@@ -170,9 +180,10 @@ pub fn evaluate_model<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> EvaluationReport {
     assert!(!graphs.is_empty(), "test set must be non-empty");
+    let frozen = model.freeze();
     let per_graph = graphs
         .iter()
-        .map(|g| compare_on_graph(model, g, config, rng))
+        .map(|g| compare_frozen(&frozen, g, config, rng))
         .collect();
     EvaluationReport::from_comparisons(per_graph)
 }

@@ -57,7 +57,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-use gnn::GnnModel;
+use gnn::Frozen;
 use qaoa::{fixed_angle, Evaluator, MaxCutHamiltonian, Params, QaoaCircuit};
 use qgraph::io::ParseLimits;
 use qgraph::{Graph, ParseError};
@@ -578,7 +578,7 @@ fn default_init() -> (f64, f64) {
 /// outcome's skip list.
 pub struct GuardedPredictor {
     artifact: Arc<RunArtifact>,
-    model: Result<GnnModel, String>,
+    model: Result<Frozen, String>,
     config: ServeConfig,
     /// Canonical-form cache binding, when serving behind
     /// [`crate::serve_loop::ServeLoop`] (or attached explicitly). The
@@ -588,23 +588,24 @@ pub struct GuardedPredictor {
 }
 
 impl GuardedPredictor {
-    /// Wraps an already-loaded artifact. Model reconstruction happens once,
-    /// here, behind the `weight_build` failpoint; failure (or a contained
-    /// panic) disables the GNN rung but not the predictor.
+    /// Wraps an already-loaded artifact. The weights are frozen into a
+    /// tape-free [`Frozen`] model once, here, behind the `weight_build`
+    /// failpoint; failure (or a contained panic) disables the GNN rung but
+    /// not the predictor.
     pub fn new(artifact: RunArtifact, config: ServeConfig) -> GuardedPredictor {
         GuardedPredictor::shared(Arc::new(artifact), config)
     }
 
     /// [`Self::new`] on an artifact that is already reference-counted.
-    /// The serving loop uses this so its worker threads rebuild their
-    /// per-thread models (the autodiff tape is single-threaded) from one
-    /// shared weight image instead of each holding a private copy.
+    /// The predictor is `Send + Sync`; the serving loop still builds one per
+    /// worker and generation from the shared artifact, a weight copy, so the
+    /// `weight_build` failpoint keeps firing per worker build.
     pub fn shared(artifact: Arc<RunArtifact>, config: ServeConfig) -> GuardedPredictor {
         let model = catch_unwind(AssertUnwindSafe(|| {
             if faults::fire_may_panic(faults::WEIGHT_BUILD).is_some() {
                 return Err("fault injected: weight_build".to_string());
             }
-            artifact.build_model().map_err(|e| e.to_string())
+            Frozen::new(&artifact.weights).map_err(|e| e.to_string())
         }))
         .unwrap_or_else(|_| Err("model construction panicked (contained)".to_string()));
         GuardedPredictor {
@@ -653,7 +654,7 @@ impl GuardedPredictor {
         &self.config
     }
 
-    /// `true` when the GNN rung is available (weights rebuilt cleanly).
+    /// `true` when the GNN rung is available (weights frozen cleanly).
     pub fn model_available(&self) -> bool {
         self.model.is_ok()
     }
@@ -942,8 +943,8 @@ fn fallback_with(
 /// recorded as [`SkipReason::Shed`], and the answer comes from the cheap
 /// total rungs (fixed angles unverified — the simulator is exactly the
 /// cost shedding avoids). Needs only the policy and the envelope, not the
-/// model, so the serving loop can shed on any thread without touching a
-/// predictor (whose autodiff tape is single-threaded).
+/// model, so the serving loop can shed inline on the caller's thread
+/// without resolving a predictor for the current generation.
 pub(crate) fn shed_response(
     config: &ServeConfig,
     envelope: Option<&TrainingEnvelope>,
@@ -1051,6 +1052,9 @@ mod tests {
             mean_beta: 0.5,
         }
     }
+
+    const fn assert_send_sync<T: Send + Sync>() {}
+    const _: () = assert_send_sync::<GuardedPredictor>();
 
     /// Serves one graph through the typed entry point.
     fn serve(served: &GuardedPredictor, graph: &Graph) -> Result<PredictionOutcome, RequestError> {
@@ -1174,6 +1178,17 @@ mod tests {
         assert_eq!(outcome.rung, Rung::Gnn);
         assert_eq!(outcome.envelope, EnvelopeStatus::Unknown);
         assert!(outcome.summary().contains("envelope unknown"));
+    }
+
+    #[test]
+    fn graph_wider_than_one_hot_block_is_a_contained_gnn_panic() {
+        // No envelope to turn it away, so the 16-node graph reaches the
+        // frozen forward, whose one-hot block holds 15 nodes.
+        let served = GuardedPredictor::new(tiny_artifact(None), ServeConfig::default());
+        let outcome = serve(&served, &Graph::cycle(16).unwrap()).unwrap();
+        assert_eq!(outcome.rung, Rung::FixedAngle);
+        assert_eq!(outcome.skips[0].rung, Rung::Gnn);
+        assert_eq!(outcome.skips[0].reason, SkipReason::Panicked);
     }
 
     #[test]

@@ -24,10 +24,11 @@
 //! observe the new generation and rebuild their worker-local predictor
 //! from the shared weight image. Readers never block on writers and vice
 //! versa; the memory-ordering argument lives in `qpool::swap` and is
-//! summarized in DESIGN.md §"Serving at throughput". Worker-local
-//! rebuilds are necessary, not an optimization: the autodiff tape inside
-//! [`gnn::GnnModel`] is single-threaded (`Rc<RefCell<…>>`), so threads
-//! share artifact *bytes* and each own their *model*.
+//! summarized in DESIGN.md §"Serving at throughput". The predictor serves
+//! through a tape-free [`gnn::Frozen`] model and is `Send + Sync`, so one
+//! could be shared; each worker still builds its own (a weight copy) only
+//! so that the `weight_build` failpoint fires on every worker build, as
+//! the chaos schedule expects.
 //!
 //! **Load shedding.** The queue is bounded by [`LoopConfig::queue_capacity`]
 //! and never grows past it. Between [`LoopConfig::shed_watermark`] and
@@ -831,8 +832,7 @@ impl ServeLoop {
             if faults::fire_may_panic(faults::HOT_SWAP).is_some() {
                 return Err(SwapError::Rejected("fault injected: hot_swap".to_string()));
             }
-            artifact
-                .build_model()
+            gnn::Frozen::new(&artifact.weights)
                 .map_err(|e| SwapError::Rejected(e.to_string()))?;
             Ok(artifact)
         }));
@@ -1244,8 +1244,8 @@ fn worker_loop(shared: &Shared) {
             Some((generation, _)) => *generation != published.generation,
             None => true,
         };
-        // Rebuild this worker's private model from the shared weight
-        // image. GuardedPredictor::shared never panics (construction is
+        // Rebuild this worker's predictor: a frozen copy of the shared
+        // weight image. GuardedPredictor::shared never panics (construction is
         // itself guarded), and a failed rebuild still serves — one rung
         // down, accounted per request. A *broken* rebuild is deliberately
         // not cached: the next batch retries it, so a transient build

@@ -42,35 +42,67 @@ impl GraphContext {
     /// `features.one_hot_dim` supports (the one-hot block would alias).
     /// `one_hot_dim == 0` disables the block (degree-only features).
     pub fn new(graph: &Graph, features: &FeatureConfig, gin_eps: f64) -> Self {
-        assert!(
-            features.one_hot_dim == 0 || graph.n() <= features.one_hot_dim,
-            "graph with {} nodes exceeds one-hot width {}",
-            graph.n(),
-            features.one_hot_dim
-        );
-        let n = graph.n();
-        let x = Matrix::from_nested(&node_features(graph, features));
-        let norm_adj = Matrix::from_nested(&normalized_adjacency(graph));
-        let raw_adj = Matrix::from_nested(&adjacency_matrix(graph));
-        // GAT attends over unweighted structure: mask is 0/1 even for
-        // weighted graphs.
-        let adj_mask = raw_adj.map(|v| if v != 0.0 { 1.0 } else { 0.0 });
-        let mut gin_matrix = raw_adj;
-        for v in 0..n {
-            gin_matrix[(v, v)] += 1.0 + gin_eps;
-        }
-        let neighbors: Vec<Vec<usize>> = (0..n)
-            .map(|v| graph.neighbors(v).iter().map(|&(u, _)| u).collect())
-            .collect();
+        let x = feature_matrix(graph, features);
+        let raw_adj = adjacency(graph);
         GraphContext {
             features: x,
-            norm_adj,
-            adj_mask,
-            gin_matrix,
-            neighbors: Rc::new(neighbors),
-            num_nodes: n,
+            norm_adj: norm_adj(graph),
+            adj_mask: adj_mask(&raw_adj),
+            gin_matrix: gin_matrix(raw_adj, gin_eps),
+            neighbors: Rc::new(neighbor_lists(graph)),
+            num_nodes: graph.n(),
         }
     }
+}
+
+// The operand builders below are shared with `Frozen`, which builds only
+// the one its architecture reads, so both paths see identical bits.
+
+/// The `n × feature_dim` node-feature matrix.
+///
+/// # Panics
+///
+/// Panics if the graph has more nodes than a non-zero
+/// `features.one_hot_dim` supports.
+pub(crate) fn feature_matrix(graph: &Graph, features: &FeatureConfig) -> Matrix {
+    assert!(
+        features.one_hot_dim == 0 || graph.n() <= features.one_hot_dim,
+        "graph with {} nodes exceeds one-hot width {}",
+        graph.n(),
+        features.one_hot_dim
+    );
+    Matrix::from_nested(&node_features(graph, features))
+}
+
+/// GCN propagation matrix `D̃^{-1/2}(A+I)D̃^{-1/2}`.
+pub(crate) fn norm_adj(graph: &Graph) -> Matrix {
+    Matrix::from_nested(&normalized_adjacency(graph))
+}
+
+/// Dense (weighted) adjacency `A`.
+pub(crate) fn adjacency(graph: &Graph) -> Matrix {
+    Matrix::from_nested(&adjacency_matrix(graph))
+}
+
+/// GAT attention mask from the adjacency: GAT attends over unweighted
+/// structure, so the mask is 0/1 even for weighted graphs.
+pub(crate) fn adj_mask(adjacency: &Matrix) -> Matrix {
+    adjacency.map(|v| if v != 0.0 { 1.0 } else { 0.0 })
+}
+
+/// GIN aggregation matrix `A + (1+ε)I` from the adjacency.
+pub(crate) fn gin_matrix(mut adjacency: Matrix, gin_eps: f64) -> Matrix {
+    for v in 0..adjacency.rows() {
+        adjacency[(v, v)] += 1.0 + gin_eps;
+    }
+    adjacency
+}
+
+/// Neighbor lists for GraphSAGE max pooling.
+pub(crate) fn neighbor_lists(graph: &Graph) -> Vec<Vec<usize>> {
+    (0..graph.n())
+        .map(|v| graph.neighbors(v).iter().map(|&(u, _)| u).collect())
+        .collect()
 }
 
 #[cfg(test)]

@@ -9,6 +9,8 @@
 //!   (Eqs. 6–7), GIN (Eq. 8) and GraphSAGE (Eqs. 3–4).
 //! * [`GnnModel`] — `layers` message-passing layers, mean-pooling readout
 //!   (Eq. 9) and an MLP head predicting normalized `(γ, β)`.
+//! * [`Frozen`] — a trained model's weights as plain matrices: the
+//!   tape-free, `Send + Sync` inference forward, bit-identical to the tape.
 //! * [`train`] — the §4.1 training loop: Adam, ReduceLROnPlateau (min mode,
 //!   factor 5, patience 5, min-lr 1e-5), dropout 0.5, 100 epochs.
 //!
@@ -35,12 +37,14 @@
 
 mod checkpoint;
 mod context;
+mod frozen;
 mod model;
 
 pub mod train;
 
 pub use checkpoint::{expected_shapes, ModelWeights, WeightError};
 pub use context::GraphContext;
+pub use frozen::Frozen;
 pub use model::{GnnKind, GnnModel, ModelConfig, Readout};
 
 /// Normalizes QAOA angles into the unit square the model predicts:

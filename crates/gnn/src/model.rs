@@ -80,27 +80,28 @@ impl Default for ModelConfig {
     }
 }
 
-/// Per-layer trainable parameters.
+/// Per-layer parameters: [`Tensor`] handles on the training tape, or plain
+/// [`Matrix`] values in a [`crate::Frozen`] model.
 #[derive(Debug, Clone)]
-enum Layer {
+pub(crate) enum Layer<P> {
     Gcn {
-        w: Tensor,
+        w: P,
     },
     Gat {
-        w: Tensor,
-        a_src: Tensor,
-        a_dst: Tensor,
+        w: P,
+        a_src: P,
+        a_dst: P,
     },
     Gin {
-        w1: Tensor,
-        b1: Tensor,
-        w2: Tensor,
-        b2: Tensor,
+        w1: P,
+        b1: P,
+        w2: P,
+        b2: P,
     },
     Sage {
-        w_pool: Tensor,
-        b_pool: Tensor,
-        w: Tensor,
+        w_pool: P,
+        b_pool: P,
+        w: P,
     },
 }
 
@@ -112,7 +113,7 @@ pub struct GnnModel {
     tape: Tape,
     kind: GnnKind,
     config: ModelConfig,
-    layers: Vec<Layer>,
+    layers: Vec<Layer<Tensor>>,
     head_w1: Tensor,
     head_b1: Tensor,
     head_w2: Tensor,
@@ -362,7 +363,7 @@ impl GnnModel {
         h.add(&ones.matmul(bias))
     }
 
-    fn forward_layer(&self, layer: &Layer, h: &Tensor, ctx: &GraphContext) -> Tensor {
+    fn forward_layer(&self, layer: &Layer<Tensor>, h: &Tensor, ctx: &GraphContext) -> Tensor {
         let n = ctx.num_nodes;
         match layer {
             // Eq. 5: h' = ReLU(Â H W).
@@ -434,40 +435,18 @@ impl GnnModel {
     }
 
     /// Inference: predicts `(γ, β)` for a graph with dropout disabled and
-    /// without touching gradients. Angles are denormalized to
+    /// without touching the tape. Angles are denormalized to
     /// `γ ∈ [0, 2π]`, `β ∈ [0, π/2]` (the canonical Max-Cut domain).
+    ///
+    /// Runs the tape-free [`crate::Frozen`] forward on a copy of the current
+    /// weights; to predict many graphs, [`Self::freeze`] once instead.
     pub fn predict(&self, graph: &Graph) -> (f64, f64) {
-        let ctx = GraphContext::new(graph, &self.config.features, self.config.gin_eps);
-        self.predict_ctx(&ctx)
+        self.freeze().predict(graph)
     }
 
     /// [`Self::predict`] for a prebuilt context.
     pub fn predict_ctx(&self, ctx: &GraphContext) -> (f64, f64) {
-        let was_training = self.tape.is_training();
-        self.tape.set_training(false);
-        // Restore the training flag and drop the forward graph even when
-        // the pass unwinds: a caller that catches the panic (e.g. a serving
-        // layer isolating one bad request) must get the model back in a
-        // usable state, not stuck in eval mode with a half-built tape.
-        struct Restore<'a> {
-            tape: &'a Tape,
-            was_training: bool,
-        }
-        impl Drop for Restore<'_> {
-            fn drop(&mut self) {
-                self.tape.set_training(self.was_training);
-                self.tape.reset();
-            }
-        }
-        let _restore = Restore {
-            tape: &self.tape,
-            was_training,
-        };
-        // Dropout is disabled, so the RNG is never consulted; a trivial
-        // deterministic generator keeps the signature honest.
-        let mut rng = qrand::rngs::mock::StepRng::new(0, 1);
-        let out = self.forward(ctx, &mut rng).value();
-        crate::denormalize_target([out[(0, 0)], out[(0, 1)]])
+        self.freeze().predict_ctx(ctx)
     }
 }
 

@@ -495,10 +495,11 @@ pub fn train_resumable(
 /// Panics if `examples` is empty.
 pub fn evaluate(model: &GnnModel, examples: &[Example]) -> f64 {
     assert!(!examples.is_empty(), "evaluation set must be non-empty");
+    let frozen = model.freeze();
     let total: f64 = examples
         .iter()
         .map(|ex| {
-            let (gamma, beta) = model.predict_ctx(&ex.context);
+            let (gamma, beta) = frozen.predict_ctx(&ex.context);
             let predicted = crate::normalize_target(gamma, beta);
             let d0 = predicted[0] - ex.target[0];
             let d1 = predicted[1] - ex.target[1];

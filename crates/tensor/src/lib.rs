@@ -39,6 +39,7 @@
 mod matrix;
 mod tape;
 
+pub mod activation;
 pub mod io;
 pub mod optim;
 pub mod sched;

@@ -332,6 +332,87 @@ impl Matrix {
         self.data.iter().all(|v| v.is_finite())
     }
 
+    /// Per-row softmax restricted to positions where `mask` is non-zero;
+    /// masked-out positions produce 0 and a fully masked row is all zero
+    /// (GAT attention normalization, Eq. 7).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `mask` has a different shape.
+    pub fn masked_row_softmax(&self, mask: &Matrix) -> Matrix {
+        assert_eq!(self.shape(), mask.shape(), "mask shape must match");
+        let mut y = Matrix::zeros(self.rows, self.cols);
+        for r in 0..self.rows {
+            let mut max = f64::NEG_INFINITY;
+            for c in 0..self.cols {
+                if mask[(r, c)] != 0.0 {
+                    max = max.max(self[(r, c)]);
+                }
+            }
+            if max == f64::NEG_INFINITY {
+                continue; // fully masked row
+            }
+            let mut denom = 0.0;
+            for c in 0..self.cols {
+                if mask[(r, c)] != 0.0 {
+                    denom += (self[(r, c)] - max).exp();
+                }
+            }
+            for c in 0..self.cols {
+                if mask[(r, c)] != 0.0 {
+                    y[(r, c)] = (self[(r, c)] - max).exp() / denom;
+                }
+            }
+        }
+        y
+    }
+
+    /// Row-wise elementwise max over each node's neighbor rows:
+    /// `out[v][j] = max_{u ∈ neighbors[v]} self[u][j]` (GraphSAGE max
+    /// pooling, Eq. 3). Nodes with no neighbors produce a zero row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any neighbor index is out of range.
+    pub fn neighbor_max(&self, neighbors: &[Vec<usize>]) -> Matrix {
+        self.neighbor_argmax(neighbors).0
+    }
+
+    /// [`Self::neighbor_max`] plus, per output entry, the row it was taken
+    /// from (`usize::MAX` where a node has no neighbors) for the backward
+    /// pass.
+    pub(crate) fn neighbor_argmax(&self, neighbors: &[Vec<usize>]) -> (Matrix, Vec<usize>) {
+        let n = neighbors.len();
+        let cols = self.cols;
+        let mut y = Matrix::zeros(n, cols);
+        let mut argmax = vec![usize::MAX; n * cols];
+        for (v, nbrs) in neighbors.iter().enumerate() {
+            for c in 0..cols {
+                let mut best = f64::NEG_INFINITY;
+                let mut best_u = usize::MAX;
+                for &u in nbrs {
+                    assert!(u < self.rows, "neighbor index {u} out of range");
+                    if self[(u, c)] > best {
+                        best = self[(u, c)];
+                        best_u = u;
+                    }
+                }
+                if best_u != usize::MAX {
+                    y[(v, c)] = best;
+                    argmax[v * cols + c] = best_u;
+                }
+            }
+        }
+        (y, argmax)
+    }
+
+    /// Elementwise map in place (no allocation).
+    pub fn map_in_place<F: FnMut(f64) -> f64>(&mut self, mut f: F) {
+        for v in &mut self.data {
+            *v = f(*v);
+        }
+    }
+
     /// Concatenates two matrices horizontally (`[self | other]`).
     ///
     /// # Panics

@@ -430,19 +430,19 @@ impl Tensor {
 
     /// Rectified linear unit.
     pub fn relu(&self) -> Tensor {
-        let v = self.value().map(|x| x.max(0.0));
+        let v = self.value().map(crate::activation::relu);
         self.tape.push(v, Op::Relu(self.id))
     }
 
     /// Leaky ReLU with the given negative slope.
     pub fn leaky_relu(&self, slope: f64) -> Tensor {
-        let v = self.value().map(|x| if x > 0.0 { x } else { slope * x });
+        let v = self.value().map(|x| crate::activation::leaky_relu(x, slope));
         self.tape.push(v, Op::LeakyRelu(self.id, slope))
     }
 
     /// Logistic sigmoid.
     pub fn sigmoid(&self) -> Tensor {
-        let v = self.value().map(|x| 1.0 / (1.0 + (-x).exp()));
+        let v = self.value().map(crate::activation::sigmoid);
         self.tape.push(v, Op::Sigmoid(self.id))
     }
 
@@ -543,33 +543,7 @@ impl Tensor {
     ///
     /// Panics if `mask` has a different shape.
     pub fn masked_row_softmax(&self, mask: &Matrix) -> Tensor {
-        let x = self.value();
-        assert_eq!(x.shape(), mask.shape(), "mask shape must match");
-        let rows = x.rows();
-        let cols = x.cols();
-        let mut y = Matrix::zeros(rows, cols);
-        for r in 0..rows {
-            let mut max = f64::NEG_INFINITY;
-            for c in 0..cols {
-                if mask[(r, c)] != 0.0 {
-                    max = max.max(x[(r, c)]);
-                }
-            }
-            if max == f64::NEG_INFINITY {
-                continue; // fully masked row
-            }
-            let mut denom = 0.0;
-            for c in 0..cols {
-                if mask[(r, c)] != 0.0 {
-                    denom += (x[(r, c)] - max).exp();
-                }
-            }
-            for c in 0..cols {
-                if mask[(r, c)] != 0.0 {
-                    y[(r, c)] = (x[(r, c)] - max).exp() / denom;
-                }
-            }
-        }
+        let y = self.value().masked_row_softmax(mask);
         self.tape
             .push(y, Op::MaskedRowSoftmax(self.id, mask.clone()))
     }
@@ -582,28 +556,7 @@ impl Tensor {
     ///
     /// Panics if any neighbor index is out of range.
     pub fn neighbor_max(&self, neighbors: &Rc<Vec<Vec<usize>>>) -> Tensor {
-        let x = self.value();
-        let n = neighbors.len();
-        let cols = x.cols();
-        let mut y = Matrix::zeros(n, cols);
-        let mut argmax = vec![usize::MAX; n * cols];
-        for (v, nbrs) in neighbors.iter().enumerate() {
-            for c in 0..cols {
-                let mut best = f64::NEG_INFINITY;
-                let mut best_u = usize::MAX;
-                for &u in nbrs {
-                    assert!(u < x.rows(), "neighbor index {u} out of range");
-                    if x[(u, c)] > best {
-                        best = x[(u, c)];
-                        best_u = u;
-                    }
-                }
-                if best_u != usize::MAX {
-                    y[(v, c)] = best;
-                    argmax[v * cols + c] = best_u;
-                }
-            }
-        }
+        let (y, argmax) = self.value().neighbor_argmax(neighbors);
         self.tape
             .push(y, Op::NeighborMax(self.id, Rc::clone(neighbors), argmax))
     }
