@@ -10,12 +10,18 @@
 //! on the fused kernels in [`qsim::fused`].
 
 use qsim::exec::{Executor, DEFAULT_CROSSOVER_QUBITS};
+use qsim::fused::PhaseTable;
 use qsim::StateVector;
 
 use crate::{Params, QaoaCircuit};
 
 /// A reusable QAOA executor: one problem instance, one owned scratch
-/// state vector, no per-call allocation.
+/// state vector and one per-layer phase table, no per-call allocation.
+///
+/// Each layer fills the phase table with `e^{-iγ·v}` for the diagonal's
+/// distinct values `v` (its levels) and then runs one fused
+/// phase-plus-mixer kernel that gathers each amplitude's factor from it;
+/// see [`qsim::fused`].
 ///
 /// Construct one per (graph, optimization trace) and call
 /// [`Evaluator::expectation_in_place`] (or [`Evaluator::expectation_flat`]
@@ -44,6 +50,7 @@ use crate::{Params, QaoaCircuit};
 pub struct Evaluator<'c> {
     circuit: &'c QaoaCircuit,
     psi: StateVector,
+    phases: PhaseTable,
     exec: Executor,
 }
 
@@ -61,6 +68,7 @@ impl<'c> Evaluator<'c> {
     pub fn with_executor(circuit: &'c QaoaCircuit, exec: Executor) -> Self {
         Evaluator {
             psi: StateVector::uniform_superposition(circuit.num_qubits()),
+            phases: PhaseTable::default(),
             circuit,
             exec,
         }
@@ -101,8 +109,8 @@ impl<'c> Evaluator<'c> {
     }
 
     /// Runs the circuit into the owned scratch buffer and returns the
-    /// final state. No allocation; each depth is one fused
-    /// phase-plus-mixer kernel call.
+    /// final state. No allocation after the first call (which sizes the
+    /// phase table); each depth is one fused phase-plus-mixer kernel call.
     pub fn run_into(&mut self, params: &Params) -> &StateVector {
         self.run_layers(params.gammas(), params.betas())
     }
@@ -122,7 +130,13 @@ impl<'c> Evaluator<'c> {
         self.psi.set_uniform_superposition();
         let operator = self.circuit.hamiltonian().operator();
         for (&gamma, &beta) in gammas.iter().zip(betas) {
-            operator.apply_phase_rx_all_exec(&mut self.psi, gamma, 2.0 * beta, &self.exec);
+            operator.apply_phase_rx_all_exec(
+                &mut self.psi,
+                gamma,
+                2.0 * beta,
+                &self.exec,
+                &mut self.phases,
+            );
         }
         &self.psi
     }

@@ -43,7 +43,7 @@ impl MaxCutHamiltonian {
             "graph with {n} nodes exceeds the simulator limit of {} qubits",
             qsim::MAX_QUBITS
         );
-        let operator = DiagonalOperator::from_fn(n, |z| maxcut::cut_value_mask(graph, z));
+        let operator = DiagonalOperator::new(cut_diagonal(graph));
         // The diagonal already enumerates all cuts; its maximum is the
         // optimum (avoids a second exponential sweep through brute_force).
         let optimal_value = operator.max_value();
@@ -85,6 +85,31 @@ impl MaxCutHamiltonian {
     pub fn approximation_ratio(&self, achieved: f64) -> f64 {
         maxcut::approximation_ratio(achieved, self.optimal_value)
     }
+}
+
+/// Every cut value `cut_value_mask(graph, z)`, bit for bit, built with one
+/// branch-free sweep over the `2^n` entries per edge.
+///
+/// `cut_value_mask` sums the cut edges' weights in edge order, starting
+/// from the empty sum. Each entry here starts from that same empty sum
+/// (`-0.0`, not `+0.0`, on current toolchains: it decides the sign of an
+/// uncut entry's zero) and, edge by edge, adds the weight where the edge
+/// is cut and `-0.0` where it is not. `x + (-0.0) == x` for every `x`,
+/// signed zeros included, so each entry sees exactly the additions
+/// `cut_value_mask` makes, in the same order. The addend is picked with a
+/// bit mask rather than a branch so the sweep vectorizes.
+fn cut_diagonal(graph: &Graph) -> Vec<f64> {
+    let empty_sum: f64 = std::iter::empty::<f64>().sum();
+    let mut values = vec![empty_sum; 1usize << graph.n()];
+    let uncut = (-0.0f64).to_bits();
+    for e in graph.edges() {
+        let cut = e.weight.to_bits();
+        for (z, value) in (0u64..).zip(values.iter_mut()) {
+            let mask = (((z >> e.u) ^ (z >> e.v)) & 1).wrapping_neg();
+            *value += f64::from_bits((cut & mask) | (uncut & !mask));
+        }
+    }
+    values
 }
 
 #[cfg(test)]

@@ -6,8 +6,15 @@
 //! precomputed table of cost values. [`DiagonalOperator`] stores that table
 //! once per problem instance and amortizes it across all optimizer
 //! iterations — the same trick fast QAOA simulators use.
+//!
+//! It also stores the table's *levels*: its distinct values, keyed by
+//! their bits, plus one level index per basis state. A Max-Cut diagonal
+//! takes at most `m + 1` distinct values on an unweighted graph, so the
+//! fused layer ([`crate::fused::phase_rx_all`]) evaluates `cos`/`sin` once
+//! per level instead of once per amplitude.
 
 use crate::exec::Executor;
+use crate::fused::PhaseTable;
 use crate::{Complex, StateVector};
 
 /// A real diagonal operator on `n` qubits, stored as one value per basis
@@ -27,6 +34,11 @@ use crate::{Complex, StateVector};
 #[derive(Debug, Clone, PartialEq)]
 pub struct DiagonalOperator {
     values: Vec<f64>,
+    /// The distinct values of `values` by bit pattern, in order of first
+    /// occurrence.
+    levels: Vec<f64>,
+    /// `levels[level_of[z]]` has the bits of `values[z]`.
+    level_of: Vec<u32>,
     num_qubits: usize,
 }
 
@@ -42,9 +54,12 @@ impl DiagonalOperator {
             dim >= 2 && dim.is_power_of_two(),
             "diagonal length must be a power of two >= 2, got {dim}"
         );
+        let (levels, level_of) = dedupe_levels(&values);
         DiagonalOperator {
             num_qubits: dim.trailing_zeros() as usize,
             values,
+            levels,
+            level_of,
         }
     }
 
@@ -71,6 +86,18 @@ impl DiagonalOperator {
     /// The per-basis-state values.
     pub fn values(&self) -> &[f64] {
         &self.values
+    }
+
+    /// The distinct values by bit pattern (`-0.0` and `+0.0` are two
+    /// levels), in order of first occurrence.
+    pub fn levels(&self) -> &[f64] {
+        &self.levels
+    }
+
+    /// The level index of every basis state: `levels()[level_of()[z]]`
+    /// has the bits of `values()[z]`.
+    pub fn level_of(&self) -> &[u32] {
+        &self.level_of
     }
 
     /// Largest diagonal value (the classical optimum for a cost function).
@@ -116,22 +143,22 @@ impl DiagonalOperator {
     /// One fused QAOA layer: [`Self::apply_phase`] with angle `theta`
     /// followed by an `RX(rx_theta)` mixer on every qubit, executed by the
     /// fused kernel [`crate::fused::phase_rx_all`] in `⌈n/2⌉` amplitude
-    /// sweeps instead of `n + 1`.
+    /// sweeps instead of `n + 1`. Bit-identical to
+    /// [`Self::apply_phase_rx_all_exec`] on [`Executor::serial`]; this
+    /// convenience form allocates its per-level phase table per call.
     ///
     /// # Panics
     ///
     /// Panics if the qubit counts differ.
     pub fn apply_phase_rx_all(&self, psi: &mut StateVector, theta: f64, rx_theta: f64) {
-        assert_eq!(
-            psi.num_qubits(),
-            self.num_qubits,
-            "operator and state qubit counts must match"
-        );
-        crate::fused::phase_rx_all(psi, &self.values, theta, rx_theta);
+        let mut phases = PhaseTable::default();
+        self.apply_phase_rx_all_exec(psi, theta, rx_theta, &Executor::serial(), &mut phases);
     }
 
-    /// [`Self::apply_phase_rx_all`] on an execution policy: above the
-    /// policy's crossover each sweep is chunked onto the worker pool (see
+    /// [`Self::apply_phase_rx_all`] on an execution policy, with the
+    /// per-level phase factors written into the caller's `phases` scratch
+    /// (so a reused table allocates nothing). Above the policy's crossover
+    /// each sweep is chunked onto the worker pool (see
     /// [`crate::fused::phase_rx_all_exec`]); below it, or on
     /// [`Executor::serial`], this is the bit-identical serial path.
     ///
@@ -144,13 +171,15 @@ impl DiagonalOperator {
         theta: f64,
         rx_theta: f64,
         exec: &Executor,
+        phases: &mut PhaseTable,
     ) {
         assert_eq!(
             psi.num_qubits(),
             self.num_qubits,
             "operator and state qubit counts must match"
         );
-        crate::fused::phase_rx_all_exec(psi, &self.values, theta, rx_theta, exec);
+        phases.fill(&self.levels, theta);
+        crate::fused::phase_rx_all_exec(psi, &self.level_of, phases, rx_theta, exec);
     }
 
     /// Expectation `⟨ψ|D|ψ⟩`.
@@ -199,6 +228,47 @@ impl DiagonalOperator {
             .sum();
         (sq - mean * mean).max(0.0)
     }
+}
+
+/// Dedupes `values` by bit pattern into `(levels, level_of)` with a small
+/// open-addressed table of level indices (linear probing, load ≤ 1/2).
+fn dedupe_levels(values: &[f64]) -> (Vec<f64>, Vec<u32>) {
+    const EMPTY: u32 = u32::MAX;
+    // The slot that holds `bits`, or the empty slot where it belongs. The
+    // home slot is the top `log2(slots)` bits of a Fibonacci hash, which
+    // depend on every key bit (integer weights differ only high up).
+    let find = |slots: &[u32], levels: &[f64], bits: u64| {
+        let mask = slots.len() - 1;
+        let shift = 64 - slots.len().trailing_zeros();
+        let mut slot = (bits.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> shift) as usize;
+        while slots[slot] != EMPTY && levels[slots[slot] as usize].to_bits() != bits {
+            slot = (slot + 1) & mask;
+        }
+        slot
+    };
+    let mut levels: Vec<f64> = Vec::new();
+    let mut slots = vec![EMPTY; 64];
+    let level_of = values
+        .iter()
+        .map(|v| {
+            let slot = find(&slots, &levels, v.to_bits());
+            if slots[slot] != EMPTY {
+                return slots[slot];
+            }
+            let level = levels.len() as u32;
+            slots[slot] = level;
+            levels.push(*v);
+            if 2 * levels.len() > slots.len() {
+                slots = vec![EMPTY; 2 * slots.len()];
+                for (i, l) in levels.iter().enumerate() {
+                    let slot = find(&slots, &levels, l.to_bits());
+                    slots[slot] = i as u32;
+                }
+            }
+            level
+        })
+        .collect();
+    (levels, level_of)
 }
 
 #[cfg(test)]

@@ -3,7 +3,7 @@
 //! One QAOA layer is a diagonal phase `e^{-iγC}` followed by the mixer
 //! `RX(2β)` on every qubit. Applied gate by gate that is `n + 1` full
 //! sweeps over the `2^n` amplitudes per layer; the kernels here cut that
-//! down in two ways:
+//! down in three ways:
 //!
 //! * **Qubit pairing.** `RX(θ)^⊗2` on a qubit pair is a single 4-amplitude
 //!   butterfly, so [`rx_all`] processes qubits two at a time — `⌈n/2⌉`
@@ -12,11 +12,22 @@
 //! * **Phase fusion.** The diagonal phase is per-amplitude, so
 //!   [`phase_rx_all`] folds it into the first mixer sweep: each amplitude
 //!   is phased as it is first loaded, eliminating one full memory pass
-//!   (and one pass of `cis` multiplications) per layer.
+//!   per layer.
+//! * **Level table.** A cost diagonal takes few distinct values (at most
+//!   `m + 1` for an unweighted Max-Cut instance), so the phase is not
+//!   computed per amplitude: [`PhaseTable::fill`] evaluates
+//!   `(cos(-γ·v), sin(-γ·v))` once per distinct value `v` (a *level* of
+//!   the [`DiagonalOperator`](crate::diagonal::DiagonalOperator)), and
+//!   the sweep gathers amplitude `z`'s factor through the operator's
+//!   `level_of[z]`. Equal angle bits give equal `cos`/`sin` bits and the
+//!   complex multiply keeps its operation order, so this is bit-identical
+//!   to a per-amplitude `Complex::cis`.
 //!
 //! The sweeps run directly on the state's split re/im `f64` arrays
-//! (see [`StateVector`]); the butterfly body is straight-line scalar
-//! arithmetic over same-index lanes, which the compiler auto-vectorizes.
+//! (see [`StateVector`]). Each butterfly block is split into its four
+//! lanes with `chunks_exact_mut`/`split_at_mut`, so the loop body is
+//! straight-line scalar arithmetic over same-index lanes of equal-length
+//! slices: no bounds checks, which the compiler auto-vectorizes.
 //!
 //! # Parallel execution
 //!
@@ -33,7 +44,8 @@
 //! Both kernels are exact — the golden equivalence suite in
 //! `tests/fused.rs` pins them against the gate-by-gate path to 1e-12, and
 //! `tests/golden_parallel.rs` pins pooled-vs-serial — and allocation-free
-//! on the serial path: they mutate the state in place.
+//! on the serial path: they mutate the state in place, and the phase
+//! table is caller-owned scratch.
 
 use qpool::ThreadPool;
 
@@ -110,119 +122,151 @@ impl RxPair {
     }
 }
 
-/// Multiplies the amplitude `(re, im)` by `e^{it}` — the split-component
-/// form of `Complex * Complex::cis(t)`, in its operation order.
-#[inline(always)]
-fn phased(re: f64, im: f64, t: f64) -> (f64, f64) {
-    let ph_re = t.cos();
-    let ph_im = t.sin();
-    (re * ph_re - im * ph_im, re * ph_im + im * ph_re)
+/// The per-level phase factors `e^{-iγ·v}` of one QAOA layer, stored as
+/// `(cos, sin)` pairs in the level order of a
+/// [`DiagonalOperator`](crate::diagonal::DiagonalOperator).
+///
+/// The fused layer gathers each amplitude's factor through the operator's
+/// `level_of` table, so `cos`/`sin` run once per distinct diagonal value
+/// rather than once per amplitude. Refilling a table reuses its buffer.
+#[derive(Debug, Clone, Default)]
+pub struct PhaseTable {
+    factors: Vec<(f64, f64)>,
 }
 
-/// Applies the `RX(θ)⊗RX(θ)` butterfly to qubit pair `(a, b)`, `a < b`,
-/// in one sweep. Works on any block-aligned sub-slice of the state (the
-/// chunked parallel path passes chunks; serial passes the full arrays).
-fn rx_pair_sweep(re: &mut [f64], im: &mut [f64], a: usize, b: usize, k: RxPair) {
-    let sa = 1usize << a;
-    let sb = 1usize << b;
-    let dim = re.len();
-    let mut hi = 0;
-    while hi < dim {
-        let mut mid = hi;
-        while mid < hi + sb {
-            for i00 in mid..mid + sa {
-                let i01 = i00 + sa;
-                let i10 = i00 + sb;
-                let i11 = i10 + sa;
-                let y = k.butterfly(
-                    re[i00], im[i00], re[i01], im[i01], re[i10], im[i10], re[i11], im[i11],
-                );
-                re[i00] = y[0];
-                im[i00] = y[1];
-                re[i01] = y[2];
-                im[i01] = y[3];
-                re[i10] = y[4];
-                im[i10] = y[5];
-                re[i11] = y[6];
-                im[i11] = y[7];
-            }
-            mid += 2 * sa;
+impl PhaseTable {
+    /// The factors `e^{-iγ·v}` for every `v` in `levels`.
+    pub fn new(levels: &[f64], gamma: f64) -> Self {
+        let mut table = PhaseTable::default();
+        table.fill(levels, gamma);
+        table
+    }
+
+    /// Overwrites the table with the factors for `levels` at `gamma`.
+    ///
+    /// The angle is `t = (-γ)·v` and the factor `(cos t, sin t)`: the same
+    /// `t` bits, hence the same factor bits, as the per-amplitude
+    /// `Complex::cis(-γ·v)` of
+    /// [`DiagonalOperator::apply_phase`](crate::diagonal::DiagonalOperator::apply_phase).
+    pub fn fill(&mut self, levels: &[f64], gamma: f64) {
+        let neg_gamma = -gamma;
+        self.factors.clear();
+        self.factors.extend(levels.iter().map(|&v| {
+            let t = neg_gamma * v;
+            (t.cos(), t.sin())
+        }));
+    }
+}
+
+/// Multiplies the amplitude `(re, im)` by the unit phase `(c, s)` — the
+/// split-component form of `Complex * Complex::new(c, s)`, in its
+/// operation order.
+#[inline(always)]
+fn phased(re: f64, im: f64, (c, s): (f64, f64)) -> (f64, f64) {
+    (re * c - im * s, re * s + im * c)
+}
+
+/// Splits a butterfly block into its four equal lanes `x00, x01, x10,
+/// x11`. All four have the same known length, so indexing them over
+/// `0..len` compiles without bounds checks.
+#[inline(always)]
+fn lanes(block: &mut [f64]) -> [&mut [f64]; 4] {
+    let q = block.len() / 4;
+    let (x00, rest) = block.split_at_mut(q);
+    let (x01, rest) = rest.split_at_mut(q);
+    let (x10, x11) = rest.split_at_mut(q);
+    [x00, x01, x10, &mut x11[..q]]
+}
+
+/// Applies the `RX(θ)⊗RX(θ)` butterfly to qubit pair `(a, a + 1)` in one
+/// sweep. Works on any block-aligned sub-slice of the state (the chunked
+/// parallel path passes chunks; serial passes the full arrays).
+fn rx_pair_sweep(re: &mut [f64], im: &mut [f64], a: usize, k: RxPair) {
+    let block = 4usize << a;
+    for (re_b, im_b) in re.chunks_exact_mut(block).zip(im.chunks_exact_mut(block)) {
+        let [r00, r01, r10, r11] = lanes(re_b);
+        let [i00, i01, i10, i11] = lanes(im_b);
+        for j in 0..r00.len() {
+            let y = k.butterfly(
+                r00[j], i00[j], r01[j], i01[j], r10[j], i10[j], r11[j], i11[j],
+            );
+            r00[j] = y[0];
+            i00[j] = y[1];
+            r01[j] = y[2];
+            i01[j] = y[3];
+            r10[j] = y[4];
+            i10[j] = y[5];
+            r11[j] = y[6];
+            i11[j] = y[7];
         }
-        hi += 2 * sb;
     }
 }
 
 /// Like [`rx_pair_sweep`] on pair `(0, 1)`, but multiplies each amplitude
-/// by `e^{-iγ·values[i]}` as it is loaded — the fused phase + first mixer
-/// sweep. Indices `i..i+3` are the four consecutive amplitudes of the
-/// quadruple, so the diagonal table is read in order.
-fn phase_rx_pair01_sweep(re: &mut [f64], im: &mut [f64], values: &[f64], gamma: f64, k: RxPair) {
-    debug_assert_eq!(re.len(), values.len());
-    let neg_gamma = -gamma;
-    let mut i = 0;
-    while i < re.len() {
-        let (x00re, x00im) = phased(re[i], im[i], neg_gamma * values[i]);
-        let (x01re, x01im) = phased(re[i + 1], im[i + 1], neg_gamma * values[i + 1]);
-        let (x10re, x10im) = phased(re[i + 2], im[i + 2], neg_gamma * values[i + 2]);
-        let (x11re, x11im) = phased(re[i + 3], im[i + 3], neg_gamma * values[i + 3]);
+/// by its level's phase factor as it is loaded — the fused phase + first
+/// mixer sweep. Each quadruple is four consecutive amplitudes, so the
+/// level indices are read in order.
+fn phase_rx_pair01_sweep(
+    re: &mut [f64],
+    im: &mut [f64],
+    level_of: &[u32],
+    phases: &[(f64, f64)],
+    k: RxPair,
+) {
+    debug_assert_eq!(re.len(), level_of.len());
+    let quads = re
+        .chunks_exact_mut(4)
+        .zip(im.chunks_exact_mut(4))
+        .zip(level_of.chunks_exact(4));
+    for ((r, i), l) in quads {
+        let (x00re, x00im) = phased(r[0], i[0], phases[l[0] as usize]);
+        let (x01re, x01im) = phased(r[1], i[1], phases[l[1] as usize]);
+        let (x10re, x10im) = phased(r[2], i[2], phases[l[2] as usize]);
+        let (x11re, x11im) = phased(r[3], i[3], phases[l[3] as usize]);
         let y = k.butterfly(x00re, x00im, x01re, x01im, x10re, x10im, x11re, x11im);
-        re[i] = y[0];
-        im[i] = y[1];
-        re[i + 1] = y[2];
-        im[i + 1] = y[3];
-        re[i + 2] = y[4];
-        im[i + 2] = y[5];
-        re[i + 3] = y[6];
-        im[i + 3] = y[7];
-        i += 4;
+        r[0] = y[0];
+        i[0] = y[1];
+        r[1] = y[2];
+        i[1] = y[3];
+        r[2] = y[4];
+        i[2] = y[5];
+        r[3] = y[6];
+        i[3] = y[7];
     }
 }
 
-/// Single-qubit `RX(θ)` sweep (for the leftover qubit when `n` is odd),
-/// optionally phasing each amplitude by `e^{-iγ·values[i]}` first.
+/// Single-qubit `RX(θ)` sweep (the leftover qubit when `n` is odd, and the
+/// whole mixer when `n == 1`).
 ///
 /// Loads each amplitude pair into [`Complex`] and applies the historical
 /// formulas verbatim — including the structural-zero matrix entries — so
 /// even signed-zero results stay bit-identical to every prior release.
-fn rx_single_sweep(
-    re: &mut [f64],
-    im: &mut [f64],
-    qubit: usize,
-    theta: f64,
-    phase: Option<(&[f64], f64)>,
-) {
+fn rx_single_sweep(re: &mut [f64], im: &mut [f64], qubit: usize, theta: f64) {
     let c = Complex::from((theta / 2.0).cos());
     let s = Complex::new(0.0, -(theta / 2.0).sin());
-    let stride = 1usize << qubit;
-    let dim = re.len();
-    let mut base = 0;
-    while base < dim {
-        for offset in 0..stride {
-            let i0 = base + offset;
-            let i1 = i0 + stride;
-            let mut a0 = Complex::new(re[i0], im[i0]);
-            let mut a1 = Complex::new(re[i1], im[i1]);
-            if let Some((values, gamma)) = phase {
-                a0 *= Complex::cis(-gamma * values[i0]);
-                a1 *= Complex::cis(-gamma * values[i1]);
-            }
+    let block = 2usize << qubit;
+    for (re_b, im_b) in re.chunks_exact_mut(block).zip(im.chunks_exact_mut(block)) {
+        let (r0, r1) = re_b.split_at_mut(block / 2);
+        let (i0, i1) = im_b.split_at_mut(block / 2);
+        for j in 0..r0.len() {
+            let a0 = Complex::new(r0[j], i0[j]);
+            let a1 = Complex::new(r1[j], i1[j]);
             let y0 = c * a0 + s * a1;
             let y1 = s * a0 + c * a1;
-            re[i0] = y0.re;
-            im[i0] = y0.im;
-            re[i1] = y1.re;
-            im[i1] = y1.im;
+            r0[j] = y0.re;
+            i0[j] = y0.im;
+            r1[j] = y1.re;
+            i1[j] = y1.im;
         }
-        base += 2 * stride;
     }
 }
 
 /// One contiguous task of a pooled sweep: disjoint slices of the split
-/// state plus the matching diagonal slice (empty for non-phase sweeps).
+/// state plus the matching level-index slice (empty for non-phase sweeps).
 struct SweepChunk<'a> {
     re: &'a mut [f64],
     im: &'a mut [f64],
-    values: &'a [f64],
+    level_of: &'a [u32],
 }
 
 /// Splits the state into per-worker contiguous chunks aligned to `block`
@@ -234,7 +278,7 @@ fn run_chunked(
     pool: &ThreadPool,
     re: &mut [f64],
     im: &mut [f64],
-    values: &[f64],
+    level_of: &[u32],
     block: usize,
     f: impl Fn(&mut SweepChunk<'_>) + Sync,
 ) {
@@ -243,19 +287,19 @@ fn run_chunked(
     let per = nblocks / tasks;
     let extra = nblocks % tasks;
     let mut chunks: Vec<SweepChunk<'_>> = Vec::with_capacity(tasks);
-    let (mut re_rest, mut im_rest, mut v_rest) = (re, im, values);
+    let (mut re_rest, mut im_rest, mut l_rest) = (re, im, level_of);
     for t in 0..tasks {
         let take = block * (per + usize::from(t < extra));
         let (re_c, re_t) = std::mem::take(&mut re_rest).split_at_mut(take);
         let (im_c, im_t) = std::mem::take(&mut im_rest).split_at_mut(take);
-        let (v_c, v_t) = v_rest.split_at(take.min(v_rest.len()));
+        let (l_c, l_t) = l_rest.split_at(take.min(l_rest.len()));
         re_rest = re_t;
         im_rest = im_t;
-        v_rest = v_t;
+        l_rest = l_t;
         chunks.push(SweepChunk {
             re: re_c,
             im: im_c,
-            values: v_c,
+            level_of: l_c,
         });
     }
     pool.run_mut(&mut chunks, |_, c| f(c));
@@ -276,18 +320,18 @@ fn rx_tail(
     while q + 1 < n {
         match pool {
             Some(pool) => run_chunked(pool, re, im, &[], 4usize << q, |c| {
-                rx_pair_sweep(c.re, c.im, q, q + 1, k)
+                rx_pair_sweep(c.re, c.im, q, k)
             }),
-            None => rx_pair_sweep(re, im, q, q + 1, k),
+            None => rx_pair_sweep(re, im, q, k),
         }
         q += 2;
     }
     if q < n {
         match pool {
             Some(pool) => run_chunked(pool, re, im, &[], 2usize << q, |c| {
-                rx_single_sweep(c.re, c.im, q, theta, None)
+                rx_single_sweep(c.re, c.im, q, theta)
             }),
-            None => rx_single_sweep(re, im, q, theta, None),
+            None => rx_single_sweep(re, im, q, theta),
         }
     }
 }
@@ -307,24 +351,27 @@ pub fn rx_all_exec(psi: &mut StateVector, theta: f64, exec: &Executor) {
     let pool = exec.pool_for(n);
     let (re, im) = psi.re_im_mut();
     if n == 1 {
-        rx_single_sweep(re, im, 0, theta, None);
+        rx_single_sweep(re, im, 0, theta);
         return;
     }
     rx_tail(re, im, n, 0, theta, RxPair::new(theta), pool);
 }
 
-/// One fused QAOA layer: the diagonal phase `e^{-iγD}` (with `D` given as
-/// per-basis-state `values`) followed by `RX(θ)` on every qubit, with the
-/// phase folded into the first mixer sweep.
+/// One fused QAOA layer: the diagonal phase `e^{-iγD}` followed by
+/// `RX(θ)` on every qubit, with the phase folded into the first mixer
+/// sweep. `D` is given by its level table: amplitude `z` is multiplied by
+/// the factor of level `level_of[z]` in `phases`, which
+/// [`PhaseTable::fill`] builds from `D`'s levels at angle `γ`.
 ///
 /// Exactly equivalent to `DiagonalOperator::apply_phase` followed by
 /// [`crate::gates::rx_all`], in `⌈n/2⌉` sweeps instead of `n + 1`.
 ///
 /// # Panics
 ///
-/// Panics if `values.len() != 2^n`.
-pub fn phase_rx_all(psi: &mut StateVector, values: &[f64], gamma: f64, theta: f64) {
-    phase_rx_all_exec(psi, values, gamma, theta, &Executor::serial());
+/// Panics if `level_of.len() != 2^n`, or if a level index is out of range
+/// of `phases`.
+pub fn phase_rx_all(psi: &mut StateVector, level_of: &[u32], phases: &PhaseTable, theta: f64) {
+    phase_rx_all_exec(psi, level_of, phases, theta, &Executor::serial());
 }
 
 /// [`phase_rx_all`] on an execution policy: pooled sweeps above the
@@ -332,28 +379,33 @@ pub fn phase_rx_all(psi: &mut StateVector, values: &[f64], gamma: f64, theta: f6
 ///
 /// # Panics
 ///
-/// Panics if `values.len() != 2^n`.
+/// Panics if `level_of.len() != 2^n`, or if a level index is out of range
+/// of `phases`.
 pub fn phase_rx_all_exec(
     psi: &mut StateVector,
-    values: &[f64],
-    gamma: f64,
+    level_of: &[u32],
+    phases: &PhaseTable,
     theta: f64,
     exec: &Executor,
 ) {
     let n = psi.num_qubits();
-    assert_eq!(values.len(), psi.dim(), "diagonal length must equal 2^n");
+    assert_eq!(level_of.len(), psi.dim(), "diagonal length must equal 2^n");
     let pool = exec.pool_for(n);
+    let phases = &phases.factors;
     let (re, im) = psi.re_im_mut();
     if n == 1 {
-        rx_single_sweep(re, im, 0, theta, Some((values, gamma)));
+        for (i, &l) in level_of.iter().enumerate() {
+            (re[i], im[i]) = phased(re[i], im[i], phases[l as usize]);
+        }
+        rx_single_sweep(re, im, 0, theta);
         return;
     }
     let k = RxPair::new(theta);
     match pool {
-        Some(pool) => run_chunked(pool, re, im, values, 4, |c| {
-            phase_rx_pair01_sweep(c.re, c.im, c.values, gamma, k)
+        Some(pool) => run_chunked(pool, re, im, level_of, 4, |c| {
+            phase_rx_pair01_sweep(c.re, c.im, c.level_of, phases, k)
         }),
-        None => phase_rx_pair01_sweep(re, im, values, gamma, k),
+        None => phase_rx_pair01_sweep(re, im, level_of, phases, k),
     }
     rx_tail(re, im, n, 2, theta, k, pool);
 }
@@ -393,13 +445,19 @@ mod tests {
     #[test]
     fn phase_rx_all_matches_sequential_path() {
         for n in 1..=7 {
-            let op = DiagonalOperator::from_fn(n, |z| (z.count_ones() as f64) * 0.8 + z as f64 * 0.01);
+            let op =
+                DiagonalOperator::from_fn(n, |z| (z.count_ones() as f64) * 0.8 + z as f64 * 0.01);
             let mut fused = StateVector::uniform_superposition(n);
             for q in 0..n {
                 gates::ry(&mut fused, q, 0.2 * (q + 1) as f64);
             }
             let mut unfused = fused.clone();
-            phase_rx_all(&mut fused, op.values(), 0.41, 0.93);
+            phase_rx_all(
+                &mut fused,
+                op.level_of(),
+                &PhaseTable::new(op.levels(), 0.41),
+                0.93,
+            );
             op.apply_phase(&mut unfused, 0.41);
             gates::rx_all(&mut unfused, 0.93);
             assert!(
@@ -414,7 +472,12 @@ mod tests {
         let op = DiagonalOperator::from_fn(5, |z| z as f64);
         let mut psi = StateVector::uniform_superposition(5);
         for _ in 0..4 {
-            phase_rx_all(&mut psi, op.values(), 0.9, 0.6);
+            phase_rx_all(
+                &mut psi,
+                op.level_of(),
+                &PhaseTable::new(op.levels(), 0.9),
+                0.6,
+            );
         }
         assert!((psi.norm() - 1.0).abs() < 1e-12);
     }
@@ -431,11 +494,12 @@ mod tests {
                 gates::ry(&mut serial, q, 0.17 * (q + 1) as f64);
             }
             let pooled_src = serial.clone();
-            phase_rx_all(&mut serial, op.values(), 0.41, 0.93);
+            let phases = PhaseTable::new(op.levels(), 0.41);
+            phase_rx_all(&mut serial, op.level_of(), &phases, 0.93);
             for threads in [1usize, 2, 4] {
                 let exec = Executor::threaded_with_crossover(threads, 1);
                 let mut pooled = pooled_src.clone();
-                phase_rx_all_exec(&mut pooled, op.values(), 0.41, 0.93, &exec);
+                phase_rx_all_exec(&mut pooled, op.level_of(), &phases, 0.93, &exec);
                 assert_eq!(pooled, serial, "n={n} threads={threads}");
             }
         }
@@ -456,6 +520,6 @@ mod tests {
     #[should_panic(expected = "diagonal length")]
     fn phase_rx_all_rejects_wrong_table() {
         let mut psi = StateVector::uniform_superposition(3);
-        phase_rx_all(&mut psi, &[0.0; 4], 0.1, 0.2);
+        phase_rx_all(&mut psi, &[0; 4], &PhaseTable::new(&[0.0], 0.1), 0.2);
     }
 }

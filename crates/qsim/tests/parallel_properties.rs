@@ -5,7 +5,8 @@ use qcheck::{prop_assert, prop_assert_eq, properties, vec};
 
 use qsim::diagonal::DiagonalOperator;
 use qsim::exec::Executor;
-use qsim::{fused, gates, Complex, StateVector};
+use qsim::fused::{self, PhaseTable};
+use qsim::{gates, Complex, StateVector};
 
 /// Builds a pseudo-random (but deterministic) non-trivial state by applying
 /// a short layer of parameterized gates to the uniform superposition.
@@ -40,10 +41,11 @@ properties! {
         let op = diagonal_for(n, scale);
         let source = scrambled_state(n, &angles);
         let mut bits = Vec::new();
+        let mut phases = PhaseTable::default();
         for threads in [1usize, 2, 4, 8] {
             let exec = Executor::threaded_with_crossover(threads, 1);
             let mut psi = source.clone();
-            op.apply_phase_rx_all_exec(&mut psi, gamma, 2.0 * beta, &exec);
+            op.apply_phase_rx_all_exec(&mut psi, gamma, 2.0 * beta, &exec, &mut phases);
             bits.push(op.expectation_exec(&psi, &exec).to_bits());
         }
         prop_assert_eq!(bits[0], bits[1]);
@@ -63,9 +65,10 @@ properties! {
         let op = diagonal_for(n, 0.05);
         let mut serial = scrambled_state(n, &angles);
         let mut pooled = serial.clone();
-        fused::phase_rx_all(&mut serial, op.values(), gamma, theta);
+        let phases = PhaseTable::new(op.levels(), gamma);
+        fused::phase_rx_all(&mut serial, op.level_of(), &phases, theta);
         let exec = Executor::threaded_with_crossover(threads, 1);
-        fused::phase_rx_all_exec(&mut pooled, op.values(), gamma, theta, &exec);
+        fused::phase_rx_all_exec(&mut pooled, op.level_of(), &phases, theta, &exec);
         prop_assert_eq!(&pooled, &serial);
     }
 
@@ -99,7 +102,8 @@ properties! {
         for pair in layers.chunks(2) {
             let gamma = pair[0];
             let theta = *pair.get(1).unwrap_or(&0.7);
-            fused::phase_rx_all_exec(&mut psi, op.values(), gamma, theta, &exec);
+            let phases = PhaseTable::new(op.levels(), gamma);
+            fused::phase_rx_all_exec(&mut psi, op.level_of(), &phases, theta, &exec);
         }
         prop_assert!((psi.norm() - 1.0).abs() < 1e-10);
     }
