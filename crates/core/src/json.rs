@@ -11,6 +11,8 @@
 //! [`Number::F64`]) so 64-bit seeds survive a round trip exactly; floats are
 //! written with Rust's shortest-round-trip `{:?}` formatting.
 
+use std::fmt::{self, Write as _};
+
 use gnn::train::{DivergenceEvent, EpochStats, TrainConfig, TrainHistory, TrainState};
 use gnn::{GnnKind, ModelConfig, ModelWeights, Readout};
 use tensor::optim::AdamState;
@@ -197,19 +199,30 @@ impl Json {
         out
     }
 
-    fn write(&self, out: &mut String, indent: Option<usize>, depth: usize) {
+    /// Writes this value into `out` at nesting `depth`, pretty-printed with
+    /// `indent` spaces per level or compact when `indent` is `None`.
+    pub(crate) fn write<S: JsonSink>(
+        &self,
+        out: &mut S,
+        indent: Option<usize>,
+        depth: usize,
+    ) {
         match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(Number::U64(v)) => out.push_str(&v.to_string()),
-            Json::Num(Number::I64(v)) => out.push_str(&v.to_string()),
+            Json::Null => out.token("null"),
+            Json::Bool(b) => out.token(if *b { "true" } else { "false" }),
+            Json::Num(Number::U64(v)) => {
+                let _ = write!(Tokens(out), "{v}");
+            }
+            Json::Num(Number::I64(v)) => {
+                let _ = write!(Tokens(out), "{v}");
+            }
             Json::Num(Number::F64(v)) => write_f64(out, *v),
             Json::Str(s) => write_string(out, s),
             Json::Arr(items) => {
-                out.push('[');
+                out.token("[");
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.token(",");
                     }
                     newline(out, indent, depth + 1);
                     item.write(out, indent, depth + 1);
@@ -217,65 +230,149 @@ impl Json {
                 if !items.is_empty() {
                     newline(out, indent, depth);
                 }
-                out.push(']');
+                out.token("]");
             }
             Json::Obj(fields) => {
-                out.push('{');
-                for (i, (key, value)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    newline(out, indent, depth + 1);
-                    write_string(out, key);
-                    out.push(':');
-                    if indent.is_some() {
-                        out.push(' ');
-                    }
+                let mut obj = ObjWriter::begin(out, indent, depth);
+                for (key, value) in fields {
+                    obj.key(out, key);
                     value.write(out, indent, depth + 1);
                 }
-                if !fields.is_empty() {
-                    newline(out, indent, depth);
-                }
-                out.push('}');
+                obj.end(out);
             }
         }
     }
 }
 
-fn newline(out: &mut String, indent: Option<usize>, depth: usize) {
+/// Where [`Json::write`] sends its output. The compact form's bytes arrive
+/// through [`JsonSink::token`]; the pretty form adds only layout —
+/// newlines, indentation and the space after `:` — which arrives through
+/// [`JsonSink::layout`]. So a sink that drops layout sees exactly the
+/// compact bytes, even while the pretty form is being written.
+pub(crate) trait JsonSink {
+    /// Bytes of the compact form.
+    fn token(&mut self, s: &str);
+    /// Pretty-printing whitespace outside strings.
+    fn layout(&mut self, s: &str);
+}
+
+impl JsonSink for String {
+    fn token(&mut self, s: &str) {
+        self.push_str(s);
+    }
+
+    fn layout(&mut self, s: &str) {
+        self.push_str(s);
+    }
+}
+
+/// A sink's token stream as `fmt::Write`, so numbers are formatted straight
+/// into it.
+struct Tokens<'a, S>(&'a mut S);
+
+impl<S: JsonSink> fmt::Write for Tokens<'_, S> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0.token(s);
+        Ok(())
+    }
+}
+
+/// Writes one object field by field in [`Json::write`]'s layout: `begin`,
+/// then `key` before each value, then `end`. The sealed-file writer uses it
+/// to stream a file whose values are written as they are produced.
+pub(crate) struct ObjWriter {
+    indent: Option<usize>,
+    depth: usize,
+    fields: usize,
+}
+
+impl ObjWriter {
+    /// Opens an object at nesting `depth`.
+    pub(crate) fn begin<S: JsonSink>(
+        out: &mut S,
+        indent: Option<usize>,
+        depth: usize,
+    ) -> Self {
+        out.token("{");
+        ObjWriter {
+            indent,
+            depth,
+            fields: 0,
+        }
+    }
+
+    /// Writes the separator and `"key": ` before the next value, which the
+    /// caller writes at `depth + 1`.
+    pub(crate) fn key<S: JsonSink>(&mut self, out: &mut S, key: &str) {
+        if self.fields > 0 {
+            out.token(",");
+        }
+        self.fields += 1;
+        newline(out, self.indent, self.depth + 1);
+        write_string(out, key);
+        out.token(":");
+        if self.indent.is_some() {
+            out.layout(" ");
+        }
+    }
+
+    /// Closes the object.
+    pub(crate) fn end<S: JsonSink>(self, out: &mut S) {
+        if self.fields > 0 {
+            newline(out, self.indent, self.depth);
+        }
+        out.token("}");
+    }
+}
+
+fn newline<S: JsonSink>(out: &mut S, indent: Option<usize>, depth: usize) {
+    const SPACES: &str = "                                ";
     if let Some(width) = indent {
-        out.push('\n');
-        for _ in 0..width * depth {
-            out.push(' ');
+        out.layout("\n");
+        let mut left = width * depth;
+        while left > 0 {
+            let run = left.min(SPACES.len());
+            out.layout(&SPACES[..run]);
+            left -= run;
         }
     }
 }
 
 /// Writes a float with shortest-round-trip formatting; non-finite values
 /// (which JSON cannot represent) become `null`.
-fn write_f64(out: &mut String, v: f64) {
+fn write_f64<S: JsonSink>(out: &mut S, v: f64) {
     if v.is_finite() {
         // `{:?}` is Rust's shortest representation that parses back exactly.
-        out.push_str(&format!("{v:?}"));
+        let _ = write!(Tokens(out), "{v:?}");
     } else {
-        out.push_str("null");
+        out.token("null");
     }
 }
 
-fn write_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+fn write_string<S: JsonSink>(out: &mut S, s: &str) {
+    out.token("\"");
+    // Unescaped runs go out as slices of `s`.
+    let mut run = 0;
+    for (i, c) in s.char_indices() {
+        let escape = match c {
+            '"' => "\\\"",
+            '\\' => "\\\\",
+            '\n' => "\\n",
+            '\r' => "\\r",
+            '\t' => "\\t",
+            c if (c as u32) < 0x20 => "",
+            _ => continue,
+        };
+        out.token(&s[run..i]);
+        if escape.is_empty() {
+            let _ = write!(Tokens(out), "\\u{:04x}", c as u32);
+        } else {
+            out.token(escape);
         }
+        run = i + c.len_utf8();
     }
-    out.push('"');
+    out.token(&s[run..]);
+    out.token("\"");
 }
 
 struct Parser<'a> {

@@ -556,15 +556,13 @@ impl Pipeline {
             label_report,
         };
         if let Some(path) = &config.artifact_path {
-            let artifact = pipeline.to_artifact(config);
-            let mut bytes = artifact.to_json().to_pretty().into_bytes();
-            bytes.push(b'\n');
+            let bytes = pipeline.to_artifact(config).to_bytes();
             // Stage detection, final rung: a previous run killed *after*
             // its save already published exactly these bytes — leave the
             // file untouched instead of rewriting it.
             match std::fs::read(path) {
                 Ok(existing) if existing == bytes => {}
-                _ => artifact.save(path).map_err(DatasetError::from)?,
+                _ => store::save_artifact_bytes(path, &bytes).map_err(DatasetError::from)?,
             }
         }
         Ok(pipeline)

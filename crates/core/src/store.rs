@@ -29,7 +29,7 @@ use qgraph::Graph;
 
 use crate::dataset::{label_graph, Dataset, LabelConfig, LabelReport, LabeledGraph};
 use crate::faults;
-use crate::json::{FromJson, Json, JsonError, ToJson};
+use crate::json::{FromJson, Json, JsonError, JsonSink, ObjWriter, ToJson};
 use crate::pipeline::PipelineConfig;
 
 /// Name of the index file inside a dataset directory.
@@ -156,6 +156,41 @@ pub fn fnv1a_extend(hash: u64, bytes: &[u8]) -> u64 {
 /// training checkpoints, and the digest the bench bins compare runs by.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     fnv1a_extend(FNV1A_OFFSET, bytes)
+}
+
+/// A [`Json`] sink that folds the compact form's bytes into a running
+/// FNV-1a hash as they are written, and drops layout. Where `text` is kept,
+/// the pretty bytes go there too, so one pass writes a section and
+/// checksums it.
+struct Fnv1aSink {
+    hash: u64,
+    text: Option<String>,
+}
+
+impl JsonSink for Fnv1aSink {
+    fn token(&mut self, s: &str) {
+        self.hash = fnv1a_extend(self.hash, s.as_bytes());
+        if let Some(text) = &mut self.text {
+            text.push_str(s);
+        }
+    }
+
+    fn layout(&mut self, s: &str) {
+        if let Some(text) = &mut self.text {
+            text.push_str(s);
+        }
+    }
+}
+
+/// FNV-1a of `json`'s compact form, without building the string: the
+/// section checksum of sealed files.
+fn checksum(json: &Json) -> u64 {
+    let mut sink = Fnv1aSink {
+        hash: FNV1A_OFFSET,
+        text: None,
+    };
+    json.write(&mut sink, None, 0);
+    sink.hash
 }
 
 /// Order-sensitive FNV-1a fingerprint of a graph batch: node counts, edge
@@ -716,26 +751,29 @@ struct SealedFormat<const N: usize> {
 }
 
 impl<const N: usize> SealedFormat<N> {
-    /// Builds the file's JSON tree from section values (in `sections`
-    /// order, then the optional one), checksumming each. The section trees
-    /// are moved in, not copied.
-    fn seal(&self, values: [Json; N], optional: Option<Json>) -> Json {
-        let extra = self.optional.zip(optional);
-        let sections: Vec<(String, Json)> = self
-            .sections
+    /// Section values paired with their names: `sections` order, then the
+    /// optional one when present.
+    fn named(
+        &self,
+        values: [Json; N],
+        optional: Option<Json>,
+    ) -> impl Iterator<Item = (&'static str, Json)> {
+        self.sections
             .into_iter()
             .zip(values)
-            .chain(extra)
+            .chain(self.optional.zip(optional))
+    }
+
+    /// Builds the file's JSON tree from section values, checksumming each.
+    /// The section trees are moved in, not copied.
+    fn seal(&self, values: [Json; N], optional: Option<Json>) -> Json {
+        let sections: Vec<(String, Json)> = self
+            .named(values, optional)
             .map(|(name, value)| (name.to_string(), value))
             .collect();
         let checksums: Vec<(String, Json)> = sections
             .iter()
-            .map(|(name, value)| {
-                (
-                    name.clone(),
-                    Json::uint(fnv1a(value.to_compact().as_bytes())),
-                )
-            })
+            .map(|(name, value)| (name.clone(), Json::uint(checksum(value))))
             .collect();
         Json::Obj(vec![
             ("format".to_string(), Json::Str(self.format.to_string())),
@@ -743,6 +781,39 @@ impl<const N: usize> SealedFormat<N> {
             ("sections".to_string(), Json::Obj(sections)),
             ("checksums".to_string(), Json::Obj(checksums)),
         ])
+    }
+
+    /// The sealed file's bytes, written in one pass: each section's pretty
+    /// form goes to the buffer while its checksum folds from the same
+    /// tokens (the compact form is the pretty one minus layout). Identical
+    /// to `seal(values, optional).to_pretty()` plus a trailing newline.
+    fn write(&self, values: [Json; N], optional: Option<Json>) -> Vec<u8> {
+        const PRETTY: Option<usize> = Some(2);
+        let mut out = Fnv1aSink {
+            hash: FNV1A_OFFSET,
+            text: Some(String::new()),
+        };
+        let mut file = ObjWriter::begin(&mut out, PRETTY, 0);
+        file.key(&mut out, "format");
+        Json::Str(self.format.to_string()).write(&mut out, PRETTY, 1);
+        file.key(&mut out, "version");
+        Json::uint(self.version).write(&mut out, PRETTY, 1);
+        file.key(&mut out, "sections");
+        let mut sections = ObjWriter::begin(&mut out, PRETTY, 1);
+        let mut checksums = Vec::new();
+        for (name, value) in self.named(values, optional) {
+            sections.key(&mut out, name);
+            out.hash = FNV1A_OFFSET;
+            value.write(&mut out, PRETTY, 2);
+            checksums.push((name.to_string(), Json::uint(out.hash)));
+        }
+        sections.end(&mut out);
+        file.key(&mut out, "checksums");
+        Json::Obj(checksums).write(&mut out, PRETTY, 1);
+        file.end(&mut out);
+        let mut text = out.text.unwrap_or_default();
+        text.push('\n');
+        text.into_bytes()
     }
 
     /// Verifies a sealed tree in the order format → version → section
@@ -780,7 +851,7 @@ impl<const N: usize> SealedFormat<N> {
             // Parsing is lossless (shortest-round-trip floats, exact
             // integers), so re-serializing the parsed section reproduces
             // the exact bytes the writer hashed.
-            let computed = fnv1a(section.to_compact().as_bytes());
+            let computed = checksum(section);
             if computed != stored {
                 return Err(ArtifactError::ChecksumMismatch {
                     section: name,
@@ -857,13 +928,13 @@ const ARTIFACT_SEAL: SealedFormat<5> = SealedFormat {
 };
 
 impl RunArtifact {
-    /// Builds the artifact's JSON tree, checksumming each section.
-    pub fn to_json(&self) -> Json {
+    /// The section trees in [`ARTIFACT_SEAL`] order, plus the envelope.
+    fn sections(&self) -> ([Json; 5], Option<Json>) {
         let dataset = Json::Obj(vec![(
             "fingerprint".to_string(),
             Json::uint(self.dataset_fingerprint),
         )]);
-        ARTIFACT_SEAL.seal(
+        (
             [
                 self.config.to_json(),
                 self.weights.to_json(),
@@ -873,6 +944,19 @@ impl RunArtifact {
             ],
             self.envelope.as_ref().map(ToJson::to_json),
         )
+    }
+
+    /// Builds the artifact's JSON tree, checksumming each section.
+    pub fn to_json(&self) -> Json {
+        let (values, envelope) = self.sections();
+        ARTIFACT_SEAL.seal(values, envelope)
+    }
+
+    /// The exact bytes [`Self::save`] writes: the pretty-printed sealed
+    /// file and a trailing newline, serialized in one pass.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let (values, envelope) = self.sections();
+        ARTIFACT_SEAL.write(values, envelope)
     }
 
     /// Decodes and fully validates an artifact from its JSON tree.
@@ -909,9 +993,7 @@ impl RunArtifact {
     /// (fired between tmp-write and rename; the previous artifact
     /// survives).
     pub fn save<P: AsRef<Path>>(&self, path: P) -> io::Result<()> {
-        let mut bytes = self.to_json().to_pretty().into_bytes();
-        bytes.push(b'\n');
-        write_atomic(path.as_ref(), &bytes, Some(faults::ARTIFACT_SAVE))
+        save_artifact_bytes(path.as_ref(), &self.to_bytes())
     }
 
     /// Reads and fully validates an artifact from `path`.
@@ -948,6 +1030,13 @@ impl RunArtifact {
     pub fn kind(&self) -> GnnKind {
         self.weights.kind
     }
+}
+
+/// Publishes artifact bytes from [`RunArtifact::to_bytes`] at `path` with
+/// [`RunArtifact::save`]'s crash-safe protocol and failpoint, for a caller
+/// that already holds the bytes.
+pub(crate) fn save_artifact_bytes(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    write_atomic(path, bytes, Some(faults::ARTIFACT_SAVE))
 }
 
 /// Derives a per-architecture artifact path from a base path by inserting
@@ -1023,7 +1112,7 @@ pub fn train_identity(
     normalized.checkpoint_every = 0;
     normalized.labeling.threads = 0;
     normalized.labeling.sim_threads = 0;
-    let config_hash = fnv1a(normalized.to_json().to_compact().as_bytes());
+    let config_hash = checksum(&normalized.to_json());
     [fnv1a(kind_slug(kind).as_bytes()), dataset_fingerprint]
         .into_iter()
         .chain(rng_state)
@@ -1059,13 +1148,18 @@ pub struct TrainCheckpoint {
 }
 
 impl TrainCheckpoint {
-    /// Builds the checkpoint's JSON tree, checksumming each section.
-    pub fn to_json(&self) -> Json {
+    /// The section trees in [`CHECKPOINT_SEAL`] order.
+    fn sections(&self) -> [Json; 2] {
         let meta = Json::Obj(vec![
             ("kind".to_string(), self.kind.to_json()),
             ("identity".to_string(), Json::uint(self.identity)),
         ]);
-        CHECKPOINT_SEAL.seal([meta, self.state.to_json()], None)
+        [meta, self.state.to_json()]
+    }
+
+    /// Builds the checkpoint's JSON tree, checksumming each section.
+    pub fn to_json(&self) -> Json {
+        CHECKPOINT_SEAL.seal(self.sections(), None)
     }
 
     /// Decodes and fully validates a checkpoint from its JSON tree.
@@ -1093,8 +1187,7 @@ impl TrainCheckpoint {
     /// Filesystem errors, or an injected [`faults::CHECKPOINT_WRITE`]
     /// failure (fired between tmp-write and rename).
     pub fn save<P: AsRef<Path>>(&self, path: P) -> io::Result<()> {
-        let mut bytes = self.to_json().to_pretty().into_bytes();
-        bytes.push(b'\n');
+        let bytes = CHECKPOINT_SEAL.write(self.sections(), None);
         write_atomic(path.as_ref(), &bytes, Some(faults::CHECKPOINT_WRITE))
     }
 
@@ -1427,6 +1520,54 @@ mod tests {
         assert!(TrainingEnvelope::from_dataset(&Dataset { entries: vec![] }, 16).is_none());
     }
 
+    /// The one-pass writer against the sealed tree it replaces: the same
+    /// bytes, with and without the optional section.
+    #[test]
+    fn one_pass_bytes_match_pretty_sealed_tree() {
+        let pretty = |json: Json| format!("{}\n", json.to_pretty()).into_bytes();
+        let mut artifact = tiny_artifact(GnnKind::Sage, 430);
+        artifact.label_report.failures.push(crate::dataset::LabelFailure {
+            index: 1,
+            reason: crate::dataset::LabelFailureReason::Panic("tab\there \"q\" \u{1}".into()),
+            recovered: false,
+        });
+        assert_eq!(artifact.to_bytes(), pretty(artifact.to_json()));
+        artifact.envelope = Some(TrainingEnvelope {
+            min_nodes: 2,
+            max_nodes: 15,
+            max_degree: 7,
+            feature_dim: 16,
+            mean_gamma: -0.0,
+            mean_beta: 1e-300,
+        });
+        assert_eq!(artifact.to_bytes(), pretty(artifact.to_json()));
+        let checkpoint = TrainCheckpoint {
+            kind: GnnKind::Gat,
+            identity: u64::MAX,
+            state: gnn::train::TrainState {
+                next_epoch: 0,
+                done: false,
+                params: artifact.weights.params.clone(),
+                optimizer: tensor::optim::Adam::new(0.01).export_state(),
+                scheduler: tensor::sched::PlateauState {
+                    best: None,
+                    bad_epochs: 0,
+                },
+                best_loss: f64::INFINITY,
+                best_params: artifact.weights.params.clone(),
+                order: vec![2, 0, 1],
+                rng_state: [1, 2, 3, 4],
+                history: TrainHistory::default(),
+            },
+        };
+        let dir = temp_dir("one_pass_checkpoint");
+        let path = dir.join("ckpt.json");
+        checkpoint.save(&path).unwrap();
+        assert_eq!(fs::read(&path).unwrap(), pretty(checkpoint.to_json()));
+        assert_eq!(TrainCheckpoint::load(&path).unwrap(), checkpoint);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn artifact_load_missing_file_is_io() {
         match RunArtifact::load("/definitely/not/an/artifact.json") {
@@ -1630,12 +1771,14 @@ mod tests {
         assert_eq!((bytes.len(), fnv1a(&bytes)), (6241, 0xef1f_d7fa_6516_cba9));
     }
 
-    #[test]
-    fn saved_checkpoint_bytes_match_golden_digest() {
+    /// Bytes of the checkpoint a two-epoch `kind` run on the pin graphs
+    /// saves: pins every backward path that architecture trains through
+    /// (dropout is on), the Adam step and the sealed writer.
+    fn saved_checkpoint_digest(kind: GnnKind) -> (usize, u64) {
         use qrand::SeedableRng;
         let mut rng = qrand::rngs::StdRng::seed_from_u64(2025);
         let config = pin_model_config();
-        let model = GnnModel::new(GnnKind::Gcn, config.clone(), &mut rng);
+        let model = GnnModel::new(kind, config.clone(), &mut rng);
         let examples: Vec<gnn::train::Example> = pin_graphs()
             .iter()
             .enumerate()
@@ -1652,11 +1795,24 @@ mod tests {
         })
         .unwrap();
         let checkpoint = TrainCheckpoint {
-            kind: GnnKind::Gcn,
+            kind,
             identity: 0x0123_4567_89ab_cdef,
             state: last.unwrap(),
         };
         let bytes = saved_bytes("pin_checkpoint", |path| checkpoint.save(path));
-        assert_eq!((bytes.len(), fnv1a(&bytes)), (18002, 0x39ca_d386_2186_a62c));
+        (bytes.len(), fnv1a(&bytes))
+    }
+
+    #[test]
+    fn saved_checkpoint_bytes_match_golden_digest() {
+        let pins = [
+            (GnnKind::Gcn, 18002, 0x39ca_d386_2186_a62c),
+            (GnnKind::Gat, 22845, 0x360e_c087_d2c0_d157),
+            (GnnKind::Gin, 27714, 0x8ba2_f041_0e2f_dbb1),
+            (GnnKind::Sage, 35480, 0x987e_e9f4_2917_ff4e),
+        ];
+        for (kind, len, digest) in pins {
+            assert_eq!(saved_checkpoint_digest(kind), (len, digest), "{kind}");
+        }
     }
 }

@@ -59,19 +59,18 @@ impl Sgd {
 impl Optimizer for Sgd {
     fn step(&mut self, params: &[Tensor]) {
         for (i, p) in params.iter().enumerate() {
-            let grad = p.grad();
-            let mut value = p.value();
-            if self.momentum > 0.0 {
-                let v = self
-                    .velocity
-                    .entry(i)
-                    .or_insert_with(|| Matrix::zeros(grad.rows(), grad.cols()));
-                *v = v.scale(self.momentum).add(&grad);
-                value.add_scaled_assign(v, -self.lr);
-            } else {
-                value.add_scaled_assign(&grad, -self.lr);
-            }
-            p.set_value(value);
+            p.update_in_place(|value, grad| {
+                if self.momentum > 0.0 {
+                    let v = self
+                        .velocity
+                        .entry(i)
+                        .or_insert_with(|| Matrix::zeros(grad.rows(), grad.cols()));
+                    *v = v.scale(self.momentum).add(grad);
+                    value.add_scaled_assign(v, -self.lr);
+                } else {
+                    value.add_scaled_assign(grad, -self.lr);
+                }
+            });
         }
     }
 
@@ -195,34 +194,45 @@ impl Adam {
 }
 
 impl Optimizer for Adam {
+    /// One fused pass per parameter over value, gradient and both moments,
+    /// all updated in place. Per element, in this order and without FMA
+    /// (the golden checkpoint and artifact digests pin the bits):
+    /// `m ← m·β₁ + g·(1−β₁)`, `v ← v·β₂ + (g·g)·(1−β₂)`,
+    /// `u = (m·c₁) / (√(v·c₂) + ε)` with the bias corrections
+    /// `cᵢ = 1/(1−βᵢᵗ)` computed once per step, then the decoupled decay
+    /// `x += (x·wd)·(−lr)` before `x += u·(−lr)`.
     fn step(&mut self, params: &[Tensor]) {
         self.t += 1;
         let t = self.t as f64;
+        let (beta1, beta2, eps, weight_decay) =
+            (self.beta1, self.beta2, self.eps, self.weight_decay);
+        let c1 = 1.0 / (1.0 - beta1.powf(t));
+        let c2 = 1.0 / (1.0 - beta2.powf(t));
+        let neg_lr = -self.lr;
         for (i, p) in params.iter().enumerate() {
-            let grad = p.grad();
-            let (rows, cols) = (grad.rows(), grad.cols());
-            let m = self
-                .m
-                .entry(i)
-                .or_insert_with(|| Matrix::zeros(rows, cols));
-            let v = self
-                .v
-                .entry(i)
-                .or_insert_with(|| Matrix::zeros(rows, cols));
-            *m = m.scale(self.beta1).add(&grad.scale(1.0 - self.beta1));
-            *v = v
-                .scale(self.beta2)
-                .add(&grad.hadamard(&grad).scale(1.0 - self.beta2));
-            let m_hat = m.scale(1.0 / (1.0 - self.beta1.powf(t)));
-            let v_hat = v.scale(1.0 / (1.0 - self.beta2.powf(t)));
-            let update = m_hat.zip_with(&v_hat, |mh, vh| mh / (vh.sqrt() + self.eps));
-            let mut value = p.value();
-            if self.weight_decay > 0.0 {
-                let decayed = value.scale(self.weight_decay);
-                value.add_scaled_assign(&decayed, -self.lr);
-            }
-            value.add_scaled_assign(&update, -self.lr);
-            p.set_value(value);
+            p.update_in_place(|value, grad| {
+                let (rows, cols) = grad.shape();
+                let m = self.m.entry(i).or_insert_with(|| Matrix::zeros(rows, cols));
+                let v = self.v.entry(i).or_insert_with(|| Matrix::zeros(rows, cols));
+                assert!(
+                    m.shape() == grad.shape() && v.shape() == grad.shape(),
+                    "Adam moment shape mismatch for parameter {i}"
+                );
+                let lanes = value
+                    .data_mut()
+                    .iter_mut()
+                    .zip(grad.data())
+                    .zip(m.data_mut().iter_mut().zip(v.data_mut()));
+                for ((x, &g), (m, v)) in lanes {
+                    *m = *m * beta1 + g * (1.0 - beta1);
+                    *v = *v * beta2 + (g * g) * (1.0 - beta2);
+                    let update = (*m * c1) / ((*v * c2).sqrt() + eps);
+                    if weight_decay > 0.0 {
+                        *x += (*x * weight_decay) * neg_lr;
+                    }
+                    *x += update * neg_lr;
+                }
+            });
         }
     }
 
@@ -363,6 +373,139 @@ mod tests {
         let again = rebuilt.export_state();
         assert_eq!(*state, again);
         again
+    }
+
+    /// The matrix-at-a-time Adam step this module used before the fused
+    /// in-place one, kept verbatim as the bit oracle for [`Adam::step`].
+    struct ReferenceAdam {
+        lr: f64,
+        beta1: f64,
+        beta2: f64,
+        eps: f64,
+        weight_decay: f64,
+        t: u64,
+        m: HashMap<usize, Matrix>,
+        v: HashMap<usize, Matrix>,
+    }
+
+    impl ReferenceAdam {
+        fn with_weight_decay(lr: f64, weight_decay: f64) -> Self {
+            ReferenceAdam {
+                lr,
+                beta1: 0.9,
+                beta2: 0.999,
+                eps: 1e-8,
+                weight_decay,
+                t: 0,
+                m: HashMap::new(),
+                v: HashMap::new(),
+            }
+        }
+    }
+
+    impl Optimizer for ReferenceAdam {
+        fn step(&mut self, params: &[Tensor]) {
+            self.t += 1;
+            let t = self.t as f64;
+            for (i, p) in params.iter().enumerate() {
+                let grad = p.grad();
+                let (rows, cols) = (grad.rows(), grad.cols());
+                let m = self
+                    .m
+                    .entry(i)
+                    .or_insert_with(|| Matrix::zeros(rows, cols));
+                let v = self
+                    .v
+                    .entry(i)
+                    .or_insert_with(|| Matrix::zeros(rows, cols));
+                *m = m.scale(self.beta1).add(&grad.scale(1.0 - self.beta1));
+                *v = v
+                    .scale(self.beta2)
+                    .add(&grad.hadamard(&grad).scale(1.0 - self.beta2));
+                let m_hat = m.scale(1.0 / (1.0 - self.beta1.powf(t)));
+                let v_hat = v.scale(1.0 / (1.0 - self.beta2.powf(t)));
+                let update = m_hat.zip_with(&v_hat, |mh, vh| mh / (vh.sqrt() + self.eps));
+                let mut value = p.value();
+                if self.weight_decay > 0.0 {
+                    let decayed = value.scale(self.weight_decay);
+                    value.add_scaled_assign(&decayed, -self.lr);
+                }
+                value.add_scaled_assign(&update, -self.lr);
+                p.set_value(value);
+            }
+        }
+
+        fn learning_rate(&self) -> f64 {
+            self.lr
+        }
+
+        fn set_learning_rate(&mut self, lr: f64) {
+            self.lr = lr;
+        }
+    }
+
+    fn bits(m: &Matrix) -> Vec<u64> {
+        m.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The fused step against the reference over several steps, with and
+    /// without weight decay, on parameters of three shapes — one of which
+    /// never reaches the loss, so its gradient is all zero.
+    #[test]
+    fn fused_adam_step_is_bit_identical_to_reference() {
+        let init = [
+            Matrix::from_rows(&[&[0.3, -1.2, 0.7], &[2.5, -0.05, 1e-3]]),
+            Matrix::from_rows(&[&[-0.4, 0.9, 0.0]]),
+            Matrix::from_rows(&[&[1.5, -2.0], &[0.25, 3.0]]),
+        ];
+        let x = Matrix::from_rows(&[&[1.0, -0.5], &[0.2, 2.0], &[-1.5, 0.3]]);
+        let target = Matrix::from_rows(&[&[0.1, 0.9, -0.3], &[0.4, -0.8, 0.6], &[1.2, 0.0, -0.2]]);
+        // Eight steps (the learning rate drops before the sixth); returns
+        // every parameter's bits after each step.
+        let run = |opt: &mut dyn Optimizer| {
+            let tape = Tape::new();
+            let params: Vec<Tensor> = init.iter().map(|m| tape.parameter(m.clone())).collect();
+            let mut trace = Vec::new();
+            for round in 0..8 {
+                tape.reset();
+                let bias = tape.constant(Matrix::ones(3, 1)).matmul(&params[1]);
+                let out = tape
+                    .constant(x.clone())
+                    .matmul(&params[0])
+                    .add(&bias)
+                    .tanh();
+                tape.backward(&out.mse(&target));
+                assert_eq!(params[2].grad().max_abs(), 0.0, "unused parameter");
+                if round == 5 {
+                    opt.set_learning_rate(0.004);
+                }
+                opt.step(&params);
+                trace.push(params.iter().map(|p| bits(&p.value())).collect::<Vec<_>>());
+            }
+            trace
+        };
+        for weight_decay in [0.0, 0.01] {
+            let mut fused = Adam::with_weight_decay(0.02, weight_decay);
+            let mut reference = ReferenceAdam::with_weight_decay(0.02, weight_decay);
+            let fused_trace = run(&mut fused);
+            assert_eq!(
+                fused_trace,
+                run(&mut reference),
+                "weight decay {weight_decay}"
+            );
+            let state = fused.export_state();
+            assert_eq!(state.t, reference.t);
+            for (moments, expected) in [(&state.m, &reference.m), (&state.v, &reference.v)] {
+                assert_eq!(moments.len(), expected.len());
+                for (i, matrix) in moments {
+                    assert_eq!(bits(matrix), bits(&expected[i]), "moment of parameter {i}");
+                }
+            }
+            // The all-zero gradient still moved its parameter under decay
+            // (and only then).
+            let moved = fused_trace.last().unwrap()[2] != bits(&init[2]);
+            assert_eq!(moved, weight_decay > 0.0);
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@ use qrand::Rng;
 use crate::Matrix;
 
 /// The operation that produced a node — the recipe `backward` replays.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum Op {
     /// Leaf node (parameter or constant); no parents.
     Leaf,
@@ -32,14 +32,61 @@ enum Op {
     /// `out[v] = elementwise max over rows listed in neighbors[v]`; the
     /// flattened argmax (`usize::MAX` for empty neighborhoods) routes the
     /// gradient.
-    NeighborMax(usize, Rc<Vec<Vec<usize>>>, Vec<usize>),
+    NeighborMax(usize, Vec<usize>),
+}
+
+impl Op {
+    /// The ids of the nodes this one was computed from.
+    fn inputs(&self) -> impl Iterator<Item = usize> {
+        let (a, b) = match *self {
+            Op::Leaf => (None, None),
+            Op::Add(a, b)
+            | Op::Sub(a, b)
+            | Op::Hadamard(a, b)
+            | Op::MatMul(a, b)
+            | Op::ConcatCols(a, b) => (Some(a), Some(b)),
+            Op::Scale(a, _)
+            | Op::Relu(a)
+            | Op::LeakyRelu(a, _)
+            | Op::Sigmoid(a)
+            | Op::Tanh(a)
+            | Op::Abs(a)
+            | Op::Huber(a, _)
+            | Op::Transpose(a)
+            | Op::SumAll(a)
+            | Op::MeanRows(a)
+            | Op::Dropout(a, _)
+            | Op::MaskedRowSoftmax(a, _)
+            | Op::NeighborMax(a, _) => (Some(a), None),
+        };
+        a.into_iter().chain(b)
+    }
 }
 
 #[derive(Debug)]
 struct Node {
     value: Matrix,
-    grad: Matrix,
+    /// `Some` exactly when the node depends on a parameter (parameters do,
+    /// constants do not, an op node does if any input does); only those
+    /// nodes take a gradient.
+    grad: Option<Matrix>,
     op: Op,
+}
+
+/// Adds `g · scale` to node `a`'s gradient if it takes one.
+fn add_grad(nodes: &mut [Node], a: usize, g: &Matrix, scale: f64) {
+    if let Some(grad) = &mut nodes[a].grad {
+        grad.add_scaled_assign(g, scale);
+    }
+}
+
+/// [`add_grad`] for a contribution that must be computed first: `g` runs
+/// only when node `a` takes a gradient.
+fn accumulate(nodes: &mut [Node], a: usize, g: impl FnOnce(&[Node]) -> Matrix) {
+    if nodes[a].grad.is_some() {
+        let g = g(nodes);
+        add_grad(nodes, a, &g, 1.0);
+    }
 }
 
 #[derive(Debug, Default)]
@@ -96,8 +143,17 @@ impl Tape {
         }
     }
 
+    /// Appends an op node; it takes a gradient when any input does.
     fn push(&self, value: Matrix, op: Op) -> Tensor {
-        let grad = Matrix::zeros(value.rows(), value.cols());
+        let takes_grad = {
+            let inner = self.inner.borrow();
+            op.inputs().any(|i| inner.nodes[i].grad.is_some())
+        };
+        self.push_node(value, op, takes_grad)
+    }
+
+    fn push_node(&self, value: Matrix, op: Op, takes_grad: bool) -> Tensor {
+        let grad = takes_grad.then(|| Matrix::zeros(value.rows(), value.cols()));
         let mut inner = self.inner.borrow_mut();
         inner.nodes.push(Node { value, grad, op });
         Tensor {
@@ -121,26 +177,26 @@ impl Tape {
                 "parameters must be registered before any forward computation"
             );
         }
-        let t = self.push(value, Op::Leaf);
+        let t = self.push_node(value, Op::Leaf, true);
         self.inner.borrow_mut().persistent += 1;
         t
     }
 
     /// Creates an ephemeral constant leaf (input data); removed by
-    /// [`Tape::reset`], receives a gradient but no optimizer ever reads it.
+    /// [`Tape::reset`]. A constant, like any node that does not depend on a
+    /// parameter, gets no gradient: [`Tape::backward`] never computes one
+    /// for it.
     pub fn constant(&self, value: Matrix) -> Tensor {
-        self.push(value, Op::Leaf)
+        self.push_node(value, Op::Leaf, false)
     }
 
-    /// Discards all ephemeral nodes and zeroes every gradient. Parameter
-    /// values survive.
+    /// Discards all ephemeral nodes and zeroes every gradient in place.
+    /// Parameter values survive.
     pub fn reset(&self) {
         let mut inner = self.inner.borrow_mut();
         let persistent = inner.persistent;
         inner.nodes.truncate(persistent);
-        for node in &mut inner.nodes {
-            node.grad = Matrix::zeros(node.value.rows(), node.value.cols());
-        }
+        zero_grads(&mut inner.nodes);
     }
 
     /// Whether dropout (and other train-only behavior) is active.
@@ -159,7 +215,9 @@ impl Tape {
     }
 
     /// Runs reverse-mode differentiation from `output`, accumulating
-    /// gradients on every node that feeds it.
+    /// gradients on every node that feeds it and depends on a parameter.
+    /// Nodes that do not depend on a parameter (constants and anything
+    /// computed only from them) are skipped: they get no gradient.
     ///
     /// # Panics
     ///
@@ -177,134 +235,112 @@ impl Tape {
             "backward requires a scalar (1x1) output"
         );
         // Zero all gradients, then seed the output with 1.
-        for node in &mut inner.nodes {
-            node.grad = Matrix::zeros(node.value.rows(), node.value.cols());
-        }
-        inner.nodes[out_id].grad[(0, 0)] = 1.0;
+        zero_grads(&mut inner.nodes);
+        let Some(seed) = &mut inner.nodes[out_id].grad else {
+            return;
+        };
+        seed[(0, 0)] = 1.0;
 
         for id in (0..=out_id).rev() {
-            let op = inner.nodes[id].op.clone();
-            let grad = inner.nodes[id].grad.clone();
+            // Every input id is below `id`, so the inputs and this node are
+            // disjoint borrows: nothing is cloned or moved.
+            let (nodes, rest) = inner.nodes.split_at_mut(id);
+            let node = &rest[0];
+            let Some(grad) = &node.grad else {
+                continue;
+            };
             if grad.max_abs() == 0.0 {
                 continue;
             }
-            match op {
+            match node.op {
                 Op::Leaf => {}
                 Op::Add(a, b) => {
-                    inner.nodes[a].grad.add_scaled_assign(&grad, 1.0);
-                    inner.nodes[b].grad.add_scaled_assign(&grad, 1.0);
+                    add_grad(nodes, a, grad, 1.0);
+                    add_grad(nodes, b, grad, 1.0);
                 }
                 Op::Sub(a, b) => {
-                    inner.nodes[a].grad.add_scaled_assign(&grad, 1.0);
-                    inner.nodes[b].grad.add_scaled_assign(&grad, -1.0);
+                    add_grad(nodes, a, grad, 1.0);
+                    add_grad(nodes, b, grad, -1.0);
                 }
                 Op::Hadamard(a, b) => {
-                    let ga = grad.hadamard(&inner.nodes[b].value);
-                    let gb = grad.hadamard(&inner.nodes[a].value);
-                    inner.nodes[a].grad.add_scaled_assign(&ga, 1.0);
-                    inner.nodes[b].grad.add_scaled_assign(&gb, 1.0);
+                    accumulate(nodes, a, |n| grad.hadamard(&n[b].value));
+                    accumulate(nodes, b, |n| grad.hadamard(&n[a].value));
                 }
                 Op::MatMul(a, b) => {
-                    let ga = grad.matmul(&inner.nodes[b].value.transpose());
-                    let gb = inner.nodes[a].value.transpose().matmul(&grad);
-                    inner.nodes[a].grad.add_scaled_assign(&ga, 1.0);
-                    inner.nodes[b].grad.add_scaled_assign(&gb, 1.0);
+                    accumulate(nodes, a, |n| grad.matmul(&n[b].value.transpose()));
+                    accumulate(nodes, b, |n| n[a].value.transpose().matmul(grad));
                 }
-                Op::Scale(a, s) => {
-                    inner.nodes[a].grad.add_scaled_assign(&grad, s);
-                }
-                Op::Relu(a) => {
-                    let mask = inner.nodes[a].value.map(|v| if v > 0.0 { 1.0 } else { 0.0 });
-                    let ga = grad.hadamard(&mask);
-                    inner.nodes[a].grad.add_scaled_assign(&ga, 1.0);
-                }
-                Op::LeakyRelu(a, slope) => {
-                    let mask = inner.nodes[a]
-                        .value
-                        .map(|v| if v > 0.0 { 1.0 } else { slope });
-                    let ga = grad.hadamard(&mask);
-                    inner.nodes[a].grad.add_scaled_assign(&ga, 1.0);
-                }
-                Op::Sigmoid(a) => {
-                    // y = σ(x): dy/dx = y (1 - y); the node value is y.
-                    let y = &inner.nodes[id].value;
-                    let d = y.map(|v| v * (1.0 - v));
-                    let ga = grad.hadamard(&d);
-                    inner.nodes[a].grad.add_scaled_assign(&ga, 1.0);
-                }
-                Op::Tanh(a) => {
-                    let y = &inner.nodes[id].value;
-                    let d = y.map(|v| 1.0 - v * v);
-                    let ga = grad.hadamard(&d);
-                    inner.nodes[a].grad.add_scaled_assign(&ga, 1.0);
-                }
-                Op::Abs(a) => {
-                    let sign = inner.nodes[a]
+                Op::Scale(a, s) => add_grad(nodes, a, grad, s),
+                Op::Relu(a) => accumulate(nodes, a, |n| {
+                    grad.hadamard(&n[a].value.map(|v| if v > 0.0 { 1.0 } else { 0.0 }))
+                }),
+                Op::LeakyRelu(a, slope) => accumulate(nodes, a, |n| {
+                    grad.hadamard(&n[a].value.map(|v| if v > 0.0 { 1.0 } else { slope }))
+                }),
+                // y = σ(x): dy/dx = y (1 - y); the node value is y.
+                Op::Sigmoid(a) => accumulate(nodes, a, |_| {
+                    grad.hadamard(&node.value.map(|v| v * (1.0 - v)))
+                }),
+                Op::Tanh(a) => accumulate(nodes, a, |_| {
+                    grad.hadamard(&node.value.map(|v| 1.0 - v * v))
+                }),
+                Op::Abs(a) => accumulate(nodes, a, |n| {
+                    let sign = n[a]
                         .value
                         .map(|v| if v > 0.0 { 1.0 } else if v < 0.0 { -1.0 } else { 0.0 });
-                    let ga = grad.hadamard(&sign);
-                    inner.nodes[a].grad.add_scaled_assign(&ga, 1.0);
-                }
-                Op::Huber(a, delta) => {
-                    // huber'(x) = x for |x| <= δ, δ·sign(x) otherwise.
-                    let d = inner.nodes[a].value.map(|v| {
+                    grad.hadamard(&sign)
+                }),
+                // huber'(x) = x for |x| <= δ, δ·sign(x) otherwise.
+                Op::Huber(a, delta) => accumulate(nodes, a, |n| {
+                    let d = n[a].value.map(|v| {
                         if v.abs() <= delta {
                             v
                         } else {
                             delta * v.signum()
                         }
                     });
-                    let ga = grad.hadamard(&d);
-                    inner.nodes[a].grad.add_scaled_assign(&ga, 1.0);
-                }
-                Op::Transpose(a) => {
-                    let ga = grad.transpose();
-                    inner.nodes[a].grad.add_scaled_assign(&ga, 1.0);
-                }
-                Op::SumAll(a) => {
-                    let g = grad[(0, 0)];
-                    let shape = inner.nodes[a].value.shape();
-                    let ga = Matrix::full(shape.0, shape.1, g);
-                    inner.nodes[a].grad.add_scaled_assign(&ga, 1.0);
-                }
-                Op::MeanRows(a) => {
-                    let rows = inner.nodes[a].value.rows();
-                    let cols = inner.nodes[a].value.cols();
+                    grad.hadamard(&d)
+                }),
+                Op::Transpose(a) => accumulate(nodes, a, |_| grad.transpose()),
+                Op::SumAll(a) => accumulate(nodes, a, |n| {
+                    let (rows, cols) = n[a].value.shape();
+                    Matrix::full(rows, cols, grad[(0, 0)])
+                }),
+                Op::MeanRows(a) => accumulate(nodes, a, |n| {
+                    let (rows, cols) = n[a].value.shape();
                     let mut ga = Matrix::zeros(rows, cols);
                     for r in 0..rows {
                         for c in 0..cols {
                             ga[(r, c)] = grad[(0, c)] / rows as f64;
                         }
                     }
-                    inner.nodes[a].grad.add_scaled_assign(&ga, 1.0);
-                }
+                    ga
+                }),
                 Op::ConcatCols(a, b) => {
-                    let ca = inner.nodes[a].value.cols();
+                    let ca = nodes[a].value.cols();
                     let rows = grad.rows();
-                    let cb = inner.nodes[b].value.cols();
-                    let mut ga = Matrix::zeros(rows, ca);
-                    let mut gb = Matrix::zeros(rows, cb);
-                    for r in 0..rows {
-                        for c in 0..ca {
-                            ga[(r, c)] = grad[(r, c)];
+                    accumulate(nodes, a, |_| {
+                        let mut ga = Matrix::zeros(rows, ca);
+                        for r in 0..rows {
+                            ga.data_mut()[r * ca..(r + 1) * ca].copy_from_slice(&grad.row(r)[..ca]);
                         }
-                        for c in 0..cb {
-                            gb[(r, c)] = grad[(r, ca + c)];
+                        ga
+                    });
+                    accumulate(nodes, b, |n| {
+                        let cb = n[b].value.cols();
+                        let mut gb = Matrix::zeros(rows, cb);
+                        for r in 0..rows {
+                            gb.data_mut()[r * cb..(r + 1) * cb].copy_from_slice(&grad.row(r)[ca..]);
                         }
-                    }
-                    inner.nodes[a].grad.add_scaled_assign(&ga, 1.0);
-                    inner.nodes[b].grad.add_scaled_assign(&gb, 1.0);
+                        gb
+                    });
                 }
-                Op::Dropout(a, mask) => {
-                    let ga = grad.hadamard(&mask);
-                    inner.nodes[a].grad.add_scaled_assign(&ga, 1.0);
-                }
-                Op::MaskedRowSoftmax(a, mask) => {
-                    // y_i = softmax over masked entries; for each row:
-                    // dx_i = y_i (g_i - Σ_j g_j y_j), masked positions only.
-                    let y = inner.nodes[id].value.clone();
-                    let rows = y.rows();
-                    let cols = y.cols();
+                Op::Dropout(a, ref mask) => accumulate(nodes, a, |_| grad.hadamard(mask)),
+                // y_i = softmax over masked entries; for each row:
+                // dx_i = y_i (g_i - Σ_j g_j y_j), masked positions only.
+                Op::MaskedRowSoftmax(a, ref mask) => accumulate(nodes, a, |_| {
+                    let y = &node.value;
+                    let (rows, cols) = y.shape();
                     let mut ga = Matrix::zeros(rows, cols);
                     for r in 0..rows {
                         let mut dot = 0.0;
@@ -319,13 +355,11 @@ impl Tape {
                             }
                         }
                     }
-                    inner.nodes[a].grad.add_scaled_assign(&ga, 1.0);
-                }
-                Op::NeighborMax(a, _nbrs, argmax) => {
-                    let cols = grad.cols();
-                    let rows = grad.rows();
-                    let a_cols = inner.nodes[a].value.cols();
-                    let mut ga = Matrix::zeros(inner.nodes[a].value.rows(), a_cols);
+                    ga
+                }),
+                Op::NeighborMax(a, ref argmax) => accumulate(nodes, a, |n| {
+                    let (rows, cols) = grad.shape();
+                    let mut ga = Matrix::zeros(n[a].value.rows(), n[a].value.cols());
                     for v in 0..rows {
                         for c in 0..cols {
                             let src = argmax[v * cols + c];
@@ -334,10 +368,17 @@ impl Tape {
                             }
                         }
                     }
-                    inner.nodes[a].grad.add_scaled_assign(&ga, 1.0);
-                }
+                    ga
+                }),
             }
         }
+    }
+}
+
+/// Zeroes every gradient buffer in place.
+fn zero_grads(nodes: &mut [Node]) {
+    for grad in nodes.iter_mut().filter_map(|node| node.grad.as_mut()) {
+        grad.data_mut().fill(0.0);
     }
 }
 
@@ -349,14 +390,54 @@ impl Tensor {
         );
     }
 
+    /// Pushes `f(self)` as an `op` node, reading the input in place.
+    fn unary(&self, op: Op, f: impl FnOnce(&Matrix) -> Matrix) -> Tensor {
+        let v = f(&self.tape.inner.borrow().nodes[self.id].value);
+        self.tape.push(v, op)
+    }
+
+    /// Pushes `f(self, other)` as an `op` node, reading both inputs in
+    /// place.
+    fn binary(&self, other: &Tensor, op: Op, f: impl FnOnce(&Matrix, &Matrix) -> Matrix) -> Tensor {
+        self.assert_same_tape(other);
+        let v = {
+            let inner = self.tape.inner.borrow();
+            f(&inner.nodes[self.id].value, &inner.nodes[other.id].value)
+        };
+        self.tape.push(v, op)
+    }
+
     /// The current value (cloned out of the tape).
     pub fn value(&self) -> Matrix {
         self.tape.inner.borrow().nodes[self.id].value.clone()
     }
 
-    /// The current gradient (cloned); zero until [`Tape::backward`] runs.
+    /// The gradient from the last [`Tape::backward`] (cloned); zero until
+    /// it runs. A node that does not depend on a parameter (a constant, or
+    /// anything computed only from constants) gets no gradient, so its
+    /// gradient reads as zero.
     pub fn grad(&self) -> Matrix {
-        self.tape.inner.borrow().nodes[self.id].grad.clone()
+        let inner = self.tape.inner.borrow();
+        let node = &inner.nodes[self.id];
+        match &node.grad {
+            Some(grad) => grad.clone(),
+            None => Matrix::zeros(node.value.rows(), node.value.cols()),
+        }
+    }
+
+    /// Runs `f` on this node's value (mutable) and gradient, both borrowed
+    /// from the tape, so an optimizer steps a parameter in place without
+    /// copying either.
+    pub(crate) fn update_in_place<T>(&self, f: impl FnOnce(&mut Matrix, &Matrix) -> T) -> T {
+        let mut inner = self.tape.inner.borrow_mut();
+        let node = &mut inner.nodes[self.id];
+        match &node.grad {
+            Some(grad) => f(&mut node.value, grad),
+            None => {
+                let zero = Matrix::zeros(node.value.rows(), node.value.cols());
+                f(&mut node.value, &zero)
+            }
+        }
     }
 
     /// Overwrites the value in place (used by optimizers).
@@ -385,9 +466,7 @@ impl Tensor {
     ///
     /// Panics on shape mismatch or different tapes.
     pub fn add(&self, other: &Tensor) -> Tensor {
-        self.assert_same_tape(other);
-        let v = self.value().add(&other.value());
-        self.tape.push(v, Op::Add(self.id, other.id))
+        self.binary(other, Op::Add(self.id, other.id), Matrix::add)
     }
 
     /// Elementwise difference.
@@ -396,9 +475,7 @@ impl Tensor {
     ///
     /// Panics on shape mismatch or different tapes.
     pub fn sub(&self, other: &Tensor) -> Tensor {
-        self.assert_same_tape(other);
-        let v = self.value().sub(&other.value());
-        self.tape.push(v, Op::Sub(self.id, other.id))
+        self.binary(other, Op::Sub(self.id, other.id), Matrix::sub)
     }
 
     /// Elementwise product.
@@ -407,9 +484,7 @@ impl Tensor {
     ///
     /// Panics on shape mismatch or different tapes.
     pub fn hadamard(&self, other: &Tensor) -> Tensor {
-        self.assert_same_tape(other);
-        let v = self.value().hadamard(&other.value());
-        self.tape.push(v, Op::Hadamard(self.id, other.id))
+        self.binary(other, Op::Hadamard(self.id, other.id), Matrix::hadamard)
     }
 
     /// Matrix product.
@@ -418,44 +493,39 @@ impl Tensor {
     ///
     /// Panics on inner-dimension mismatch or different tapes.
     pub fn matmul(&self, other: &Tensor) -> Tensor {
-        self.assert_same_tape(other);
-        let v = self.value().matmul(&other.value());
-        self.tape.push(v, Op::MatMul(self.id, other.id))
+        self.binary(other, Op::MatMul(self.id, other.id), Matrix::matmul)
     }
 
     /// Multiplication by a scalar constant.
     pub fn scale(&self, s: f64) -> Tensor {
-        self.tape.push(self.value().scale(s), Op::Scale(self.id, s))
+        self.unary(Op::Scale(self.id, s), |x| x.scale(s))
     }
 
     /// Rectified linear unit.
     pub fn relu(&self) -> Tensor {
-        let v = self.value().map(crate::activation::relu);
-        self.tape.push(v, Op::Relu(self.id))
+        self.unary(Op::Relu(self.id), |x| x.map(crate::activation::relu))
     }
 
     /// Leaky ReLU with the given negative slope.
     pub fn leaky_relu(&self, slope: f64) -> Tensor {
-        let v = self.value().map(|x| crate::activation::leaky_relu(x, slope));
-        self.tape.push(v, Op::LeakyRelu(self.id, slope))
+        self.unary(Op::LeakyRelu(self.id, slope), |x| {
+            x.map(|v| crate::activation::leaky_relu(v, slope))
+        })
     }
 
     /// Logistic sigmoid.
     pub fn sigmoid(&self) -> Tensor {
-        let v = self.value().map(crate::activation::sigmoid);
-        self.tape.push(v, Op::Sigmoid(self.id))
+        self.unary(Op::Sigmoid(self.id), |x| x.map(crate::activation::sigmoid))
     }
 
     /// Hyperbolic tangent.
     pub fn tanh(&self) -> Tensor {
-        let v = self.value().map(f64::tanh);
-        self.tape.push(v, Op::Tanh(self.id))
+        self.unary(Op::Tanh(self.id), |x| x.map(f64::tanh))
     }
 
     /// Elementwise absolute value.
     pub fn abs(&self) -> Tensor {
-        let v = self.value().map(f64::abs);
-        self.tape.push(v, Op::Abs(self.id))
+        self.unary(Op::Abs(self.id), |x| x.map(f64::abs))
     }
 
     /// Elementwise Huber function `0.5x²` for `|x| ≤ δ`, else
@@ -466,26 +536,25 @@ impl Tensor {
     /// Panics if `delta <= 0`.
     pub fn huber(&self, delta: f64) -> Tensor {
         assert!(delta > 0.0, "huber delta must be positive");
-        let v = self.value().map(|x| {
-            if x.abs() <= delta {
-                0.5 * x * x
-            } else {
-                delta * (x.abs() - 0.5 * delta)
-            }
-        });
-        self.tape.push(v, Op::Huber(self.id, delta))
+        self.unary(Op::Huber(self.id, delta), |x| {
+            x.map(|v| {
+                if v.abs() <= delta {
+                    0.5 * v * v
+                } else {
+                    delta * (v.abs() - 0.5 * delta)
+                }
+            })
+        })
     }
 
     /// Transpose.
     pub fn transpose(&self) -> Tensor {
-        self.tape
-            .push(self.value().transpose(), Op::Transpose(self.id))
+        self.unary(Op::Transpose(self.id), Matrix::transpose)
     }
 
     /// Sum of all entries as a `1 × 1` tensor.
     pub fn sum(&self) -> Tensor {
-        let v = Matrix::from_rows(&[&[self.value().sum()]]);
-        self.tape.push(v, Op::SumAll(self.id))
+        self.unary(Op::SumAll(self.id), |x| Matrix::from_rows(&[&[x.sum()]]))
     }
 
     /// Mean of all entries as a `1 × 1` tensor.
@@ -500,8 +569,7 @@ impl Tensor {
     /// Column-wise mean as a `1 × cols` tensor (graph-level mean pooling,
     /// Eq. 9 of the paper with READOUT = mean).
     pub fn mean_rows(&self) -> Tensor {
-        let v = self.value().mean_rows();
-        self.tape.push(v, Op::MeanRows(self.id))
+        self.unary(Op::MeanRows(self.id), Matrix::mean_rows)
     }
 
     /// Horizontal concatenation `[self | other]`.
@@ -510,9 +578,11 @@ impl Tensor {
     ///
     /// Panics on row-count mismatch or different tapes.
     pub fn concat_cols(&self, other: &Tensor) -> Tensor {
-        self.assert_same_tape(other);
-        let v = self.value().concat_cols(&other.value());
-        self.tape.push(v, Op::ConcatCols(self.id, other.id))
+        self.binary(
+            other,
+            Op::ConcatCols(self.id, other.id),
+            Matrix::concat_cols,
+        )
     }
 
     /// Inverted dropout: in training mode each entry is zeroed with
@@ -528,9 +598,12 @@ impl Tensor {
             return self.clone();
         }
         let keep = 1.0 - p;
-        let value = self.value();
-        let mask = value.map(|_| if rng.gen::<f64>() < keep { 1.0 / keep } else { 0.0 });
-        let v = value.hadamard(&mask);
+        let (v, mask) = {
+            let inner = self.tape.inner.borrow();
+            let value = &inner.nodes[self.id].value;
+            let mask = value.map(|_| if rng.gen::<f64>() < keep { 1.0 / keep } else { 0.0 });
+            (value.hadamard(&mask), mask)
+        };
         self.tape.push(v, Op::Dropout(self.id, mask))
     }
 
@@ -543,9 +616,9 @@ impl Tensor {
     ///
     /// Panics if `mask` has a different shape.
     pub fn masked_row_softmax(&self, mask: &Matrix) -> Tensor {
-        let y = self.value().masked_row_softmax(mask);
-        self.tape
-            .push(y, Op::MaskedRowSoftmax(self.id, mask.clone()))
+        self.unary(Op::MaskedRowSoftmax(self.id, mask.clone()), |x| {
+            x.masked_row_softmax(mask)
+        })
     }
 
     /// Row-wise elementwise max over each node's neighbor rows:
@@ -556,9 +629,10 @@ impl Tensor {
     ///
     /// Panics if any neighbor index is out of range.
     pub fn neighbor_max(&self, neighbors: &Rc<Vec<Vec<usize>>>) -> Tensor {
-        let (y, argmax) = self.value().neighbor_argmax(neighbors);
-        self.tape
-            .push(y, Op::NeighborMax(self.id, Rc::clone(neighbors), argmax))
+        let (y, argmax) = self.tape.inner.borrow().nodes[self.id]
+            .value
+            .neighbor_argmax(neighbors);
+        self.tape.push(y, Op::NeighborMax(self.id, argmax))
     }
 
     /// Mean-squared-error loss against a constant target, as a scalar
@@ -846,10 +920,21 @@ mod tests {
     fn backward_twice_gives_same_grads() {
         let tape = Tape::new();
         let p = tape.parameter(Matrix::from_rows(&[&[2.0]]));
-        let loss = p.hadamard(&p).sum();
+        let c = tape.constant(Matrix::from_rows(&[&[3.0]]));
+        let from_constants = c.scale(2.0);
+        // d/dp (p² + p·2c) = 2p + 2c = 10.
+        let loss = p.hadamard(&p).add(&p.hadamard(&from_constants)).sum();
         tape.backward(&loss);
         let g1 = p.grad();
+        assert_eq!(g1, Matrix::from_rows(&[&[10.0]]));
         tape.backward(&loss);
         assert_eq!(p.grad(), g1, "gradients must be zeroed between passes");
+        // A constant, and a node computed only from constants, get no
+        // gradient; a node that depends on the parameter does.
+        assert_eq!(c.grad(), Matrix::zeros(1, 1));
+        assert_eq!(from_constants.grad(), Matrix::zeros(1, 1));
+        assert_eq!(loss.grad(), Matrix::ones(1, 1));
+        tape.reset();
+        assert_eq!(p.grad(), Matrix::zeros(1, 1), "reset zeroes gradients");
     }
 }
