@@ -61,8 +61,9 @@ fn bench_qaoa_layer(bench: &mut Bench) {
         });
         let op = DiagonalOperator::from_fn(qubits, |z| z.count_ones() as f64);
         let mut psi = StateVector::uniform_superposition(qubits);
+        let mut phases = fused::PhaseTable::default();
         bench.bench_with_input("qaoa_layer_fused", qubits, move || {
-            op.apply_phase_rx_all(&mut psi, 0.137, 0.6);
+            op.apply_phase_rx_all(&mut psi, 0.137, 0.6, &mut phases);
             psi.amplitude(0)
         });
     }

@@ -203,12 +203,6 @@ pub struct LabelConfig {
     pub iterations: usize,
     /// Worker threads for parallel labeling.
     pub threads: usize,
-    /// Pooled amplitude-sweep workers *per evaluation* for registers at or
-    /// above the simulator crossover; `0` (the default) keeps every
-    /// evaluation on the historical bit-identical serial path. Compounds
-    /// with `threads`: graph-level parallelism across the dataset,
-    /// sweep-level parallelism within each large instance.
-    pub sim_threads: usize,
     /// When `true`, detect isomorphic duplicates (via
     /// [`qgraph::canon::wl_hash`] bucketing + the exact matcher) before
     /// labeling, simulate only one representative per isomorphism class,
@@ -230,7 +224,6 @@ impl Default for LabelConfig {
             threads: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(4),
-            sim_threads: 0,
             dedupe_isomorphic: false,
         }
     }
@@ -263,13 +256,6 @@ impl LabelConfig {
         self
     }
 
-    /// Builder-style: sets the pooled sweep-worker count per evaluation
-    /// (`0` = serial simulation, the default).
-    pub fn with_sim_threads(mut self, sim_threads: usize) -> Self {
-        self.sim_threads = sim_threads;
-        self
-    }
-
     /// Builder-style: enables isomorphism deduplication before labeling
     /// (see the [`LabelConfig::dedupe_isomorphic`] field docs).
     pub fn with_dedupe_isomorphic(mut self, dedupe_isomorphic: bool) -> Self {
@@ -289,10 +275,7 @@ pub fn label_graph<R: Rng + ?Sized>(
     // One evaluator carries the whole label: the optimization trace, the
     // canonicalization probes, and the final expectation all run in the
     // same scratch state vector — zero state-vector allocations past here.
-    // With sim_threads > 0 and a register at or above the simulator
-    // crossover, its sweeps run on a worker pool owned by this evaluator,
-    // so per-graph labeling threads never share simulation state.
-    let mut evaluator = Evaluator::with_sim_threads(&circuit, config.sim_threads);
+    let mut evaluator = Evaluator::new(&circuit);
     let optimizer = NelderMead::new(config.iterations);
     let outcome = warm_start::run_with(
         &mut evaluator,

@@ -601,7 +601,9 @@ impl ToJson for LabelConfig {
             ("depth", Json::uint(self.depth as u64)),
             ("iterations", Json::uint(self.iterations as u64)),
             ("threads", Json::uint(self.threads as u64)),
-            ("sim_threads", Json::uint(self.sim_threads as u64)),
+            // A fixed field: simulation is always serial now, but artifacts
+            // and `train_identity` hash this object, so its bytes stay.
+            ("sim_threads", Json::uint(0)),
             ("dedupe_isomorphic", Json::Bool(self.dedupe_isomorphic)),
         ])
     }
@@ -613,12 +615,6 @@ impl FromJson for LabelConfig {
             depth: json.get("depth")?.as_usize()?,
             iterations: json.get("iterations")?.as_usize()?,
             threads: json.get("threads")?.as_usize()?,
-            // Absent in artifacts written before the pooled simulator
-            // existed; those runs were serial, which 0 encodes.
-            sim_threads: match json.get("sim_threads") {
-                Ok(v) => v.as_usize()?,
-                Err(_) => 0,
-            },
             // Absent before the isomorphism deduper existed; those runs
             // labeled every graph, which `false` encodes.
             dedupe_isomorphic: match json.get("dedupe_isomorphic") {
@@ -1700,9 +1696,14 @@ mod tests {
 
     #[test]
     fn unknown_fields_are_ignored() {
-        let text = r#"{"depth": 1, "iterations": 80, "threads": 2, "future": true}"#;
-        let cfg = LabelConfig::from_json(&Json::parse(text).unwrap()).unwrap();
-        assert_eq!(cfg.iterations, 80);
+        for text in [
+            r#"{"depth": 1, "iterations": 80, "threads": 2, "future": true}"#,
+            // Written while sweep-level pooling existed and was on.
+            r#"{"depth": 1, "iterations": 80, "threads": 2, "sim_threads": 2}"#,
+        ] {
+            let cfg = LabelConfig::from_json(&Json::parse(text).unwrap()).unwrap();
+            assert_eq!(cfg.iterations, 80);
+        }
     }
 
     #[test]

@@ -100,9 +100,6 @@ impl PipelineConfig {
     /// the same construction path callers use in code:
     ///
     /// * `QAOA_GNN_THREADS` — labeling worker threads.
-    /// * `QAOA_GNN_SIM_THREADS` — pooled amplitude-sweep workers per
-    ///   evaluation for registers at or above the simulator crossover
-    ///   (`0` = serial simulation, the default).
     /// * `QAOA_GNN_ITERATIONS` — optimizer iterations per labeled graph.
     /// * `QAOA_GNN_SEED` — master seed.
     /// * `QAOA_GNN_CHECKPOINT_DIR` — checkpoint directory for the labeling
@@ -123,9 +120,6 @@ impl PipelineConfig {
         };
         if let Some(threads) = env::num("QAOA_GNN_THREADS") {
             config = config.with_threads(threads);
-        }
-        if let Some(sim_threads) = env::num("QAOA_GNN_SIM_THREADS") {
-            config = config.with_sim_threads(sim_threads);
         }
         if let Some(iterations) = env::num("QAOA_GNN_ITERATIONS") {
             config = config.with_iterations(iterations);
@@ -151,12 +145,17 @@ impl PipelineConfig {
         self
     }
 
-    /// Builder-style: sets the pooled sweep-worker count per evaluation
-    /// (`0` = serial simulation, the default). Compounds with
-    /// [`Self::with_threads`]: graph-level parallelism across the
-    /// dataset, sweep-level parallelism within each large instance.
-    pub fn with_sim_threads(mut self, sim_threads: usize) -> Self {
-        self.labeling = self.labeling.with_sim_threads(sim_threads);
+    /// Accepts only `0`. Sweep-level pooling is gone and simulation is
+    /// always serial; this no-op stays only because the benchmark
+    /// harness in `perfbench/` still calls `.with_sim_threads(0)`, and it
+    /// goes with that call.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sim_threads != 0`.
+    #[doc(hidden)]
+    pub fn with_sim_threads(self, sim_threads: usize) -> Self {
+        assert_eq!(sim_threads, 0, "sweep-level pooling was removed");
         self
     }
 
@@ -669,7 +668,6 @@ mod tests {
     fn builder_chain_overrides_fields() {
         let config = PipelineConfig::quick()
             .with_threads(8)
-            .with_sim_threads(2)
             .with_iterations(200)
             .with_seed(7)
             .with_test_size(12)
@@ -678,7 +676,6 @@ mod tests {
             .with_fixed_angles(false)
             .with_training(TrainConfig::quick(5));
         assert_eq!(config.labeling.threads, 8);
-        assert_eq!(config.labeling.sim_threads, 2);
         assert_eq!(config.labeling.iterations, 200);
         assert_eq!(config.seed, 7);
         assert_eq!(config.test_size, 12);

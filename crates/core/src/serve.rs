@@ -58,7 +58,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use gnn::Frozen;
-use qaoa::{fixed_angle, Evaluator, MaxCutHamiltonian, Params, QaoaCircuit};
+use qaoa::{fixed_angle, MaxCutHamiltonian, Params, QaoaCircuit};
 use qgraph::io::ParseLimits;
 use qgraph::{Graph, ParseError};
 
@@ -83,10 +83,6 @@ pub struct ServeConfig {
     /// simulator when the request has at most this many nodes (`0`
     /// disables verification). A non-finite score degrades the rung.
     pub verify_max_nodes: usize,
-    /// Pooled amplitude-sweep workers per verification for registers at
-    /// or above the simulator crossover; `0` (the default) keeps
-    /// `verified_score` on the historical bit-identical serial path.
-    pub sim_threads: usize,
 }
 
 impl Default for ServeConfig {
@@ -95,7 +91,6 @@ impl Default for ServeConfig {
             limits: ParseLimits::serving(),
             strict_envelope: false,
             verify_max_nodes: 16,
-            sim_threads: 0,
         }
     }
 }
@@ -111,8 +106,6 @@ impl ServeConfig {
     ///   cap (`0` disables verification).
     /// * `QAOA_GNN_SERVE_MAX_NODES` / `QAOA_GNN_SERVE_MAX_EDGES` —
     ///   request size caps.
-    /// * `QAOA_GNN_SIM_THREADS` — pooled sweep workers per verification
-    ///   (shared with the training pipeline's variable).
     pub fn from_env() -> Self {
         let mut config = ServeConfig::default();
         if env::flag("QAOA_GNN_SERVE_STRICT") {
@@ -126,9 +119,6 @@ impl ServeConfig {
         }
         if let Some(max_edges) = env::num("QAOA_GNN_SERVE_MAX_EDGES") {
             config.limits.max_edges = max_edges;
-        }
-        if let Some(sim_threads) = env::num("QAOA_GNN_SIM_THREADS") {
-            config = config.with_sim_threads(sim_threads);
         }
         config
     }
@@ -150,13 +140,6 @@ impl ServeConfig {
     /// disables verification).
     pub fn with_verify_max_nodes(mut self, verify_max_nodes: usize) -> Self {
         self.verify_max_nodes = verify_max_nodes;
-        self
-    }
-
-    /// Builder-style: sets the pooled sweep-worker count per verification
-    /// (`0` = the bit-identical serial path).
-    pub fn with_sim_threads(mut self, sim_threads: usize) -> Self {
-        self.sim_threads = sim_threads;
         self
     }
 }
@@ -844,14 +827,7 @@ impl GuardedPredictor {
             match faults::fire_may_panic(faults::SIM_EVAL) {
                 Some(FaultAction::Nan) => f64::NAN,
                 Some(_) => f64::NAN,
-                None => {
-                    let circuit = QaoaCircuit::new(MaxCutHamiltonian::new(graph));
-                    // sim_threads = 0 resolves to the serial executor, so
-                    // this is bit-identical to the one-shot
-                    // `QaoaCircuit::expectation` it replaces.
-                    Evaluator::with_sim_threads(&circuit, self.config.sim_threads)
-                        .expectation_in_place(params)
-                }
+                None => QaoaCircuit::new(MaxCutHamiltonian::new(graph)).expectation(params),
             }
         }))
         .map_err(|_| SkipReason::Panicked)?;

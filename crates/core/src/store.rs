@@ -52,23 +52,62 @@ pub fn save_dataset<P: AsRef<Path>>(dataset: &Dataset, dir: P) -> io::Result<()>
     for (i, entry) in dataset.entries.iter().enumerate() {
         let name = graph_file_name(i);
         qgraph::io::write_graph(&entry.graph, dir.join(&name))?;
-        let join = |xs: &[f64]| {
-            xs.iter()
-                .map(|v| format!("{v}"))
-                .collect::<Vec<_>>()
-                .join(",")
-        };
-        index.push_str(&format!(
-            "{name}\t{}\t{}\t{}\t{}\t{}\t{}\n",
-            entry.params.depth(),
-            join(entry.params.gammas()),
-            join(entry.params.betas()),
-            entry.expectation,
-            entry.optimal,
-            entry.approx_ratio,
-        ));
+        index.push_str(&label_row(&name, entry));
     }
     fs::write(dir.join(INDEX_FILE), index)
+}
+
+/// One label row: `key`, then depth, γs, βs, expectation, optimal and
+/// approximation ratio, tab-separated. `labels.tsv` keys rows by graph
+/// file name, `journal.tsv` by graph index. `{v}` is the shortest
+/// representation that parses back to the same bits, so labels
+/// round-trip exactly.
+fn label_row(key: impl std::fmt::Display, entry: &LabeledGraph) -> String {
+    let join = |xs: &[f64]| {
+        xs.iter()
+            .map(|v| format!("{v}"))
+            .collect::<Vec<_>>()
+            .join(",")
+    };
+    format!(
+        "{key}\t{}\t{}\t{}\t{}\t{}\t{}\n",
+        entry.params.depth(),
+        join(entry.params.gammas()),
+        join(entry.params.betas()),
+        entry.expectation,
+        entry.optimal,
+        entry.approx_ratio,
+    )
+}
+
+/// Parses a [`label_row`]. `graph` resolves the key field to the row's
+/// graph and runs right after the field-count check; `err` wraps a
+/// malformed field in the caller's error.
+fn parse_label_row(
+    line: &str,
+    err: &dyn Fn(String) -> io::Error,
+    graph: impl FnOnce(&str) -> io::Result<Graph>,
+) -> io::Result<LabeledGraph> {
+    let fields: Vec<&str> = line.split('\t').collect();
+    if fields.len() != 7 {
+        return Err(err(format!("expected 7 fields, got {}", fields.len())));
+    }
+    let graph = graph(fields[0])?;
+    let parse_f64 = |s: &str| s.parse::<f64>().map_err(|e| err(e.to_string()));
+    let parse_vec = |s: &str| -> io::Result<Vec<f64>> { s.split(',').map(parse_f64).collect() };
+    let depth = fields[1].parse::<usize>().map_err(|e| err(e.to_string()))?;
+    let gammas = parse_vec(fields[2])?;
+    let betas = parse_vec(fields[3])?;
+    if gammas.len() != depth || betas.len() != depth {
+        return Err(err("angle count does not match depth".to_string()));
+    }
+    Ok(LabeledGraph {
+        graph,
+        params: Params::new(gammas, betas),
+        expectation: parse_f64(fields[4])?,
+        optimal: parse_f64(fields[5])?,
+        approx_ratio: parse_f64(fields[6])?,
+    })
 }
 
 fn invalid<E: std::fmt::Display>(line: usize, message: E) -> io::Error {
@@ -93,28 +132,9 @@ pub fn load_dataset<P: AsRef<Path>>(dir: P) -> io::Result<Dataset> {
         if line.trim().is_empty() {
             continue;
         }
-        let fields: Vec<&str> = line.split('\t').collect();
-        if fields.len() != 7 {
-            return Err(invalid(lineno, format!("expected 7 fields, got {}", fields.len())));
-        }
-        let graph = qgraph::io::read_graph(dir.join(fields[0]))?;
-        let parse_f64 = |s: &str| s.parse::<f64>().map_err(|e| invalid(lineno, e));
-        let parse_vec = |s: &str| -> io::Result<Vec<f64>> {
-            s.split(',').map(parse_f64).collect()
-        };
-        let depth: usize = fields[1].parse().map_err(|e| invalid(lineno, e))?;
-        let gammas = parse_vec(fields[2])?;
-        let betas = parse_vec(fields[3])?;
-        if gammas.len() != depth || betas.len() != depth {
-            return Err(invalid(lineno, "angle count does not match depth"));
-        }
-        entries.push(LabeledGraph {
-            graph,
-            params: Params::new(gammas, betas),
-            expectation: parse_f64(fields[4])?,
-            optimal: parse_f64(fields[5])?,
-            approx_ratio: parse_f64(fields[6])?,
-        });
+        entries.push(parse_label_row(line, &|m| invalid(lineno, m), |file| {
+            qgraph::io::read_graph(dir.join(file))
+        })?);
     }
     Ok(Dataset { entries })
 }
@@ -224,56 +244,16 @@ fn journal_corrupt<E: std::fmt::Display>(message: E) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, format!("checkpoint journal: {message}"))
 }
 
-fn journal_line(index: usize, entry: &LabeledGraph) -> String {
-    // `{v}` (like `{v:?}`) is the shortest representation that parses back
-    // to the same bits, so journaled labels round-trip exactly.
-    let join = |xs: &[f64]| {
-        xs.iter()
-            .map(|v| format!("{v}"))
-            .collect::<Vec<_>>()
-            .join(",")
-    };
-    format!(
-        "{index}\t{}\t{}\t{}\t{}\t{}\t{}\n",
-        entry.params.depth(),
-        join(entry.params.gammas()),
-        join(entry.params.betas()),
-        entry.expectation,
-        entry.optimal,
-        entry.approx_ratio,
-    )
-}
-
 fn parse_journal_line(line: &str, graphs: &[Graph]) -> io::Result<(usize, LabeledGraph)> {
-    let fields: Vec<&str> = line.split('\t').collect();
-    if fields.len() != 7 {
-        return Err(journal_corrupt(format!(
-            "expected 7 fields, got {}",
-            fields.len()
-        )));
-    }
-    let index: usize = fields[0].parse().map_err(journal_corrupt)?;
-    let graph = graphs
-        .get(index)
-        .ok_or_else(|| journal_corrupt(format!("index {index} out of range")))?;
-    let parse_f64 = |s: &str| s.parse::<f64>().map_err(journal_corrupt);
-    let parse_vec = |s: &str| -> io::Result<Vec<f64>> { s.split(',').map(parse_f64).collect() };
-    let depth: usize = fields[1].parse().map_err(journal_corrupt)?;
-    let gammas = parse_vec(fields[2])?;
-    let betas = parse_vec(fields[3])?;
-    if gammas.len() != depth || betas.len() != depth {
-        return Err(journal_corrupt("angle count does not match depth"));
-    }
-    Ok((
-        index,
-        LabeledGraph {
-            graph: graph.clone(),
-            params: Params::new(gammas, betas),
-            expectation: parse_f64(fields[4])?,
-            optimal: parse_f64(fields[5])?,
-            approx_ratio: parse_f64(fields[6])?,
-        },
-    ))
+    let mut index = 0;
+    let entry = parse_label_row(line, &journal_corrupt::<String>, |field| {
+        index = field.parse().map_err(journal_corrupt)?;
+        graphs
+            .get(index)
+            .cloned()
+            .ok_or_else(|| journal_corrupt(format!("index {index} out of range")))
+    })?;
+    Ok((index, entry))
 }
 
 /// An append-only, fsync'd record of completed labels inside a checkpoint
@@ -407,7 +387,7 @@ impl LabelJournal {
             return Err(io::Error::other("fault injected: journal_io"));
         }
         qgraph::io::write_graph(&entry.graph, self.dir.join(graph_file_name(index)))?;
-        self.file.write_all(journal_line(index, entry).as_bytes())?;
+        self.file.write_all(label_row(index, entry).as_bytes())?;
         self.file.sync_data()
     }
 
@@ -1111,7 +1091,6 @@ pub fn train_identity(
     normalized.artifact_path = None;
     normalized.checkpoint_every = 0;
     normalized.labeling.threads = 0;
-    normalized.labeling.sim_threads = 0;
     let config_hash = checksum(&normalized.to_json());
     [fnv1a(kind_slug(kind).as_bytes()), dataset_fingerprint]
         .into_iter()
@@ -1228,6 +1207,32 @@ mod tests {
         save_dataset(&dataset, &dir).unwrap();
         let back = load_dataset(&dir).unwrap();
         assert_eq!(dataset, back);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn malformed_label_rows_keep_their_error_messages() {
+        let graph = Graph::cycle(3).unwrap();
+        let dir = temp_dir("malformed_rows");
+        fs::create_dir_all(&dir).unwrap();
+        qgraph::io::write_graph(&graph, dir.join("g.txt")).unwrap();
+        let rows = [
+            ("g.txt\t1\t0.5", "expected 7 fields, got 3"),
+            ("g.txt\tx\t0.5\t0.25\t1\t2\t0.5", "invalid digit found in string"),
+            ("g.txt\t1\t0.5\tzz\t1\t2\t0.5", "invalid float literal"),
+            ("g.txt\t2\t0.5\t0.25\t1\t2\t0.5", "angle count does not match depth"),
+        ];
+        for (row, message) in rows {
+            fs::write(dir.join(INDEX_FILE), format!("header\n{row}\n")).unwrap();
+            let e = load_dataset(&dir).unwrap_err();
+            assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+            assert_eq!(e.to_string(), format!("labels.tsv line 2: {message}"));
+            let journal_row = row.replacen("g.txt", "0", 1);
+            let e = parse_journal_line(&journal_row, std::slice::from_ref(&graph)).unwrap_err();
+            assert_eq!(e.to_string(), format!("checkpoint journal: {message}"));
+        }
+        let e = parse_journal_line("7\t1\t0.5\t0.25\t1\t2\t0.5", &[graph]).unwrap_err();
+        assert_eq!(e.to_string(), "checkpoint journal: index 7 out of range");
         fs::remove_dir_all(&dir).unwrap();
     }
 

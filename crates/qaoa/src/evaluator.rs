@@ -9,7 +9,6 @@
 //! state-vector allocations after setup** and every circuit run executes
 //! on the fused kernels in [`qsim::fused`].
 
-use qsim::exec::{Executor, DEFAULT_CROSSOVER_QUBITS};
 use qsim::fused::PhaseTable;
 use qsim::StateVector;
 
@@ -51,46 +50,17 @@ pub struct Evaluator<'c> {
     circuit: &'c QaoaCircuit,
     psi: StateVector,
     phases: PhaseTable,
-    exec: Executor,
 }
 
 impl<'c> Evaluator<'c> {
     /// Creates an evaluator for `circuit`, allocating its scratch state
-    /// vector once. Runs on the strictly serial execution policy — the
-    /// historical bit-identical path.
+    /// vector once.
     pub fn new(circuit: &'c QaoaCircuit) -> Self {
-        Self::with_executor(circuit, Executor::serial())
-    }
-
-    /// Creates an evaluator on an explicit execution policy — the full
-    /// control surface (tests force pooled kernels on small registers by
-    /// lowering the crossover).
-    pub fn with_executor(circuit: &'c QaoaCircuit, exec: Executor) -> Self {
         Evaluator {
             psi: StateVector::uniform_superposition(circuit.num_qubits()),
             phases: PhaseTable::default(),
             circuit,
-            exec,
         }
-    }
-
-    /// Creates an evaluator that runs amplitude sweeps on `sim_threads`
-    /// pooled workers when the register is at or above the measured
-    /// crossover ([`DEFAULT_CROSSOVER_QUBITS`]); `sim_threads == 0` (and
-    /// any register below the crossover) is the serial policy, so no pool
-    /// is ever spawned for instances that could not use it.
-    pub fn with_sim_threads(circuit: &'c QaoaCircuit, sim_threads: usize) -> Self {
-        let exec = if sim_threads == 0 || circuit.num_qubits() < DEFAULT_CROSSOVER_QUBITS {
-            Executor::serial()
-        } else {
-            Executor::threaded(sim_threads)
-        };
-        Self::with_executor(circuit, exec)
-    }
-
-    /// The execution policy this evaluator runs on.
-    pub fn executor(&self) -> &Executor {
-        &self.exec
     }
 
     /// The circuit this evaluator runs.
@@ -130,13 +100,7 @@ impl<'c> Evaluator<'c> {
         self.psi.set_uniform_superposition();
         let operator = self.circuit.hamiltonian().operator();
         for (&gamma, &beta) in gammas.iter().zip(betas) {
-            operator.apply_phase_rx_all_exec(
-                &mut self.psi,
-                gamma,
-                2.0 * beta,
-                &self.exec,
-                &mut self.phases,
-            );
+            operator.apply_phase_rx_all(&mut self.psi, gamma, 2.0 * beta, &mut self.phases);
         }
         &self.psi
     }
@@ -144,10 +108,7 @@ impl<'c> Evaluator<'c> {
     /// The QAOA objective `⟨γ,β|C|γ,β⟩`, evaluated in the owned buffer.
     pub fn expectation_in_place(&mut self, params: &Params) -> f64 {
         self.run_into(params);
-        self.circuit
-            .hamiltonian()
-            .operator()
-            .expectation_exec(&self.psi, &self.exec)
+        self.circuit.hamiltonian().operator().expectation(&self.psi)
     }
 
     /// The objective on the optimizers' flat `[γ_1..γ_p, β_1..β_p]`
@@ -164,10 +125,7 @@ impl<'c> Evaluator<'c> {
         );
         let p = flat.len() / 2;
         self.run_layers(&flat[..p], &flat[p..]);
-        self.circuit
-            .hamiltonian()
-            .operator()
-            .expectation_exec(&self.psi, &self.exec)
+        self.circuit.hamiltonian().operator().expectation(&self.psi)
     }
 
     /// Expectation-based approximation ratio at the given parameters.
@@ -271,35 +229,6 @@ mod tests {
             let p = Params::random(1, &mut rng);
             assert_eq!(ev.canonical_label(&p), c.canonical_label(&p));
         }
-    }
-
-    #[test]
-    fn pooled_evaluator_matches_serial_and_is_thread_invariant() {
-        let mut rng = StdRng::seed_from_u64(80);
-        let g = qgraph::generate::random_regular(10, 3, &mut rng).unwrap();
-        let c = circuit(&g);
-        let params = Params::random(2, &mut rng);
-        let serial = Evaluator::new(&c).expectation_in_place(&params);
-        let mut pooled = Vec::new();
-        for threads in [1usize, 2, 4] {
-            let exec = Executor::threaded_with_crossover(threads, 1);
-            pooled.push(Evaluator::with_executor(&c, exec).expectation_in_place(&params));
-        }
-        for p in &pooled {
-            assert!((p - serial).abs() < 1e-12, "pooled {p} vs serial {serial}");
-            // Any pool width gives the same bits; only pooled-vs-serial
-            // may differ (reduction grouping).
-            assert_eq!(p.to_bits(), pooled[0].to_bits());
-        }
-    }
-
-    #[test]
-    fn with_sim_threads_stays_serial_below_crossover() {
-        let g = Graph::cycle(8).unwrap();
-        let c = circuit(&g);
-        // 8 qubits < crossover: no pool spawned even with threads requested.
-        assert!(Evaluator::with_sim_threads(&c, 4).executor().is_serial());
-        assert!(Evaluator::with_sim_threads(&c, 0).executor().is_serial());
     }
 
     #[test]

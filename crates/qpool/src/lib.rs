@@ -1,413 +1,10 @@
-//! # qpool — a persistent scoped worker pool for amplitude sweeps
+//! # qpool — the serving loop's lock-free hot-swap slot
 //!
-//! The state-vector kernels in `qsim` split each `2^n`-amplitude sweep
-//! into disjoint slice tasks. A QAOA layer at the sizes this repo labels
-//! (n ≤ 15) costs tens of microseconds to low milliseconds, so spawning
-//! OS threads per sweep (as `std::thread::scope` does) would eat the
-//! entire parallel win; this crate keeps a small pool of workers alive
-//! across sweeps and hands them borrowed tasks with ~µs dispatch cost.
-//!
-//! The only `unsafe` on the parallel path lives here (`qsim` itself stays
-//! `#![forbid(unsafe_code)]`), confined to one lifetime-erasure seam with
-//! a blocking-scope soundness argument:
-//!
-//! * [`ThreadPool::run_mut`] publishes a job holding raw pointers to the
-//!   caller's `&mut [T]` and closure, then **blocks until every item has
-//!   finished executing**, so the borrows outlive every dereference.
-//! * Items are claimed by a per-job atomic counter that lives in an
-//!   `Arc` owned by each participating thread. A worker that wakes up
-//!   late with a stale job handle can only observe an exhausted counter —
-//!   it never touches the (possibly dead) item pointers, because per-job
-//!   counters are never reset.
-//! * Each claimed index is handed out exactly once, so tasks get disjoint
-//!   `&mut T` references.
-//!
-//! Worker panics are caught per item, the first payload is re-raised on
-//! the caller via [`std::panic::resume_unwind`], and the pool remains
-//! usable afterwards — a panic in one sweep poisons neither the pool nor
-//! unrelated evaluations (the per-graph isolation the labeling and
-//! serving layers rely on).
+//! This crate holds one type, [`swap::SwapCell`]: a two-slot cell that
+//! lets `ServeLoop` publish a retrained artifact mid-traffic while
+//! request threads keep loading the current one without locks. Its
+//! `unsafe` code and the soundness argument for it live in [`swap`].
 
 #![warn(missing_docs)]
 
 pub mod swap;
-
-use std::any::Any;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
-
-/// Type-erased per-job state, shared by every thread working on one
-/// [`ThreadPool::run_mut`] call.
-///
-/// The raw pointers alias the caller's stack-borrowed slice and closure.
-/// They are only dereferenced for claimed indices `i < len`, and the
-/// caller blocks until `completed == len`, which happens only after every
-/// such dereference has finished — so the pointers are always live when
-/// used. `next` is monotonically increasing and never reset, so any
-/// thread holding this state after completion claims `i >= len` and
-/// touches nothing else.
-struct JobState {
-    items: *mut (),
-    len: usize,
-    f: *const (),
-    call: unsafe fn(*mut (), usize, *const ()),
-    next: AtomicUsize,
-    completed: AtomicUsize,
-    panic: Mutex<Option<Box<dyn Any + Send + 'static>>>,
-}
-
-// SAFETY: the pointers are only dereferenced under the claim protocol
-// described on the struct; `T: Send` and `F: Sync` are enforced by
-// `run_mut`'s bounds before erasure.
-unsafe impl Send for JobState {}
-unsafe impl Sync for JobState {}
-
-/// Pool-wide shared state: the published job and the condition variables
-/// workers and callers sleep on.
-struct Shared {
-    state: Mutex<PoolState>,
-    /// Workers wait here for a new job epoch.
-    work_cv: Condvar,
-    /// The submitting caller waits here for `completed == len`.
-    done_cv: Condvar,
-}
-
-struct PoolState {
-    job: Option<Arc<JobState>>,
-    epoch: u64,
-    shutdown: bool,
-}
-
-/// A fixed-size pool of persistent worker threads executing borrowed,
-/// disjoint-slice jobs.
-///
-/// `ThreadPool::new(t)` provides `t`-way parallelism: `t - 1` spawned
-/// workers plus the calling thread, which participates in every job. A
-/// pool of one thread spawns nothing and simply runs jobs inline, so the
-/// thread-count knob can be exercised (and its results compared) all the
-/// way down to 1 without a separate code path.
-///
-/// # Example
-///
-/// ```
-/// let pool = qpool::ThreadPool::new(4);
-/// let mut parts: Vec<Vec<u64>> = (0..8).map(|i| vec![i; 100]).collect();
-/// pool.run_mut(&mut parts, |index, part| {
-///     for v in part.iter_mut() {
-///         *v += index as u64;
-///     }
-/// });
-/// assert!(parts.iter().enumerate().all(|(i, p)| p.iter().all(|&v| v == 2 * i as u64)));
-/// ```
-pub struct ThreadPool {
-    shared: Arc<Shared>,
-    workers: Vec<JoinHandle<()>>,
-    /// Serializes submitters so one job is in flight at a time.
-    submit: Mutex<()>,
-    threads: usize,
-}
-
-impl std::fmt::Debug for ThreadPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ThreadPool")
-            .field("threads", &self.threads)
-            .finish()
-    }
-}
-
-impl ThreadPool {
-    /// Creates a pool providing `threads`-way parallelism (clamped to at
-    /// least 1). Spawns `threads - 1` OS threads; the caller of
-    /// [`Self::run_mut`] is always the remaining worker.
-    pub fn new(threads: usize) -> Self {
-        let threads = threads.max(1);
-        let shared = Arc::new(Shared {
-            state: Mutex::new(PoolState {
-                job: None,
-                epoch: 0,
-                shutdown: false,
-            }),
-            work_cv: Condvar::new(),
-            done_cv: Condvar::new(),
-        });
-        let workers = (0..threads - 1)
-            .map(|_| {
-                let shared = Arc::clone(&shared);
-                std::thread::spawn(move || worker_loop(&shared))
-            })
-            .collect();
-        ThreadPool {
-            shared,
-            workers,
-            submit: Mutex::new(()),
-            threads,
-        }
-    }
-
-    /// The parallelism this pool provides (spawned workers + the caller).
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Runs `f(index, &mut items[index])` for every item, spread across
-    /// the pool plus the calling thread, and blocks until all items have
-    /// finished. Each item is visited exactly once; distinct items may run
-    /// concurrently, so `f` must not assume any ordering between them.
-    ///
-    /// # Panics
-    ///
-    /// If `f` panics on any item, the remaining items still run, and the
-    /// first caught payload is re-raised on the caller once the job
-    /// drains. The pool itself survives and can run further jobs.
-    pub fn run_mut<T, F>(&self, items: &mut [T], f: F)
-    where
-        T: Send,
-        F: Fn(usize, &mut T) + Sync,
-    {
-        if items.is_empty() {
-            return;
-        }
-        /// Monomorphized shim reconstituting the erased types.
-        ///
-        /// SAFETY (caller contract): `items` points to a live `[T]` of at
-        /// least `index + 1` elements, `f` to a live `F`, and `index` is
-        /// claimed by exactly one thread.
-        unsafe fn call_item<T, F: Fn(usize, &mut T) + Sync>(
-            items: *mut (),
-            index: usize,
-            f: *const (),
-        ) {
-            let f = unsafe { &*f.cast::<F>() };
-            f(index, unsafe { &mut *items.cast::<T>().add(index) });
-        }
-
-        let _submission = self.submit.lock().expect("pool submit lock");
-        let job = Arc::new(JobState {
-            items: items.as_mut_ptr().cast(),
-            len: items.len(),
-            f: std::ptr::from_ref(&f).cast(),
-            call: call_item::<T, F>,
-            next: AtomicUsize::new(0),
-            completed: AtomicUsize::new(0),
-            panic: Mutex::new(None),
-        });
-        {
-            let mut state = self.shared.state.lock().expect("pool state lock");
-            state.job = Some(Arc::clone(&job));
-            state.epoch += 1;
-            self.shared.work_cv.notify_all();
-        }
-        // The caller is a full participant; with zero spawned workers this
-        // is simply the serial loop.
-        claim_loop(&self.shared, &job);
-        let mut state = self.shared.state.lock().expect("pool state lock");
-        while job.completed.load(Ordering::Acquire) < job.len {
-            state = self
-                .shared
-                .done_cv
-                .wait(state)
-                .expect("pool done condvar");
-        }
-        drop(state);
-        // All dereferences of `items`/`f` are complete; the borrows are
-        // released when this frame returns.
-        let payload = job.panic.lock().expect("pool panic slot").take();
-        if let Some(payload) = payload {
-            // Release the submission slot cleanly (an unwinding drop would
-            // poison it and wedge every later job) before re-raising.
-            drop(_submission);
-            std::panic::resume_unwind(payload);
-        }
-    }
-}
-
-impl Drop for ThreadPool {
-    fn drop(&mut self) {
-        {
-            let mut state = self.shared.state.lock().expect("pool state lock");
-            state.shutdown = true;
-            self.shared.work_cv.notify_all();
-        }
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
-    }
-}
-
-/// Claims and executes items from `job` until the claim counter is
-/// exhausted, recording the first panic payload and waking the caller
-/// when the last item completes.
-fn claim_loop(shared: &Shared, job: &Arc<JobState>) {
-    loop {
-        let index = job.next.fetch_add(1, Ordering::AcqRel);
-        if index >= job.len {
-            return;
-        }
-        // SAFETY: `index < len` was claimed exactly once, and the
-        // submitting caller keeps `items`/`f` alive until `completed`
-        // reaches `len`, which cannot happen before this call returns.
-        let result = catch_unwind(AssertUnwindSafe(|| unsafe {
-            (job.call)(job.items, index, job.f)
-        }));
-        if let Err(payload) = result {
-            let mut slot = job.panic.lock().expect("pool panic slot");
-            if slot.is_none() {
-                *slot = Some(payload);
-            }
-        }
-        let done = job.completed.fetch_add(1, Ordering::AcqRel) + 1;
-        if done == job.len {
-            // Lock the pool mutex before notifying so the caller cannot
-            // check the counter and then sleep between our increment and
-            // this wakeup.
-            let _state = shared.state.lock().expect("pool state lock");
-            shared.done_cv.notify_all();
-        }
-    }
-}
-
-fn worker_loop(shared: &Shared) {
-    let mut seen_epoch = 0u64;
-    loop {
-        let job = {
-            let mut state = shared.state.lock().expect("pool state lock");
-            loop {
-                if state.shutdown {
-                    return;
-                }
-                if state.epoch != seen_epoch {
-                    seen_epoch = state.epoch;
-                    break Arc::clone(state.job.as_ref().expect("epoch implies job"));
-                }
-                state = shared.work_cv.wait(state).expect("pool work condvar");
-            }
-        };
-        claim_loop(shared, &job);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::sync::atomic::AtomicU64;
-
-    #[test]
-    fn runs_every_item_exactly_once() {
-        let pool = ThreadPool::new(4);
-        let mut hits = vec![0u32; 1000];
-        pool.run_mut(&mut hits, |_, h| *h += 1);
-        assert!(hits.iter().all(|&h| h == 1));
-    }
-
-    #[test]
-    fn passes_matching_index_and_item() {
-        let pool = ThreadPool::new(3);
-        let mut items: Vec<usize> = (0..257).collect();
-        pool.run_mut(&mut items, |index, item| {
-            assert_eq!(index, *item);
-            *item = index * 2;
-        });
-        assert!(items.iter().enumerate().all(|(i, &v)| v == 2 * i));
-    }
-
-    #[test]
-    fn single_thread_pool_spawns_no_workers_and_still_runs() {
-        let pool = ThreadPool::new(1);
-        assert_eq!(pool.threads(), 1);
-        let mut items = vec![0u8; 17];
-        pool.run_mut(&mut items, |_, v| *v = 7);
-        assert!(items.iter().all(|&v| v == 7));
-    }
-
-    #[test]
-    fn zero_thread_request_clamps_to_one() {
-        assert_eq!(ThreadPool::new(0).threads(), 1);
-    }
-
-    #[test]
-    fn empty_item_list_is_a_no_op() {
-        let pool = ThreadPool::new(2);
-        let mut items: Vec<u64> = Vec::new();
-        pool.run_mut(&mut items, |_, _| unreachable!("no items"));
-    }
-
-    #[test]
-    fn reuse_across_many_jobs_is_deterministic() {
-        let pool = ThreadPool::new(4);
-        let mut acc = vec![0u64; 64];
-        for round in 1..=100u64 {
-            pool.run_mut(&mut acc, |_, v| *v += round);
-        }
-        let expected: u64 = (1..=100).sum();
-        assert!(acc.iter().all(|&v| v == expected));
-    }
-
-    #[test]
-    fn borrows_caller_locals_without_moving_them() {
-        let pool = ThreadPool::new(3);
-        let offsets: Vec<u64> = (0..8).map(|i| i * 10).collect();
-        let mut out = vec![0u64; 8];
-        pool.run_mut(&mut out, |index, v| *v = offsets[index] + 1);
-        assert_eq!(out, vec![1, 11, 21, 31, 41, 51, 61, 71]);
-    }
-
-    #[test]
-    fn panic_propagates_to_caller_and_pool_survives() {
-        let pool = ThreadPool::new(4);
-        let mut items = vec![0u32; 32];
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            pool.run_mut(&mut items, |index, _| {
-                if index == 13 {
-                    panic!("injected task panic");
-                }
-            });
-        }));
-        let payload = result.expect_err("panic must propagate");
-        let message = payload
-            .downcast_ref::<&str>()
-            .copied()
-            .unwrap_or("non-str payload");
-        assert!(message.contains("injected task panic"), "got {message}");
-        // Every non-panicking item still ran, and the pool is reusable.
-        let mut again = vec![0u32; 32];
-        pool.run_mut(&mut again, |_, v| *v = 5);
-        assert!(again.iter().all(|&v| v == 5));
-    }
-
-    #[test]
-    fn all_threads_participate_under_blocking_load() {
-        // With tasks that block until every thread has arrived, the job
-        // can only finish if the pool really provides `threads`-way
-        // parallelism (caller + spawned workers).
-        let threads = 3;
-        let pool = ThreadPool::new(threads);
-        let arrived = AtomicU64::new(0);
-        let mut items = vec![(); threads];
-        pool.run_mut(&mut items, |_, ()| {
-            arrived.fetch_add(1, Ordering::SeqCst);
-            while arrived.load(Ordering::SeqCst) < threads as u64 {
-                std::thread::yield_now();
-            }
-        });
-        assert_eq!(arrived.load(Ordering::SeqCst), threads as u64);
-    }
-
-    #[test]
-    fn concurrent_submitters_serialize_safely() {
-        let pool = Arc::new(ThreadPool::new(2));
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                let pool = Arc::clone(&pool);
-                scope.spawn(move || {
-                    let mut items = vec![1u64; 100];
-                    for _ in 0..50 {
-                        pool.run_mut(&mut items, |_, v| *v += 1);
-                    }
-                    assert!(items.iter().all(|&v| v == 51));
-                });
-            }
-        });
-    }
-}

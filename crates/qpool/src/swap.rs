@@ -290,7 +290,12 @@ mod tests {
 
         let drops = Arc::new(AtomicU64::new(0));
         let created = Arc::new(AtomicU64::new(1));
-        let next_gen = Arc::new(AtomicU64::new(1));
+        // Generations are numbered under the same test-side lock that
+        // publishes them. Numbered before the cell's own writer lock, a
+        // swapper could publish gen 73 after another had published 74–76,
+        // and readers would see labels go backwards with no fault in the
+        // cell.
+        let next_gen = Arc::new(Mutex::new(1u64));
         let cell = Arc::new(SwapCell::new(Canary::new(0, &drops)));
 
         std::thread::scope(|scope| {
@@ -301,11 +306,13 @@ mod tests {
                 let next_gen = Arc::clone(&next_gen);
                 scope.spawn(move || {
                     for _ in 0..SWAPS {
-                        let gen = next_gen.fetch_add(1, Ordering::SeqCst);
+                        let mut gen = next_gen.lock().expect("generation lock");
                         created.fetch_add(1, Ordering::SeqCst);
                         // The returned eviction is reader-free; dropping
                         // it here is exactly the reclamation under test.
-                        drop(cell.swap(Canary::new(gen, &drops)));
+                        drop(cell.swap(Canary::new(*gen, &drops)));
+                        *gen += 1;
+                        drop(gen);
                         std::thread::yield_now();
                     }
                 });

@@ -13,7 +13,6 @@
 //! fused layer ([`crate::fused::phase_rx_all`]) evaluates `cos`/`sin` once
 //! per level instead of once per amplitude.
 
-use crate::exec::Executor;
 use crate::fused::PhaseTable;
 use crate::{Complex, StateVector};
 
@@ -143,34 +142,18 @@ impl DiagonalOperator {
     /// One fused QAOA layer: [`Self::apply_phase`] with angle `theta`
     /// followed by an `RX(rx_theta)` mixer on every qubit, executed by the
     /// fused kernel [`crate::fused::phase_rx_all`] in `⌈n/2⌉` amplitude
-    /// sweeps instead of `n + 1`. Bit-identical to
-    /// [`Self::apply_phase_rx_all_exec`] on [`Executor::serial`]; this
-    /// convenience form allocates its per-level phase table per call.
+    /// sweeps instead of `n + 1`. The per-level phase factors are written
+    /// into the caller's `phases` scratch, so a reused table allocates
+    /// nothing.
     ///
     /// # Panics
     ///
     /// Panics if the qubit counts differ.
-    pub fn apply_phase_rx_all(&self, psi: &mut StateVector, theta: f64, rx_theta: f64) {
-        let mut phases = PhaseTable::default();
-        self.apply_phase_rx_all_exec(psi, theta, rx_theta, &Executor::serial(), &mut phases);
-    }
-
-    /// [`Self::apply_phase_rx_all`] on an execution policy, with the
-    /// per-level phase factors written into the caller's `phases` scratch
-    /// (so a reused table allocates nothing). Above the policy's crossover
-    /// each sweep is chunked onto the worker pool (see
-    /// [`crate::fused::phase_rx_all_exec`]); below it, or on
-    /// [`Executor::serial`], this is the bit-identical serial path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the qubit counts differ.
-    pub fn apply_phase_rx_all_exec(
+    pub fn apply_phase_rx_all(
         &self,
         psi: &mut StateVector,
         theta: f64,
         rx_theta: f64,
-        exec: &Executor,
         phases: &mut PhaseTable,
     ) {
         assert_eq!(
@@ -179,7 +162,7 @@ impl DiagonalOperator {
             "operator and state qubit counts must match"
         );
         phases.fill(&self.levels, theta);
-        crate::fused::phase_rx_all_exec(psi, &self.level_of, phases, rx_theta, exec);
+        crate::fused::phase_rx_all(psi, &self.level_of, phases, rx_theta);
     }
 
     /// Expectation `⟨ψ|D|ψ⟩`.
@@ -194,22 +177,6 @@ impl DiagonalOperator {
             "operator and state qubit counts must match"
         );
         psi.expectation_diagonal(&self.values)
-    }
-
-    /// [`Self::expectation`] on an execution policy (see
-    /// [`StateVector::expectation_diagonal_exec`] for the determinism
-    /// contract).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the qubit counts differ.
-    pub fn expectation_exec(&self, psi: &StateVector, exec: &Executor) -> f64 {
-        assert_eq!(
-            psi.num_qubits(),
-            self.num_qubits,
-            "operator and state qubit counts must match"
-        );
-        psi.expectation_diagonal_exec(&self.values, exec)
     }
 
     /// Variance `⟨D²⟩ - ⟨D⟩²`.
@@ -357,7 +324,7 @@ mod tests {
         let mut fused = StateVector::uniform_superposition(4);
         gates::ry(&mut fused, 1, 0.6); // asymmetrize
         let mut unfused = fused.clone();
-        op.apply_phase_rx_all(&mut fused, 0.53, 0.71);
+        op.apply_phase_rx_all(&mut fused, 0.53, 0.71, &mut PhaseTable::default());
         op.apply_phase(&mut unfused, 0.53);
         gates::rx_all(&mut unfused, 0.71);
         assert!((fused.fidelity(&unfused) - 1.0).abs() < 1e-12);
@@ -368,7 +335,7 @@ mod tests {
     fn fused_layer_rejects_mismatched_state() {
         let op = DiagonalOperator::from_fn(2, |z| z as f64);
         let mut psi = StateVector::uniform_superposition(3);
-        op.apply_phase_rx_all(&mut psi, 0.1, 0.2);
+        op.apply_phase_rx_all(&mut psi, 0.1, 0.2, &mut PhaseTable::default());
     }
 
     #[test]

@@ -29,27 +29,11 @@
 //! straight-line scalar arithmetic over same-index lanes of equal-length
 //! slices: no bounds checks, which the compiler auto-vectorizes.
 //!
-//! # Parallel execution
-//!
-//! The `_exec` variants ([`rx_all_exec`], [`phase_rx_all_exec`]) accept an
-//! [`Executor`]; above its crossover, each sweep is split into contiguous
-//! chunks aligned to the sweep's butterfly-block size and run on the
-//! worker pool. Chunk boundaries never change per-element arithmetic, so
-//! pooled sweeps are bit-identical to serial ones for **any** thread
-//! count; a pair sweep on qubits `(a, a+1)` decomposes into independent
-//! `2^{a+2}`-amplitude blocks, so the top one or two sweeps of a register
-//! may run with reduced parallelism (at most 2 of `⌈n/2⌉` sweeps — a
-//! bounded Amdahl tail; see DESIGN.md, "Simulator execution model").
-//!
 //! Both kernels are exact — the golden equivalence suite in
-//! `tests/fused.rs` pins them against the gate-by-gate path to 1e-12, and
-//! `tests/golden_parallel.rs` pins pooled-vs-serial — and allocation-free
-//! on the serial path: they mutate the state in place, and the phase
+//! `tests/fused.rs` pins them against the gate-by-gate path to 1e-12 —
+//! and allocation-free: they mutate the state in place, and the phase
 //! table is caller-owned scratch.
 
-use qpool::ThreadPool;
-
-use crate::exec::Executor;
 use crate::{Complex, StateVector};
 
 /// Precomputed constants for the two-qubit `RX(θ)⊗RX(θ)` butterfly.
@@ -179,8 +163,12 @@ fn lanes(block: &mut [f64]) -> [&mut [f64]; 4] {
 }
 
 /// Applies the `RX(θ)⊗RX(θ)` butterfly to qubit pair `(a, a + 1)` in one
-/// sweep. Works on any block-aligned sub-slice of the state (the chunked
-/// parallel path passes chunks; serial passes the full arrays).
+/// sweep over the state's split arrays.
+///
+/// Kept out of line, like [`phase_rx_pair01_sweep`]: inlined into their
+/// callers, the two sweeps made one expectation ~7% slower at n = 13
+/// (median of 40 paired runs on a 2-vCPU x86-64 VM), with the same bits.
+#[inline(never)]
 fn rx_pair_sweep(re: &mut [f64], im: &mut [f64], a: usize, k: RxPair) {
     let block = 4usize << a;
     for (re_b, im_b) in re.chunks_exact_mut(block).zip(im.chunks_exact_mut(block)) {
@@ -206,6 +194,7 @@ fn rx_pair_sweep(re: &mut [f64], im: &mut [f64], a: usize, k: RxPair) {
 /// by its level's phase factor as it is loaded — the fused phase + first
 /// mixer sweep. Each quadruple is four consecutive amplitudes, so the
 /// level indices are read in order.
+#[inline(never)]
 fn phase_rx_pair01_sweep(
     re: &mut [f64],
     im: &mut [f64],
@@ -261,78 +250,16 @@ fn rx_single_sweep(re: &mut [f64], im: &mut [f64], qubit: usize, theta: f64) {
     }
 }
 
-/// One contiguous task of a pooled sweep: disjoint slices of the split
-/// state plus the matching level-index slice (empty for non-phase sweeps).
-struct SweepChunk<'a> {
-    re: &'a mut [f64],
-    im: &'a mut [f64],
-    level_of: &'a [u32],
-}
-
-/// Splits the state into per-worker contiguous chunks aligned to `block`
-/// elements and runs `f` on each via the pool. `block` is the size of one
-/// independent butterfly block, so every chunk is self-contained; chunk
-/// boundaries never change per-element arithmetic, which is what makes
-/// pooled sweeps bit-identical for any thread count.
-fn run_chunked(
-    pool: &ThreadPool,
-    re: &mut [f64],
-    im: &mut [f64],
-    level_of: &[u32],
-    block: usize,
-    f: impl Fn(&mut SweepChunk<'_>) + Sync,
-) {
-    let nblocks = re.len() / block;
-    let tasks = pool.threads().min(nblocks).max(1);
-    let per = nblocks / tasks;
-    let extra = nblocks % tasks;
-    let mut chunks: Vec<SweepChunk<'_>> = Vec::with_capacity(tasks);
-    let (mut re_rest, mut im_rest, mut l_rest) = (re, im, level_of);
-    for t in 0..tasks {
-        let take = block * (per + usize::from(t < extra));
-        let (re_c, re_t) = std::mem::take(&mut re_rest).split_at_mut(take);
-        let (im_c, im_t) = std::mem::take(&mut im_rest).split_at_mut(take);
-        let (l_c, l_t) = l_rest.split_at(take.min(l_rest.len()));
-        re_rest = re_t;
-        im_rest = im_t;
-        l_rest = l_t;
-        chunks.push(SweepChunk {
-            re: re_c,
-            im: im_c,
-            level_of: l_c,
-        });
-    }
-    pool.run_mut(&mut chunks, |_, c| f(c));
-}
-
-/// The mixer sweeps on qubits `from_q..n` (consecutive pairs plus a
-/// possible odd leftover), serial or chunked onto `pool`.
-fn rx_tail(
-    re: &mut [f64],
-    im: &mut [f64],
-    n: usize,
-    from_q: usize,
-    theta: f64,
-    k: RxPair,
-    pool: Option<&ThreadPool>,
-) {
+/// The mixer sweeps on qubits `from_q..n`: consecutive pairs plus a
+/// possible odd leftover.
+fn rx_tail(re: &mut [f64], im: &mut [f64], n: usize, from_q: usize, theta: f64, k: RxPair) {
     let mut q = from_q;
     while q + 1 < n {
-        match pool {
-            Some(pool) => run_chunked(pool, re, im, &[], 4usize << q, |c| {
-                rx_pair_sweep(c.re, c.im, q, k)
-            }),
-            None => rx_pair_sweep(re, im, q, k),
-        }
+        rx_pair_sweep(re, im, q, k);
         q += 2;
     }
     if q < n {
-        match pool {
-            Some(pool) => run_chunked(pool, re, im, &[], 2usize << q, |c| {
-                rx_single_sweep(c.re, c.im, q, theta)
-            }),
-            None => rx_single_sweep(re, im, q, theta),
-        }
+        rx_single_sweep(re, im, q, theta);
     }
 }
 
@@ -341,20 +268,13 @@ fn rx_tail(
 /// Exactly equivalent to [`crate::gates::rx_all`]; this is the fused fast
 /// path the QAOA mixer layer uses (`θ = 2β`).
 pub fn rx_all(psi: &mut StateVector, theta: f64) {
-    rx_all_exec(psi, theta, &Executor::serial());
-}
-
-/// [`rx_all`] on an execution policy: pooled sweeps above the executor's
-/// crossover, the bit-identical serial path below it.
-pub fn rx_all_exec(psi: &mut StateVector, theta: f64, exec: &Executor) {
     let n = psi.num_qubits();
-    let pool = exec.pool_for(n);
     let (re, im) = psi.re_im_mut();
     if n == 1 {
         rx_single_sweep(re, im, 0, theta);
         return;
     }
-    rx_tail(re, im, n, 0, theta, RxPair::new(theta), pool);
+    rx_tail(re, im, n, 0, theta, RxPair::new(theta));
 }
 
 /// One fused QAOA layer: the diagonal phase `e^{-iγD}` followed by
@@ -371,26 +291,8 @@ pub fn rx_all_exec(psi: &mut StateVector, theta: f64, exec: &Executor) {
 /// Panics if `level_of.len() != 2^n`, or if a level index is out of range
 /// of `phases`.
 pub fn phase_rx_all(psi: &mut StateVector, level_of: &[u32], phases: &PhaseTable, theta: f64) {
-    phase_rx_all_exec(psi, level_of, phases, theta, &Executor::serial());
-}
-
-/// [`phase_rx_all`] on an execution policy: pooled sweeps above the
-/// executor's crossover, the bit-identical serial path below it.
-///
-/// # Panics
-///
-/// Panics if `level_of.len() != 2^n`, or if a level index is out of range
-/// of `phases`.
-pub fn phase_rx_all_exec(
-    psi: &mut StateVector,
-    level_of: &[u32],
-    phases: &PhaseTable,
-    theta: f64,
-    exec: &Executor,
-) {
     let n = psi.num_qubits();
     assert_eq!(level_of.len(), psi.dim(), "diagonal length must equal 2^n");
-    let pool = exec.pool_for(n);
     let phases = &phases.factors;
     let (re, im) = psi.re_im_mut();
     if n == 1 {
@@ -401,13 +303,8 @@ pub fn phase_rx_all_exec(
         return;
     }
     let k = RxPair::new(theta);
-    match pool {
-        Some(pool) => run_chunked(pool, re, im, level_of, 4, |c| {
-            phase_rx_pair01_sweep(c.re, c.im, c.level_of, phases, k)
-        }),
-        None => phase_rx_pair01_sweep(re, im, level_of, phases, k),
-    }
-    rx_tail(re, im, n, 2, theta, k, pool);
+    phase_rx_pair01_sweep(re, im, level_of, phases, k);
+    rx_tail(re, im, n, 2, theta, k);
 }
 
 #[cfg(test)]
@@ -480,40 +377,6 @@ mod tests {
             );
         }
         assert!((psi.norm() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn pooled_sweeps_are_bit_identical_to_serial() {
-        // Chunking never changes per-element arithmetic, so even
-        // parallel-vs-serial sweeps (not just different pool widths)
-        // agree bit-for-bit; only reductions differ by grouping.
-        for n in [2usize, 3, 5, 6, 8, 9] {
-            let op = DiagonalOperator::from_fn(n, |z| z.count_ones() as f64 + 0.01 * z as f64);
-            let mut serial = StateVector::uniform_superposition(n);
-            for q in 0..n {
-                gates::ry(&mut serial, q, 0.17 * (q + 1) as f64);
-            }
-            let pooled_src = serial.clone();
-            let phases = PhaseTable::new(op.levels(), 0.41);
-            phase_rx_all(&mut serial, op.level_of(), &phases, 0.93);
-            for threads in [1usize, 2, 4] {
-                let exec = Executor::threaded_with_crossover(threads, 1);
-                let mut pooled = pooled_src.clone();
-                phase_rx_all_exec(&mut pooled, op.level_of(), &phases, 0.93, &exec);
-                assert_eq!(pooled, serial, "n={n} threads={threads}");
-            }
-        }
-    }
-
-    #[test]
-    fn below_crossover_threaded_executor_runs_serial() {
-        let exec = Executor::threaded_with_crossover(4, 10);
-        let mut a = StateVector::uniform_superposition(5);
-        gates::ry(&mut a, 2, 0.4);
-        let mut b = a.clone();
-        rx_all(&mut a, 0.6);
-        rx_all_exec(&mut b, 0.6, &exec);
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -17,16 +17,13 @@
 //! * [`fused`] — whole-register kernels that pair qubits and fold the
 //!   diagonal phase into the mixer sweep; the labeling hot path runs on
 //!   these.
-//! * [`exec`] — the execution policy ([`exec::Executor`]): strictly
-//!   serial, or a worker pool that splits sweeps into contiguous chunks
-//!   above a qubit-count crossover. The serial path is bit-identical to
-//!   every prior release; pooled results are bit-identical across thread
-//!   counts and within 1e-12 of serial (reduction grouping only).
 //!
 //! Amplitudes are stored as split re/im `f64` arrays (struct-of-arrays)
-//! so the fused sweeps auto-vectorize and parallel chunks are plain
-//! disjoint `&mut [f64]` ranges; see [`StateVector`]. This crate still
-//! forbids `unsafe` — all thread plumbing lives in the `qpool` crate.
+//! so the fused sweeps auto-vectorize; see [`StateVector`]. Every sweep
+//! runs serially on the calling thread: at the paper's sizes (n ≤ 15) a
+//! sweep is too short for a worker pool to pay (DESIGN.md, "Simulator
+//! execution model"), and callers parallelize across graphs instead.
+//! This crate forbids `unsafe`.
 //!
 //! Qubit `q` corresponds to bit `q` of the basis-state index (little
 //! endian): basis state `|z⟩` has qubit 0 in the least significant bit.
@@ -54,7 +51,6 @@ mod state;
 
 pub mod circuit;
 pub mod diagonal;
-pub mod exec;
 pub mod fused;
 pub mod gates;
 pub mod noise;

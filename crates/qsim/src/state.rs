@@ -1,6 +1,5 @@
 use qrand::Rng;
 
-use crate::exec::Executor;
 use crate::{Complex, MAX_QUBITS};
 
 /// A dense `n`-qubit quantum state: `2^n` complex amplitudes.
@@ -13,9 +12,8 @@ use crate::{Complex, MAX_QUBITS};
 /// Amplitudes are stored **struct-of-arrays**: one `Vec<f64>` of real parts
 /// and one of imaginary parts, rather than an interleaved `Vec<Complex>`.
 /// The fused butterfly sweeps in [`crate::fused`] then reduce to flat
-/// same-stride `f64` loops that the compiler auto-vectorizes, and the
-/// multi-threaded execution path hands workers plain disjoint `&mut [f64]`
-/// chunks. [`Self::amplitude`] and [`Self::to_amplitudes`] provide the
+/// same-stride `f64` loops that the compiler auto-vectorizes.
+/// [`Self::amplitude`] and [`Self::to_amplitudes`] provide the
 /// interleaved view where convenience beats throughput.
 ///
 /// # Example
@@ -264,8 +262,8 @@ impl StateVector {
     /// Expectation value of a real diagonal observable given as per-basis
     /// values.
     ///
-    /// This serial path folds the sum left-to-right over basis states and
-    /// is kept bit-identical across releases — the golden suites pin it.
+    /// The sum folds left-to-right over basis states and is kept
+    /// bit-identical across releases — the golden suites pin it.
     ///
     /// # Panics
     ///
@@ -278,57 +276,6 @@ impl StateVector {
             .zip(values)
             .map(|((&re, &im), &v)| (re * re + im * im) * v)
             .sum()
-    }
-
-    /// [`Self::expectation_diagonal`] on an execution policy: above the
-    /// policy's crossover the probability-weighted sum is computed in
-    /// fixed-size chunks on the worker pool and the per-chunk partials are
-    /// folded in index order.
-    ///
-    /// The chunk size is a constant (not a function of the thread count),
-    /// so the result is **bit-identical for any pool width** — only the
-    /// serial path's left-to-right fold groups differently, and the golden
-    /// parallel suite pins that gap below 1e-12.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `values.len() != 2^n`.
-    pub fn expectation_diagonal_exec(&self, values: &[f64], exec: &Executor) -> f64 {
-        assert_eq!(values.len(), self.dim(), "diagonal length must equal 2^n");
-        let Some(pool) = exec.pool_for(self.num_qubits) else {
-            return self.expectation_diagonal(values);
-        };
-        /// One fixed-size reduction chunk: borrowed inputs, owned partial.
-        struct ReduceChunk<'a> {
-            re: &'a [f64],
-            im: &'a [f64],
-            values: &'a [f64],
-            partial: f64,
-        }
-        let mut chunks: Vec<ReduceChunk<'_>> = self
-            .re
-            .chunks(Executor::REDUCE_CHUNK)
-            .zip(self.im.chunks(Executor::REDUCE_CHUNK))
-            .zip(values.chunks(Executor::REDUCE_CHUNK))
-            .map(|((re, im), values)| ReduceChunk {
-                re,
-                im,
-                values,
-                partial: 0.0,
-            })
-            .collect();
-        pool.run_mut(&mut chunks, |_, chunk| {
-            chunk.partial = chunk
-                .re
-                .iter()
-                .zip(chunk.im)
-                .zip(chunk.values)
-                .map(|((&re, &im), &v)| (re * re + im * im) * v)
-                .sum();
-        });
-        // Deterministic fold: chunk order is index order regardless of
-        // which worker produced each partial.
-        chunks.iter().map(|c| c.partial).sum()
     }
 }
 
@@ -467,34 +414,6 @@ mod tests {
         let psi = StateVector::uniform_superposition(2);
         let values = [0.0, 1.0, 2.0, 3.0];
         assert!((psi.expectation_diagonal(&values) - 1.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn expectation_diagonal_exec_matches_serial_for_serial_policy() {
-        let psi = StateVector::uniform_superposition(3);
-        let values: Vec<f64> = (0..8).map(|i| i as f64 * 0.3).collect();
-        let serial = psi.expectation_diagonal(&values);
-        let via_exec = psi.expectation_diagonal_exec(&values, &Executor::serial());
-        assert_eq!(serial.to_bits(), via_exec.to_bits());
-    }
-
-    #[test]
-    fn expectation_diagonal_exec_parallel_is_close_and_pool_invariant() {
-        let mut psi = StateVector::uniform_superposition(9);
-        // Asymmetrize so the sum has non-trivial cancellation structure.
-        crate::gates::ry(&mut psi, 3, 0.7);
-        crate::gates::rz(&mut psi, 5, 1.1);
-        let values: Vec<f64> = (0..512).map(|i| ((i * 37) % 101) as f64 - 50.0).collect();
-        let serial = psi.expectation_diagonal(&values);
-        let mut parallel = Vec::new();
-        for threads in [1usize, 2, 4] {
-            let exec = Executor::threaded_with_crossover(threads, 1);
-            parallel.push(psi.expectation_diagonal_exec(&values, &exec));
-        }
-        for p in &parallel {
-            assert!((p - serial).abs() < 1e-12, "parallel {p} vs serial {serial}");
-            assert_eq!(p.to_bits(), parallel[0].to_bits(), "pool-width variance");
-        }
     }
 
     #[test]

@@ -68,6 +68,7 @@ fn fused_rx_layer_matches_gate_by_gate_up_to_12_qubits() {
 #[test]
 fn fused_phase_mixer_layer_matches_unfused_up_to_12_qubits() {
     let mut rng = StdRng::seed_from_u64(0xfa5e_d1a6);
+    let mut phases = fused::PhaseTable::default();
     for n in 1..=12 {
         for trial in 0..4 {
             let gamma = rng.gen_range(-3.2..3.2);
@@ -78,7 +79,7 @@ fn fused_phase_mixer_layer_matches_unfused_up_to_12_qubits() {
             let mut fused_psi = reference;
             op.apply_phase(&mut unfused, gamma);
             gates::rx_all(&mut unfused, theta);
-            op.apply_phase_rx_all(&mut fused_psi, gamma, theta);
+            op.apply_phase_rx_all(&mut fused_psi, gamma, theta, &mut phases);
             let diff = max_amp_diff(&unfused, &fused_psi);
             assert!(
                 diff < TOLERANCE,
@@ -93,6 +94,7 @@ fn fused_phase_mixer_layer_matches_unfused_up_to_12_qubits() {
 fn deep_fused_circuits_stay_within_tolerance() {
     // Tolerances compound over layers; a p=8 trace must stay golden too.
     let mut rng = StdRng::seed_from_u64(0xdeeb);
+    let mut phases = fused::PhaseTable::default();
     for n in [5usize, 9, 12] {
         let op = random_diagonal(n, &mut rng);
         let angles: Vec<(f64, f64)> = (0..8)
@@ -103,7 +105,7 @@ fn deep_fused_circuits_stay_within_tolerance() {
         for &(gamma, theta) in &angles {
             op.apply_phase(&mut unfused, gamma);
             gates::rx_all(&mut unfused, theta);
-            op.apply_phase_rx_all(&mut fused_psi, gamma, theta);
+            op.apply_phase_rx_all(&mut fused_psi, gamma, theta, &mut phases);
         }
         let diff = max_amp_diff(&unfused, &fused_psi);
         assert!(diff < TOLERANCE, "n={n}: p=8 trace diverges by {diff:e}");
@@ -114,6 +116,7 @@ fn deep_fused_circuits_stay_within_tolerance() {
 fn fused_layer_handles_degenerate_angles() {
     // γ = 0 reduces to the plain mixer; θ = 0 reduces to the plain phase.
     let mut rng = StdRng::seed_from_u64(0xd09e);
+    let mut phases = fused::PhaseTable::default();
     for n in [1usize, 2, 3, 6, 11] {
         let op = random_diagonal(n, &mut rng);
         let reference = random_state(n, &mut rng);
@@ -121,13 +124,13 @@ fn fused_layer_handles_degenerate_angles() {
         let mut only_mixer = reference.clone();
         let mut via_fused = reference.clone();
         gates::rx_all(&mut only_mixer, 0.9);
-        op.apply_phase_rx_all(&mut via_fused, 0.0, 0.9);
+        op.apply_phase_rx_all(&mut via_fused, 0.0, 0.9, &mut phases);
         assert!(max_amp_diff(&only_mixer, &via_fused) < TOLERANCE);
 
         let mut only_phase = reference.clone();
         let mut via_fused = reference;
         op.apply_phase(&mut only_phase, 0.7);
-        op.apply_phase_rx_all(&mut via_fused, 0.7, 0.0);
+        op.apply_phase_rx_all(&mut via_fused, 0.7, 0.0, &mut phases);
         assert!(max_amp_diff(&only_phase, &via_fused) < TOLERANCE);
     }
 }

@@ -1,8 +1,9 @@
 //! Property-based tests for the state-vector simulator.
 
-use qcheck::{prop_assert, properties, vec};
+use qcheck::{prop_assert, prop_assert_eq, properties, vec};
 
 use qsim::diagonal::DiagonalOperator;
+use qsim::fused::{self, PhaseTable};
 use qsim::{gates, Complex, StateVector};
 
 /// Builds a pseudo-random (but deterministic) non-trivial state by applying a
@@ -138,6 +139,40 @@ properties! {
         let y = scrambled_state(n, &a2);
         let f = x.fidelity(&y);
         prop_assert!((-1e-10..=1.0 + 1e-10).contains(&f));
+    }
+
+    /// Split re/im storage round-trips exactly through the interleaved
+    /// view: every amplitude survives gather + rebuild bit-for-bit.
+    fn split_interleaved_round_trip_is_exact(
+        n in 1usize..9,
+        angles in vec(-3.0f64..3.0, 1usize..10),
+    ) {
+        let psi = scrambled_state(n, &angles);
+        let rebuilt = StateVector::from_amplitudes(psi.to_amplitudes());
+        prop_assert_eq!(&rebuilt, &psi);
+        for i in 0..psi.dim() {
+            let a = psi.amplitude(i);
+            prop_assert_eq!(a, Complex::new(psi.re()[i], psi.im()[i]));
+            prop_assert_eq!(a.re.to_bits(), rebuilt.re()[i].to_bits());
+            prop_assert_eq!(a.im.to_bits(), rebuilt.im()[i].to_bits());
+        }
+    }
+
+    /// Random fused phase-plus-mixer sweeps are unitary: norm stays 1.
+    fn norm_preserved_under_random_fused_sweeps(
+        n in 2usize..9,
+        angles in vec(-3.0f64..3.0, 1usize..6),
+        layers in vec(-2.0f64..2.0, 2usize..8),
+    ) {
+        let op = DiagonalOperator::from_fn(n, |z| z.count_ones() as f64 + 0.1 * z as f64);
+        let mut psi = scrambled_state(n, &angles);
+        for pair in layers.chunks(2) {
+            let gamma = pair[0];
+            let theta = *pair.get(1).unwrap_or(&0.7);
+            let phases = PhaseTable::new(op.levels(), gamma);
+            fused::phase_rx_all(&mut psi, op.level_of(), &phases, theta);
+        }
+        prop_assert!((psi.norm() - 1.0).abs() < 1e-10);
     }
 
     fn complex_field_axioms(

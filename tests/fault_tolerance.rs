@@ -14,21 +14,14 @@ use qrand::SeedableRng;
 
 use gnn::GnnKind;
 use qaoa::optimize::{GridSearch, Maximizer, MultiStart, NelderMead};
-use qaoa::{Evaluator, MaxCutHamiltonian, QaoaCircuit};
 use qaoa_gnn::dataset::{
     label_graph, DatasetError, FailurePolicy, LabelConfig, LabelFailureReason, LabelReport,
 };
-use qaoa_gnn::faults::{self, FaultAction};
 use qaoa_gnn::pipeline::{Pipeline, PipelineConfig};
 use qaoa_gnn::store::JOURNAL_FILE;
-use qaoa_gnn::serve::ServeRequest;
-use qaoa_gnn::{
-    Dataset, GuardedPredictor, LabeledGraph, Rung, RunArtifact, ServeConfig, SkipReason,
-    TrainingEnvelope,
-};
+use qaoa_gnn::{Dataset, LabeledGraph};
 use qgraph::generate::DatasetSpec;
 use qgraph::Graph;
-use qsim::exec::Executor;
 
 fn temp_dir(name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir()
@@ -309,153 +302,4 @@ fn reports_serialize_into_the_run_artifact() {
     let back = gnn::train::TrainHistory::from_json(&Json::parse(&text).unwrap()).unwrap();
     assert_eq!(back.epochs, history.epochs);
     assert!(!back.diverged.unwrap().loss.is_finite());
-}
-
-/// Acceptance (parallel path): a panic that originates on a *pooled
-/// simulator worker thread* unwinds through the pool into the labeling
-/// worker and is contained per-graph — the failure report and the
-/// surviving labels are exactly those of the serial injection.
-///
-/// Guard-armed failpoints are thread-gated to the arming thread and
-/// labeling always runs on scoped worker threads, so the injection here
-/// panics directly inside a `qpool` worker (the same unwind path a
-/// `sim_eval` panic takes under pooled evaluation): worker panics →
-/// `run_mut` resumes the payload on the labeling worker → the per-graph
-/// `catch_unwind` records it.
-#[test]
-fn pooled_worker_panic_is_isolated_per_graph_exactly_as_serial() {
-    let graphs = test_graphs(1, 10);
-    let config = LabelConfig::quick(30).with_sim_threads(2);
-
-    let pooled_labeler = |g: &Graph, c: &LabelConfig, r: &mut StdRng| {
-        if g.n() == 6 {
-            // Structural trigger: the panic fires on a pool worker thread,
-            // so both the first attempt and the retry cross thread
-            // boundaries before containment.
-            let pool = qpool::ThreadPool::new(2);
-            let mut lanes = [0u8; 4];
-            pool.run_mut(&mut lanes, |i, _| {
-                if i == 0 {
-                    panic!("fault injected: sim_eval");
-                }
-            });
-            unreachable!("worker panic must propagate to the labeling worker");
-        }
-        let label = label_graph(g, c, r);
-        // Survivors exercise the pooled kernels too: a forced-crossover
-        // pooled evaluator reproduces the serial label's expectation.
-        let circuit = QaoaCircuit::new(MaxCutHamiltonian::new(g));
-        let exec = Executor::threaded_with_crossover(2, 2);
-        let pooled = Evaluator::with_executor(&circuit, exec).expectation_in_place(&label.params);
-        assert!((pooled - label.expectation).abs() <= 1e-12);
-        label
-    };
-
-    let bad: Vec<usize> = graphs
-        .iter()
-        .enumerate()
-        .filter(|(_, g)| g.n() == 6)
-        .map(|(i, _)| i)
-        .collect();
-    assert!(!bad.is_empty(), "fixture must contain n=6 graphs");
-
-    let (ds, report) = Dataset::label_graphs_checked_with(&pooled_labeler, &graphs, &config, 5);
-    assert_eq!(report.total, graphs.len());
-    assert_eq!(report.unrecovered(), bad);
-    for failure in &report.failures {
-        assert!(matches!(
-            &failure.reason,
-            LabelFailureReason::Panic(m) if m.contains("fault injected: sim_eval")
-        ));
-    }
-
-    // "Exactly as serial": the same structural injection on the serial
-    // path (panic on the labeling worker itself, sim_threads = 0) yields
-    // the same unrecovered indices and a bit-identical surviving dataset.
-    let serial_labeler = |g: &Graph, c: &LabelConfig, r: &mut StdRng| {
-        if g.n() == 6 {
-            panic!("fault injected: sim_eval");
-        }
-        label_graph(g, c, r)
-    };
-    let serial_config = LabelConfig::quick(30);
-    let (serial_ds, serial_report) =
-        Dataset::label_graphs_checked_with(&serial_labeler, &graphs, &serial_config, 5);
-    assert_eq!(report.unrecovered(), serial_report.unrecovered());
-    assert_eq!(
-        ds.entries, serial_ds.entries,
-        "parallel-path survivors must be bit-identical to the serial run"
-    );
-}
-
-/// Acceptance (parallel path, `sim_eval` failpoint): a server whose
-/// verification runs on the pooled evaluator (`sim_threads > 0`, graph
-/// above the crossover so the pool really engages) degrades through
-/// exactly the same ladder as the serial server when `sim_eval` panics —
-/// same rung, same skip reason, same served parameters.
-#[test]
-fn sim_eval_panic_under_pooled_serving_matches_serial_degradation() {
-    // n = 14 ≥ DEFAULT_CROSSOVER_QUBITS, so sim_threads = 2 actually pools.
-    const { assert!(14 >= qsim::exec::DEFAULT_CROSSOVER_QUBITS) };
-    let graph = Graph::cycle(14).unwrap();
-    let outcomes: Vec<_> = [0usize, 2]
-        .iter()
-        .map(|&sim_threads| {
-            let served = GuardedPredictor::new(
-                fault_test_artifact(),
-                ServeConfig::default().with_sim_threads(sim_threads),
-            );
-            // One firing: the GNN rung's verification panics (contained),
-            // the fixed-angle rung verifies cleanly on the configured
-            // executor.
-            let _fault = faults::armed(faults::SIM_EVAL, FaultAction::Panic, 1);
-            served
-                .handle(&ServeRequest::from_graph(graph.clone()))
-                .result
-                .unwrap()
-        })
-        .collect();
-
-    let (serial, pooled) = (&outcomes[0], &outcomes[1]);
-    for outcome in [serial, pooled] {
-        assert_eq!(outcome.rung, Rung::FixedAngle);
-        assert!(matches!(outcome.skips[0].reason, SkipReason::Panicked));
-    }
-    // The served parameters are independent of the executor; the verified
-    // score may differ only by the pooled reduction grouping.
-    assert_eq!(serial.params, pooled.params);
-    let (s, p) = (
-        serial.verified_score.expect("serial rung verified"),
-        pooled.verified_score.expect("pooled rung verified"),
-    );
-    assert!(
-        (s - p).abs() <= 1e-12,
-        "pooled verification drifted from serial: {s} vs {p}"
-    );
-}
-
-/// A cheap untrained artifact whose envelope admits every graph used in
-/// the serving fault tests, so degradation is attributable to injection.
-fn fault_test_artifact() -> RunArtifact {
-    let mut rng = StdRng::seed_from_u64(7001);
-    let config = gnn::ModelConfig {
-        hidden_dim: 4,
-        ..gnn::ModelConfig::default()
-    };
-    let model = gnn::GnnModel::new(GnnKind::Gcn, config, &mut rng);
-    RunArtifact {
-        config: PipelineConfig::quick(),
-        weights: model.export_weights(),
-        history: gnn::train::TrainHistory::default(),
-        label_report: LabelReport::clean(1),
-        dataset_fingerprint: 0,
-        envelope: Some(TrainingEnvelope {
-            min_nodes: 2,
-            max_nodes: 15,
-            max_degree: 14,
-            feature_dim: 16,
-            mean_gamma: 1.0,
-            mean_beta: 0.5,
-        }),
-    }
 }
