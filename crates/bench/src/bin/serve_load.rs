@@ -28,7 +28,7 @@
 //!
 //! Flags: `--requests N` (closed-loop total, default 1_000_000),
 //! `--burst N` (open-loop total, default 200_000), `--swaps N` (default 3),
-//! `--workers N` (default auto), `--submitters N` (default 4),
+//! `--workers N` (default auto), `--submitters N` (default 4, at least 1),
 //! `--smoke` (20_000 + 8_000 requests, everything else identical).
 
 use std::process::ExitCode;
@@ -129,6 +129,9 @@ fn main() -> ExitCode {
     let submitters = parse_flag(&args, "--submitters").unwrap_or(4);
     let workers = parse_flag(&args, "--workers").unwrap_or(0);
     let cores = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
+    if submitters == 0 {
+        return fail("--submitters must be at least 1");
+    }
 
     // Small queue so the open-loop burst reliably crosses the watermark
     // and capacity even on a 1-core container.

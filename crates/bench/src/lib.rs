@@ -1,12 +1,14 @@
 //! # qaoa-gnn-bench — the experiment harness
 //!
-//! One binary per paper artifact (see `src/bin/`), plus Criterion
-//! micro-benchmarks (see `benches/`). Every binary prints a human-readable
-//! table to stdout and writes a CSV under `target/experiments/` so the
-//! numbers in EXPERIMENTS.md can be regenerated.
+//! One binary per paper artifact or ablation, plus the smoke and load
+//! bins `scripts/ci.sh` runs (see `src/bin/`). The experiment binaries
+//! print a human-readable table to stdout and write a CSV under
+//! `target/experiments/` so the numbers in EXPERIMENTS.md can be
+//! regenerated; the smoke bins exit non-zero when a check fails. Timings
+//! of the pipeline and serving layers come from `perfbench/`.
 //!
-//! | Binary | Paper artifact |
-//! |--------|----------------|
+//! | Binary | Purpose |
+//! |--------|---------|
 //! | `fig2_distributions` | Fig. 2a/2b dataset histograms |
 //! | `fig3_ar_by_size` | Fig. 3 possible AR by graph size |
 //! | `fig4_ar_by_degree` | Fig. 4 possible AR by degree |
@@ -14,10 +16,18 @@
 //! | `ablation_sdp` | §3.3 SDP threshold / selective-rate sweep |
 //! | `ablation_fixed_angle` | §3.3 fixed-angle label-quality study |
 //! | `ablation_arch` | §4.1 architecture hyper-parameter sweep |
+//! | `ablation_weighted` | §7 weighted-graph limitation |
+//! | `ablation_noise` | warm-start advantage under depolarizing noise |
+//! | `landscape_scan` | ruggedness of the p = 1 objective |
+//! | `artifact_smoke` | saved artifacts predict bit-exactly in a fresh process |
+//! | `serve_smoke` | env-armed fault degrades the guarded predictor visibly |
+//! | `serve_load` | closed-loop latency, saturation shedding, mid-traffic hot-swaps |
+//! | `chaos_soak` | seeded fault schedule replays to a bit-identical digest |
+//! | `crash_resume` | SIGKILLed-and-resumed pipeline reproduces the control artifact |
 //!
-//! All binaries honor `QAOA_GNN_FULL=1` for paper-scale runs and default to
-//! a CI-sized configuration (see
-//! [`qaoa_gnn::pipeline::PipelineConfig::from_env`]).
+//! The `fig*` and `ablation_*` binaries except `ablation_noise` honor
+//! `QAOA_GNN_FULL=1` for paper-scale runs and default to a CI-sized
+//! configuration (see [`qaoa_gnn::pipeline::PipelineConfig::from_env`]).
 
 use std::fs;
 use std::io;

@@ -360,7 +360,7 @@ type LabeledBatch = (Vec<(usize, LabeledGraph)>, Vec<LabelFailure>);
 
 /// Returns completed `(index, label)` pairs (unordered) plus the recorded
 /// failures. `sink` errors abort the batch.
-pub(crate) fn label_indices_checked(
+fn label_indices_checked(
     labeler: &(dyn Fn(&Graph, &LabelConfig, &mut StdRng) -> LabeledGraph + Sync),
     graphs: &[Graph],
     todo: &[usize],
@@ -446,6 +446,135 @@ pub(crate) fn label_indices_checked(
     Ok((labeled, failures))
 }
 
+/// The one labeling driver behind [`Dataset::label_graphs_checked_with`]
+/// and the journaled [`Dataset::resume_labeling`]: labels every index of
+/// `graphs` not already in `done` (labels a previous run journaled) and
+/// assembles the ordered dataset and report.
+///
+/// With [`LabelConfig::dedupe_isomorphic`] on, the batch is first
+/// partitioned into isomorphism classes; only each class's first-seen
+/// representative is simulated (and passed to `sink`), on its usual
+/// per-index RNG substream, so representatives are bit-identical to the
+/// undeduped run. Every duplicate is derived again from its
+/// representative on each call, and a journaled duplicate is ignored, so
+/// a journal holds representatives only. With it off, no graph is
+/// fingerprinted.
+pub(crate) fn label_batch(
+    labeler: &(dyn Fn(&Graph, &LabelConfig, &mut StdRng) -> LabeledGraph + Sync),
+    graphs: &[Graph],
+    done: Vec<(usize, LabeledGraph)>,
+    config: &LabelConfig,
+    seed: u64,
+    sink: &(dyn Fn(usize, &LabeledGraph) -> std::io::Result<()> + Sync),
+) -> std::io::Result<(Dataset, LabelReport)> {
+    let rep_of = config
+        .dedupe_isomorphic
+        .then(|| isomorphism_representatives(graphs));
+    let is_rep = |index: usize| rep_of.as_ref().is_none_or(|rep_of| rep_of[index] == index);
+    let mut labeled: Vec<(usize, LabeledGraph)> = done
+        .into_iter()
+        .filter(|&(index, _)| is_rep(index))
+        .collect();
+    let mut is_done = vec![false; graphs.len()];
+    for &(index, _) in &labeled {
+        is_done[index] = true;
+    }
+    let todo: Vec<usize> = (0..graphs.len())
+        .filter(|&index| !is_done[index] && is_rep(index))
+        .collect();
+    let (fresh, mut failures) = label_indices_checked(labeler, graphs, &todo, config, seed, sink)?;
+    labeled.extend(fresh);
+    let skipped = match &rep_of {
+        Some(rep_of) => replicate_duplicates(graphs, rep_of, &mut labeled, &mut failures),
+        None => 0,
+    };
+    let (dataset, mut report) = Dataset::assemble(graphs.len(), labeled, failures);
+    report.skipped_isomorphic = skipped;
+    Ok((dataset, report))
+}
+
+/// For each graph, the index of the first-seen graph isomorphic to it
+/// (itself for a representative). Graphs are bucketed by fingerprint hash
+/// and refined by the exact matcher, so a hash collision can never merge
+/// distinct structures; each fingerprint is computed once.
+fn isomorphism_representatives(graphs: &[Graph]) -> Vec<usize> {
+    use std::collections::HashMap;
+
+    use qgraph::canon::{are_isomorphic_with, Fingerprint};
+
+    let prints: Vec<Fingerprint> = graphs.iter().map(Fingerprint::of).collect();
+    let mut rep_of: Vec<usize> = (0..graphs.len()).collect();
+    let mut buckets: HashMap<u64, Vec<usize>> = HashMap::new();
+    for (index, graph) in graphs.iter().enumerate() {
+        let print = &prints[index];
+        let bucket = buckets.entry(print.hash()).or_default();
+        match bucket
+            .iter()
+            .find(|&&rep| are_isomorphic_with(&graphs[rep], &prints[rep], graph, print))
+        {
+            Some(&rep) => rep_of[index] = rep,
+            None => bucket.push(index),
+        }
+    }
+    rep_of
+}
+
+/// Copies each labeled representative's relabeling-invariant scalars onto
+/// its duplicates (which keep their own node labeling) and returns how
+/// many simulations that saved. A duplicate of an unrecovered
+/// representative records the same failure at its own index.
+fn replicate_duplicates(
+    graphs: &[Graph],
+    rep_of: &[usize],
+    labeled: &mut Vec<(usize, LabeledGraph)>,
+    failures: &mut Vec<LabelFailure>,
+) -> usize {
+    let mut slot_of: Vec<Option<usize>> = vec![None; graphs.len()];
+    for (slot, &(index, _)) in labeled.iter().enumerate() {
+        slot_of[index] = Some(slot);
+    }
+    let mut skipped = 0usize;
+    for (index, graph) in graphs.iter().enumerate() {
+        let rep = rep_of[index];
+        if rep == index {
+            continue;
+        }
+        match slot_of[rep] {
+            Some(slot) => {
+                let label = &labeled[slot].1;
+                let copy = LabeledGraph {
+                    graph: graph.clone(),
+                    params: label.params.clone(),
+                    expectation: label.expectation,
+                    optimal: label.optimal,
+                    approx_ratio: label.approx_ratio,
+                };
+                labeled.push((index, copy));
+                skipped += 1;
+            }
+            None => {
+                // The representative stayed unlabeled even after its
+                // retry; its duplicates share that fate (re-simulating
+                // an identical structure would fail identically).
+                let reason = failures
+                    .iter()
+                    .find(|f| f.index == rep && !f.recovered)
+                    .map(|f| f.reason.clone())
+                    .unwrap_or_else(|| {
+                        LabelFailureReason::Panic("representative unlabeled".to_string())
+                    });
+                failures.push(LabelFailure {
+                    index,
+                    reason,
+                    recovered: false,
+                });
+            }
+        }
+    }
+    failures.sort_by_key(|f| f.index);
+    skipped
+}
+
 /// Effective worker count for `items` work items when the configuration
 /// asks for `requested` threads: at least one worker, and never more
 /// workers than items (spawning idle threads for tiny datasets costs more
@@ -501,113 +630,12 @@ impl Dataset {
         config: &LabelConfig,
         seed: u64,
     ) -> (Dataset, LabelReport) {
-        if config.dedupe_isomorphic {
-            return Self::label_graphs_deduped(labeler, graphs, config, seed);
-        }
-        let todo: Vec<usize> = (0..graphs.len()).collect();
-        let (labeled, failures) =
-            label_indices_checked(labeler, graphs, &todo, config, seed, &|_, _| Ok(()))
-                .expect("no-op sink cannot fail");
-        Self::assemble(graphs.len(), labeled, failures)
+        label_batch(labeler, graphs, Vec::new(), config, seed, &|_, _| Ok(()))
+            .expect("no-op sink cannot fail")
     }
 
-    /// The isomorphism-deduped labeling path: partition the batch into
-    /// isomorphism classes (fingerprint-hash buckets refined by the exact
-    /// matcher — a hash collision can never merge distinct structures; each
-    /// graph's fingerprint is computed once), simulate only
-    /// the first-seen representative of each class on its usual per-index
-    /// RNG substream, then replicate its relabeling-invariant label scalars
-    /// onto every duplicate. Representatives are therefore bit-identical to
-    /// the undeduped run; a batch with no duplicates is bit-identical in
-    /// full. A duplicate of an unrecovered representative records the same
-    /// failure at its own index.
-    fn label_graphs_deduped(
-        labeler: &(dyn Fn(&Graph, &LabelConfig, &mut StdRng) -> LabeledGraph + Sync),
-        graphs: &[Graph],
-        config: &LabelConfig,
-        seed: u64,
-    ) -> (Dataset, LabelReport) {
-        use std::collections::HashMap;
-
-        use qgraph::canon::{are_isomorphic_with, Fingerprint};
-
-        let prints: Vec<Fingerprint> = graphs.iter().map(Fingerprint::of).collect();
-        let mut rep_of: Vec<usize> = (0..graphs.len()).collect();
-        let mut buckets: HashMap<u64, Vec<usize>> = HashMap::new();
-        for (index, graph) in graphs.iter().enumerate() {
-            let print = &prints[index];
-            let bucket = buckets.entry(print.hash()).or_default();
-            match bucket
-                .iter()
-                .find(|&&rep| are_isomorphic_with(&graphs[rep], &prints[rep], graph, print))
-            {
-                Some(&rep) => rep_of[index] = rep,
-                None => bucket.push(index),
-            }
-        }
-        let todo: Vec<usize> = (0..graphs.len())
-            .filter(|&index| rep_of[index] == index)
-            .collect();
-        let (mut labeled, mut failures) =
-            label_indices_checked(labeler, graphs, &todo, config, seed, &|_, _| Ok(()))
-                .expect("no-op sink cannot fail");
-
-        let by_index: HashMap<usize, usize> = labeled
-            .iter()
-            .enumerate()
-            .map(|(slot, &(index, _))| (index, slot))
-            .collect();
-        let mut skipped = 0usize;
-        let mut replicated: Vec<(usize, LabeledGraph)> = Vec::new();
-        for (index, graph) in graphs.iter().enumerate() {
-            let rep = rep_of[index];
-            if rep == index {
-                continue;
-            }
-            match by_index.get(&rep) {
-                Some(&slot) => {
-                    let label = &labeled[slot].1;
-                    replicated.push((
-                        index,
-                        LabeledGraph {
-                            graph: graph.clone(),
-                            params: label.params.clone(),
-                            expectation: label.expectation,
-                            optimal: label.optimal,
-                            approx_ratio: label.approx_ratio,
-                        },
-                    ));
-                    skipped += 1;
-                }
-                None => {
-                    // The representative stayed unlabeled even after its
-                    // retry; its duplicates share that fate (re-simulating
-                    // an identical structure would fail identically).
-                    let reason = failures
-                        .iter()
-                        .find(|f| f.index == rep && !f.recovered)
-                        .map(|f| f.reason.clone())
-                        .unwrap_or_else(|| {
-                            LabelFailureReason::Panic("representative unlabeled".to_string())
-                        });
-                    failures.push(LabelFailure {
-                        index,
-                        reason,
-                        recovered: false,
-                    });
-                }
-            }
-        }
-        labeled.extend(replicated);
-        failures.sort_by_key(|f| f.index);
-        let (dataset, mut report) = Self::assemble(graphs.len(), labeled, failures);
-        report.skipped_isomorphic = skipped;
-        (dataset, report)
-    }
-
-    /// Builds the ordered dataset + report from engine output (shared with
-    /// the journaled resume path in [`crate::store`]).
-    pub(crate) fn assemble(
+    /// Builds the ordered dataset + report from engine output.
+    fn assemble(
         total: usize,
         labeled: Vec<(usize, LabeledGraph)>,
         failures: Vec<LabelFailure>,

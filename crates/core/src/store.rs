@@ -407,6 +407,9 @@ impl Dataset {
     /// only from `(seed, index)`, an interrupted-and-resumed run returns a
     /// dataset bit-identical (`==`) to a straight-through
     /// [`Dataset::label_graphs_checked`] with the same seed and config.
+    /// That includes [`LabelConfig::dedupe_isomorphic`]: the journal then
+    /// holds representatives only, and duplicates are derived from them
+    /// again on every call.
     ///
     /// # Errors
     ///
@@ -419,21 +422,10 @@ impl Dataset {
         seed: u64,
     ) -> io::Result<(Dataset, LabelReport)> {
         let (journal, done) = LabelJournal::open(dir, graphs, config, seed)?;
-        let done_indices: HashSet<usize> = done.iter().map(|&(i, _)| i).collect();
-        let todo: Vec<usize> = (0..graphs.len())
-            .filter(|i| !done_indices.contains(i))
-            .collect();
         let journal = Mutex::new(journal);
-        let (mut labeled, failures) = crate::dataset::label_indices_checked(
-            &|g, c, r| label_graph(g, c, r),
-            graphs,
-            &todo,
-            config,
-            seed,
-            &|index, entry| journal.lock().expect("journal lock").append(index, entry),
-        )?;
-        labeled.extend(done);
-        Ok(Dataset::assemble(graphs.len(), labeled, failures))
+        crate::dataset::label_batch(&label_graph, graphs, done, config, seed, &|index, entry| {
+            journal.lock().expect("journal lock").append(index, entry)
+        })
     }
 }
 
@@ -1278,63 +1270,90 @@ mod tests {
             .collect()
     }
 
+    /// The two inputs the journal must handle: a plain batch, and a
+    /// deduped batch holding relabeled copies of graphs 1 and 4, which a
+    /// journal must not simulate on their own substreams.
+    fn journal_cases(seed: u64) -> [(Vec<qgraph::Graph>, LabelConfig); 2] {
+        use qrand::seq::SliceRandom;
+        use qrand::SeedableRng;
+        let graphs = journal_graphs(seed, 6);
+        let mut with_copies = graphs.clone();
+        let mut rng = qrand::rngs::StdRng::seed_from_u64(seed ^ 0x77);
+        for dup_of in [1usize, 4, 1] {
+            let mut perm: Vec<usize> = (0..graphs[dup_of].n()).collect();
+            perm.shuffle(&mut rng);
+            with_copies.push(graphs[dup_of].relabel(&perm));
+        }
+        let config = LabelConfig::quick(25);
+        let deduped = config.clone().with_dedupe_isomorphic(true);
+        [(graphs, config), (with_copies, deduped)]
+    }
+
     #[test]
     fn journaled_run_matches_straight_through() {
-        let graphs = journal_graphs(30, 6);
-        let config = LabelConfig::quick(25);
-        let dir = temp_dir("journal_clean");
-        let (journaled, report) = Dataset::resume_labeling(&dir, &graphs, &config, 77).unwrap();
-        let (straight, _) = Dataset::label_graphs_checked(&graphs, &config, 77);
-        assert_eq!(journaled, straight);
-        assert!(report.is_complete());
-        // Layout: meta + journal + one graph file per entry.
-        assert!(dir.join(JOURNAL_META_FILE).is_file());
-        let journal = fs::read_to_string(dir.join(JOURNAL_FILE)).unwrap();
-        assert_eq!(journal.lines().count(), graphs.len());
-        assert!(dir.join("graph_00000.txt").is_file());
-        fs::remove_dir_all(&dir).unwrap();
+        for (case, (graphs, config)) in journal_cases(30).into_iter().enumerate() {
+            let dir = temp_dir(&format!("journal_clean_{case}"));
+            let journaled = Dataset::resume_labeling(&dir, &graphs, &config, 77).unwrap();
+            let straight = Dataset::label_graphs_checked(&graphs, &config, 77);
+            assert_eq!(journaled, straight, "case {case}");
+            let report = journaled.1;
+            assert!(report.is_complete());
+            assert_eq!(report.skipped_isomorphic > 0, config.dedupe_isomorphic);
+            // Layout: meta + journal + one graph file per simulated entry.
+            assert!(dir.join(JOURNAL_META_FILE).is_file());
+            let journal = fs::read_to_string(dir.join(JOURNAL_FILE)).unwrap();
+            assert_eq!(
+                journal.lines().count(),
+                graphs.len() - report.skipped_isomorphic
+            );
+            assert!(dir.join("graph_00000.txt").is_file());
+            fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]
     fn interrupted_resume_is_bit_identical_and_free() {
-        let graphs = journal_graphs(31, 6);
-        let config = LabelConfig::quick(25);
-        let dir = temp_dir("journal_resume");
-        // Full checkpointed run, then simulate a kill at the halfway point
-        // by keeping only the first half of the journal lines.
-        let (straight, _) = Dataset::resume_labeling(&dir, &graphs, &config, 78).unwrap();
-        let journal_path = dir.join(JOURNAL_FILE);
-        let full = fs::read_to_string(&journal_path).unwrap();
-        let lines: Vec<&str> = full.lines().collect();
-        let keep = graphs.len() / 2;
-        let half: String = lines[..keep].iter().flat_map(|l| [*l, "\n"]).collect();
-        fs::write(&journal_path, &half).unwrap();
-        let (resumed, report) = Dataset::resume_labeling(&dir, &graphs, &config, 78).unwrap();
-        assert_eq!(resumed, straight, "resume must be bit-identical");
-        assert!(report.is_complete());
-        assert_eq!(report.labeled, graphs.len());
-        // Killed mid-append: the kept half plus a torn (unterminated)
-        // fragment of the next record.
-        let torn = format!("{half}{}", &lines[keep][..5]);
-        fs::write(&journal_path, &torn).unwrap();
-        let (resumed, report) = Dataset::resume_labeling(&dir, &graphs, &config, 78).unwrap();
-        assert_eq!(
-            resumed, straight,
-            "resume past a torn fragment must be bit-identical"
-        );
-        assert!(report.is_complete());
-        // The torn fragment was dropped: one whole record per graph again
-        // (workers finish in any order, so compare as sets).
-        let mut healed: Vec<String> = fs::read_to_string(&journal_path)
-            .unwrap()
-            .lines()
-            .map(String::from)
-            .collect();
-        let mut expected = lines.clone();
-        healed.sort();
-        expected.sort();
-        assert_eq!(healed, expected);
-        fs::remove_dir_all(&dir).unwrap();
+        for (case, (graphs, config)) in journal_cases(31).into_iter().enumerate() {
+            let dir = temp_dir(&format!("journal_resume_{case}"));
+            let straight = Dataset::label_graphs_checked(&graphs, &config, 78);
+            assert!(straight.1.is_complete());
+            assert_eq!(straight.1.skipped_isomorphic > 0, config.dedupe_isomorphic);
+            // Full checkpointed run, then simulate a kill at the halfway
+            // point by keeping only the first half of the journal lines.
+            Dataset::resume_labeling(&dir, &graphs, &config, 78).unwrap();
+            let journal_path = dir.join(JOURNAL_FILE);
+            let full = fs::read_to_string(&journal_path).unwrap();
+            let lines: Vec<&str> = full.lines().collect();
+            let keep = lines.len() / 2;
+            let half: String = lines[..keep].iter().flat_map(|l| [*l, "\n"]).collect();
+            fs::write(&journal_path, &half).unwrap();
+            let resumed = Dataset::resume_labeling(&dir, &graphs, &config, 78).unwrap();
+            assert_eq!(
+                resumed, straight,
+                "case {case}: resume must be bit-identical"
+            );
+            // Killed mid-append: the kept half plus a torn (unterminated)
+            // fragment of the next record.
+            let torn = format!("{half}{}", &lines[keep][..5]);
+            fs::write(&journal_path, &torn).unwrap();
+            let resumed = Dataset::resume_labeling(&dir, &graphs, &config, 78).unwrap();
+            assert_eq!(
+                resumed, straight,
+                "case {case}: resume past a torn fragment must be bit-identical"
+            );
+            // The torn fragment was dropped: one whole record per simulated
+            // graph again (workers finish in any order, so compare as sets).
+            let mut healed: Vec<String> = fs::read_to_string(&journal_path)
+                .unwrap()
+                .lines()
+                .map(String::from)
+                .collect();
+            let mut expected = lines.clone();
+            healed.sort();
+            expected.sort();
+            assert_eq!(healed, expected);
+            fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]

@@ -18,6 +18,10 @@
 //! 3. **Collision safety** — a colliding pair (two triangle-free cubic
 //!    graphs on 12 nodes: same hash, not isomorphic) never cross-serves:
 //!    each graph gets its own parameters, never the colliding entry's.
+//! 4. **Loop-level replay** — a Zipf request stream served by a
+//!    [`ServeLoop`] with the cache on yields the same reply bits as the
+//!    same stream with the cache off, and the cache simulates each
+//!    distinct form exactly once.
 
 use std::sync::Arc;
 
@@ -25,11 +29,12 @@ use gnn::train::TrainHistory;
 use gnn::{GnnKind, GnnModel, ModelConfig};
 use qaoa_gnn::dataset::LabelReport;
 use qaoa_gnn::pipeline::PipelineConfig;
+use qaoa_gnn::store::{fnv1a_extend, FNV1A_OFFSET};
 use qaoa_gnn::{
-    CacheConfig, GuardedPredictor, PredictionCache, PredictionOutcome, RunArtifact, Rung,
-    ServeConfig, ServeRequest, TrainingEnvelope,
+    CacheConfig, CacheStats, GuardedPredictor, LoopConfig, PredictionCache, PredictionOutcome,
+    RunArtifact, Rung, ServeConfig, ServeLoop, ServeRequest, TrainingEnvelope,
 };
-use qgraph::canon::{are_isomorphic, wl_hash};
+use qgraph::canon::{are_isomorphic, are_isomorphic_with, wl_hash, Fingerprint};
 use qgraph::Graph;
 use qrand::rngs::StdRng;
 use qrand::seq::SliceRandom;
@@ -346,4 +351,102 @@ fn cache_attaches_only_to_clean_gnn_replies() {
     let second = serve(&served, &big);
     assert!(!second.cached, "degraded replies are never memoized");
     assert_eq!(cache.stats().inserts, 0);
+}
+
+/// `size` pairwise non-isomorphic in-envelope graphs: cycles, paths and
+/// stars first, Erdős–Rényi instances for the rest. An isomorphic pair
+/// would let a hit serve the other labeling's bits, which a fresh forward
+/// need not reproduce, so exact replay needs an isomorphism-free pool.
+fn graph_pool(size: usize) -> Vec<Graph> {
+    let mut pool: Vec<(Graph, Fingerprint)> = Vec::new();
+    let push_unique = |pool: &mut Vec<(Graph, Fingerprint)>, candidate: Graph| {
+        let print = Fingerprint::of(&candidate);
+        if !pool
+            .iter()
+            .any(|(g, p)| are_isomorphic_with(g, p, &candidate, &print))
+        {
+            pool.push((candidate, print));
+        }
+    };
+    for n in 3..=12 {
+        push_unique(&mut pool, Graph::cycle(n).unwrap());
+        push_unique(&mut pool, Graph::path(n).unwrap());
+        push_unique(&mut pool, Graph::star(n).unwrap());
+    }
+    let mut rng = StdRng::seed_from_u64(515);
+    let mut attempts = 0;
+    while pool.len() < size && attempts < size * 20 {
+        let n = 5 + attempts % 8;
+        push_unique(
+            &mut pool,
+            qgraph::generate::erdos_renyi(n, 0.5, &mut rng).unwrap(),
+        );
+        attempts += 1;
+    }
+    pool.truncate(size);
+    pool.into_iter().map(|(g, _)| g).collect()
+}
+
+/// `requests` pool indices drawn from Zipf(1.1): rank r has probability
+/// proportional to 1/r^1.1.
+fn zipf_stream(pool_size: usize, requests: usize, seed: u64) -> Vec<usize> {
+    let weights: Vec<f64> = (1..=pool_size).map(|r| (r as f64).powf(-1.1)).collect();
+    let total: f64 = weights.iter().sum();
+    let cumulative: Vec<f64> = weights
+        .iter()
+        .scan(0.0, |acc, w| {
+            *acc += w / total;
+            Some(*acc)
+        })
+        .collect();
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..requests)
+        .map(|_| {
+            let u: f64 = rng.gen();
+            cumulative.partition_point(|&c| c < u).min(pool_size - 1)
+        })
+        .collect()
+}
+
+/// Serves `stream` through a one-worker loop with `cache` and returns an
+/// FNV-1a digest over every reply's angle bits and rung quality (the
+/// `cached` marker left out) plus the loop's cache counters.
+fn replay(cache: CacheConfig, pool: &[Graph], stream: &[usize]) -> (u64, CacheStats) {
+    let serve = ServeLoop::new(
+        tiny_artifact(),
+        LoopConfig::default().with_workers(1).with_cache(cache),
+    );
+    let mut digest = FNV1A_OFFSET;
+    for &index in stream {
+        let done = serve.handle_wait(ServeRequest::from_graph(pool[index].clone()));
+        let outcome = done.response.result.expect("in-envelope request serves");
+        let (gamma, beta) = outcome.angles();
+        digest = fnv1a_extend(digest, &gamma.to_bits().to_le_bytes());
+        digest = fnv1a_extend(digest, &beta.to_bits().to_le_bytes());
+        digest = fnv1a_extend(digest, &u64::from(outcome.rung.quality()).to_le_bytes());
+    }
+    (digest, serve.cache_stats())
+}
+
+#[test]
+fn zipf_replay_through_the_loop_is_bit_identical_with_the_cache_on() {
+    let pool = graph_pool(48);
+    let stream = zipf_stream(pool.len(), 2000, 2024);
+    let mut distinct = stream.clone();
+    distinct.sort_unstable();
+    distinct.dedup();
+
+    let (off_digest, off) = replay(CacheConfig::disabled(), &pool, &stream);
+    let (on_digest, on) = replay(CacheConfig::default(), &pool, &stream);
+    assert_eq!(
+        on_digest, off_digest,
+        "cached replies must carry the bits of fresh ones"
+    );
+    assert_eq!(off.hits, 0, "the cache-off loop must never hit");
+    assert_eq!(
+        on.misses,
+        distinct.len() as u64,
+        "one miss per distinct form"
+    );
+    assert_eq!(on.hits, (stream.len() - distinct.len()) as u64);
 }
