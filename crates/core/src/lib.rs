@@ -32,7 +32,6 @@
 //! println!("mean AR improvement: {:.2} pts", pipeline.report.mean_improvement);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod breaker;

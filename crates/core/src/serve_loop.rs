@@ -15,20 +15,21 @@
 //! exit while the queue is non-empty (even during shutdown) and a worker
 //! that dies mid-batch requeues its unanswered claims (below).
 //!
-//! **Lock-free artifact hot-swap.** The active model is published through
-//! a [`qpool::swap::SwapCell`] as a `(generation, artifact)` pair.
-//! [`ServeLoop::swap_artifact`] validates a retrained [`RunArtifact`]
-//! (behind the `hot_swap` failpoint — a rejected or panicking swap leaves
-//! the old generation serving untouched) and swaps it in atomically:
-//! in-flight requests keep the `Arc` they already loaded, later batches
-//! observe the new generation and rebuild their worker-local predictor
-//! from the shared weight image. Readers never block on writers and vice
-//! versa; the memory-ordering argument lives in `qpool::swap` and is
-//! summarized in DESIGN.md §"Serving at throughput". The predictor serves
-//! through a tape-free [`gnn::Frozen`] model and is `Send + Sync`, so one
-//! could be shared; each worker still builds its own (a weight copy) only
-//! so that the `weight_build` failpoint fires on every worker build, as
-//! the chaos schedule expects.
+//! **Artifact hot-swap.** The active model is published as a
+//! `(generation, artifact)` pair behind a `Mutex`. A worker holds that
+//! lock once per batch, only to clone the pair out (a `u64` and an
+//! `Arc`), so serving never happens under it. [`ServeLoop::swap_artifact`]
+//! validates a retrained [`RunArtifact`] outside the lock (behind the
+//! `hot_swap` failpoint — a rejected or panicking swap leaves the old
+//! generation serving untouched), then numbers and installs it in one
+//! critical section, so generations publish in the order they are
+//! numbered even when swaps race. In-flight requests keep the `Arc` they
+//! already cloned; later batches observe the new generation and rebuild
+//! their worker-local predictor from the shared weight image. The
+//! predictor serves through a tape-free [`gnn::Frozen`] model and is
+//! `Send + Sync`, so one could be shared; each worker still builds its
+//! own (a weight copy) only so that the `weight_build` failpoint fires on
+//! every worker build, as the chaos schedule expects.
 //!
 //! **Load shedding.** The queue is bounded by [`LoopConfig::queue_capacity`]
 //! and never grows past it. Between [`LoopConfig::shed_watermark`] and
@@ -111,8 +112,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::SeqCst};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
-
-use qpool::swap::SwapCell;
 
 use crate::breaker::{
     BreakerConfig, BreakerDecision, BreakerState, CircuitBreaker, GnnObservation,
@@ -267,13 +266,13 @@ impl LoopConfig {
     }
 }
 
-/// What the [`SwapCell`] publishes: one artifact generation. Workers
+/// The published artifact generation (`Shared::published`). Workers
 /// compare `generation` against their cached predictor's and rebuild on
 /// mismatch; the artifact bytes themselves are shared, never copied.
+#[derive(Clone)]
 struct Published {
     generation: u64,
     artifact: Arc<RunArtifact>,
-    serve: ServeConfig,
 }
 
 /// One finished request: the response plus its serving provenance.
@@ -565,7 +564,10 @@ struct Job {
 }
 
 struct Shared {
-    cell: SwapCell<Published>,
+    /// The serving generation; read through [`Shared::published`].
+    published: Mutex<Published>,
+    /// Per-request serving policy; fixed for the loop's lifetime.
+    serve: ServeConfig,
     /// Canonical-form prediction cache shared by every worker's predictor
     /// (a no-op instance when the config disables caching).
     cache: Arc<PredictionCache>,
@@ -573,11 +575,9 @@ struct Shared {
     available: Condvar,
     depth: AtomicUsize,
     shutdown: AtomicBool,
-    generation: AtomicU64,
     served: AtomicU64,
     shed: AtomicU64,
     rejected: AtomicU64,
-    swaps: AtomicU64,
     max_depth: AtomicUsize,
     batch_size: usize,
     // --- self-healing state ---
@@ -637,6 +637,15 @@ impl Shared {
     fn lock_queue(&self) -> std::sync::MutexGuard<'_, VecDeque<Job>> {
         self.queue.lock().unwrap_or_else(|e| e.into_inner())
     }
+
+    /// A clone of the serving generation. The lock is held for the clone
+    /// only, never across serving.
+    fn published(&self) -> Published {
+        self.published
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .clone()
+    }
 }
 
 /// The concurrent serving loop. See the module docs for the protocol;
@@ -679,21 +688,19 @@ impl ServeLoop {
         let shed_watermark = config.shed_watermark.min(queue_capacity);
         let workers_target = config.resolved_workers();
         let shared = Arc::new(Shared {
-            cell: SwapCell::new(Published {
+            published: Mutex::new(Published {
                 generation: 0,
                 artifact: Arc::new(artifact),
-                serve: config.serve.clone(),
             }),
+            serve: config.serve.clone(),
             cache: Arc::new(PredictionCache::new(config.cache.clone())),
             queue: Mutex::new(VecDeque::new()),
             available: Condvar::new(),
             depth: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
-            generation: AtomicU64::new(0),
             served: AtomicU64::new(0),
             shed: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
-            swaps: AtomicU64::new(0),
             max_depth: AtomicUsize::new(0),
             batch_size: config.batch_size.max(1),
             breaker: CircuitBreaker::new(config.breaker.clone()),
@@ -776,9 +783,9 @@ impl ServeLoop {
         let depth = self.shared.depth.fetch_add(1, SeqCst);
         if depth >= self.queue_capacity {
             self.shared.depth.fetch_sub(1, SeqCst);
-            let published = self.shared.cell.load();
+            let published = self.shared.published();
             let response = shed_response(
-                &published.serve,
+                &self.shared.serve,
                 published.artifact.envelope.as_ref(),
                 &request,
                 depth,
@@ -823,8 +830,10 @@ impl ServeLoop {
     /// rebuild — behind the `hot_swap` failpoint), so a broken artifact
     /// never reaches a worker: on any [`SwapError`] the previous
     /// generation keeps serving as if the call never happened. In-flight
-    /// requests finish on whichever generation they loaded; there is no
-    /// torn state in between (see `qpool::swap` for the proof sketch).
+    /// requests finish on whichever generation they loaded. The new
+    /// generation number is drawn and installed under one lock, so
+    /// concurrent swaps publish in numbering order and the last number
+    /// returned is the one left serving.
     /// A successful swap also resets the GNN circuit breaker: the fresh
     /// generation starts with a clean failure record.
     pub fn swap_artifact(&self, artifact: RunArtifact) -> Result<u64, SwapError> {
@@ -843,13 +852,20 @@ impl ServeLoop {
                 return Err(SwapError::Panicked(crate::serve::panic_message(&payload)))
             }
         };
-        let generation = self.shared.generation.fetch_add(1, SeqCst) + 1;
-        self.shared.cell.swap(Published {
-            generation,
-            artifact: Arc::new(artifact),
-            serve: self.shared.cell.load().serve.clone(),
-        });
-        self.shared.swaps.fetch_add(1, SeqCst);
+        let artifact = Arc::new(artifact);
+        let generation = {
+            let mut published = self
+                .shared
+                .published
+                .lock()
+                .unwrap_or_else(|e| e.into_inner());
+            let generation = published.generation + 1;
+            *published = Published {
+                generation,
+                artifact,
+            };
+            generation
+        };
         self.shared.breaker.reset_for_generation(generation);
         // Eager half of the cache invalidation protocol: the retrained
         // artifact must never serve the old generation's angles. (Lookups
@@ -861,13 +877,16 @@ impl ServeLoop {
 
     /// Current traffic counters.
     pub fn stats(&self) -> LoopStats {
+        // Every successful swap bumps the generation by one, so the two
+        // are the same count.
+        let generation = self.generation();
         LoopStats {
             served: self.shared.served.load(SeqCst),
             shed: self.shared.shed.load(SeqCst),
             rejected: self.shared.rejected.load(SeqCst),
-            swaps: self.shared.swaps.load(SeqCst),
+            swaps: generation,
             max_depth: self.shared.max_depth.load(SeqCst),
-            generation: self.shared.generation.load(SeqCst),
+            generation,
         }
     }
 
@@ -875,6 +894,7 @@ impl ServeLoop {
     /// per-rung counts); serialize with `core::json`'s `ToJson`.
     pub fn metrics(&self) -> LoopMetrics {
         let shared = &self.shared;
+        let generation = self.generation();
         let breaker = shared.breaker.snapshot();
         let cache = shared.cache.stats();
         LoopMetrics {
@@ -888,8 +908,8 @@ impl ServeLoop {
             breaker_open_served: shared.breaker_open_n.load(SeqCst),
             breaker_trips: breaker.trips,
             breaker_state: breaker.state,
-            swaps: shared.swaps.load(SeqCst),
-            generation: shared.generation.load(SeqCst),
+            swaps: generation,
+            generation,
             max_depth: shared.max_depth.load(SeqCst),
             queue_depth: shared.depth.load(SeqCst),
             respawns: shared.respawns.load(SeqCst),
@@ -921,7 +941,7 @@ impl ServeLoop {
     /// reasons.
     pub fn health(&self) -> HealthReport {
         let shared = &self.shared;
-        let generation = shared.generation.load(SeqCst);
+        let generation = self.generation();
         let breaker = shared.breaker.state();
         let queue_depth = shared.depth.load(SeqCst);
         let workers_alive = shared.workers_alive.load(SeqCst);
@@ -982,7 +1002,7 @@ impl ServeLoop {
 
     /// The currently published artifact generation.
     pub fn generation(&self) -> u64 {
-        self.shared.generation.load(SeqCst)
+        self.shared.published().generation
     }
 
     fn refuse(&self, message: &str) -> Ticket {
@@ -993,7 +1013,7 @@ impl ServeLoop {
         Ticket::Ready(Completed {
             response,
             queued_micros: 0,
-            generation: self.shared.generation.load(SeqCst),
+            generation: self.generation(),
         })
     }
 }
@@ -1115,13 +1135,13 @@ fn reap_expired(shared: &Shared) -> usize {
     if expired.is_empty() {
         return 0;
     }
-    let published = shared.cell.load();
+    let published = shared.published();
     let count = expired.len();
     for job in expired {
         shared.depth.fetch_sub(1, SeqCst);
         let queued_micros = job.enqueued.elapsed().as_micros() as u64;
         let response = shed_response(
-            &published.serve,
+            &shared.serve,
             published.artifact.envelope.as_ref(),
             &job.request,
             shared.depth.load(SeqCst),
@@ -1205,9 +1225,9 @@ fn gnn_observation(response: &ServeResponse) -> GnnObservation {
 }
 
 /// One worker: claim a batch under the lock, resolve the published
-/// generation once, serve the batch lock-free, repeat. Exits only when
-/// shut down *and* the queue is empty; a mid-batch death requeues its
-/// claims (see [`BatchGuard`]).
+/// generation once, serve the batch with no lock held, repeat. Exits only
+/// when shut down *and* the queue is empty; a mid-batch death requeues
+/// its claims (see [`BatchGuard`]).
 fn worker_loop(shared: &Shared) {
     let _census = CensusGuard { shared };
     let mut cached: Option<(u64, GuardedPredictor)> = None;
@@ -1239,7 +1259,7 @@ fn worker_loop(shared: &Shared) {
         }
         shared.ever_ready.store(true, SeqCst);
 
-        let published = shared.cell.load();
+        let published = shared.published();
         let stale = match &cached {
             Some((generation, _)) => *generation != published.generation,
             None => true,
@@ -1258,11 +1278,9 @@ fn worker_loop(shared: &Shared) {
             // The shared cache binds to the generation being served, so a
             // worker still on an old generation can neither read nor pin
             // the new generation's entries (and vice versa).
-            let predictor = GuardedPredictor::shared(
-                Arc::clone(&published.artifact),
-                published.serve.clone(),
-            )
-            .with_cache(Arc::clone(&shared.cache), published.generation);
+            let predictor =
+                GuardedPredictor::shared(Arc::clone(&published.artifact), shared.serve.clone())
+                    .with_cache(Arc::clone(&shared.cache), published.generation);
             if predictor.model_available() {
                 let _ = shared.model_down.compare_exchange(
                     published.generation,
@@ -1325,7 +1343,7 @@ fn worker_loop(shared: &Shared) {
                             shared.breaker_open_n.fetch_add(1, SeqCst);
                             catch_unwind(AssertUnwindSafe(|| {
                                 model_free_response(
-                                    &published.serve,
+                                    &shared.serve,
                                     published.artifact.envelope.as_ref(),
                                     &job.request,
                                     SkipReason::BreakerOpen,

@@ -31,7 +31,6 @@
 //! that case (then shrinks and reports as usual). `QCHECK_CASES=<n>`
 //! scales the number of cases globally without recompiling.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::fmt::Debug;

@@ -39,7 +39,6 @@
 //! assert_eq!(a.gen::<u64>(), b.gen::<u64>());
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod distr;

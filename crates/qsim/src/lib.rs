@@ -43,7 +43,6 @@
 //! assert!(p[0b01].abs() < 1e-12);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod complex;

@@ -33,7 +33,6 @@
 //! assert!(w.mse(&Matrix::from_rows(&[&[1.0, -1.0]])).value()[(0, 0)] < 1.0);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod matrix;

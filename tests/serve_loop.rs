@@ -3,8 +3,9 @@
 //! deadline boundaries, mid-traffic hot-swap correctness (no torn or
 //! stale artifact, old generation keeps serving on a refused swap), the
 //! `admission` and `hot_swap` failpoints, and the zero-drop shutdown
-//! contract. The lock-free `SwapCell` primitive itself is stress-tested
-//! in `qpool::swap`; this file tests the serving protocol built on it.
+//! contract. The published generation sits behind a std `Mutex`, so
+//! these tests check the protocol around it: generations never go
+//! backwards for a caller, and racing swaps publish in numbering order.
 
 use qrand::rngs::StdRng;
 use qrand::SeedableRng;
@@ -231,6 +232,7 @@ fn hot_swap_under_traffic_never_tears_and_rolls_generations_forward() {
                 let serve = &serve;
                 let max_seen = &max_seen;
                 scope.spawn(move || {
+                    let mut last = 0;
                     for i in 0..REQUESTS {
                         let n = 3 + (t + i) % 10;
                         let done =
@@ -242,6 +244,15 @@ fn hot_swap_under_traffic_never_tears_and_rolls_generations_forward() {
                             done.generation <= serve.generation(),
                             "response claims a generation never published"
                         );
+                        // Each request is enqueued after the previous one
+                        // was answered, and the worker reads the published
+                        // generation after claiming it: no going back.
+                        assert!(
+                            done.generation >= last,
+                            "generation went backwards: {last} then {}",
+                            done.generation
+                        );
+                        last = done.generation;
                         max_seen.fetch_max(done.generation, std::sync::atomic::Ordering::SeqCst);
                     }
                 })
@@ -264,6 +275,41 @@ fn hot_swap_under_traffic_never_tears_and_rolls_generations_forward() {
     assert!(
         max_seen.load(std::sync::atomic::Ordering::SeqCst) >= 1,
         "no response was served from a post-swap generation"
+    );
+}
+
+#[test]
+fn concurrent_swappers_publish_generations_in_order() {
+    let serve = small_loop(64, 64);
+    const PER_SWAPPER: u64 = 8;
+    const SWAPS: u64 = 2 * PER_SWAPPER;
+    let mut drawn: Vec<u64> = std::thread::scope(|scope| {
+        let swappers: Vec<_> = (0..2)
+            .map(|t| {
+                let serve = &serve;
+                scope.spawn(move || {
+                    (0..PER_SWAPPER)
+                        .map(|i| {
+                            let seed = 9100 + t * PER_SWAPPER + i;
+                            serve.swap_artifact(artifact(seed)).expect("swap")
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        swappers
+            .into_iter()
+            .flat_map(|handle| handle.join().expect("swapper"))
+            .collect()
+    });
+    drawn.sort_unstable();
+    assert_eq!(drawn, (1..=SWAPS).collect::<Vec<_>>());
+    assert_eq!(serve.generation(), SWAPS);
+    assert_eq!(serve.stats().swaps, SWAPS);
+    let done = serve.handle_wait(ServeRequest::from_graph(Graph::cycle(7).unwrap()));
+    assert_eq!(
+        done.generation, SWAPS,
+        "the last generation drawn is the one serving"
     );
 }
 
