@@ -2,31 +2,36 @@
 //!
 //! Every label in the paper's dataset costs hundreds of optimizer-driven
 //! circuit simulations (§3.1: 500 iterations per graph, each iteration
-//! evaluating the objective one or more times). The one-shot
-//! [`QaoaCircuit::run`]/[`QaoaCircuit::expectation`] surface allocates a
-//! fresh `2^n`-amplitude state vector per call; [`Evaluator`] owns that
-//! buffer instead, so a full optimization trace performs **zero
-//! state-vector allocations after setup** and every circuit run executes
-//! on the fused kernels in [`qsim::fused`].
+//! evaluating the objective one or more times). [`Evaluator`] owns the
+//! simulation buffers for one instance, so a full optimization trace
+//! performs **zero state-vector allocations after setup** and every
+//! circuit run executes on the fused kernels in [`qsim::fused`].
 
-use qsim::fused::PhaseTable;
+use qsim::fused::{self, PhaseTable};
 use qsim::StateVector;
 
 use crate::{Params, QaoaCircuit};
 
-/// A reusable QAOA executor: one problem instance, one owned scratch
-/// state vector and one per-layer phase table, no per-call allocation.
+/// A reusable QAOA executor: one problem instance, one owned half
+/// register and one per-layer phase table, no per-call allocation.
 ///
-/// Each layer fills the phase table with `e^{-iγ·v}` for the diagonal's
-/// distinct values `v` (its levels) and then runs one fused
-/// phase-plus-mixer kernel that gathers each amplitude's factor from it;
-/// see [`qsim::fused`].
+/// A Max-Cut QAOA state is flip-symmetric: amplitude `z` equals amplitude
+/// `2^n − 1 − z`, bit for bit (see [`qsim::fused`]). So the evaluator
+/// holds only the `2^(n−1)` amplitudes with qubit `n − 1` clear, as split
+/// re/im arrays, and runs each layer on them with
+/// [`fused::phase_rx_half`]: the phase table is filled with `e^{-iγ·v}`
+/// for the diagonal's distinct values `v` (its levels), and one fused
+/// phase-plus-mixer kernel gathers each amplitude's factor from it.
+/// Expectations are read off the half. [`Evaluator::run_into`] and
+/// [`Evaluator::into_state`] materialize the full `2^n` state, allocated
+/// on first use.
 ///
 /// Construct one per (graph, optimization trace) and call
 /// [`Evaluator::expectation_in_place`] (or [`Evaluator::expectation_flat`]
 /// from optimizer closures) as many times as needed. Results are
 /// bit-identical to the one-shot convenience calls on [`QaoaCircuit`],
-/// which are themselves thin wrappers over a temporary `Evaluator`.
+/// which are themselves thin wrappers over a temporary `Evaluator`, and to
+/// a full-register [`fused::phase_rx_all`] run.
 ///
 /// # Example
 ///
@@ -48,19 +53,36 @@ use crate::{Params, QaoaCircuit};
 #[derive(Debug, Clone)]
 pub struct Evaluator<'c> {
     circuit: &'c QaoaCircuit,
-    psi: StateVector,
+    /// The amplitudes with qubit `n − 1` clear, real and imaginary parts.
+    re: Vec<f64>,
+    im: Vec<f64>,
     phases: PhaseTable,
+    /// The full register, written out only for [`Self::run_into`] and
+    /// [`Self::into_state`].
+    full: Option<StateVector>,
 }
 
 impl<'c> Evaluator<'c> {
-    /// Creates an evaluator for `circuit`, allocating its scratch state
-    /// vector once.
+    /// Creates an evaluator for `circuit`, allocating its half register
+    /// once, in the state `|+⟩^⊗n`.
     pub fn new(circuit: &'c QaoaCircuit) -> Self {
-        Evaluator {
-            psi: StateVector::uniform_superposition(circuit.num_qubits()),
+        let half = 1usize << (circuit.num_qubits() - 1);
+        debug_assert!(
+            {
+                let values = circuit.hamiltonian().operator().values();
+                values.iter().zip(values.iter().rev()).all(|(a, b)| a.to_bits() == b.to_bits())
+            },
+            "cost diagonal must be flip-symmetric"
+        );
+        let mut evaluator = Evaluator {
+            re: vec![0.0; half],
+            im: vec![0.0; half],
             phases: PhaseTable::default(),
+            full: None,
             circuit,
-        }
+        };
+        evaluator.set_uniform_superposition();
+        evaluator
     }
 
     /// The circuit this evaluator runs.
@@ -68,52 +90,31 @@ impl<'c> Evaluator<'c> {
         self.circuit
     }
 
-    /// The state produced by the most recent run (initially `|+⟩^⊗n`).
-    pub fn state(&self) -> &StateVector {
-        &self.psi
+    /// Consumes the evaluator and returns the full state of the most
+    /// recent run (initially `|+⟩^⊗n`).
+    pub fn into_state(mut self) -> StateVector {
+        self.unfold();
+        self.full.expect("unfold allocates the full state")
     }
 
-    /// Consumes the evaluator and returns its state buffer.
-    pub fn into_state(self) -> StateVector {
-        self.psi
-    }
-
-    /// Runs the circuit into the owned scratch buffer and returns the
-    /// final state. No allocation after the first call (which sizes the
-    /// phase table); each depth is one fused phase-plus-mixer kernel call.
+    /// Runs the circuit and returns the final state, written out from
+    /// the half register into a full buffer that the first call
+    /// allocates; later calls allocate nothing. Each depth is one fused
+    /// phase-plus-mixer kernel call on the half.
     pub fn run_into(&mut self, params: &Params) -> &StateVector {
-        self.run_layers(params.gammas(), params.betas())
-    }
-
-    /// [`Self::run_into`] on raw angle slices — the layout-free core that
-    /// optimizer closures use to avoid rebuilding [`Params`] per call.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices have different lengths.
-    pub fn run_layers(&mut self, gammas: &[f64], betas: &[f64]) -> &StateVector {
-        assert_eq!(
-            gammas.len(),
-            betas.len(),
-            "gamma and beta slices must have equal length"
-        );
-        self.psi.set_uniform_superposition();
-        let operator = self.circuit.hamiltonian().operator();
-        for (&gamma, &beta) in gammas.iter().zip(betas) {
-            operator.apply_phase_rx_all(&mut self.psi, gamma, 2.0 * beta, &mut self.phases);
-        }
-        &self.psi
+        self.run_layers(params.gammas(), params.betas());
+        self.unfold()
     }
 
     /// The QAOA objective `⟨γ,β|C|γ,β⟩`, evaluated in the owned buffer.
     pub fn expectation_in_place(&mut self, params: &Params) -> f64 {
-        self.run_into(params);
-        self.circuit.hamiltonian().operator().expectation(&self.psi)
+        self.run_layers(params.gammas(), params.betas());
+        self.expectation()
     }
 
     /// The objective on the optimizers' flat `[γ_1..γ_p, β_1..β_p]`
     /// layout. This is the closure body for every outer-loop optimizer:
-    /// it neither allocates a state vector nor rebuilds a [`Params`].
+    /// it neither allocates nor rebuilds a [`Params`].
     ///
     /// # Panics
     ///
@@ -125,7 +126,7 @@ impl<'c> Evaluator<'c> {
         );
         let p = flat.len() / 2;
         self.run_layers(&flat[..p], &flat[p..]);
-        self.circuit.hamiltonian().operator().expectation(&self.psi)
+        self.expectation()
     }
 
     /// Expectation-based approximation ratio at the given parameters.
@@ -162,6 +163,49 @@ impl<'c> Evaluator<'c> {
             }
         }
         best
+    }
+
+    /// Resets the half register to `|+⟩^⊗n`, with the amplitude bits of
+    /// [`StateVector::set_uniform_superposition`].
+    fn set_uniform_superposition(&mut self) {
+        let dim = 2 * self.re.len();
+        self.re.fill(1.0 / (dim as f64).sqrt());
+        self.im.fill(0.0);
+    }
+
+    /// Runs the layers `(γ_i, β_i)` on the half register.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slices have different lengths.
+    fn run_layers(&mut self, gammas: &[f64], betas: &[f64]) {
+        assert_eq!(
+            gammas.len(),
+            betas.len(),
+            "gamma and beta slices must have equal length"
+        );
+        self.set_uniform_superposition();
+        let operator = self.circuit.hamiltonian().operator();
+        let level_of = &operator.level_of()[..self.re.len()];
+        for (&gamma, &beta) in gammas.iter().zip(betas) {
+            self.phases.fill(operator.levels(), gamma);
+            fused::phase_rx_half(&mut self.re, &mut self.im, level_of, &self.phases, 2.0 * beta);
+        }
+    }
+
+    /// `⟨C⟩` of the state in the half register.
+    fn expectation(&self) -> f64 {
+        let values = &self.circuit.hamiltonian().operator().values()[..self.re.len()];
+        fused::expectation_half(&self.re, &self.im, values)
+    }
+
+    /// Writes the full state out of the half register, allocating it on
+    /// first use.
+    fn unfold(&mut self) -> &StateVector {
+        let n = self.circuit.num_qubits();
+        let psi = self.full.get_or_insert_with(|| StateVector::zero_state(n));
+        fused::unfold_half(&self.re, &self.im, psi);
+        psi
     }
 }
 
@@ -244,6 +288,6 @@ mod tests {
     fn run_layers_rejects_mismatched_slices() {
         let g = Graph::cycle(4).unwrap();
         let c = circuit(&g);
-        let _ = Evaluator::new(&c).run_layers(&[0.1, 0.2], &[0.3]);
+        Evaluator::new(&c).run_layers(&[0.1, 0.2], &[0.3]);
     }
 }

@@ -10,7 +10,6 @@
 //! * [`Spsa`] — simultaneous-perturbation stochastic approximation, the
 //!   optimizer commonly used on real NISQ hardware (two evaluations per
 //!   iteration regardless of dimension).
-//! * [`FiniteDiffAdam`] — central-difference gradients fed into Adam.
 //! * [`GridSearch`] — exhaustive p=1 baseline over the periodic domain.
 
 use qrand::Rng;
@@ -359,118 +358,6 @@ impl Maximizer for Spsa {
 }
 
 // ---------------------------------------------------------------------------
-// Finite-difference Adam
-// ---------------------------------------------------------------------------
-
-/// Central-difference gradient estimation fed into the Adam update rule
-/// (maximizing).
-#[derive(Debug, Clone, PartialEq)]
-pub struct FiniteDiffAdam {
-    /// Iteration budget.
-    pub max_iterations: usize,
-    /// Learning rate.
-    pub learning_rate: f64,
-    /// Finite-difference step.
-    pub epsilon: f64,
-    /// Adam β₁.
-    pub beta1: f64,
-    /// Adam β₂.
-    pub beta2: f64,
-}
-
-impl Default for FiniteDiffAdam {
-    fn default() -> Self {
-        FiniteDiffAdam {
-            max_iterations: 500,
-            learning_rate: 0.05,
-            epsilon: 1e-4,
-            beta1: 0.9,
-            beta2: 0.999,
-        }
-    }
-}
-
-impl FiniteDiffAdam {
-    /// Creates a finite-difference Adam optimizer with the given budget.
-    pub fn new(max_iterations: usize) -> Self {
-        FiniteDiffAdam {
-            max_iterations,
-            ..FiniteDiffAdam::default()
-        }
-    }
-}
-
-impl Maximizer for FiniteDiffAdam {
-    fn maximize<F, R>(&self, mut objective: F, start: &[f64], _rng: &mut R) -> OptimizationResult
-    where
-        F: FnMut(&[f64]) -> f64,
-        R: Rng + ?Sized,
-    {
-        assert!(!start.is_empty(), "start point must be non-empty");
-        let k = start.len();
-        let mut x = start.to_vec();
-        let mut m = vec![0.0; k];
-        let mut v = vec![0.0; k];
-        let mut evaluations = 0usize;
-        let mut non_finite_evals = 0usize;
-        let mut best_point = x.clone();
-        let mut best_value = {
-            evaluations += 1;
-            objective(&x)
-        };
-        if !best_value.is_finite() {
-            non_finite_evals += 1;
-        }
-        let mut history = Vec::with_capacity(self.max_iterations);
-
-        for iter in 0..self.max_iterations {
-            // Central differences per coordinate.
-            let mut grad = vec![0.0; k];
-            for i in 0..k {
-                let mut plus = x.clone();
-                plus[i] += self.epsilon;
-                let mut minus = x.clone();
-                minus[i] -= self.epsilon;
-                evaluations += 2;
-                let f_plus = objective(&plus);
-                let f_minus = objective(&minus);
-                non_finite_evals += usize::from(!f_plus.is_finite());
-                non_finite_evals += usize::from(!f_minus.is_finite());
-                grad[i] = (f_plus - f_minus) / (2.0 * self.epsilon);
-            }
-            // A non-finite gradient skips the whole update (Adam's moments
-            // would otherwise be permanently NaN-poisoned).
-            if grad.iter().all(|g| g.is_finite()) {
-                let t = (iter + 1) as f64;
-                for i in 0..k {
-                    m[i] = self.beta1 * m[i] + (1.0 - self.beta1) * grad[i];
-                    v[i] = self.beta2 * v[i] + (1.0 - self.beta2) * grad[i] * grad[i];
-                    let m_hat = m[i] / (1.0 - self.beta1.powf(t));
-                    let v_hat = v[i] / (1.0 - self.beta2.powf(t));
-                    // Ascent step.
-                    x[i] += self.learning_rate * m_hat / (v_hat.sqrt() + 1e-8);
-                }
-            }
-            evaluations += 1;
-            let f_x = objective(&x);
-            non_finite_evals += usize::from(!f_x.is_finite());
-            if improves(f_x, best_value) {
-                best_value = f_x;
-                best_point = x.clone();
-            }
-            history.push(best_value);
-        }
-        OptimizationResult {
-            best_point,
-            best_value,
-            history,
-            evaluations,
-            non_finite_evals,
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Grid search (p = 1)
 // ---------------------------------------------------------------------------
 
@@ -661,13 +548,6 @@ mod tests {
     }
 
     #[test]
-    fn adam_finds_bowl_maximum() {
-        let mut rng = StdRng::seed_from_u64(43);
-        let r = FiniteDiffAdam::new(500).maximize(bowl, &[4.0, 4.0], &mut rng);
-        assert!((r.best_value - 3.0).abs() < 1e-3, "value {}", r.best_value);
-    }
-
-    #[test]
     fn grid_search_finds_periodic_maximum() {
         let mut rng = StdRng::seed_from_u64(44);
         let r = GridSearch { resolution: 64 }.maximize(periodic, &[0.0, 0.0], &mut rng);
@@ -682,7 +562,6 @@ mod tests {
         let optimizers: Vec<Runner> = vec![
             Box::new(|rng| NelderMead::new(100).maximize(periodic, &[0.3, 0.1], rng)),
             Box::new(|rng| Spsa::new(100).maximize(periodic, &[0.3, 0.1], rng)),
-            Box::new(|rng| FiniteDiffAdam::new(100).maximize(periodic, &[0.3, 0.1], rng)),
             Box::new(|rng| {
                 GridSearch { resolution: 16 }.maximize(periodic, &[0.0, 0.0], rng)
             }),
@@ -807,8 +686,6 @@ mod tests {
         assert!(r.diverged());
         assert_eq!(r.non_finite_evals, r.evaluations);
         let r = Spsa::new(40).maximize(|_| f64::NAN, &[0.5, 0.5], &mut rng);
-        assert!(r.diverged());
-        let r = FiniteDiffAdam::new(40).maximize(|_| f64::NAN, &[0.5, 0.5], &mut rng);
         assert!(r.diverged());
     }
 

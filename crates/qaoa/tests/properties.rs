@@ -7,6 +7,8 @@ use qrand::SeedableRng;
 use qaoa::optimize::{Maximizer, NelderMead, Spsa};
 use qaoa::{analytic, Evaluator, MaxCutHamiltonian, Params, QaoaCircuit};
 use qgraph::generate;
+use qsim::fused::{self, PhaseTable};
+use qsim::StateVector;
 
 /// The suite's "arbitrary graph": a seeded Erdős–Rényi draw, built from
 /// primitive case coordinates so qcheck can shrink toward small graphs.
@@ -142,19 +144,27 @@ properties! {
         let depth = angles.len() / 2;
         prop_assume!(depth >= 1);
         let circuit = QaoaCircuit::new(MaxCutHamiltonian::new(&g));
+        let operator = circuit.hamiltonian().operator();
         let mut evaluator = Evaluator::new(&circuit);
-        // Reuse one scratch buffer across several parameter sets; every
-        // run must equal a fresh one-shot evaluation bit for bit.
+        let mut phases = PhaseTable::default();
+        // Reuse one half-register buffer across several parameter sets;
+        // every run must equal a fresh one-shot evaluation, and a fresh
+        // full-register run of the fused layer, bit for bit.
         for shift in 0..3 {
             let offset = 0.1 * shift as f64;
             let params = Params::new(
                 angles[..depth].iter().map(|a| a + offset).collect(),
                 angles[depth..2 * depth].iter().map(|a| a - offset).collect(),
             );
+            let mut full = StateVector::uniform_superposition(n);
+            for (&gamma, &beta) in params.gammas().iter().zip(params.betas()) {
+                phases.fill(operator.levels(), gamma);
+                fused::phase_rx_all(&mut full, operator.level_of(), &phases, 2.0 * beta);
+            }
             let reused = evaluator.expectation_in_place(&params);
-            let fresh = circuit.expectation(&params);
-            prop_assert_eq!(reused.to_bits(), fresh.to_bits());
-            prop_assert_eq!(evaluator.run_into(&params), &circuit.run(&params));
+            prop_assert_eq!(reused.to_bits(), circuit.expectation(&params).to_bits());
+            prop_assert_eq!(reused.to_bits(), operator.expectation(&full).to_bits());
+            prop_assert_eq!(evaluator.run_into(&params), &full);
         }
     }
 

@@ -13,7 +13,6 @@
 //! fused layer ([`crate::fused::phase_rx_all`]) evaluates `cos`/`sin` once
 //! per level instead of once per amplitude.
 
-use crate::fused::PhaseTable;
 use crate::{Complex, StateVector};
 
 /// A real diagonal operator on `n` qubits, stored as one value per basis
@@ -139,32 +138,6 @@ impl DiagonalOperator {
         }
     }
 
-    /// One fused QAOA layer: [`Self::apply_phase`] with angle `theta`
-    /// followed by an `RX(rx_theta)` mixer on every qubit, executed by the
-    /// fused kernel [`crate::fused::phase_rx_all`] in `⌈n/2⌉` amplitude
-    /// sweeps instead of `n + 1`. The per-level phase factors are written
-    /// into the caller's `phases` scratch, so a reused table allocates
-    /// nothing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the qubit counts differ.
-    pub fn apply_phase_rx_all(
-        &self,
-        psi: &mut StateVector,
-        theta: f64,
-        rx_theta: f64,
-        phases: &mut PhaseTable,
-    ) {
-        assert_eq!(
-            psi.num_qubits(),
-            self.num_qubits,
-            "operator and state qubit counts must match"
-        );
-        phases.fill(&self.levels, theta);
-        crate::fused::phase_rx_all(psi, &self.level_of, phases, rx_theta);
-    }
-
     /// Expectation `⟨ψ|D|ψ⟩`.
     ///
     /// # Panics
@@ -241,6 +214,7 @@ fn dedupe_levels(values: &[f64]) -> (Vec<f64>, Vec<u32>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fused::PhaseTable;
     use crate::gates;
 
     #[test]
@@ -324,18 +298,20 @@ mod tests {
         let mut fused = StateVector::uniform_superposition(4);
         gates::ry(&mut fused, 1, 0.6); // asymmetrize
         let mut unfused = fused.clone();
-        op.apply_phase_rx_all(&mut fused, 0.53, 0.71, &mut PhaseTable::default());
+        let phases = PhaseTable::new(op.levels(), 0.53);
+        crate::fused::phase_rx_all(&mut fused, op.level_of(), &phases, 0.71);
         op.apply_phase(&mut unfused, 0.53);
         gates::rx_all(&mut unfused, 0.71);
         assert!((fused.fidelity(&unfused) - 1.0).abs() < 1e-12);
     }
 
     #[test]
-    #[should_panic(expected = "qubit counts must match")]
+    #[should_panic(expected = "diagonal length must equal 2^n")]
     fn fused_layer_rejects_mismatched_state() {
         let op = DiagonalOperator::from_fn(2, |z| z as f64);
         let mut psi = StateVector::uniform_superposition(3);
-        op.apply_phase_rx_all(&mut psi, 0.1, 0.2, &mut PhaseTable::default());
+        let phases = PhaseTable::new(op.levels(), 0.1);
+        crate::fused::phase_rx_all(&mut psi, op.level_of(), &phases, 0.2);
     }
 
     #[test]

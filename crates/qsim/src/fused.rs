@@ -22,6 +22,22 @@
 //!   `level_of[z]`. Equal angle bits give equal `cos`/`sin` bits and the
 //!   complex multiply keeps its operation order, so this is bit-identical
 //!   to a per-amplitude `Complex::cis`.
+//! * **Flip symmetry.** [`phase_rx_half`] runs a layer on half the
+//!   register. A QAOA state starts as `|+⟩^⊗n`, which the global bit flip
+//!   `z ↦ 2^n − 1 − z` leaves unchanged. So does a layer whose diagonal
+//!   is flip-symmetric (a Max-Cut cost depends only on `bit_u XOR bit_v`),
+//!   since `RX^⊗n` commutes with `X^⊗n`. The kernels keep that equality
+//!   bit for bit, not just up to rounding: mirrored amplitudes get the
+//!   same level, hence the same phase bits, and a butterfly whose inputs
+//!   are mirrored computes its mirrored outputs from the same products,
+//!   only with the operands of each `+` swapped (`x01 + x10` against
+//!   `x10 + x01`). IEEE addition is commutative and nothing here is
+//!   contracted into an FMA, so the results are equal. The sweeps for
+//!   qubits `0..n − 1` never mix the two halves and run on the lower half
+//!   unchanged; one mirror sweep does the group that holds qubit `n − 1`.
+//!   [`expectation_half`] sums the lower half forward, then backward,
+//!   which is exactly the full register's left-to-right sum, term for
+//!   term. [`unfold_half`] writes out the full state when one is needed.
 //!
 //! The sweeps run directly on the state's split re/im `f64` arrays
 //! (see [`StateVector`]). Each butterfly block is split into its four
@@ -263,6 +279,170 @@ fn rx_tail(re: &mut [f64], im: &mut [f64], n: usize, from_q: usize, theta: f64, 
     }
 }
 
+/// Amplitude pairs `(&mut re, &mut im)` of equal-length component slices,
+/// walkable from either end.
+fn amps<'a>(
+    re: &'a mut [f64],
+    im: &'a mut [f64],
+) -> impl DoubleEndedIterator<Item = (&'a mut f64, &'a mut f64)> {
+    re.iter_mut().zip(im.iter_mut())
+}
+
+/// The mirror sweep for the top pair `(n − 2, n − 1)` on the lower half
+/// `L` of a flip-symmetric register (`n ≥ 2`, `L.len() = 2^(n−1)`).
+///
+/// With `Q = L.len() / 2`, the full-register block `j` of this pair holds
+/// `x00 = L[j]`, `x01 = L[Q + j]` and, mirrored in from the upper half,
+/// `x10 = L[2Q − 1 − j]`, `x11 = L[Q − 1 − j]`. Blocks `j` and
+/// `Q − 1 − j` touch the same four lower-half amplitudes and are mirror
+/// images of each other, so one butterfly per pair writes all four.
+#[inline(never)]
+fn rx_top_pair_mirror_sweep(re: &mut [f64], im: &mut [f64], k: RxPair) {
+    let q = re.len() / 2;
+    if q == 1 {
+        // n = 2: block 0 is its own mirror image.
+        let y = k.butterfly(re[0], im[0], re[1], im[1], re[1], im[1], re[0], im[0]);
+        (re[0], im[0], re[1], im[1]) = (y[0], y[1], y[2], y[3]);
+        return;
+    }
+    let (a_re, b_re) = re.split_at_mut(q);
+    let (a_im, b_im) = im.split_at_mut(q);
+    let (a_lo_re, a_hi_re) = a_re.split_at_mut(q / 2);
+    let (a_lo_im, a_hi_im) = a_im.split_at_mut(q / 2);
+    let (b_lo_re, b_hi_re) = b_re.split_at_mut(q / 2);
+    let (b_lo_im, b_hi_im) = b_im.split_at_mut(q / 2);
+    let x00 = amps(a_lo_re, a_lo_im);
+    let x01 = amps(b_lo_re, b_lo_im);
+    let x10 = amps(b_hi_re, b_hi_im).rev();
+    let x11 = amps(a_hi_re, a_hi_im).rev();
+    for (((r00, i00), (r01, i01)), ((r10, i10), (r11, i11))) in x00.zip(x01).zip(x10.zip(x11)) {
+        let y = k.butterfly(*r00, *i00, *r01, *i01, *r10, *i10, *r11, *i11);
+        (*r00, *i00, *r01, *i01) = (y[0], y[1], y[2], y[3]);
+        (*r10, *i10, *r11, *i11) = (y[4], y[5], y[6], y[7]);
+    }
+}
+
+/// The mirror sweep for the single top qubit `n − 1` (odd `n`) on the
+/// lower half `L` of a flip-symmetric register: the full-register pair
+/// `j` holds `a0 = L[j]` and, mirrored in, `a1 = L[H − 1 − j]`, and pairs
+/// `j` and `H − 1 − j` are mirror images, so one butterfly per pair
+/// writes both. Same `Complex` arithmetic as [`rx_single_sweep`].
+#[inline(never)]
+fn rx_top_single_mirror_sweep(re: &mut [f64], im: &mut [f64], theta: f64) {
+    let c = Complex::from((theta / 2.0).cos());
+    let s = Complex::new(0.0, -(theta / 2.0).sin());
+    let h = re.len();
+    if h == 1 {
+        // n = 1: the one pair is its own mirror image.
+        let a = Complex::new(re[0], im[0]);
+        let y0 = c * a + s * a;
+        (re[0], im[0]) = (y0.re, y0.im);
+        return;
+    }
+    let (lo_re, hi_re) = re.split_at_mut(h / 2);
+    let (lo_im, hi_im) = im.split_at_mut(h / 2);
+    for ((r0, i0), (r1, i1)) in amps(lo_re, lo_im).zip(amps(hi_re, hi_im).rev()) {
+        let a0 = Complex::new(*r0, *i0);
+        let a1 = Complex::new(*r1, *i1);
+        let y0 = c * a0 + s * a1;
+        let y1 = s * a0 + c * a1;
+        (*r0, *i0, *r1, *i1) = (y0.re, y0.im, y1.re, y1.im);
+    }
+}
+
+/// [`phase_rx_all`] on a flip-symmetric register, given only its lower
+/// half: the `H = 2^(n−1)` amplitudes with qubit `n − 1` clear, whose
+/// mirrors `z ↦ 2^n − 1 − z` fill the upper half. `level_of` is the lower
+/// half of the level table, whose upper half must mirror it too.
+///
+/// The half after this call is bit for bit the lower half of what
+/// [`phase_rx_all`] leaves in the full register (see the module doc).
+///
+/// # Panics
+///
+/// Panics if `re`, `im` and `level_of` differ in length or the length is
+/// not a power of two, or if a level index is out of range of `phases`.
+pub fn phase_rx_half(
+    re: &mut [f64],
+    im: &mut [f64],
+    level_of: &[u32],
+    phases: &PhaseTable,
+    theta: f64,
+) {
+    let h = re.len();
+    assert!(
+        h.is_power_of_two() && im.len() == h && level_of.len() == h,
+        "half register must be 2^(n-1) re, im and level entries"
+    );
+    let n = h.trailing_zeros() as usize + 1;
+    let phases = &phases.factors;
+    let k = RxPair::new(theta);
+    let mut q = if n <= 2 {
+        // Too short for a fused quad sweep: phase, then the top sweep, in
+        // the order the fused full-register sweep applies them.
+        for ((r, i), &l) in amps(re, im).zip(level_of) {
+            (*r, *i) = phased(*r, *i, phases[l as usize]);
+        }
+        0
+    } else {
+        phase_rx_pair01_sweep(re, im, level_of, phases, k);
+        2
+    };
+    while q + 2 < n {
+        rx_pair_sweep(re, im, q, k);
+        q += 2;
+    }
+    if q + 2 == n {
+        rx_top_pair_mirror_sweep(re, im, k);
+    } else {
+        rx_top_single_mirror_sweep(re, im, theta);
+    }
+}
+
+/// `⟨ψ|D|ψ⟩` of a flip-symmetric register from its lower half and the
+/// lower half of a mirror-symmetric diagonal `D`: the terms of the upper
+/// half are those of the lower half in reverse, so one sum over the half
+/// forward and then backward folds exactly the terms of
+/// [`StateVector::expectation_diagonal`], in its order.
+///
+/// # Panics
+///
+/// Panics if `re`, `im` and `values` differ in length.
+pub fn expectation_half(re: &[f64], im: &[f64], values: &[f64]) -> f64 {
+    assert!(
+        im.len() == re.len() && values.len() == re.len(),
+        "half register and diagonal lengths must match"
+    );
+    let terms = re
+        .iter()
+        .zip(im)
+        .zip(values)
+        .map(|((&re, &im), &v)| (re * re + im * im) * v);
+    terms.clone().chain(terms.rev()).sum()
+}
+
+/// Writes the full flip-symmetric register whose lower half is `re`/`im`
+/// into `psi`: the half itself, then its mirror image.
+///
+/// # Panics
+///
+/// Panics if `psi` is not twice as long as the half.
+pub fn unfold_half(re: &[f64], im: &[f64], psi: &mut StateVector) {
+    let h = re.len();
+    assert!(
+        im.len() == h && psi.dim() == 2 * h,
+        "state must hold twice the half's amplitudes"
+    );
+    let (full_re, full_im) = psi.re_im_mut();
+    for (full, half) in [(full_re, re), (full_im, im)] {
+        let (lo, hi) = full.split_at_mut(h);
+        lo.copy_from_slice(half);
+        for (dst, &src) in hi.iter_mut().zip(half.iter().rev()) {
+            *dst = src;
+        }
+    }
+}
+
 /// Applies `RX(θ)` to every qubit in `⌈n/2⌉` sweeps instead of `n`.
 ///
 /// Exactly equivalent to [`crate::gates::rx_all`]; this is the fused fast
@@ -361,6 +541,38 @@ mod tests {
                 max_amp_diff(&fused, &unfused) < 1e-13,
                 "n={n}: fused phase+mixer layer diverges"
             );
+        }
+    }
+
+    #[test]
+    fn half_register_layers_match_full_register_bits() {
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for n in 1..=8 {
+            // Flip-symmetric and with many distinct levels: a function of
+            // the lower-half representative of each mirror pair.
+            let mask = (1u64 << n) - 1;
+            let op = DiagonalOperator::from_fn(n, |z| {
+                let r = z.min(!z & mask);
+                (r as f64 * 0.37).sin() - 0.25 * r.count_ones() as f64
+            });
+            let h = op.values().len() / 2;
+            let mut full = StateVector::uniform_superposition(n);
+            let mut re = full.re()[..h].to_vec();
+            let mut im = full.im()[..h].to_vec();
+            let mut unfolded = StateVector::zero_state(n);
+            for (gamma, theta) in [(0.83, -0.41), (-1.9, 2.4), (2.6, 0.37)] {
+                let phases = PhaseTable::new(op.levels(), gamma);
+                phase_rx_all(&mut full, op.level_of(), &phases, theta);
+                phase_rx_half(&mut re, &mut im, &op.level_of()[..h], &phases, theta);
+                unfold_half(&re, &im, &mut unfolded);
+                assert_eq!(bits(unfolded.re()), bits(full.re()), "n={n}");
+                assert_eq!(bits(unfolded.im()), bits(full.im()), "n={n}");
+                assert_eq!(
+                    expectation_half(&re, &im, &op.values()[..h]).to_bits(),
+                    full.expectation_diagonal(op.values()).to_bits(),
+                    "n={n}"
+                );
+            }
         }
     }
 

@@ -53,7 +53,6 @@ pub mod diagonal;
 pub mod fused;
 pub mod gates;
 pub mod noise;
-pub mod pauli;
 
 pub use complex::Complex;
 pub use state::StateVector;

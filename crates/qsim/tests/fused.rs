@@ -79,7 +79,8 @@ fn fused_phase_mixer_layer_matches_unfused_up_to_12_qubits() {
             let mut fused_psi = reference;
             op.apply_phase(&mut unfused, gamma);
             gates::rx_all(&mut unfused, theta);
-            op.apply_phase_rx_all(&mut fused_psi, gamma, theta, &mut phases);
+            phases.fill(op.levels(), gamma);
+            fused::phase_rx_all(&mut fused_psi, op.level_of(), &phases, theta);
             let diff = max_amp_diff(&unfused, &fused_psi);
             assert!(
                 diff < TOLERANCE,
@@ -105,7 +106,8 @@ fn deep_fused_circuits_stay_within_tolerance() {
         for &(gamma, theta) in &angles {
             op.apply_phase(&mut unfused, gamma);
             gates::rx_all(&mut unfused, theta);
-            op.apply_phase_rx_all(&mut fused_psi, gamma, theta, &mut phases);
+            phases.fill(op.levels(), gamma);
+            fused::phase_rx_all(&mut fused_psi, op.level_of(), &phases, theta);
         }
         let diff = max_amp_diff(&unfused, &fused_psi);
         assert!(diff < TOLERANCE, "n={n}: p=8 trace diverges by {diff:e}");
@@ -124,13 +126,15 @@ fn fused_layer_handles_degenerate_angles() {
         let mut only_mixer = reference.clone();
         let mut via_fused = reference.clone();
         gates::rx_all(&mut only_mixer, 0.9);
-        op.apply_phase_rx_all(&mut via_fused, 0.0, 0.9, &mut phases);
+        phases.fill(op.levels(), 0.0);
+        fused::phase_rx_all(&mut via_fused, op.level_of(), &phases, 0.9);
         assert!(max_amp_diff(&only_mixer, &via_fused) < TOLERANCE);
 
         let mut only_phase = reference.clone();
         let mut via_fused = reference;
         op.apply_phase(&mut only_phase, 0.7);
-        op.apply_phase_rx_all(&mut via_fused, 0.7, 0.0, &mut phases);
+        phases.fill(op.levels(), 0.7);
+        fused::phase_rx_all(&mut via_fused, op.level_of(), &phases, 0.0);
         assert!(max_amp_diff(&only_phase, &via_fused) < TOLERANCE);
     }
 }

@@ -9,7 +9,7 @@ use qcheck::{any_u64, prop_assert, prop_assert_eq, properties, vec};
 
 use cis_reference::state_bits;
 use qsim::diagonal::DiagonalOperator;
-use qsim::fused::PhaseTable;
+use qsim::fused::{self, PhaseTable};
 use qsim::{gates, StateVector};
 
 /// A diagonal that draws each entry from `pool` by a hash of its index,
@@ -78,7 +78,8 @@ properties! {
         let mut phases = PhaseTable::default();
         for &(gamma, beta) in &layers {
             cis_reference::phase_rx_all(&mut reference, op.values(), gamma, 2.0 * beta);
-            op.apply_phase_rx_all(&mut serial, gamma, 2.0 * beta, &mut phases);
+            phases.fill(op.levels(), gamma);
+            fused::phase_rx_all(&mut serial, op.level_of(), &phases, 2.0 * beta);
         }
         prop_assert!(state_bits(&serial) == state_bits(&reference), "serial n={n}");
     }
