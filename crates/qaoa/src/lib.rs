@@ -18,9 +18,10 @@
 //! * [`analytic`] — the closed-form p=1 edge expectation (Wang et al.),
 //!   used both as an independent oracle for simulator tests and as the basis
 //!   of the fixed-angle module.
-//! * [`optimize`] — classical outer-loop optimizers: Nelder–Mead, SPSA
-//!   and p=1 grid search, all reporting iteration histories (the paper
-//!   runs 500 iterations from random starts, §3.1).
+//! * [`optimize`] — classical outer-loop optimizers: Nelder–Mead and p=1
+//!   grid search, both reporting iteration histories (the paper runs 500
+//!   iterations from random starts, §3.1), and the bit-keyed memo that
+//!   spares a deterministic objective repeated points.
 //! * [`fixed_angle`] — the fixed-angle conjecture (Wurtz & Lykov) for
 //!   d-regular graphs, §3.3.
 //! * [`warm_start`] — end-to-end runner: initialize (randomly or from a

@@ -7,10 +7,12 @@
 //! after each iteration, which is what the warm-start comparisons plot.
 //!
 //! * [`NelderMead`] — derivative-free simplex search; the default labeler.
-//! * [`Spsa`] — simultaneous-perturbation stochastic approximation, the
-//!   optimizer commonly used on real NISQ hardware (two evaluations per
-//!   iteration regardless of dimension).
 //! * [`GridSearch`] — exhaustive p=1 baseline over the periodic domain.
+//!
+//! [`memoized`] wraps a deterministic objective so that a point queried
+//! twice is computed once.
+
+use std::collections::HashMap;
 
 use qrand::Rng;
 
@@ -24,7 +26,9 @@ pub struct OptimizationResult {
     /// Best-so-far objective value after each iteration (monotone
     /// non-decreasing). Length equals the number of iterations performed.
     pub history: Vec<f64>,
-    /// Total number of objective evaluations used.
+    /// Total number of objective queries the optimizer made, counting
+    /// repeats of a point that a [`memoized`] objective answered without
+    /// recomputing it.
     pub evaluations: usize,
     /// Number of evaluations that returned a non-finite value (NaN or ±∞).
     /// Non-zero means the objective diverged somewhere along the trace;
@@ -42,9 +46,9 @@ impl OptimizationResult {
 }
 
 /// `true` when `candidate` is a usable improvement over `best`: finite, and
-/// either strictly better or replacing a non-finite incumbent. This is the
-/// single comparison every optimizer here uses to track its best point, so
-/// a NaN-returning objective can never be propagated as "best".
+/// either strictly better or replacing a non-finite incumbent. Grid search
+/// tracks its best point with it, so a NaN-returning objective can never be
+/// propagated as "best".
 fn improves(candidate: f64, best: f64) -> bool {
     candidate.is_finite() && (!best.is_finite() || candidate > best)
 }
@@ -165,8 +169,8 @@ impl Maximizer for NelderMead {
             let worst = simplex[k].1;
             history.push(best);
             if self.tolerance > 0.0 && (best - worst).abs() < self.tolerance {
-                // Early convergence: pad history so callers still see a
-                // monotone curve of full length semantics.
+                // Early convergence: stop here, so the history is shorter
+                // than the budget and ends at the current best.
                 break;
             }
 
@@ -248,116 +252,6 @@ impl Maximizer for NelderMead {
 }
 
 // ---------------------------------------------------------------------------
-// SPSA
-// ---------------------------------------------------------------------------
-
-/// Simultaneous-perturbation stochastic approximation (maximizing).
-///
-/// Uses the standard gain sequences `a_k = a / (k + 1 + A)^α` and
-/// `c_k = c / (k + 1)^γ`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Spsa {
-    /// Iteration budget.
-    pub max_iterations: usize,
-    /// Step-size numerator `a`.
-    pub a: f64,
-    /// Stability constant `A`.
-    pub big_a: f64,
-    /// Step-size exponent `α`.
-    pub alpha: f64,
-    /// Perturbation numerator `c`.
-    pub c: f64,
-    /// Perturbation exponent `γ`.
-    pub gamma: f64,
-}
-
-impl Default for Spsa {
-    fn default() -> Self {
-        Spsa {
-            max_iterations: 500,
-            a: 0.2,
-            big_a: 10.0,
-            alpha: 0.602,
-            c: 0.15,
-            gamma: 0.101,
-        }
-    }
-}
-
-impl Spsa {
-    /// Creates an SPSA optimizer with the given iteration budget.
-    pub fn new(max_iterations: usize) -> Self {
-        Spsa {
-            max_iterations,
-            ..Spsa::default()
-        }
-    }
-}
-
-impl Maximizer for Spsa {
-    fn maximize<F, R>(&self, mut objective: F, start: &[f64], rng: &mut R) -> OptimizationResult
-    where
-        F: FnMut(&[f64]) -> f64,
-        R: Rng + ?Sized,
-    {
-        assert!(!start.is_empty(), "start point must be non-empty");
-        let k = start.len();
-        let mut x = start.to_vec();
-        let mut evaluations = 0usize;
-        let mut non_finite_evals = 0usize;
-        let mut best_point = x.clone();
-        let mut best_value = {
-            evaluations += 1;
-            objective(&x)
-        };
-        if !best_value.is_finite() {
-            non_finite_evals += 1;
-        }
-        let mut history = Vec::with_capacity(self.max_iterations);
-
-        for iter in 0..self.max_iterations {
-            let ak = self.a / ((iter as f64 + 1.0 + self.big_a).powf(self.alpha));
-            let ck = self.c / ((iter as f64 + 1.0).powf(self.gamma));
-            // Rademacher perturbation.
-            let delta: Vec<f64> = (0..k)
-                .map(|_| if rng.gen::<bool>() { 1.0 } else { -1.0 })
-                .collect();
-            let plus: Vec<f64> = x.iter().zip(&delta).map(|(xi, d)| xi + ck * d).collect();
-            let minus: Vec<f64> = x.iter().zip(&delta).map(|(xi, d)| xi - ck * d).collect();
-            evaluations += 2;
-            let f_plus = objective(&plus);
-            let f_minus = objective(&minus);
-            non_finite_evals += usize::from(!f_plus.is_finite());
-            non_finite_evals += usize::from(!f_minus.is_finite());
-            let scale = (f_plus - f_minus) / (2.0 * ck);
-            if scale.is_finite() {
-                for (xi, d) in x.iter_mut().zip(&delta) {
-                    // Ascent: move along the estimated gradient.
-                    *xi += ak * scale * d;
-                }
-            }
-            // A non-finite gradient estimate skips the update entirely so
-            // one divergent evaluation cannot poison the iterate.
-            evaluations += 1;
-            let f_x = objective(&x);
-            non_finite_evals += usize::from(!f_x.is_finite());
-            if improves(f_x, best_value) {
-                best_value = f_x;
-                best_point = x.clone();
-            }
-            history.push(best_value);
-        }
-        OptimizationResult {
-            best_point,
-            best_value,
-            history,
-            evaluations,
-            non_finite_evals,
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Grid search (p = 1)
 // ---------------------------------------------------------------------------
 
@@ -417,87 +311,33 @@ impl Maximizer for GridSearch {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Multi-start wrapper
-// ---------------------------------------------------------------------------
-
-/// Runs an inner optimizer from several random restarts (plus the supplied
-/// start) and keeps the best outcome — the standard defense against the
-/// local traps §3.3 of the paper blames for its noisy labels.
+/// Wraps a deterministic objective so that each distinct point is computed
+/// once. A repeated query is answered from a table keyed on the exact
+/// `f64::to_bits` of every coordinate, so it returns the bits the first
+/// call returned; `0.0` and `-0.0`, or two NaN payloads, are distinct keys.
 ///
-/// Restart points are sampled uniformly from per-coordinate ranges supplied
-/// at construction (for QAOA: `γ ∈ [0, 2π)`, `β ∈ [0, π)`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct MultiStart<M> {
-    inner: M,
-    restarts: usize,
-    ranges: Vec<(f64, f64)>,
-}
-
-impl<M: Maximizer> MultiStart<M> {
-    /// Wraps `inner` with `restarts` additional random starts drawn from
-    /// `ranges` (one `(lo, hi)` pair per coordinate).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any range is empty or reversed.
-    pub fn new(inner: M, restarts: usize, ranges: Vec<(f64, f64)>) -> Self {
-        assert!(
-            ranges.iter().all(|&(lo, hi)| lo < hi),
-            "every restart range must satisfy lo < hi"
-        );
-        MultiStart {
-            inner,
-            restarts,
-            ranges,
+/// Only valid when `objective` is a pure function of those bits, as
+/// [`crate::Evaluator::expectation_flat`] is: a stochastic or stateful
+/// objective would have every later draw at a point replaced by its first.
+/// For a pure objective an optimizer sees the same values, takes the same
+/// branches and counts the same [`OptimizationResult::evaluations`]. It
+/// pays off for Nelder–Mead, whose collapsed simplex keeps querying
+/// vertices it has already evaluated.
+pub fn memoized<F>(mut objective: F) -> impl FnMut(&[f64]) -> f64
+where
+    F: FnMut(&[f64]) -> f64,
+{
+    let mut seen: HashMap<Vec<u64>, f64> = HashMap::new();
+    let mut key = Vec::new();
+    move |x: &[f64]| {
+        key.clear();
+        key.extend(x.iter().map(|v| v.to_bits()));
+        if let Some(&value) = seen.get(key.as_slice()) {
+            return value;
         }
-    }
-
-    /// The standard QAOA ranges for depth `p`: γ over `[0, 2π)`, β over
-    /// `[0, π)`.
-    pub fn qaoa(inner: M, restarts: usize, depth: usize) -> Self {
-        let mut ranges = vec![(0.0, 2.0 * std::f64::consts::PI); depth];
-        ranges.extend(vec![(0.0, std::f64::consts::PI); depth]);
-        Self::new(inner, restarts, ranges)
-    }
-}
-
-impl<M: Maximizer> Maximizer for MultiStart<M> {
-    fn maximize<F, R>(&self, mut objective: F, start: &[f64], rng: &mut R) -> OptimizationResult
-    where
-        F: FnMut(&[f64]) -> f64,
-        R: Rng + ?Sized,
-    {
-        assert_eq!(
-            start.len(),
-            self.ranges.len(),
-            "start dimension must match restart ranges"
-        );
-        let mut best = self.inner.maximize(&mut objective, start, rng);
-        let mut history = best.history.clone();
-        for _ in 0..self.restarts {
-            let restart: Vec<f64> = self
-                .ranges
-                .iter()
-                .map(|&(lo, hi)| rng.gen_range(lo..hi))
-                .collect();
-            let result = self.inner.maximize(&mut objective, &restart, rng);
-            best.evaluations += result.evaluations;
-            best.non_finite_evals += result.non_finite_evals;
-            history.extend(result.history.iter().copied());
-            // A restart whose best is non-finite is skipped outright; a
-            // finite restart also replaces a non-finite incumbent from the
-            // supplied start, so one diverged trajectory never wins.
-            if improves(result.best_value, best.best_value) {
-                best.best_point = result.best_point;
-                best.best_value = result.best_value;
-            }
-        }
-        make_monotone(&mut history);
-        OptimizationResult {
-            history,
-            ..best
-        }
+        let value = objective(x);
+        seen.insert(key.clone(), value);
+        value
     }
 }
 
@@ -541,13 +381,6 @@ mod tests {
     }
 
     #[test]
-    fn spsa_improves_on_start() {
-        let mut rng = StdRng::seed_from_u64(42);
-        let r = Spsa::new(400).maximize(bowl, &[3.0, 1.0], &mut rng);
-        assert!(r.best_value > bowl(&[3.0, 1.0]) + 1.0);
-    }
-
-    #[test]
     fn grid_search_finds_periodic_maximum() {
         let mut rng = StdRng::seed_from_u64(44);
         let r = GridSearch { resolution: 64 }.maximize(periodic, &[0.0, 0.0], &mut rng);
@@ -561,10 +394,7 @@ mod tests {
         type Runner = Box<dyn Fn(&mut StdRng) -> OptimizationResult>;
         let optimizers: Vec<Runner> = vec![
             Box::new(|rng| NelderMead::new(100).maximize(periodic, &[0.3, 0.1], rng)),
-            Box::new(|rng| Spsa::new(100).maximize(periodic, &[0.3, 0.1], rng)),
-            Box::new(|rng| {
-                GridSearch { resolution: 16 }.maximize(periodic, &[0.0, 0.0], rng)
-            }),
+            Box::new(|rng| GridSearch { resolution: 16 }.maximize(periodic, &[0.0, 0.0], rng)),
         ];
         for run in optimizers {
             let r = run(&mut rng);
@@ -612,50 +442,6 @@ mod tests {
         let _ = GridSearch::default().maximize(|_| 0.0, &[0.0; 4], &mut rng);
     }
 
-    #[test]
-    fn multi_start_escapes_local_trap() {
-        // A bimodal objective: small bump at x=-2, big bump at x=3. Plain
-        // Nelder–Mead from x=-2.5 climbs the small bump; multi-start over
-        // [-5, 5] finds the big one.
-        let bimodal = |x: &[f64]| {
-            let small = (-((x[0] + 2.0).powi(2))).exp();
-            let big = 3.0 * (-((x[0] - 3.0).powi(2))).exp();
-            small + big
-        };
-        let mut rng = StdRng::seed_from_u64(48);
-        let plain = NelderMead::new(80).maximize(bimodal, &[-2.5], &mut rng);
-        assert!(plain.best_value < 1.5, "plain NM should be trapped");
-        let multi = MultiStart::new(NelderMead::new(80), 10, vec![(-5.0, 5.0)]);
-        let escaped = multi.maximize(bimodal, &[-2.5], &mut rng);
-        assert!((escaped.best_value - 3.0).abs() < 0.1, "{}", escaped.best_value);
-        assert!(escaped.evaluations > plain.evaluations);
-        for w in escaped.history.windows(2) {
-            assert!(w[1] >= w[0] - 1e-12);
-        }
-    }
-
-    #[test]
-    fn multi_start_qaoa_ranges() {
-        let ms = MultiStart::qaoa(NelderMead::new(10), 2, 2);
-        let mut rng = StdRng::seed_from_u64(49);
-        // 2p = 4 coordinates expected.
-        let r = ms.maximize(|x| -x.iter().map(|v| v * v).sum::<f64>(), &[0.1; 4], &mut rng);
-        assert_eq!(r.best_point.len(), 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "lo < hi")]
-    fn multi_start_rejects_bad_range() {
-        let _ = MultiStart::new(NelderMead::new(10), 1, vec![(1.0, 1.0)]);
-    }
-
-    #[test]
-    fn deterministic_given_seed() {
-        let r1 = Spsa::new(50).maximize(periodic, &[0.2, 0.2], &mut StdRng::seed_from_u64(7));
-        let r2 = Spsa::new(50).maximize(periodic, &[0.2, 0.2], &mut StdRng::seed_from_u64(7));
-        assert_eq!(r1, r2);
-    }
-
     /// `bowl` with a NaN hole around `hole`: the divergence-injection
     /// objective the fault-tolerance requirements call for.
     fn bowl_with_hole(hole: [f64; 2]) -> impl Fn(&[f64]) -> f64 {
@@ -685,8 +471,6 @@ mod tests {
         let r = NelderMead::new(40).maximize(|_| f64::NAN, &[0.5, 0.5], &mut rng);
         assert!(r.diverged());
         assert_eq!(r.non_finite_evals, r.evaluations);
-        let r = Spsa::new(40).maximize(|_| f64::NAN, &[0.5, 0.5], &mut rng);
-        assert!(r.diverged());
     }
 
     #[test]
@@ -708,18 +492,68 @@ mod tests {
         assert!(r.non_finite_evals > 0);
     }
 
+    /// `f` plus a counter of the calls that actually reached it.
+    fn counting<'a>(
+        calls: &'a std::cell::Cell<usize>,
+        f: impl Fn(&[f64]) -> f64 + 'a,
+    ) -> impl Fn(&[f64]) -> f64 + 'a {
+        move |x: &[f64]| {
+            calls.set(calls.get() + 1);
+            f(x)
+        }
+    }
+
+    /// Bit-level equality of two results (`==` would fail on NaN).
+    fn assert_same_bits(a: &OptimizationResult, b: &OptimizationResult) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&a.best_point), bits(&b.best_point));
+        assert_eq!(a.best_value.to_bits(), b.best_value.to_bits());
+        assert_eq!(bits(&a.history), bits(&b.history));
+        assert_eq!(a.evaluations, b.evaluations);
+        assert_eq!(a.non_finite_evals, b.non_finite_evals);
+    }
+
     #[test]
-    fn multi_start_ignores_nan_trajectories() {
-        // The supplied start lands inside the NaN hole, so the first inner
-        // run diverges outright; a finite restart must replace it.
-        let objective = bowl_with_hole([4.0, 4.0]);
+    fn memoized_trace_simulates_less_and_returns_the_same_bits() {
+        let calls = std::cell::Cell::new(0);
+        let nm = NelderMead::new(500);
         let mut rng = StdRng::seed_from_u64(53);
-        let direct = NelderMead::new(5).maximize(&objective, &[4.0, 4.0], &mut rng);
-        assert!(direct.non_finite_evals > 0, "start must hit the hole");
-        let multi = MultiStart::new(NelderMead::new(60), 8, vec![(-5.0, 5.0), (-5.0, 5.0)]);
-        let r = multi.maximize(&objective, &[4.0, 4.0], &mut rng);
-        assert!(r.best_value.is_finite());
-        assert!((r.best_value - 3.0).abs() < 0.1, "{}", r.best_value);
+        let bare = nm.maximize(periodic, &[0.3, 0.1], &mut rng);
+        let memo = nm.maximize(memoized(counting(&calls, periodic)), &[0.3, 0.1], &mut rng);
+        assert_same_bits(&bare, &memo);
+        assert!(
+            calls.get() < memo.evaluations,
+            "{} simulations for {} queries",
+            calls.get(),
+            memo.evaluations
+        );
+    }
+
+    #[test]
+    fn memoized_nan_hole_counts_every_non_finite_query() {
+        let calls = std::cell::Cell::new(0);
+        let nm = NelderMead::new(300);
+        let mut rng = StdRng::seed_from_u64(50);
+        let objective = bowl_with_hole([2.0, 0.0]);
+        let bare = nm.maximize(&objective, &[4.0, 4.0], &mut rng);
+        let memo = nm.maximize(
+            memoized(counting(&calls, &objective)),
+            &[4.0, 4.0],
+            &mut rng,
+        );
+        assert!(bare.non_finite_evals > 0, "the trace must cross the hole");
+        assert_same_bits(&bare, &memo);
+        assert!(calls.get() < memo.evaluations);
+    }
+
+    #[test]
+    fn memoized_keys_on_bits_not_values() {
+        let calls = std::cell::Cell::new(0);
+        let mut f = memoized(counting(&calls, |x| x[0]));
+        assert_eq!(f(&[0.0]).to_bits(), 0.0f64.to_bits());
+        assert_eq!(f(&[-0.0]).to_bits(), (-0.0f64).to_bits());
+        assert_eq!(f(&[0.0]).to_bits(), 0.0f64.to_bits());
+        assert_eq!(calls.get(), 2);
     }
 }
 
@@ -729,8 +563,8 @@ mod nan_properties {
     use qrand::SeedableRng;
 
     // Property: wherever a single NaN cell is injected into the p=1 grid
-    // domain, GridSearch and MultiStart(NelderMead) both return a finite
-    // best value and never select a point inside the poisoned cell.
+    // domain, GridSearch returns a finite best value outside the poisoned
+    // cell, and NelderMead started inside it reports rather than panics.
     qcheck::properties! {
         fn injected_nan_never_wins(ci in 0usize..8, cj in 0usize..8, seed in 0u64..1000) {
             let cell_w = 2.0 * std::f64::consts::PI / 8.0;
@@ -748,10 +582,9 @@ mod nan_properties {
             qcheck::prop_assert!(grid.best_value.is_finite());
             qcheck::prop_assert!(objective(&grid.best_point).is_finite());
 
-            let multi = MultiStart::qaoa(NelderMead::new(30), 3, 1);
-            let r = multi.maximize(objective, &[ci as f64 * cell_w + 0.1, cj as f64 * cell_h + 0.1], &mut rng);
-            // Either a finite optimum was found or every trajectory stayed
-            // inside the hole (possible but must be reported, not panicked).
+            let r = NelderMead::new(30).maximize(objective, &[ci as f64 * cell_w + 0.1, cj as f64 * cell_h + 0.1], &mut rng);
+            // Either a finite optimum was found or the trace stayed inside
+            // the hole (possible but must be reported, not panicked).
             qcheck::prop_assert!(r.best_value.is_finite() || r.non_finite_evals > 0);
         }
     }

@@ -8,7 +8,7 @@
 
 use qrand::Rng;
 
-use crate::optimize::{Maximizer, OptimizationResult};
+use crate::optimize::{memoized, Maximizer, OptimizationResult};
 use crate::{Evaluator, MaxCutHamiltonian, Params, QaoaCircuit};
 
 /// How the initial parameters were chosen — the experimental condition.
@@ -48,7 +48,9 @@ pub struct WarmStartOutcome {
     pub final_ratio: f64,
     /// Best-so-far expectation per optimizer iteration.
     pub history: Vec<f64>,
-    /// Objective evaluations spent (proxy for quantum-resource overhead).
+    /// Objective queries the optimizer made (proxy for quantum-resource
+    /// overhead), counting the repeats [`run_with`]'s memo answered
+    /// without a simulation.
     pub evaluations: usize,
     /// Objective evaluations that returned a non-finite value. Non-zero
     /// flags a (partially) diverged trace; the labeler records the graph as
@@ -108,6 +110,12 @@ where
 /// trace — initial evaluation plus every objective call the optimizer
 /// makes — executes in the evaluator's scratch buffer with zero
 /// state-vector allocations.
+///
+/// The trace never simulates a point twice: every query goes through one
+/// [`memoized`] objective, first among them the initial expectation, which
+/// is also the optimizer's first query. This relies on
+/// [`Evaluator::expectation_flat`] being a pure function of the exact
+/// parameter bits, so every output bit is what the bare objective gives.
 pub fn run_with<M, R>(
     evaluator: &mut Evaluator<'_>,
     initial: Params,
@@ -119,18 +127,17 @@ where
     M: Maximizer,
     R: Rng + ?Sized,
 {
-    let initial_expectation = evaluator.expectation_in_place(&initial);
+    let start = initial.to_flat();
+    let mut objective = memoized(|flat: &[f64]| evaluator.expectation_flat(flat));
+    let initial_expectation = objective(&start);
     let OptimizationResult {
         best_point,
         best_value,
         history,
         evaluations,
         non_finite_evals,
-    } = optimizer.maximize(
-        |flat: &[f64]| evaluator.expectation_flat(flat),
-        &initial.to_flat(),
-        rng,
-    );
+    } = optimizer.maximize(&mut objective, &start, rng);
+    drop(objective);
     let final_params = Params::from_flat(&best_point).expect("optimizer preserves layout");
     let hamiltonian = evaluator.circuit().hamiltonian();
     WarmStartOutcome {

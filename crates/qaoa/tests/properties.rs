@@ -4,7 +4,7 @@ use qcheck::{any_u64, prop_assert, prop_assert_eq, prop_assume, properties, vec}
 use qrand::rngs::StdRng;
 use qrand::SeedableRng;
 
-use qaoa::optimize::{Maximizer, NelderMead, Spsa};
+use qaoa::optimize::{Maximizer, NelderMead};
 use qaoa::{analytic, Evaluator, MaxCutHamiltonian, Params, QaoaCircuit};
 use qgraph::generate;
 use qsim::fused::{self, PhaseTable};
@@ -107,8 +107,6 @@ properties! {
         let mut rng = StdRng::seed_from_u64(opt_seed);
         let nm = NelderMead::new(30).maximize(objective, &start, &mut rng);
         prop_assert!(nm.best_value >= start_value - 1e-9);
-        let spsa = Spsa::new(30).maximize(objective, &start, &mut rng);
-        prop_assert!(spsa.best_value >= start_value - 1e-9);
     }
 
     fn approximation_ratio_of_best_params_leq_one(
