@@ -459,14 +459,14 @@ impl FaultSchedule {
     ///
     /// The script spreads failure windows across every failpoint on the
     /// serving path — worker kills ([`WORKER`], exercising supervision),
-    /// GNN-rung poison ([`FORWARD`]/[`SIM_EVAL`]/[`WEIGHT_BUILD`], enough
-    /// consecutive failures to trip the circuit breaker), hot-swap
+    /// GNN-rung poison ([`FORWARD`]/[`SIM_EVAL`]/[`WEIGHT_BUILD`], each
+    /// firing degrading the one request it hits), hot-swap
     /// rejections ([`HOT_SWAP`]) and admission refusals ([`ADMISSION`]) —
     /// plus windows on the persistence failpoints ([`ARTIFACT_LOAD`],
     /// [`JOURNAL_IO`]) for drivers that touch disk between requests. Every
     /// window closes before `requests`, with a fault-free tail (the last
-    /// ~20% of the stream) so recovery invariants (census restored,
-    /// breaker re-closed) can be asserted at the end.
+    /// ~20% of the stream) so recovery invariants (census restored, a
+    /// `Ready` end state) can be asserted at the end.
     pub fn from_seed(seed: u64, requests: u64) -> FaultSchedule {
         use qrand::rngs::StdRng;
         use qrand::{Rng, SeedableRng};
@@ -494,8 +494,8 @@ impl FaultSchedule {
             kill.budget = 1;
             entries.push(kill);
         }
-        // GNN-rung poison: one long dense window (drives the breaker Open)
-        // plus scattered short ones.
+        // GNN-rung poison: one long dense window (a storm of consecutive
+        // per-request degradations) plus scattered short ones.
         let mut storm = window(FORWARD, &[Panic, Nan], horizon / 4 + 1);
         storm.budget = storm.to_index - storm.from_index; // every request in it
         entries.push(storm);
@@ -728,7 +728,7 @@ mod tests {
             assert!(entry.to_index <= 2000 * 4 / 5);
             assert!(entry.budget >= 1);
         }
-        // The script covers worker kills and a breaker-tripping storm.
+        // The script covers worker kills and a dense GNN-rung storm.
         assert!(a.entries.iter().filter(|e| e.failpoint == WORKER).count() >= 3);
         assert!(a
             .entries

@@ -1372,9 +1372,6 @@ impl ToJson for crate::serve_loop::LoopMetrics {
             ("shed_capacity", Json::uint(self.shed_capacity)),
             ("shed_deadline", Json::uint(self.shed_deadline)),
             ("reaped_deadline", Json::uint(self.reaped_deadline)),
-            ("breaker_open_served", Json::uint(self.breaker_open_served)),
-            ("breaker_trips", Json::uint(self.breaker_trips)),
-            ("breaker_state", Json::Str(self.breaker_state.to_string())),
             ("swaps", Json::uint(self.swaps)),
             ("generation", Json::uint(self.generation)),
             ("max_depth", Json::uint(self.max_depth as u64)),

@@ -34,7 +34,6 @@
 
 #![warn(missing_docs)]
 
-pub mod breaker;
 pub mod cache;
 pub mod dataset;
 mod env;
@@ -56,7 +55,6 @@ pub use serve::{
     EnvelopeStatus, GuardedPredictor, PredictionOutcome, Priority, RequestError, RequestPayload,
     Rung, ServeConfig, ServeRequest, ServeResponse, Skip, SkipReason,
 };
-pub use breaker::{BreakerConfig, BreakerSnapshot, BreakerState, CircuitBreaker};
 pub use cache::{CacheConfig, CacheStats, PredictionCache};
 pub use faults::{FaultSchedule, ScheduledFault};
 pub use serve_loop::{

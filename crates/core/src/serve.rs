@@ -44,7 +44,9 @@
 //! a [`Rung`] quality floor) — and returning a [`ServeResponse`]. The
 //! concurrent request loop ([`crate::serve_loop`]) calls `handle` per
 //! request behind an outer `catch_unwind`, so one poisoned request cannot
-//! take down its batch. The loop also honors the deadline and priority
+//! take down its batch. Degradation is per request: a GNN-rung failure on
+//! one graph never changes how any other request is served, in the loop
+//! or out of it. The loop also honors the deadline and priority
 //! fields and drives the **load-shed path**
 //! ([`GuardedPredictor::handle_shed`]): under saturation a request skips
 //! the GNN rung — recorded as [`SkipReason::Shed`] — and is answered from
@@ -208,11 +210,6 @@ pub enum SkipReason {
         /// Queue depth observed at the shed decision.
         queue_depth: usize,
     },
-    /// The circuit breaker on the GNN rung is open: the model has been
-    /// failing persistently, so the rung is skipped outright (at fixed
-    /// cost) until Half-Open probes show it recovered. See
-    /// [`crate::breaker`].
-    BreakerOpen,
 }
 
 impl std::fmt::Display for SkipReason {
@@ -229,7 +226,6 @@ impl std::fmt::Display for SkipReason {
             SkipReason::Shed { queue_depth } => {
                 write!(f, "shed under load (queue depth {queue_depth})")
             }
-            SkipReason::BreakerOpen => write!(f, "circuit breaker open"),
         }
     }
 }
@@ -299,14 +295,6 @@ impl PredictionOutcome {
         self.skips
             .iter()
             .any(|s| matches!(s.reason, SkipReason::Shed { .. }))
-    }
-
-    /// `true` when the GNN rung was skipped because its circuit breaker
-    /// was open (a [`SkipReason::BreakerOpen`] hop is recorded).
-    pub fn was_breaker_skipped(&self) -> bool {
-        self.skips
-            .iter()
-            .any(|s| matches!(s.reason, SkipReason::BreakerOpen))
     }
 
     /// One-line human-readable account, e.g.
@@ -927,25 +915,6 @@ pub(crate) fn shed_response(
     request: &ServeRequest,
     queue_depth: usize,
 ) -> ServeResponse {
-    model_free_response(
-        config,
-        envelope,
-        request,
-        SkipReason::Shed { queue_depth },
-    )
-}
-
-/// The general model-free ladder: validation and envelope accounting run
-/// as usual, the GNN rung is skipped with the caller's `gnn_skip` reason
-/// (load shed, or an open circuit breaker), and the answer comes from the
-/// cheap total rungs. Backs both [`GuardedPredictor::handle_shed`] and the
-/// serve loop's breaker-open path.
-pub(crate) fn model_free_response(
-    config: &ServeConfig,
-    envelope: Option<&TrainingEnvelope>,
-    request: &ServeRequest,
-    gnn_skip: SkipReason,
-) -> ServeResponse {
     let result = (|| {
         let graph = match &request.payload {
             RequestPayload::Graph(graph) => std::borrow::Cow::Borrowed(graph),
@@ -956,7 +925,7 @@ pub(crate) fn model_free_response(
         let status = admit_with(config, envelope, &graph)?;
         let mut skips = vec![Skip {
             rung: Rung::Gnn,
-            reason: gnn_skip,
+            reason: SkipReason::Shed { queue_depth },
         }];
         let outcome = if let Some(fa) = fixed_angle::nearest_for_graph(&graph) {
             PredictionOutcome {

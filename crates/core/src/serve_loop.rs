@@ -3,7 +3,7 @@
 //! [`crate::serve`] makes one request safe; this module makes millions of
 //! them concurrent — and keeps the loop itself alive when its parts die. A
 //! [`ServeLoop`] owns a small pool of worker threads fed from one bounded
-//! queue, and layers six mechanisms on top of the degradation ladder:
+//! queue, and layers five mechanisms on top of the degradation ladder:
 //!
 //! **Batched admission.** [`ServeLoop::submit`] enqueues a typed
 //! [`ServeRequest`] and returns a [`Ticket`] immediately; workers drain
@@ -58,15 +58,11 @@
 //! jobs whose deadline expired while no worker picked them up — answering
 //! them shed instead of letting a stalled pool strand tickets.
 //!
-//! **Circuit breaker on the GNN rung.** Every non-shed request passes
-//! through a request-indexed [`CircuitBreaker`] (see [`crate::breaker`])
-//! keyed to the artifact generation. Persistent GNN failures (panics,
-//! NaNs, rebuild failures, verification failures) trip it Open: traffic
-//! is answered model-free at fixed cost, recorded as
-//! [`crate::serve::SkipReason::BreakerOpen`], until a deterministic
-//! schedule of Half-Open probes observes the model serving again. A
-//! hot-swap to a fresh generation resets the breaker — a retrained
-//! artifact starts with a clean record.
+//! A request that is not shed runs the full ladder on its own, exactly as
+//! [`GuardedPredictor::handle`] does outside the loop: a GNN-rung failure
+//! (panic, NaN, failed verification) degrades that request to the next
+//! rung and nothing else. No loop-wide state remembers it, so a graph the
+//! model cannot answer never changes how another graph is served.
 //!
 //! **Health state machine.** [`ServeLoop::health`] folds the above into
 //! one observable state:
@@ -75,23 +71,23 @@
 //! Starting ──first worker picks up work──► Ready ◄──────────┐
 //!                                            │              │ last reason
 //!                     any degradation reason │              │ clears
-//!                     (workers down, breaker │              │
-//!                     not closed, queue past │              ▼
-//!                     watermark, model down) └─────────► Degraded
+//!                     (workers down, queue   │              │
+//!                     past watermark, model  │              ▼
+//!                     down)                  └─────────► Degraded
 //!
 //!        any state ──ServeLoop dropped──► Draining (terminal)
 //! ```
 //!
 //! [`HealthReport::reasons`] lists every active cause, so "Degraded" is
 //! always attributable. [`ServeLoop::metrics`] exposes the full counter
-//! set (sheds by cause, breaker trips, respawns, per-rung counts) as a
-//! [`LoopMetrics`] snapshot serializable via `core::json`.
+//! set (sheds by cause, respawns, per-rung counts) as a [`LoopMetrics`]
+//! snapshot serializable via `core::json`.
 //!
 //! The whole layer is deterministic under test: the chaos harness
 //! (`tests/chaos_soak.rs`, `bench chaos_soak`) drives thousands of
 //! requests under a seeded [`crate::faults::FaultSchedule`] and asserts
-//! exactly-once replies, census recovery, bounded breaker trip/recovery,
-//! and bit-identical outcome sequences across runs of the same seed.
+//! exactly-once replies, census recovery, a `Ready` end state, and
+//! bit-identical outcome sequences across runs of the same seed.
 //!
 //! ```no_run
 //! use qaoa_gnn::serve_loop::{LoopConfig, ServeLoop};
@@ -113,15 +109,12 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::SeqCst};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::breaker::{
-    BreakerConfig, BreakerDecision, BreakerState, CircuitBreaker, GnnObservation,
-};
 use crate::env;
 use crate::faults;
 use crate::cache::{CacheConfig, CacheStats, PredictionCache};
 use crate::serve::{
-    model_free_response, shed_response, GuardedPredictor, Priority, RequestError, Rung,
-    ServeConfig, ServeRequest, ServeResponse, SkipReason,
+    shed_response, GuardedPredictor, Priority, RequestError, Rung, ServeConfig, ServeRequest,
+    ServeResponse,
 };
 use crate::store::RunArtifact;
 
@@ -149,8 +142,6 @@ pub struct LoopConfig {
     pub batch_size: usize,
     /// Per-request serving policy handed to every worker's predictor.
     pub serve: ServeConfig,
-    /// Circuit-breaker policy for the GNN rung (see [`crate::breaker`]).
-    pub breaker: BreakerConfig,
     /// Canonical-form prediction cache sizing (see [`crate::cache`]).
     /// Defaults to [`CacheConfig::disabled`] — caching is opt-in, so the
     /// request-for-request determinism of existing deployments (and the
@@ -166,7 +157,6 @@ impl Default for LoopConfig {
             shed_watermark: 768,
             batch_size: 32,
             serve: ServeConfig::default(),
-            breaker: BreakerConfig::default(),
             cache: CacheConfig::disabled(),
         }
     }
@@ -176,10 +166,9 @@ impl LoopConfig {
     /// [`Default::default`] with environment overrides:
     /// `QAOA_GNN_SERVE_WORKERS`, `QAOA_GNN_SERVE_QUEUE` (capacity),
     /// `QAOA_GNN_SERVE_SHED` (watermark), `QAOA_GNN_SERVE_BATCH`, plus
-    /// everything [`ServeConfig::from_env`] and
-    /// [`BreakerConfig::from_env`] read. The prediction cache stays
-    /// disabled unless any `QAOA_GNN_CACHE_*` variable is present, in
-    /// which case [`CacheConfig::from_env`] sizes it.
+    /// everything [`ServeConfig::from_env`] reads. The prediction cache
+    /// stays disabled unless any `QAOA_GNN_CACHE_*` variable is present,
+    /// in which case [`CacheConfig::from_env`] sizes it.
     pub fn from_env() -> Self {
         let cache_keys = [
             "QAOA_GNN_CACHE_SHARDS",
@@ -193,7 +182,6 @@ impl LoopConfig {
         };
         let mut config = LoopConfig {
             serve: ServeConfig::from_env(),
-            breaker: BreakerConfig::from_env(),
             cache,
             ..LoopConfig::default()
         };
@@ -239,12 +227,6 @@ impl LoopConfig {
     /// Builder-style: sets the per-request serving policy.
     pub fn with_serve(mut self, serve: ServeConfig) -> Self {
         self.serve = serve;
-        self
-    }
-
-    /// Builder-style: sets the GNN-rung circuit-breaker policy.
-    pub fn with_breaker(mut self, breaker: BreakerConfig) -> Self {
-        self.breaker = breaker;
         self
     }
 
@@ -395,15 +377,14 @@ impl LoopStats {
     }
 }
 
-/// Overall loop condition, folded from worker census, breaker state,
-/// queue depth, and model availability. See the module docs for the
-/// state machine.
+/// Overall loop condition, folded from worker census, queue depth, and
+/// model availability. See the module docs for the state machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Health {
     /// Workers are up but none has picked up work yet.
     Starting,
-    /// Fully operational: full census, breaker closed, queue below the
-    /// watermark, model serving.
+    /// Fully operational: full census, queue below the watermark, model
+    /// serving.
     Ready,
     /// Operational but impaired; [`HealthReport::reasons`] says why.
     /// Every ticket is still answered.
@@ -436,8 +417,6 @@ pub enum HealthReason {
         /// The configured census target.
         target: usize,
     },
-    /// The GNN-rung circuit breaker is not Closed.
-    BreakerTripped(BreakerState),
     /// Queue depth at or past the shed watermark: normal-priority traffic
     /// is being shed.
     QueueSaturated {
@@ -457,7 +436,6 @@ impl std::fmt::Display for HealthReason {
             HealthReason::WorkersDown { alive, target } => {
                 write!(f, "workers down ({alive}/{target} alive)")
             }
-            HealthReason::BreakerTripped(state) => write!(f, "circuit breaker {state}"),
             HealthReason::QueueSaturated { depth, watermark } => {
                 write!(f, "queue saturated (depth {depth} ≥ watermark {watermark})")
             }
@@ -479,8 +457,6 @@ pub struct HealthReport {
     pub workers_target: usize,
     /// Current queue depth.
     pub queue_depth: usize,
-    /// Current breaker state.
-    pub breaker: BreakerState,
     /// Currently published artifact generation.
     pub generation: u64,
 }
@@ -503,12 +479,6 @@ pub struct LoopMetrics {
     pub shed_deadline: u64,
     /// Expired-deadline jobs reaped from the queue by the supervisor.
     pub reaped_deadline: u64,
-    /// Requests answered model-free because the breaker was open.
-    pub breaker_open_served: u64,
-    /// Lifetime breaker trips.
-    pub breaker_trips: u64,
-    /// Current breaker state.
-    pub breaker_state: BreakerState,
     /// Successful artifact hot-swaps.
     pub swaps: u64,
     /// Currently published artifact generation.
@@ -581,7 +551,6 @@ struct Shared {
     max_depth: AtomicUsize,
     batch_size: usize,
     // --- self-healing state ---
-    breaker: CircuitBreaker,
     /// Monotone submission counter; assigns `Job::index`.
     submitted: AtomicU64,
     /// Live workers. Incremented by the *spawner* before the thread
@@ -600,7 +569,6 @@ struct Shared {
     shed_watermark_n: AtomicU64,
     shed_capacity_n: AtomicU64,
     shed_deadline_n: AtomicU64,
-    breaker_open_n: AtomicU64,
     rung_gnn: AtomicU64,
     rung_fixed: AtomicU64,
     rung_fallback: AtomicU64,
@@ -703,7 +671,6 @@ impl ServeLoop {
             rejected: AtomicU64::new(0),
             max_depth: AtomicUsize::new(0),
             batch_size: config.batch_size.max(1),
-            breaker: CircuitBreaker::new(config.breaker.clone()),
             submitted: AtomicU64::new(0),
             workers_alive: AtomicUsize::new(0),
             workers_target,
@@ -714,7 +681,6 @@ impl ServeLoop {
             shed_watermark_n: AtomicU64::new(0),
             shed_capacity_n: AtomicU64::new(0),
             shed_deadline_n: AtomicU64::new(0),
-            breaker_open_n: AtomicU64::new(0),
             rung_gnn: AtomicU64::new(0),
             rung_fixed: AtomicU64::new(0),
             rung_fallback: AtomicU64::new(0),
@@ -834,8 +800,6 @@ impl ServeLoop {
     /// generation number is drawn and installed under one lock, so
     /// concurrent swaps publish in numbering order and the last number
     /// returned is the one left serving.
-    /// A successful swap also resets the GNN circuit breaker: the fresh
-    /// generation starts with a clean failure record.
     pub fn swap_artifact(&self, artifact: RunArtifact) -> Result<u64, SwapError> {
         let validated = catch_unwind(AssertUnwindSafe(|| {
             if faults::fire_may_panic(faults::HOT_SWAP).is_some() {
@@ -866,7 +830,6 @@ impl ServeLoop {
             };
             generation
         };
-        self.shared.breaker.reset_for_generation(generation);
         // Eager half of the cache invalidation protocol: the retrained
         // artifact must never serve the old generation's angles. (Lookups
         // also purge stale generations lazily, covering any insert that
@@ -890,12 +853,11 @@ impl ServeLoop {
         }
     }
 
-    /// Full observability snapshot (sheds by cause, breaker, census,
-    /// per-rung counts); serialize with `core::json`'s `ToJson`.
+    /// Full observability snapshot (sheds by cause, census, per-rung
+    /// counts); serialize with `core::json`'s `ToJson`.
     pub fn metrics(&self) -> LoopMetrics {
         let shared = &self.shared;
         let generation = self.generation();
-        let breaker = shared.breaker.snapshot();
         let cache = shared.cache.stats();
         LoopMetrics {
             served: shared.served.load(SeqCst),
@@ -905,9 +867,6 @@ impl ServeLoop {
             shed_capacity: shared.shed_capacity_n.load(SeqCst),
             shed_deadline: shared.shed_deadline_n.load(SeqCst),
             reaped_deadline: shared.reaped.load(SeqCst),
-            breaker_open_served: shared.breaker_open_n.load(SeqCst),
-            breaker_trips: breaker.trips,
-            breaker_state: breaker.state,
             swaps: generation,
             generation,
             max_depth: shared.max_depth.load(SeqCst),
@@ -935,14 +894,13 @@ impl ServeLoop {
         self.shared.cache.stats()
     }
 
-    /// Folds census, breaker, queue, and model availability into the
-    /// `Starting → Ready ⇄ Degraded → Draining` state machine (module
-    /// docs have the diagram). Every `Degraded` report carries its
+    /// Folds census, queue, and model availability into the `Starting →
+    /// Ready ⇄ Degraded → Draining` state machine (module docs have the
+    /// diagram). Every `Degraded` report carries its
     /// reasons.
     pub fn health(&self) -> HealthReport {
         let shared = &self.shared;
         let generation = self.generation();
-        let breaker = shared.breaker.state();
         let queue_depth = shared.depth.load(SeqCst);
         let workers_alive = shared.workers_alive.load(SeqCst);
         let workers_target = shared.workers_target;
@@ -957,9 +915,6 @@ impl ServeLoop {
                     alive: workers_alive,
                     target: workers_target,
                 });
-            }
-            if breaker != BreakerState::Closed {
-                reasons.push(HealthReason::BreakerTripped(breaker));
             }
             if queue_depth >= self.shed_watermark {
                 reasons.push(HealthReason::QueueSaturated {
@@ -982,7 +937,6 @@ impl ServeLoop {
             workers_alive,
             workers_target,
             queue_depth,
-            breaker,
             generation,
         }
     }
@@ -1196,34 +1150,6 @@ impl Drop for BatchGuard<'_> {
     }
 }
 
-/// Classifies a response for the circuit breaker: what did the GNN rung
-/// actually do? Envelope refusals, parse rejections, and sheds carry no
-/// signal about the model; panics that escaped the ladder entirely
-/// ([`RequestError::Internal`]) are failures.
-fn gnn_observation(response: &ServeResponse) -> GnnObservation {
-    match &response.result {
-        Ok(outcome) => {
-            if outcome.rung == Rung::Gnn {
-                return GnnObservation::Served;
-            }
-            for skip in &outcome.skips {
-                if skip.rung == Rung::Gnn {
-                    return match &skip.reason {
-                        SkipReason::Panicked
-                        | SkipReason::NonFinite { .. }
-                        | SkipReason::ModelUnavailable(_)
-                        | SkipReason::VerificationFailed => GnnObservation::Failed,
-                        _ => GnnObservation::NotAttempted,
-                    };
-                }
-            }
-            GnnObservation::NotAttempted
-        }
-        Err(RequestError::Internal(_)) => GnnObservation::Failed,
-        Err(_) => GnnObservation::NotAttempted,
-    }
-}
-
 /// One worker: claim a batch under the lock, resolve the published
 /// generation once, serve the batch with no lock held, repeat. Exits only
 /// when shut down *and* the queue is empty; a mid-batch death requeues
@@ -1324,53 +1250,15 @@ fn worker_loop(shared: &Shared) {
             let shed = job
                 .shed
                 .or_else(|| deadline_expired.then(|| shared.depth.load(SeqCst)));
-            let response = match shed {
-                Some(at_depth) => catch_unwind(AssertUnwindSafe(|| {
-                    predictor.handle_shed(&job.request, at_depth)
-                }))
-                .unwrap_or_else(|payload| ServeResponse {
-                    result: Err(RequestError::Internal(crate::serve::panic_message(
-                        &payload,
-                    ))),
-                }),
-                None => {
-                    // Full-ladder path: consult the breaker first. Open →
-                    // answer model-free at fixed cost; Closed/Probe → run
-                    // the ladder and report what the GNN rung did.
-                    let decision = shared.breaker.admit(generation);
-                    match decision {
-                        BreakerDecision::Skip => {
-                            shared.breaker_open_n.fetch_add(1, SeqCst);
-                            catch_unwind(AssertUnwindSafe(|| {
-                                model_free_response(
-                                    &shared.serve,
-                                    published.artifact.envelope.as_ref(),
-                                    &job.request,
-                                    SkipReason::BreakerOpen,
-                                )
-                            }))
-                            .unwrap_or_else(|payload| ServeResponse {
-                                result: Err(RequestError::Internal(
-                                    crate::serve::panic_message(&payload),
-                                )),
-                            })
-                        }
-                        BreakerDecision::Full | BreakerDecision::Probe => {
-                            let response =
-                                catch_unwind(AssertUnwindSafe(|| predictor.handle(&job.request)))
-                                    .unwrap_or_else(|payload| ServeResponse {
-                                        result: Err(RequestError::Internal(
-                                            crate::serve::panic_message(&payload),
-                                        )),
-                                    });
-                            shared
-                                .breaker
-                                .record(generation, decision, gnn_observation(&response));
-                            response
-                        }
-                    }
-                }
-            };
+            let response = catch_unwind(AssertUnwindSafe(|| match shed {
+                Some(at_depth) => predictor.handle_shed(&job.request, at_depth),
+                None => predictor.handle(&job.request),
+            }))
+            .unwrap_or_else(|payload| ServeResponse {
+                result: Err(RequestError::Internal(crate::serve::panic_message(
+                    &payload,
+                ))),
+            });
             shared.record(&response);
             // A dropped receiver (caller gave up on the ticket) is fine;
             // the request was still served and counted.

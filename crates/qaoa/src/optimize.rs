@@ -161,16 +161,14 @@ impl Maximizer for NelderMead {
         let mut history = Vec::with_capacity(self.max_iterations);
         let (alpha, gamma_e, rho, sigma) = (1.0, 2.0, 0.5, 0.5);
 
+        // The simplex is kept sorted descending by value (we maximize):
+        // best first, any non-finite vertex last so it is the next to be
+        // replaced.
+        simplex.sort_by(|a, b| cmp_desc(a.1, b.1));
         for _ in 0..self.max_iterations {
-            // Sort descending by value (we maximize): best first, any
-            // non-finite vertex last so it is the next to be replaced.
-            simplex.sort_by(|a, b| cmp_desc(a.1, b.1));
-            let best = simplex[0].1;
-            let worst = simplex[k].1;
-            history.push(best);
-            if self.tolerance > 0.0 && (best - worst).abs() < self.tolerance {
-                // Early convergence: stop here, so the history is shorter
-                // than the budget and ends at the current best.
+            if self.tolerance > 0.0 && (simplex[0].1 - simplex[k].1).abs() < self.tolerance {
+                // Early convergence: stop before another move, so the
+                // history is shorter than the budget.
                 break;
             }
 
@@ -233,13 +231,10 @@ impl Maximizer for NelderMead {
                     }
                 }
             }
-        }
-
-        simplex.sort_by(|a, b| cmp_desc(a.1, b.1));
-        // Record the final best if the loop body never pushed it.
-        if history.last().copied() != Some(simplex[0].1) {
+            simplex.sort_by(|a, b| cmp_desc(a.1, b.1));
             history.push(simplex[0].1);
         }
+
         make_monotone(&mut history);
         OptimizationResult {
             best_point: simplex[0].0.clone(),
@@ -471,6 +466,26 @@ mod tests {
         let r = NelderMead::new(40).maximize(|_| f64::NAN, &[0.5, 0.5], &mut rng);
         assert!(r.diverged());
         assert_eq!(r.non_finite_evals, r.evaluations);
+    }
+
+    #[test]
+    fn history_has_one_entry_per_iteration() {
+        let mut rng = StdRng::seed_from_u64(53);
+        let objectives: [fn(&[f64]) -> f64; 3] = [bowl, periodic, |_| f64::NAN];
+        for objective in objectives {
+            for budget in [0, 1, 7, 40] {
+                let nm = NelderMead {
+                    max_iterations: budget,
+                    initial_step: 0.5,
+                    tolerance: 0.0,
+                };
+                let r = nm.maximize(objective, &[0.3, 0.1], &mut rng);
+                assert_eq!(r.history.len(), budget, "budget {budget}");
+                if let Some(&last) = r.history.last() {
+                    assert_eq!(last.to_bits(), r.best_value.to_bits(), "budget {budget}");
+                }
+            }
+        }
     }
 
     #[test]

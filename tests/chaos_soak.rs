@@ -1,9 +1,9 @@
 //! The deterministic chaos-soak harness: a seeded [`FaultSchedule`] is
 //! armed process-wide and a single driver pushes a numbered request
 //! stream through a live [`ServeLoop`] while workers are killed, the GNN
-//! rung is poisoned (tripping the circuit breaker), hot-swaps are
-//! refused, admissions error, and persistence hiccups — all scripted as
-//! pure functions of one seed. The invariants under fire:
+//! rung is poisoned (each poisoned request degrading on its own), hot-swaps
+//! are refused, admissions error, and persistence hiccups — all scripted
+//! as pure functions of one seed. The invariants under fire:
 //!
 //! - **Exactly once**: every submitted ticket resolves with exactly one
 //!   reply; `stats().total()` equals the submission count; nothing is
@@ -11,11 +11,7 @@
 //!   channel).
 //! - **Census restored**: after every worker kill the supervisor respawns
 //!   the pool back to its target before the run ends.
-//! - **Breaker bounded**: the poison storm trips the breaker Open within
-//!   its failure window, open-state requests are answered model-free
-//!   (`SkipReason::BreakerOpen`, fixed cost), and the clean tail re-closes
-//!   it within cooldown + probe requests — all counted in requests, never
-//!   wall time.
+//! - **Recovered**: the clean tail leaves the loop `Ready`.
 //! - **Bit-identical**: two runs of the same seed produce the same
 //!   outcome fingerprints (rung, skips, angle bits, generation, envelope,
 //!   verification bits), the same counters, and the same fault firings.
@@ -37,8 +33,7 @@ use qaoa_gnn::faults::{self, FaultAction, FaultSchedule, ScheduledFault};
 use qaoa_gnn::pipeline::PipelineConfig;
 use qaoa_gnn::serve_loop::{Completed, LoopConfig, ServeLoop};
 use qaoa_gnn::{
-    BreakerConfig, BreakerState, Health, HealthReason, Json, Rung, RunArtifact, ServeRequest,
-    ToJson, TrainingEnvelope,
+    Health, HealthReason, Json, Rung, RunArtifact, ServeRequest, ToJson, TrainingEnvelope,
 };
 use qgraph::Graph;
 
@@ -68,20 +63,6 @@ fn artifact(seed: u64) -> RunArtifact {
     }
 }
 
-/// A breaker sized for request-count tests: trips after 4 failures in a
-/// window of 8, recovers within ~cooldown(8)+2·probe_interval(2) clean
-/// requests.
-fn tight_breaker() -> BreakerConfig {
-    BreakerConfig::default()
-        .with_window(8)
-        .with_min_samples(4)
-        .with_failure_threshold(0.5)
-        .with_cooldown(8)
-        .with_max_cooldown(32)
-        .with_probe_interval(2)
-        .with_probe_successes(2)
-}
-
 fn chaos_loop(seed: u64) -> ServeLoop {
     ServeLoop::new(
         artifact(seed),
@@ -89,8 +70,7 @@ fn chaos_loop(seed: u64) -> ServeLoop {
             .with_workers(2)
             .with_queue_capacity(64)
             .with_shed_watermark(64)
-            .with_batch_size(4)
-            .with_breaker(tight_breaker()),
+            .with_batch_size(4),
     )
 }
 
@@ -140,12 +120,10 @@ fn await_census(serve: &ServeLoop) {
 fn counter_digest(serve: &ServeLoop) -> String {
     let m = serve.metrics();
     format!(
-        "served={} shed={} rejected={} breaker_open={} trips={} swaps={} gen={} respawns={} gnn={} fixed={} fallback={}",
+        "served={} shed={} rejected={} swaps={} gen={} respawns={} gnn={} fixed={} fallback={}",
         m.served,
         m.shed,
         m.rejected,
-        m.breaker_open_served,
-        m.breaker_trips,
         m.swaps,
         m.generation,
         m.respawns,
@@ -264,7 +242,7 @@ fn chaos_soak_answers_exactly_once_and_replays_bit_identically() {
     assert_eq!(first.fired, second.fired, "fault firings diverged");
 
     // The schedule actually did damage (seed 42 is empirically violent:
-    // worker kills fire and the FORWARD storm trips the breaker).
+    // worker kills fire and the FORWARD storm degrades requests).
     assert!(first.fired > 0, "schedule never fired");
     assert!(first.kills >= 3, "seed 42 must script >= 3 worker kills");
     assert!(
@@ -274,19 +252,14 @@ fn chaos_soak_answers_exactly_once_and_replays_bit_identically() {
         first.counters
     );
     assert!(
-        !first.counters.contains("trips=0 "),
-        "the poison storm must trip the breaker: {}",
-        first.counters
-    );
-    assert!(
-        !first.counters.contains("breaker_open=0 "),
-        "open-state requests must be answered model-free: {}",
+        !first.counters.contains("fixed=0 "),
+        "the FORWARD storm must degrade requests to fixed angles: {}",
         first.counters
     );
 }
 
 /// The clean tail guarantees the soak ends *recovered*, not merely done:
-/// census full, breaker closed, health Ready.
+/// census full, health Ready.
 #[test]
 fn chaos_soak_ends_recovered() {
     let schedule = FaultSchedule::from_seed(42, 400);
@@ -305,11 +278,6 @@ fn chaos_soak_ends_recovered() {
     }
     await_census(&serve);
     let metrics = serve.metrics();
-    assert_eq!(
-        metrics.breaker_state,
-        BreakerState::Closed,
-        "breaker must re-close in the clean tail"
-    );
     let health = serve.health();
     assert_eq!(
         health.state,
@@ -349,99 +317,6 @@ fn worker_kill_requeues_in_flight_and_census_recovers() {
     assert_eq!(serve.stats().total(), 20);
     assert!(metrics.respawns >= 1, "supervisor must respawn the victim");
     assert_eq!(metrics.workers_alive, metrics.workers_target);
-}
-
-/// The breaker lifecycle in request counts: a poison window trips it
-/// Open, open-state requests serve model-free via `BreakerOpen`, and the
-/// clean stream after the window re-closes it within cooldown + probes.
-#[test]
-fn breaker_trips_serves_model_free_then_recovers() {
-    let schedule = FaultSchedule::new().push(ScheduledFault {
-        failpoint: faults::FORWARD,
-        action: FaultAction::Panic,
-        from_index: 0,
-        to_index: 8,
-        budget: 8,
-    });
-    let _guard = faults::arm_schedule(schedule);
-    let serve = chaos_loop(7101);
-    let mut breaker_open_seen = false;
-    let mut recovered_at = None;
-    for i in 0..64u64 {
-        let done = serve
-            .submit(ServeRequest::from_graph(Graph::cycle(6).unwrap()))
-            .wait();
-        let outcome = done.response.result.expect("answered");
-        if outcome.was_breaker_skipped() {
-            breaker_open_seen = true;
-            // Open-state answers are the fixed-angle shed answer: cheap,
-            // valid, honestly attributed.
-            assert_ne!(outcome.rung, Rung::Gnn);
-        }
-        if recovered_at.is_none()
-            && i >= 8
-            && outcome.rung == Rung::Gnn
-            && serve.metrics().breaker_state == BreakerState::Closed
-        {
-            recovered_at = Some(i);
-        }
-    }
-    let metrics = serve.metrics();
-    assert!(metrics.breaker_trips >= 1, "4 failures in window 8 must trip");
-    assert!(breaker_open_seen, "open state must answer via BreakerOpen");
-    assert!(metrics.breaker_open_served >= 1);
-    let recovered_at = recovered_at.expect("breaker must re-close within the run");
-    // Bounded recovery: poison ends at 8; worst case is one re-trip
-    // cascade within max_cooldown(32) + probes — far inside 64.
-    assert!(
-        recovered_at < 56,
-        "recovery took until request {recovered_at}, not bounded"
-    );
-    assert_eq!(metrics.breaker_state, BreakerState::Closed);
-}
-
-/// Publishing a fresh artifact resets the breaker: the new generation
-/// starts Closed instead of inheriting the dead model's Open state.
-#[test]
-fn hot_swap_resets_breaker_to_closed() {
-    let schedule = FaultSchedule::new().push(ScheduledFault {
-        failpoint: faults::FORWARD,
-        action: FaultAction::Panic,
-        from_index: 0,
-        to_index: 8,
-        budget: 8,
-    });
-    let _guard = faults::arm_schedule(schedule);
-    let serve = chaos_loop(7201);
-    for _ in 0..8u64 {
-        serve
-            .submit(ServeRequest::from_graph(Graph::cycle(6).unwrap()))
-            .wait();
-    }
-    assert_ne!(
-        serve.metrics().breaker_state,
-        BreakerState::Closed,
-        "poison must have tripped the breaker"
-    );
-    let health = serve.health();
-    assert_eq!(health.state, Health::Degraded);
-    assert!(
-        health
-            .reasons
-            .iter()
-            .any(|r| matches!(r, HealthReason::BreakerTripped(_))),
-        "degradation must name the breaker: {:?}",
-        health.reasons
-    );
-    // Swap in a fresh artifact (the poison window is spent): breaker
-    // resets immediately and the GNN rung serves again.
-    assert_eq!(serve.swap_artifact(artifact(7301)).expect("swap"), 1);
-    assert_eq!(serve.metrics().breaker_state, BreakerState::Closed);
-    let done = serve
-        .submit(ServeRequest::from_graph(Graph::cycle(6).unwrap()))
-        .wait();
-    assert_eq!(done.generation, 1);
-    assert_eq!(done.response.result.unwrap().rung, Rung::Gnn);
 }
 
 /// Health attribution for a structurally dead model: Degraded with
@@ -527,10 +402,6 @@ fn metrics_snapshot_round_trips_through_json() {
     let text = metrics.to_json().to_pretty();
     let parsed = Json::parse(&text).expect("metrics JSON must parse");
     assert_eq!(parsed.get("served").unwrap().as_u64().unwrap(), 5);
-    assert_eq!(
-        parsed.get("breaker_state").unwrap().as_str().unwrap(),
-        "closed"
-    );
     assert_eq!(parsed.get("health").unwrap().as_str().unwrap(), "ready");
     assert_eq!(
         parsed.get("workers_target").unwrap().as_u64().unwrap(),

@@ -16,10 +16,13 @@
 //! Plus the batch-isolation contract (one poisoned request cannot take
 //! down its batch) and the disarmed-faults bit-identity acceptance (a
 //! guarded prediction on a real trained artifact equals the raw
-//! `build_model().predict()` path bit-for-bit).
+//! `build_model().predict()` path bit-for-bit), and the premise behind
+//! per-request degradation: with no fault armed, every in-envelope graph
+//! is served by the GNN on all four architectures, so GNN-rung failures
+//! come from inputs or injected faults, never from a healthy model.
 
 use qrand::rngs::StdRng;
-use qrand::SeedableRng;
+use qrand::{Rng, SeedableRng};
 
 use gnn::train::{TrainConfig, TrainHistory};
 use gnn::{GnnKind, GnnModel};
@@ -340,6 +343,57 @@ fn hostile_text_requests_are_typed_rejections() {
                 assert_eq!(e.line, bad_line, "wrong line for {text:?}");
             }
             other => panic!("expected Parse rejection for {text:?}, got {other:?}"),
+        }
+    }
+}
+
+/// An untrained artifact of `kind` with default-init weights drawn from
+/// `seed` and the same wide envelope as [`tiny_artifact`].
+fn default_init_artifact(kind: GnnKind, seed: u64) -> RunArtifact {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let model = GnnModel::new(kind, gnn::ModelConfig::default(), &mut rng);
+    RunArtifact {
+        weights: model.export_weights(),
+        dataset_fingerprint: seed,
+        ..tiny_artifact()
+    }
+}
+
+/// A random in-envelope graph: 2..=15 nodes, any edge density, edge
+/// weights in (0, 10].
+fn random_in_envelope_graph(seed: u64) -> Graph {
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x9e37_79b9);
+    let n = rng.gen_range(2..=15usize);
+    let p = rng.gen::<f64>();
+    let graph = qgraph::generate::erdos_renyi(n, p, &mut rng).unwrap();
+    let triples: Vec<(usize, usize, f64)> = graph
+        .edges()
+        .iter()
+        .map(|e| (e.u, e.v, 10.0 * (1.0 - rng.gen::<f64>())))
+        .collect();
+    Graph::from_weighted_edges(n, &triples).unwrap()
+}
+
+qcheck::properties! {
+    cases = 24;
+
+    /// With no fault armed, a validated artifact of any architecture
+    /// answers every in-envelope graph on the GNN rung, verification on,
+    /// with no skip: the GNN rung fails only on inputs outside the
+    /// envelope or under injected faults.
+    fn healthy_models_serve_every_in_envelope_graph_on_the_gnn_rung(
+        seed in qcheck::any_u64()
+    ) {
+        let graph = random_in_envelope_graph(seed);
+        for kind in GnnKind::ALL {
+            let served = GuardedPredictor::new(
+                default_init_artifact(kind, seed),
+                ServeConfig::default(),
+            );
+            let outcome = serve(&served, &graph).expect("in-envelope request must serve");
+            qcheck::prop_assert_eq!(outcome.rung, Rung::Gnn);
+            qcheck::prop_assert!(outcome.skips.is_empty());
+            qcheck::prop_assert!(outcome.verified_score.is_some_and(f64::is_finite));
         }
     }
 }

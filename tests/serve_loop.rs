@@ -1,9 +1,10 @@
 //! The concurrent serving loop under fire: text-vs-graph payload parity
 //! on a trained artifact, load shedding at the watermark / capacity /
-//! deadline boundaries, mid-traffic hot-swap correctness (no torn or
-//! stale artifact, old generation keeps serving on a refused swap), the
-//! `admission` and `hot_swap` failpoints, and the zero-drop shutdown
-//! contract. The published generation sits behind a std `Mutex`, so
+//! deadline boundaries, per-request degradation (a GNN failure on one
+//! graph never degrades another), mid-traffic hot-swap correctness (no
+//! torn or stale artifact, old generation keeps serving on a refused
+//! swap), the `admission` and `hot_swap` failpoints, and the zero-drop
+//! shutdown contract. The published generation sits behind a std `Mutex`, so
 //! these tests check the protocol around it: generations never go
 //! backwards for a caller, and racing swaps publish in numbering order.
 
@@ -13,7 +14,7 @@ use qrand::SeedableRng;
 use gnn::train::{TrainConfig, TrainHistory};
 use gnn::{GnnKind, GnnModel};
 use qaoa_gnn::dataset::{LabelConfig, LabelReport};
-use qaoa_gnn::faults::{self, FaultAction};
+use qaoa_gnn::faults::{self, FaultAction, FaultSchedule};
 use qaoa_gnn::pipeline::{Pipeline, PipelineConfig};
 use qaoa_gnn::serve::{Priority, RequestError, ServeRequest, SkipReason};
 use qaoa_gnn::serve_loop::{LoopConfig, ServeLoop, SwapError, Ticket};
@@ -204,6 +205,46 @@ fn expired_deadline_sheds_at_execution_time() {
     }
 }
 
+// ------------------------------------------------- per-request degradation
+
+/// On an artifact without an envelope, a 16-node graph reaches the frozen
+/// forward, whose one-hot block holds 15 nodes, and the GNN rung panics
+/// for that request. The 10-node graphs interleaved with them must still
+/// be answered cleanly by the GNN, with the bits a standalone predictor
+/// gives: a failure belongs to its own request, never to the loop.
+#[test]
+fn gnn_failures_on_some_requests_do_not_degrade_the_others() {
+    // Scheduled faults fire on any tagged thread: hold the fault lock so
+    // no other test's schedule reaches this loop's worker.
+    let _quiet = faults::arm_schedule(FaultSchedule::new());
+    let mut bare = artifact(9601);
+    bare.envelope = None;
+    let standalone = GuardedPredictor::new(bare.clone(), ServeConfig::default());
+    let expected = standalone
+        .handle(&ServeRequest::from_graph(Graph::cycle(10).unwrap()))
+        .result
+        .unwrap();
+    assert!(expected.is_clean());
+    let serve = ServeLoop::new(bare, LoopConfig::default().with_workers(1));
+    let mut small = 0;
+    for i in 0..50u64 {
+        let n = if i % 5 < 3 { 16 } else { 10 };
+        let done = serve.handle_wait(ServeRequest::from_graph(Graph::cycle(n).unwrap()));
+        let outcome = done.response.result.expect("every request is answered");
+        if n == 16 {
+            assert_eq!(outcome.rung, Rung::FixedAngle, "request {i}");
+            assert_eq!(outcome.skips[0].reason, SkipReason::Panicked, "request {i}");
+            continue;
+        }
+        small += 1;
+        assert!(outcome.is_clean(), "request {i}: {}", outcome.summary());
+        let ((g, b), (eg, eb)) = (outcome.angles(), expected.angles());
+        assert_eq!((g.to_bits(), b.to_bits()), (eg.to_bits(), eb.to_bits()));
+        assert_eq!(outcome, expected, "request {i}");
+    }
+    assert_eq!(small, 20);
+}
+
 // ------------------------------------------------------------- hot swap
 
 /// Mid-traffic hot-swap stress: submitters hammer the loop while the test
@@ -347,10 +388,12 @@ fn hot_swap_failpoint_refuses_and_contains_panics() {
         }
     }
     assert_eq!(serve.generation(), 0);
-    // Disarmed: the same artifact swaps in cleanly, mid-session.
+    // Disarmed: the same artifact swaps in cleanly, mid-session, and the
+    // new generation's GNN serves.
     assert_eq!(serve.swap_artifact(artifact(9003)).unwrap(), 1);
     let done = serve.handle_wait(ServeRequest::from_graph(Graph::cycle(7).unwrap()));
     assert_eq!(done.generation, 1);
+    assert_eq!(done.response.result.unwrap().rung, Rung::Gnn);
 }
 
 #[test]
