@@ -286,8 +286,7 @@ pub fn label_graph<R: Rng + ?Sized>(
     );
     // Fold the optimum into the graph-aware fundamental domain so that
     // equal-quality mirror optima produce one label cluster, not two.
-    let params = evaluator.canonical_label(&outcome.final_params);
-    let expectation = evaluator.expectation_in_place(&params);
+    let (params, expectation) = evaluator.canonical_label(&outcome.final_params);
     let hamiltonian = circuit.hamiltonian();
     LabeledGraph {
         graph: graph.clone(),
@@ -853,6 +852,23 @@ mod tests {
         assert!(l.approx_ratio <= 1.0 + 1e-9);
         assert!((l.expectation / l.optimal - l.approx_ratio).abs() < 1e-12);
         assert_eq!(l.params.depth(), 1);
+    }
+
+    #[test]
+    fn label_expectation_is_the_bits_of_a_fresh_run() {
+        // `label_graph` takes the expectation `canonical_label` computed
+        // for its candidate instead of simulating the label again.
+        let mut rng = StdRng::seed_from_u64(113);
+        for n in 4..=12usize {
+            let regular = qgraph::generate::random_regular(n, 3 - n % 2, &mut rng).unwrap();
+            let irregular = qgraph::generate::erdos_renyi(n, 0.5, &mut rng).unwrap();
+            for g in [regular, irregular] {
+                let l = label_graph(&g, &quick_config(), &mut rng);
+                let circuit = QaoaCircuit::new(MaxCutHamiltonian::new(&g));
+                let fresh = Evaluator::new(&circuit).expectation_in_place(&l.params);
+                assert_eq!(l.expectation.to_bits(), fresh.to_bits(), "n = {n}, {g:?}");
+            }
+        }
     }
 
     #[test]

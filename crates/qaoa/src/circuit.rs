@@ -96,7 +96,7 @@ impl QaoaCircuit {
     /// loops should call [`Evaluator::canonical_label`] on an evaluator
     /// they already hold.
     pub fn canonical_label(&self, params: &Params) -> Params {
-        Evaluator::new(self).canonical_label(params)
+        Evaluator::new(self).canonical_label(params).0
     }
 
     /// Samples `shots` measurement outcomes from the final state and returns

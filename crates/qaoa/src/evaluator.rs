@@ -137,8 +137,10 @@ impl<'c> Evaluator<'c> {
 
     /// Canonicalizes optimizer output into a deterministic regression
     /// label — [`QaoaCircuit::canonical_label`] executed on the reused
-    /// buffer (three circuit runs, zero state-vector allocations).
-    pub fn canonical_label(&mut self, params: &Params) -> Params {
+    /// buffer (three circuit runs, zero state-vector allocations) — and
+    /// returns it with its expectation, the bits
+    /// [`Evaluator::expectation_in_place`] gives on it.
+    pub fn canonical_label(&mut self, params: &Params) -> (Params, f64) {
         use std::f64::consts::{FRAC_PI_2, PI};
         let base = params.canonical();
         let value = self.expectation_in_place(&base);
@@ -153,13 +155,14 @@ impl<'c> Evaluator<'c> {
             .canonical()
         };
         let candidates = [mirror(true), mirror(false)];
-        let mut best = base;
+        let mut best = (base, value);
         for candidate in candidates {
             // Only fold images that really are symmetries of this instance;
             // on irregular graphs a mirror may land anywhere.
-            let symmetric = (self.expectation_in_place(&candidate) - value).abs() <= 1e-9;
-            if symmetric && candidate.to_flat() < best.to_flat() {
-                best = candidate;
+            let expectation = self.expectation_in_place(&candidate);
+            let symmetric = (expectation - value).abs() <= 1e-9;
+            if symmetric && candidate.to_flat() < best.0.to_flat() {
+                best = (candidate, expectation);
             }
         }
         best
@@ -271,7 +274,7 @@ mod tests {
             let c = circuit(&g);
             let mut ev = Evaluator::new(&c);
             let p = Params::random(1, &mut rng);
-            assert_eq!(ev.canonical_label(&p), c.canonical_label(&p));
+            assert_eq!(ev.canonical_label(&p).0, c.canonical_label(&p));
         }
     }
 

@@ -378,12 +378,16 @@ impl Default for Config {
 impl Config {
     /// Default configuration with `QCHECK_CASES`/`QCHECK_SEED` applied.
     pub fn from_env() -> Self {
-        let mut cfg = Config::default();
-        if let Ok(cases) = std::env::var("QCHECK_CASES") {
-            if let Ok(n) = cases.trim().parse::<u32>() {
-                cfg.cases = n.max(1);
-            }
-        }
+        Config::with_cases(Config::default().cases)
+    }
+
+    /// `cases` cases unless `QCHECK_CASES` sets the count, with
+    /// `QCHECK_SEED` applied.
+    pub fn with_cases(cases: u32) -> Self {
+        let mut cfg = Config {
+            cases: case_count(std::env::var("QCHECK_CASES").ok().as_deref(), cases),
+            ..Config::default()
+        };
         if let Ok(seed) = std::env::var("QCHECK_SEED") {
             let s = seed.trim().trim_start_matches("0x");
             cfg.replay_seed = u64::from_str_radix(s, 16)
@@ -392,14 +396,13 @@ impl Config {
         }
         cfg
     }
+}
 
-    /// Overrides the case count.
-    pub fn with_cases(cases: u32) -> Self {
-        Config {
-            cases,
-            ..Config::from_env()
-        }
-    }
+/// The case count: the value of `QCHECK_CASES` (`env`) when it parses,
+/// at least 1, else `fallback`.
+fn case_count(env: Option<&str>, fallback: u32) -> u32 {
+    env.and_then(|cases| cases.trim().parse::<u32>().ok())
+        .map_or(fallback, |cases| cases.max(1))
 }
 
 fn case_seed(base: u64, index: u64) -> u64 {
@@ -572,7 +575,8 @@ macro_rules! prop_assume {
 
 /// Declares property tests: each `fn name(arg in gen, ...) { body }` becomes
 /// a `#[test]` running [`check`] over the tuple of generators. An optional
-/// leading `cases = N;` overrides the case count for the whole block.
+/// leading `cases = N;` sets the case count for the whole block; a set
+/// `QCHECK_CASES` still wins over it.
 #[macro_export]
 macro_rules! properties {
     (@cfg ($cfg:expr); $(
@@ -704,6 +708,14 @@ mod tests {
         for _ in 0..20 {
             assert_eq!(g.generate(&mut rng) % 2, 0);
         }
+    }
+
+    #[test]
+    fn env_case_count_wins_over_the_blocks() {
+        assert_eq!(case_count(Some("2000"), 16), 2000);
+        assert_eq!(case_count(Some(" 0 "), 16), 1);
+        assert_eq!(case_count(None, 16), 16);
+        assert_eq!(case_count(Some("many"), 16), 16);
     }
 
     #[test]
