@@ -147,11 +147,10 @@ fn run_once(seed: u64, requests: u64, workers: usize) -> RunReport {
         std::thread::yield_now();
     };
     let metrics = serve.metrics();
-    let stats = serve.stats();
     RunReport {
         digest,
         elapsed_secs,
-        answered: stats.total(),
+        answered: metrics.total(),
         served: metrics.served,
         shed: metrics.shed,
         rejected: metrics.rejected,

@@ -238,7 +238,7 @@ fn main() -> ExitCode {
     }
     let elapsed = start.elapsed().as_secs_f64();
     burst_latencies.sort_unstable();
-    let stats = serve.stats();
+    let stats = serve.metrics();
     let open = PhaseReport {
         name: "open_loop_saturation",
         requests: burst_latencies.len() as u64,

@@ -14,7 +14,7 @@
 //! | name | hooked in | effect when armed |
 //! |------|-----------|-------------------|
 //! | [`ARTIFACT_LOAD`] | [`crate::store::RunArtifact::load`] | load fails (`Error`) or panics (`Panic`) |
-//! | [`WEIGHT_BUILD`] | [`crate::serve::GuardedPredictor`] model construction | build fails or panics |
+//! | [`WEIGHT_BUILD`] | [`crate::serve::GuardedPredictor::new`]; the loop builds once per published generation, in [`crate::serve_loop::ServeLoop::new`] and [`crate::serve_loop::ServeLoop::swap_artifact`], under the calling thread's request tag | build fails or panics; the predictor serves one rung down, and a swap is refused |
 //! | [`FORWARD`] | the guarded GNN forward pass | prediction panics (`Panic`) or returns NaN (`Nan`) |
 //! | [`SIM_EVAL`] | the guarded simulator verification | score becomes NaN (`Nan`) or evaluation panics |
 //! | [`JOURNAL_IO`] | [`crate::store::LabelJournal::append`] | append fails or panics |
@@ -67,7 +67,13 @@ use std::thread::ThreadId;
 
 /// Failpoint inside [`crate::store::RunArtifact::load`].
 pub const ARTIFACT_LOAD: &str = "artifact_load";
-/// Failpoint around model reconstruction from artifact weights.
+/// Failpoint around freezing an artifact's weights into a model, in
+/// [`crate::serve::GuardedPredictor::new`]. A firing leaves that predictor
+/// without a GNN rung. The serving loop hooks it once per published
+/// generation, in [`crate::serve_loop::ServeLoop::new`] (the loop starts
+/// serving one rung down) and [`crate::serve_loop::ServeLoop::swap_artifact`]
+/// (the swap is refused), under the calling thread's request tag — never
+/// on a worker.
 pub const WEIGHT_BUILD: &str = "weight_build";
 /// Failpoint around the GNN forward pass on the serving path.
 pub const FORWARD: &str = "forward";
@@ -459,9 +465,10 @@ impl FaultSchedule {
     ///
     /// The script spreads failure windows across every failpoint on the
     /// serving path — worker kills ([`WORKER`], exercising supervision),
-    /// GNN-rung poison ([`FORWARD`]/[`SIM_EVAL`]/[`WEIGHT_BUILD`], each
-    /// firing degrading the one request it hits), hot-swap
-    /// rejections ([`HOT_SWAP`]) and admission refusals ([`ADMISSION`]) —
+    /// GNN-rung poison ([`FORWARD`]/[`SIM_EVAL`], each firing degrading
+    /// the one request it hits), hot-swap rejections ([`HOT_SWAP`], and
+    /// [`WEIGHT_BUILD`] when its window covers the swap's request index)
+    /// and admission refusals ([`ADMISSION`]) —
     /// plus windows on the persistence failpoints ([`ARTIFACT_LOAD`],
     /// [`JOURNAL_IO`]) for drivers that touch disk between requests. Every
     /// window closes before `requests`, with a fault-free tail (the last
@@ -501,8 +508,9 @@ impl FaultSchedule {
         entries.push(storm);
         entries.push(window(FORWARD, &[Panic, Nan], 6));
         entries.push(window(SIM_EVAL, &[Panic, Nan], 6));
+        // Control-plane windows (WEIGHT_BUILD fires only on a build
+        // published while tagged inside it: a swap or a loop start).
         entries.push(window(WEIGHT_BUILD, &[Panic, Error], 4));
-        // Control-plane windows.
         entries.push(window(HOT_SWAP, &[Panic, Error], 4));
         entries.push(window(ADMISSION, &[Error], 6));
         // Persistence windows (fire only if the driver touches disk while

@@ -58,7 +58,7 @@ pub use serve::{
 pub use cache::{CacheConfig, CacheStats, PredictionCache};
 pub use faults::{FaultSchedule, ScheduledFault};
 pub use serve_loop::{
-    Completed, Health, HealthReason, HealthReport, LoopConfig, LoopMetrics, LoopStats, ServeLoop,
+    Completed, Health, HealthReason, HealthReport, LoopConfig, LoopMetrics, ServeLoop,
     SwapError, Ticket, WaitTimeout,
 };
 pub use store::{

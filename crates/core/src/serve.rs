@@ -548,7 +548,7 @@ fn default_init() -> (f64, f64) {
 /// simply starts one rung down, with the build failure recorded in each
 /// outcome's skip list.
 pub struct GuardedPredictor {
-    artifact: Arc<RunArtifact>,
+    artifact: RunArtifact,
     model: Result<Frozen, String>,
     config: ServeConfig,
     /// Canonical-form cache binding, when serving behind
@@ -562,16 +562,9 @@ impl GuardedPredictor {
     /// Wraps an already-loaded artifact. The weights are frozen into a
     /// tape-free [`Frozen`] model once, here, behind the `weight_build`
     /// failpoint; failure (or a contained panic) disables the GNN rung but
-    /// not the predictor.
+    /// not the predictor. The predictor is `Send + Sync`: the serving loop
+    /// builds one per published generation and shares it with every worker.
     pub fn new(artifact: RunArtifact, config: ServeConfig) -> GuardedPredictor {
-        GuardedPredictor::shared(Arc::new(artifact), config)
-    }
-
-    /// [`Self::new`] on an artifact that is already reference-counted.
-    /// The predictor is `Send + Sync`; the serving loop still builds one per
-    /// worker and generation from the shared artifact, a weight copy, so the
-    /// `weight_build` failpoint keeps firing per worker build.
-    pub fn shared(artifact: Arc<RunArtifact>, config: ServeConfig) -> GuardedPredictor {
         let model = catch_unwind(AssertUnwindSafe(|| {
             if faults::fire_may_panic(faults::WEIGHT_BUILD).is_some() {
                 return Err("fault injected: weight_build".to_string());
@@ -617,7 +610,7 @@ impl GuardedPredictor {
 
     /// The wrapped artifact.
     pub fn artifact(&self) -> &RunArtifact {
-        self.artifact.as_ref()
+        &self.artifact
     }
 
     /// The serving policy this predictor was built with.
@@ -628,6 +621,12 @@ impl GuardedPredictor {
     /// `true` when the GNN rung is available (weights frozen cleanly).
     pub fn model_available(&self) -> bool {
         self.model.is_ok()
+    }
+
+    /// Why the GNN rung is unavailable (the weight-build error), or `None`
+    /// when the model froze cleanly.
+    pub(crate) fn model_error(&self) -> Option<&str> {
+        self.model.as_ref().err().map(String::as_str)
     }
 
     /// The training envelope the artifact records, if any.
@@ -659,7 +658,40 @@ impl GuardedPredictor {
     /// serving loop calls for saturation overflow; it is deterministic,
     /// allocation-light, and never queues further work.
     pub fn handle_shed(&self, request: &ServeRequest, queue_depth: usize) -> ServeResponse {
-        shed_response(&self.config, self.envelope(), request, queue_depth)
+        let result = (|| {
+            let graph = match &request.payload {
+                RequestPayload::Graph(graph) => std::borrow::Cow::Borrowed(graph),
+                RequestPayload::Text(text) => std::borrow::Cow::Owned(
+                    qgraph::io::graph_from_str_limited(text, &self.config.limits)?,
+                ),
+            };
+            let status = self.admit_graph(&graph)?;
+            let mut skips = vec![Skip {
+                rung: Rung::Gnn,
+                reason: SkipReason::Shed { queue_depth },
+            }];
+            // Fixed angles unverified: the simulator is exactly the cost
+            // shedding avoids.
+            let outcome = if let Some(fa) = fixed_angle::nearest_for_graph(&graph) {
+                PredictionOutcome {
+                    params: fa.params,
+                    rung: Rung::FixedAngle,
+                    skips,
+                    envelope: status,
+                    clamped: false,
+                    verified_score: None,
+                    cached: false,
+                }
+            } else {
+                skips.push(Skip {
+                    rung: Rung::FixedAngle,
+                    reason: SkipReason::NotApplicable,
+                });
+                self.fallback_outcome(skips, status)
+            };
+            enforce_floor(outcome, request.rung_floor)
+        })();
+        ServeResponse { result }
     }
 
     /// [`Self::handle`] without the response wrapper: payload dispatch,
@@ -681,7 +713,27 @@ impl GuardedPredictor {
     /// Request cap checks and envelope classification, shared by the full
     /// ladder and the shed path.
     fn admit_graph(&self, graph: &Graph) -> Result<EnvelopeStatus, RequestError> {
-        admit_with(&self.config, self.envelope(), graph)
+        let limits = &self.config.limits;
+        if graph.n() > limits.max_nodes {
+            return Err(RequestError::TooManyNodes {
+                n: graph.n(),
+                cap: limits.max_nodes,
+            });
+        }
+        if graph.m() > limits.max_edges {
+            return Err(RequestError::TooManyEdges {
+                m: graph.m(),
+                cap: limits.max_edges,
+            });
+        }
+        match self.envelope() {
+            None => Ok(EnvelopeStatus::Unknown),
+            Some(env) => match env.check(graph) {
+                Ok(()) => Ok(EnvelopeStatus::InEnvelope),
+                Err(v) if self.config.strict_envelope => Err(RequestError::OutOfEnvelope(v)),
+                Err(v) => Ok(EnvelopeStatus::Violated(v)),
+            },
+        }
     }
 
     /// The full degradation ladder on a pre-built graph, fronted by the
@@ -759,7 +811,20 @@ impl GuardedPredictor {
     /// Rung 3: total fallback — envelope mean when recorded, else the
     /// deterministic default. Never verified, never refused.
     fn fallback_outcome(&self, skips: Vec<Skip>, envelope: EnvelopeStatus) -> PredictionOutcome {
-        fallback_with(self.envelope(), skips, envelope)
+        let (gamma, beta) = self
+            .envelope()
+            .map(TrainingEnvelope::mean_label)
+            .unwrap_or_else(default_init);
+        let (gamma, beta, clamped) = clamp_principal(gamma, beta);
+        PredictionOutcome {
+            params: Params::new(vec![gamma], vec![beta]),
+            rung: Rung::Fallback,
+            skips,
+            envelope,
+            clamped,
+            verified_score: None,
+            cached: false,
+        }
     }
 
     /// The GNN rung: forward pass behind the `forward` failpoint and a
@@ -848,105 +913,6 @@ fn enforce_floor(
         }),
         _ => Ok(outcome),
     }
-}
-
-/// Request cap checks and envelope classification against a policy + an
-/// optional envelope — no model required, so the serving loop's admission
-/// path can run it on the caller thread.
-fn admit_with(
-    config: &ServeConfig,
-    envelope: Option<&TrainingEnvelope>,
-    graph: &Graph,
-) -> Result<EnvelopeStatus, RequestError> {
-    if graph.n() > config.limits.max_nodes {
-        return Err(RequestError::TooManyNodes {
-            n: graph.n(),
-            cap: config.limits.max_nodes,
-        });
-    }
-    if graph.m() > config.limits.max_edges {
-        return Err(RequestError::TooManyEdges {
-            m: graph.m(),
-            cap: config.limits.max_edges,
-        });
-    }
-    match envelope {
-        None => Ok(EnvelopeStatus::Unknown),
-        Some(env) => match env.check(graph) {
-            Ok(()) => Ok(EnvelopeStatus::InEnvelope),
-            Err(v) if config.strict_envelope => Err(RequestError::OutOfEnvelope(v)),
-            Err(v) => Ok(EnvelopeStatus::Violated(v)),
-        },
-    }
-}
-
-/// The total fallback rung as a free function (see
-/// [`GuardedPredictor::handle`] rung 3).
-fn fallback_with(
-    envelope: Option<&TrainingEnvelope>,
-    skips: Vec<Skip>,
-    status: EnvelopeStatus,
-) -> PredictionOutcome {
-    let (gamma, beta) = envelope
-        .map(TrainingEnvelope::mean_label)
-        .unwrap_or_else(default_init);
-    let (gamma, beta, clamped) = clamp_principal(gamma, beta);
-    PredictionOutcome {
-        params: Params::new(vec![gamma], vec![beta]),
-        rung: Rung::Fallback,
-        skips,
-        envelope: status,
-        clamped,
-        verified_score: None,
-        cached: false,
-    }
-}
-
-/// The model-free shed ladder backing [`GuardedPredictor::handle_shed`]:
-/// validation and envelope accounting run as usual, the GNN rung is
-/// recorded as [`SkipReason::Shed`], and the answer comes from the cheap
-/// total rungs (fixed angles unverified — the simulator is exactly the
-/// cost shedding avoids). Needs only the policy and the envelope, not the
-/// model, so the serving loop can shed inline on the caller's thread
-/// without resolving a predictor for the current generation.
-pub(crate) fn shed_response(
-    config: &ServeConfig,
-    envelope: Option<&TrainingEnvelope>,
-    request: &ServeRequest,
-    queue_depth: usize,
-) -> ServeResponse {
-    let result = (|| {
-        let graph = match &request.payload {
-            RequestPayload::Graph(graph) => std::borrow::Cow::Borrowed(graph),
-            RequestPayload::Text(text) => std::borrow::Cow::Owned(
-                qgraph::io::graph_from_str_limited(text, &config.limits)?,
-            ),
-        };
-        let status = admit_with(config, envelope, &graph)?;
-        let mut skips = vec![Skip {
-            rung: Rung::Gnn,
-            reason: SkipReason::Shed { queue_depth },
-        }];
-        let outcome = if let Some(fa) = fixed_angle::nearest_for_graph(&graph) {
-            PredictionOutcome {
-                params: fa.params,
-                rung: Rung::FixedAngle,
-                skips,
-                envelope: status,
-                clamped: false,
-                verified_score: None,
-                cached: false,
-            }
-        } else {
-            skips.push(Skip {
-                rung: Rung::FixedAngle,
-                reason: SkipReason::NotApplicable,
-            });
-            fallback_with(envelope, skips, status)
-        };
-        enforce_floor(outcome, request.rung_floor)
-    })();
-    ServeResponse { result }
 }
 
 pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {

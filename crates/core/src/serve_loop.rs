@@ -16,20 +16,18 @@
 //! that dies mid-batch requeues its unanswered claims (below).
 //!
 //! **Artifact hot-swap.** The active model is published as a
-//! `(generation, artifact)` pair behind a `Mutex`. A worker holds that
-//! lock once per batch, only to clone the pair out (a `u64` and an
-//! `Arc`), so serving never happens under it. [`ServeLoop::swap_artifact`]
-//! validates a retrained [`RunArtifact`] outside the lock (behind the
-//! `hot_swap` failpoint — a rejected or panicking swap leaves the old
-//! generation serving untouched), then numbers and installs it in one
-//! critical section, so generations publish in the order they are
-//! numbered even when swaps race. In-flight requests keep the `Arc` they
-//! already cloned; later batches observe the new generation and rebuild
-//! their worker-local predictor from the shared weight image. The
-//! predictor serves through a tape-free [`gnn::Frozen`] model and is
-//! `Send + Sync`, so one could be shared; each worker still builds its
-//! own (a weight copy) only so that the `weight_build` failpoint fires on
-//! every worker build, as the chaos schedule expects.
+//! `(generation, predictor)` pair behind a `Mutex`: one
+//! [`GuardedPredictor`] per generation, frozen once when it is published
+//! and shared by every worker through an `Arc`. A worker holds that lock
+//! once per batch, only to clone the pair out (a `u64` and an `Arc`), so
+//! serving never happens under it. [`ServeLoop::swap_artifact`] builds
+//! the retrained [`RunArtifact`]'s predictor outside the lock (behind the
+//! `hot_swap` and `weight_build` failpoints — a rejected or panicking
+//! swap leaves the old generation serving untouched), then numbers and
+//! installs it in one critical section, so generations publish in the
+//! order they are numbered even when swaps race. In-flight requests keep
+//! the `Arc` they already cloned; later batches observe the new
+//! generation.
 //!
 //! **Load shedding.** The queue is bounded by [`LoopConfig::queue_capacity`]
 //! and never grows past it. Between [`LoopConfig::shed_watermark`] and
@@ -49,7 +47,7 @@
 //! `worker` failpoint models this: allocator faults, poisoned locks, bugs
 //! in the batching code itself) kills the worker thread. Each worker holds
 //! a census guard that decrements a live-worker count on *any* exit and
-//! wakes the supervisor thread; a [`BatchGuard`] pushes the worker's
+//! wakes the supervisor thread; a `BatchGuard` pushes the worker's
 //! claimed-but-unanswered jobs back to the *front* of the queue during
 //! unwind, so nothing the dead worker held is lost. The supervisor
 //! respawns workers up to the configured target (each respawn gets a
@@ -113,8 +111,7 @@ use crate::env;
 use crate::faults;
 use crate::cache::{CacheConfig, CacheStats, PredictionCache};
 use crate::serve::{
-    shed_response, GuardedPredictor, Priority, RequestError, Rung, ServeConfig, ServeRequest,
-    ServeResponse,
+    GuardedPredictor, Priority, RequestError, Rung, ServeConfig, ServeRequest, ServeResponse,
 };
 use crate::store::RunArtifact;
 
@@ -248,13 +245,12 @@ impl LoopConfig {
     }
 }
 
-/// The published artifact generation (`Shared::published`). Workers
-/// compare `generation` against their cached predictor's and rebuild on
-/// mismatch; the artifact bytes themselves are shared, never copied.
+/// The published artifact generation (`Shared::published`): its number
+/// and the predictor every worker serves it through, built once.
 #[derive(Clone)]
 struct Published {
     generation: u64,
-    artifact: Arc<RunArtifact>,
+    predictor: Arc<GuardedPredictor>,
 }
 
 /// One finished request: the response plus its serving provenance.
@@ -350,33 +346,6 @@ impl std::fmt::Display for WaitTimeout {
 
 impl std::error::Error for WaitTimeout {}
 
-/// Monotonic counters describing a loop's traffic so far.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LoopStats {
-    /// Requests answered by the full ladder (outcome, not shed).
-    pub served: u64,
-    /// Requests answered via the shed path (watermark, capacity, or
-    /// deadline).
-    pub shed: u64,
-    /// Requests answered with a typed [`RequestError`].
-    pub rejected: u64,
-    /// Successful artifact hot-swaps.
-    pub swaps: u64,
-    /// High-water mark of the queue depth.
-    pub max_depth: usize,
-    /// Currently published artifact generation.
-    pub generation: u64,
-}
-
-impl LoopStats {
-    /// Total requests answered (served + shed + rejected). Equals the
-    /// number of submissions once all tickets resolve — nothing is
-    /// dropped.
-    pub fn total(&self) -> u64 {
-        self.served + self.shed + self.rejected
-    }
-}
-
 /// Overall loop condition, folded from worker census, queue depth, and
 /// model availability. See the module docs for the state machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -425,8 +394,9 @@ pub enum HealthReason {
         /// The configured shed watermark.
         watermark: usize,
     },
-    /// The published generation's model would not rebuild; the ladder is
-    /// serving from the model-free rungs.
+    /// The published generation's predictor has no model (its weights
+    /// would not freeze when it was published); every request is served
+    /// from the model-free rungs until a clean swap.
     ModelUnavailable,
 }
 
@@ -519,6 +489,15 @@ pub struct LoopMetrics {
     pub health: Health,
 }
 
+impl LoopMetrics {
+    /// Total requests answered (served + shed + rejected). Equals the
+    /// number of submissions once all tickets resolve — nothing is
+    /// dropped.
+    pub fn total(&self) -> u64 {
+        self.served + self.shed + self.rejected
+    }
+}
+
 /// A queued request: what to run, how (full ladder or shed at a recorded
 /// depth), and where the reply goes.
 struct Job {
@@ -538,8 +517,8 @@ struct Shared {
     published: Mutex<Published>,
     /// Per-request serving policy; fixed for the loop's lifetime.
     serve: ServeConfig,
-    /// Canonical-form prediction cache shared by every worker's predictor
-    /// (a no-op instance when the config disables caching).
+    /// Canonical-form prediction cache attached to every published
+    /// predictor (a no-op instance when the config disables caching).
     cache: Arc<PredictionCache>,
     queue: Mutex<VecDeque<Job>>,
     available: Condvar,
@@ -561,9 +540,6 @@ struct Shared {
     /// Set the first time any worker reaches its serving loop; gates
     /// `Starting → Ready`.
     ever_ready: AtomicBool,
-    /// Generation whose model rebuild last failed (`u64::MAX` = none):
-    /// feeds [`HealthReason::ModelUnavailable`].
-    model_down: AtomicU64,
     respawns: AtomicU64,
     reaped: AtomicU64,
     shed_watermark_n: AtomicU64,
@@ -630,8 +606,9 @@ pub struct ServeLoop {
 /// Either way the previous generation keeps serving, untouched.
 #[derive(Debug)]
 pub enum SwapError {
-    /// The incoming artifact failed pre-publication validation (its model
-    /// would not rebuild), or the `hot_swap` failpoint injected an error.
+    /// The incoming artifact's model would not freeze (including a
+    /// `weight_build` fault), or the `hot_swap` failpoint injected an
+    /// error.
     Rejected(String),
     /// Validation panicked; the panic was contained at the swap boundary.
     Panicked(String),
@@ -651,17 +628,27 @@ impl std::error::Error for SwapError {}
 impl ServeLoop {
     /// Starts the worker pool (plus its supervisor) serving `artifact`
     /// under `config`'s policy.
+    ///
+    /// Never refuses: the artifact is published as generation 0 even when
+    /// its model fails to build (the `weight_build` failpoint fires here,
+    /// on the calling thread). That predictor serves every request one
+    /// rung down, and [`Self::health`] reports
+    /// [`HealthReason::ModelUnavailable`] until a clean
+    /// [`Self::swap_artifact`].
     pub fn new(artifact: RunArtifact, config: LoopConfig) -> ServeLoop {
         let queue_capacity = config.queue_capacity.max(1);
         let shed_watermark = config.shed_watermark.min(queue_capacity);
         let workers_target = config.resolved_workers();
+        let cache = Arc::new(PredictionCache::new(config.cache.clone()));
+        let predictor =
+            GuardedPredictor::new(artifact, config.serve.clone()).with_cache(Arc::clone(&cache), 0);
         let shared = Arc::new(Shared {
             published: Mutex::new(Published {
                 generation: 0,
-                artifact: Arc::new(artifact),
+                predictor: Arc::new(predictor),
             }),
             serve: config.serve.clone(),
-            cache: Arc::new(PredictionCache::new(config.cache.clone())),
+            cache,
             queue: Mutex::new(VecDeque::new()),
             available: Condvar::new(),
             depth: AtomicUsize::new(0),
@@ -675,7 +662,6 @@ impl ServeLoop {
             workers_alive: AtomicUsize::new(0),
             workers_target,
             ever_ready: AtomicBool::new(false),
-            model_down: AtomicU64::new(u64::MAX),
             respawns: AtomicU64::new(0),
             reaped: AtomicU64::new(0),
             shed_watermark_n: AtomicU64::new(0),
@@ -750,12 +736,7 @@ impl ServeLoop {
         if depth >= self.queue_capacity {
             self.shared.depth.fetch_sub(1, SeqCst);
             let published = self.shared.published();
-            let response = shed_response(
-                &self.shared.serve,
-                published.artifact.envelope.as_ref(),
-                &request,
-                depth,
-            );
+            let response = published.predictor.handle_shed(&request, depth);
             self.shared.shed_capacity_n.fetch_add(1, SeqCst);
             self.shared.record(&response);
             return Ticket::Ready(Completed {
@@ -792,31 +773,34 @@ impl ServeLoop {
     /// Atomically publishes a retrained artifact to all workers,
     /// mid-traffic, and returns the new generation number.
     ///
-    /// The artifact is validated *before* publication (its model must
-    /// rebuild — behind the `hot_swap` failpoint), so a broken artifact
-    /// never reaches a worker: on any [`SwapError`] the previous
-    /// generation keeps serving as if the call never happened. In-flight
-    /// requests finish on whichever generation they loaded. The new
-    /// generation number is drawn and installed under one lock, so
-    /// concurrent swaps publish in numbering order and the last number
-    /// returned is the one left serving.
+    /// The artifact's predictor is built *before* publication, outside
+    /// the lock (behind the `hot_swap` and `weight_build` failpoints, the
+    /// latter under the calling thread's request tag), and is published
+    /// only if its model froze. So a broken artifact never reaches a
+    /// worker: on any [`SwapError`] the previous generation keeps serving
+    /// as if the call never happened. In-flight requests finish on
+    /// whichever generation they loaded. The new generation number is
+    /// drawn and installed under one lock, so concurrent swaps publish in
+    /// numbering order and the last number returned is the one left
+    /// serving.
     pub fn swap_artifact(&self, artifact: RunArtifact) -> Result<u64, SwapError> {
-        let validated = catch_unwind(AssertUnwindSafe(|| {
+        let built = catch_unwind(AssertUnwindSafe(|| {
             if faults::fire_may_panic(faults::HOT_SWAP).is_some() {
                 return Err(SwapError::Rejected("fault injected: hot_swap".to_string()));
             }
-            gnn::Frozen::new(&artifact.weights)
-                .map_err(|e| SwapError::Rejected(e.to_string()))?;
-            Ok(artifact)
+            let predictor = GuardedPredictor::new(artifact, self.shared.serve.clone());
+            match predictor.model_error() {
+                Some(e) => Err(SwapError::Rejected(e.to_string())),
+                None => Ok(predictor),
+            }
         }));
-        let artifact = match validated {
-            Ok(Ok(artifact)) => artifact,
+        let predictor = match built {
+            Ok(Ok(predictor)) => predictor,
             Ok(Err(e)) => return Err(e),
             Err(payload) => {
                 return Err(SwapError::Panicked(crate::serve::panic_message(&payload)))
             }
         };
-        let artifact = Arc::new(artifact);
         let generation = {
             let mut published = self
                 .shared
@@ -824,9 +808,13 @@ impl ServeLoop {
                 .lock()
                 .unwrap_or_else(|e| e.into_inner());
             let generation = published.generation + 1;
+            // The cache binds to the generation being published, so a
+            // worker still on an old generation can neither read nor pin
+            // the new generation's entries (and vice versa).
+            let predictor = predictor.with_cache(Arc::clone(&self.shared.cache), generation);
             *published = Published {
                 generation,
-                artifact,
+                predictor: Arc::new(predictor),
             };
             generation
         };
@@ -836,21 +824,6 @@ impl ServeLoop {
         // races this flush.)
         self.shared.cache.invalidate_all();
         Ok(generation)
-    }
-
-    /// Current traffic counters.
-    pub fn stats(&self) -> LoopStats {
-        // Every successful swap bumps the generation by one, so the two
-        // are the same count.
-        let generation = self.generation();
-        LoopStats {
-            served: self.shared.served.load(SeqCst),
-            shed: self.shared.shed.load(SeqCst),
-            rejected: self.shared.rejected.load(SeqCst),
-            swaps: generation,
-            max_depth: self.shared.max_depth.load(SeqCst),
-            generation,
-        }
     }
 
     /// Full observability snapshot (sheds by cause, census, per-rung
@@ -900,7 +873,8 @@ impl ServeLoop {
     /// reasons.
     pub fn health(&self) -> HealthReport {
         let shared = &self.shared;
-        let generation = self.generation();
+        let published = shared.published();
+        let generation = published.generation;
         let queue_depth = shared.depth.load(SeqCst);
         let workers_alive = shared.workers_alive.load(SeqCst);
         let workers_target = shared.workers_target;
@@ -922,7 +896,7 @@ impl ServeLoop {
                     watermark: self.shed_watermark,
                 });
             }
-            if shared.model_down.load(SeqCst) == generation {
+            if !published.predictor.model_available() {
                 reasons.push(HealthReason::ModelUnavailable);
             }
             if reasons.is_empty() {
@@ -939,19 +913,6 @@ impl ServeLoop {
             queue_depth,
             generation,
         }
-    }
-
-    /// Reaps queued jobs whose deadline already expired, answering each
-    /// shed. The supervisor calls this on every tick; it is public so
-    /// tests (and embedders driving their own supervision) can force a
-    /// reap deterministically. Returns how many jobs were reaped.
-    pub fn reap_expired(&self) -> usize {
-        reap_expired(&self.shared)
-    }
-
-    /// Current queue depth (queued, not yet claimed by a worker).
-    pub fn depth(&self) -> usize {
-        self.shared.depth.load(SeqCst)
     }
 
     /// The currently published artifact generation.
@@ -1067,7 +1028,7 @@ fn supervisor_loop(shared: &Arc<Shared>) {
 /// Removes queued jobs whose deadline expired and answers each shed —
 /// the supervisor's guarantee that a stalled pool cannot strand a
 /// deadline-bearing ticket past its deadline for long.
-fn reap_expired(shared: &Shared) -> usize {
+fn reap_expired(shared: &Shared) {
     let mut expired = Vec::new();
     {
         let mut queue = shared.lock_queue();
@@ -1087,19 +1048,15 @@ fn reap_expired(shared: &Shared) -> usize {
         }
     }
     if expired.is_empty() {
-        return 0;
+        return;
     }
     let published = shared.published();
-    let count = expired.len();
     for job in expired {
         shared.depth.fetch_sub(1, SeqCst);
         let queued_micros = job.enqueued.elapsed().as_micros() as u64;
-        let response = shed_response(
-            &shared.serve,
-            published.artifact.envelope.as_ref(),
-            &job.request,
-            shared.depth.load(SeqCst),
-        );
+        let response = published
+            .predictor
+            .handle_shed(&job.request, shared.depth.load(SeqCst));
         shared.reaped.fetch_add(1, SeqCst);
         shared.record(&response);
         let _ = job.reply.send(Completed {
@@ -1108,7 +1065,6 @@ fn reap_expired(shared: &Shared) -> usize {
             generation: published.generation,
         });
     }
-    count
 }
 
 /// Census bookkeeping for one worker thread: decrements the live count on
@@ -1156,7 +1112,6 @@ impl Drop for BatchGuard<'_> {
 /// its claims (see [`BatchGuard`]).
 fn worker_loop(shared: &Shared) {
     let _census = CensusGuard { shared };
-    let mut cached: Option<(u64, GuardedPredictor)> = None;
     loop {
         let mut guard = BatchGuard {
             shared,
@@ -1186,46 +1141,8 @@ fn worker_loop(shared: &Shared) {
         shared.ever_ready.store(true, SeqCst);
 
         let published = shared.published();
-        let stale = match &cached {
-            Some((generation, _)) => *generation != published.generation,
-            None => true,
-        };
-        // Rebuild this worker's predictor: a frozen copy of the shared
-        // weight image. GuardedPredictor::shared never panics (construction is
-        // itself guarded), and a failed rebuild still serves — one rung
-        // down, accounted per request. A *broken* rebuild is deliberately
-        // not cached: the next batch retries it, so a transient build
-        // fault (chaos, OOM) heals instead of pinning the worker
-        // model-free until the next swap. Outcomes then depend only on
-        // the request index and fault budgets — not on which worker
-        // happened to serve — which the chaos determinism test relies on.
-        let mut scratch: Option<GuardedPredictor> = None;
-        if stale {
-            // The shared cache binds to the generation being served, so a
-            // worker still on an old generation can neither read nor pin
-            // the new generation's entries (and vice versa).
-            let predictor =
-                GuardedPredictor::shared(Arc::clone(&published.artifact), shared.serve.clone())
-                    .with_cache(Arc::clone(&shared.cache), published.generation);
-            if predictor.model_available() {
-                let _ = shared.model_down.compare_exchange(
-                    published.generation,
-                    u64::MAX,
-                    SeqCst,
-                    SeqCst,
-                );
-                cached = Some((published.generation, predictor));
-            } else {
-                shared.model_down.store(published.generation, SeqCst);
-                cached = None;
-                scratch = Some(predictor);
-            }
-        }
+        let predictor = &published.predictor;
         let generation = published.generation;
-        let predictor = scratch
-            .as_ref()
-            .or_else(|| cached.as_ref().map(|(_, p)| p))
-            .expect("predictor resolved above");
 
         while let Some(index) = guard.jobs.front().map(|job| job.index) {
             // Tag the thread, then give the `worker` failpoint its shot

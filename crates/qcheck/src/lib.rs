@@ -248,7 +248,7 @@ pub fn vec<G: Gen, L: Gen<Item = usize>>(element: G, len: L) -> VecGen<G, L> {
     VecGen { element, len }
 }
 
-/// See [`vec`].
+/// See [`vec()`].
 #[derive(Debug, Clone)]
 pub struct VecGen<G, L> {
     element: G,

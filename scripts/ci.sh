@@ -13,6 +13,16 @@ cargo build --release --offline --all-targets
 echo "==> clippy (workspace, all targets, warnings are errors)"
 cargo clippy --workspace --offline --all-targets -- -D warnings
 
+echo "==> rustdoc (workspace, warnings are errors)"
+# Broken or ambiguous intra-doc links, and public docs linking private
+# items, fail here instead of rotting silently.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
+echo "==> perfbench build"
+# The benchmark is its own workspace compiled against these crates by
+# path; an API change that breaks it must fail here, not at bench time.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> offline test suite"
 test_log=$(mktemp)
 cargo test -q --offline | tee "$test_log"
@@ -20,7 +30,7 @@ cargo test -q --offline | tee "$test_log"
 echo "==> test-count floor"
 # The suite must never silently shrink: the floor is the passing-test
 # count at the time of the last change to it. Raise it when adding tests.
-TEST_FLOOR=689
+TEST_FLOOR=691
 total=$(grep -oE '[0-9]+ passed' "$test_log" | awk '{s+=$1} END {print s+0}')
 rm -f "$test_log"
 if [ "$total" -lt "$TEST_FLOOR" ]; then

@@ -6,7 +6,7 @@
 //! as pure functions of one seed. The invariants under fire:
 //!
 //! - **Exactly once**: every submitted ticket resolves with exactly one
-//!   reply; `stats().total()` equals the submission count; nothing is
+//!   reply; `metrics().total()` equals the submission count; nothing is
 //!   dropped or double-answered (a double answer would panic the reply
 //!   channel).
 //! - **Census restored**: after every worker kill the supervisor respawns
@@ -31,9 +31,10 @@ use gnn::{GnnKind, GnnModel};
 use qaoa_gnn::dataset::LabelReport;
 use qaoa_gnn::faults::{self, FaultAction, FaultSchedule, ScheduledFault};
 use qaoa_gnn::pipeline::PipelineConfig;
-use qaoa_gnn::serve_loop::{Completed, LoopConfig, ServeLoop};
+use qaoa_gnn::serve_loop::{Completed, LoopConfig, ServeLoop, SwapError};
 use qaoa_gnn::{
-    Health, HealthReason, Json, Rung, RunArtifact, ServeRequest, ToJson, TrainingEnvelope,
+    Health, HealthReason, Json, RunArtifact, Rung, ServeRequest, SkipReason, ToJson,
+    TrainingEnvelope,
 };
 use qgraph::Graph;
 
@@ -200,7 +201,7 @@ fn run_soak(seed: u64, requests: u64, tag: &str) -> SoakRun {
     }
     // The tail of the schedule is clean: the loop must end recovered.
     await_census(&serve);
-    let stats = serve.stats();
+    let stats = serve.metrics();
     assert_eq!(
         stats.total(),
         requests,
@@ -314,7 +315,7 @@ fn worker_kill_requeues_in_flight_and_census_recovers() {
     assert_eq!(guard.fired(), 1, "the kill window must fire exactly once");
     await_census(&serve);
     let metrics = serve.metrics();
-    assert_eq!(serve.stats().total(), 20);
+    assert_eq!(serve.metrics().total(), 20);
     assert!(metrics.respawns >= 1, "supervisor must respawn the victim");
     assert_eq!(metrics.workers_alive, metrics.workers_target);
 }
@@ -352,6 +353,85 @@ fn health_names_model_unavailable_for_headless_artifact() {
     assert_eq!(healthy.health().state, Health::Ready);
 }
 
+/// A `weight_build` window covering the swap's request index refuses the
+/// swap — the predictor is built once, on the swapping thread, tagged
+/// with that index — so generation 0 keeps serving with its model and
+/// every run of the same stream is bit-identical, whichever worker served
+/// which batch.
+#[test]
+fn weight_build_window_at_swap_refuses_it_identically_every_run() {
+    const SWAP_AT: u64 = 200;
+    let mut runs: Vec<Vec<String>> = Vec::new();
+    for _ in 0..20 {
+        let guard = faults::arm_schedule(FaultSchedule::new().push(ScheduledFault {
+            failpoint: faults::WEIGHT_BUILD,
+            action: FaultAction::Error,
+            from_index: 190,
+            to_index: SWAP_AT + 1,
+            budget: 11,
+        }));
+        let serve = chaos_loop(7801);
+        let mut fingerprints = Vec::new();
+        for i in 0..SWAP_AT + 20 {
+            let n = 3 + (i % 10) as usize;
+            let done = serve
+                .submit(ServeRequest::from_graph(Graph::cycle(n).unwrap()))
+                .wait();
+            let outcome = done.response.result.as_ref().expect("served");
+            assert!(
+                !outcome
+                    .skips
+                    .iter()
+                    .any(|s| matches!(s.reason, SkipReason::ModelUnavailable(_))),
+                "request {i} lost the model: {outcome:?}"
+            );
+            assert_eq!(done.generation, 0, "generation 0 keeps serving");
+            fingerprints.push(fingerprint(i, &done));
+            if i == SWAP_AT {
+                let swap = serve.swap_artifact(artifact(7802));
+                assert!(
+                    matches!(swap, Err(SwapError::Rejected(_))),
+                    "a weight_build fault must refuse the swap: {swap:?}"
+                );
+                fingerprints.push(format!("swap@{i} -> {swap:?}"));
+            }
+        }
+        assert_eq!(guard.fired(), 1, "only the swap's build is in the window");
+        assert_eq!(serve.generation(), 0);
+        runs.push(fingerprints);
+    }
+    for (run, fingerprints) in runs.iter().enumerate().skip(1) {
+        assert_eq!(fingerprints, &runs[0], "run {run} diverged from run 0");
+    }
+}
+
+/// A `weight_build` fault on the constructing thread leaves generation 0
+/// without a model: it serves one rung down and health names it, until a
+/// clean swap restores the GNN rung and `Ready`.
+#[test]
+fn weight_build_fault_at_construction_degrades_until_a_clean_swap() {
+    let _fault = faults::armed(faults::WEIGHT_BUILD, FaultAction::Error, 1);
+    let serve = chaos_loop(7901);
+    let request = || ServeRequest::from_graph(Graph::cycle(6).unwrap());
+    let outcome = serve.handle_wait(request()).response.result.unwrap();
+    assert_eq!(outcome.rung, Rung::FixedAngle);
+    assert_eq!(outcome.skips[0].rung, Rung::Gnn);
+    assert!(
+        matches!(outcome.skips[0].reason, SkipReason::ModelUnavailable(_)),
+        "the GNN rung must be skipped for the missing model: {:?}",
+        outcome.skips
+    );
+    let health = serve.health();
+    assert_eq!(health.state, Health::Degraded);
+    assert_eq!(health.reasons, vec![HealthReason::ModelUnavailable]);
+
+    assert_eq!(serve.swap_artifact(artifact(7902)).expect("clean swap"), 1);
+    let done = serve.handle_wait(request());
+    assert_eq!(done.generation, 1);
+    assert_eq!(done.response.result.unwrap().rung, Rung::Gnn);
+    assert_eq!(serve.health().state, Health::Ready);
+}
+
 /// `wait_timeout` is the caller-side seatbelt: a timeout hands the live
 /// ticket back (reply guarantee intact), and a resolved ticket returns
 /// immediately.
@@ -384,7 +464,7 @@ fn wait_timeout_returns_live_ticket_on_timeout() {
     for ticket in patient {
         assert!(ticket.wait().response.result.is_ok());
     }
-    assert_eq!(serve.stats().total(), 25, "timeout must not double-answer");
+    assert_eq!(serve.metrics().total(), 25, "timeout must not double-answer");
 }
 
 /// The metrics snapshot serializes via `core::json` and parses back with

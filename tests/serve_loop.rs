@@ -169,7 +169,7 @@ fn hard_capacity_sheds_inline_and_bounds_the_queue() {
         answered += 1;
     }
     assert_eq!(answered, 64, "every request gets exactly one reply");
-    let stats = serve.stats();
+    let stats = serve.metrics();
     assert_eq!(stats.total(), 64);
     assert!(stats.shed as usize >= inline_sheds);
     assert!(stats.max_depth <= 4, "queue exceeded its bound: {}", stats.max_depth);
@@ -308,7 +308,7 @@ fn hot_swap_under_traffic_never_tears_and_rolls_generations_forward() {
             handle.join().expect("submitter");
         }
     });
-    let stats = serve.stats();
+    let stats = serve.metrics();
     assert_eq!(stats.swaps, SWAPS);
     assert_eq!(stats.generation, SWAPS);
     assert_eq!(stats.total(), 2 * REQUESTS as u64);
@@ -346,7 +346,7 @@ fn concurrent_swappers_publish_generations_in_order() {
     drawn.sort_unstable();
     assert_eq!(drawn, (1..=SWAPS).collect::<Vec<_>>());
     assert_eq!(serve.generation(), SWAPS);
-    assert_eq!(serve.stats().swaps, SWAPS);
+    assert_eq!(serve.metrics().swaps, SWAPS);
     let done = serve.handle_wait(ServeRequest::from_graph(Graph::cycle(7).unwrap()));
     assert_eq!(
         done.generation, SWAPS,
@@ -422,8 +422,8 @@ fn admission_failpoint_refuses_with_typed_error() {
     // Disarmed: serves normally; the two refusals were counted, not lost.
     let done = serve.handle_wait(ServeRequest::from_graph(Graph::cycle(5).unwrap()));
     assert!(done.response.result.is_ok());
-    assert_eq!(serve.stats().rejected, 2);
-    assert_eq!(serve.stats().total(), 3);
+    assert_eq!(serve.metrics().rejected, 2);
+    assert_eq!(serve.metrics().total(), 3);
 }
 
 // ------------------------------------------------------------- shutdown
