@@ -297,7 +297,10 @@ fn main() -> ExitCode {
             seed,
             count: 24,
             iterations: 30,
-            epochs: 6,
+            // Enough epochs that training outlasts the largest kill jitter
+            // (20 ms) after the first checkpoint, so the mid-epoch kill
+            // lands before the run completes and the later windows remain.
+            epochs: 24,
             test: 6,
         }
     } else {

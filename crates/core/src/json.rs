@@ -9,7 +9,9 @@
 //!
 //! Numbers are kept as parsed ([`Number::U64`]/[`Number::I64`]/
 //! [`Number::F64`]) so 64-bit seeds survive a round trip exactly; floats are
-//! written with Rust's shortest-round-trip `{:?}` formatting.
+//! written with Rust's shortest-round-trip `{:?}` formatting. The matrices
+//! of a training checkpoint's state are the exception: they are written as
+//! hex strings of their `f64::to_bits`, which copy and parse faster.
 
 use std::fmt::{self, Write as _};
 
@@ -351,25 +353,31 @@ fn write_f64<S: JsonSink>(out: &mut S, v: f64) {
 
 fn write_string<S: JsonSink>(out: &mut S, s: &str) {
     out.token("\"");
-    // Unescaped runs go out as slices of `s`.
+    // Unescaped runs go out as slices of `s`. Every byte that needs
+    // escaping is ASCII, hence a char boundary, so the scans run over
+    // bytes. The first has no branch, so it vectorizes: a string with
+    // nothing to escape, such as a checkpoint's hex digits, is one token.
     let mut run = 0;
-    for (i, c) in s.char_indices() {
-        let escape = match c {
-            '"' => "\\\"",
-            '\\' => "\\\\",
-            '\n' => "\\n",
-            '\r' => "\\r",
-            '\t' => "\\t",
-            c if (c as u32) < 0x20 => "",
+    let needs_escape = |b: u8| (b == b'"') | (b == b'\\') | (b < 0x20);
+    let escapes = s.bytes().fold(false, |any, b| any | needs_escape(b));
+    let scan = if escapes { s.as_bytes() } else { &[] };
+    for (i, &b) in scan.iter().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            b if b < 0x20 => "",
             _ => continue,
         };
         out.token(&s[run..i]);
         if escape.is_empty() {
-            let _ = write!(Tokens(out), "\\u{:04x}", c as u32);
+            let _ = write!(Tokens(out), "\\u{b:04x}");
         } else {
             out.token(escape);
         }
-        run = i + c.len_utf8();
+        run = i + 1;
     }
     out.token(&s[run..]);
     out.token("\"");
@@ -874,6 +882,86 @@ impl FromJson for EvalConfig {
     }
 }
 
+/// Lowercase hex digits, by value.
+const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
+
+/// Each byte's value as a lowercase hex digit, or `0xff` when it is not one.
+static HEX_VALUE: [u8; 256] = {
+    let mut table = [0xff; 256];
+    let mut digit = 0;
+    while digit < 16 {
+        table[HEX_DIGITS[digit] as usize] = digit as u8;
+        digit += 1;
+    }
+    table
+};
+
+/// A checkpointed matrix as `{"rows", "cols", "bits"}`: `bits` is every
+/// entry's [`f64::to_bits`] as 16 lowercase hex digits, in row-major order.
+/// Writing and reading copy exact bits, with no decimal formatting or
+/// parsing; the run artifact keeps [`Matrix`]'s decimal form.
+fn matrix_bits_to_json(matrix: &Matrix) -> Json {
+    let mut bits = Vec::with_capacity(16 * matrix.data().len());
+    for v in matrix.data() {
+        let word = v.to_bits();
+        bits.extend((0..16).rev().map(|i| HEX_DIGITS[(word >> (4 * i)) as usize & 0xf]));
+    }
+    obj(vec![
+        ("rows", Json::uint(matrix.rows() as u64)),
+        ("cols", Json::uint(matrix.cols() as u64)),
+        (
+            "bits",
+            Json::Str(String::from_utf8(bits).expect("hex digits are ASCII")),
+        ),
+    ])
+}
+
+/// Decodes [`matrix_bits_to_json`]. Both dimensions must be positive, the
+/// digit count must be exactly `16·rows·cols` (checked before allocating),
+/// every digit `[0-9a-f]`, and every entry finite: a non-finite weight or
+/// moment is data corruption, as the decimal form's `null` is.
+fn matrix_bits_from_json(json: &Json) -> Result<Matrix, JsonError> {
+    let rows = json.get("rows")?.as_usize()?;
+    let cols = json.get("cols")?.as_usize()?;
+    if rows == 0 || cols == 0 {
+        return err(format!("matrix dimensions must be positive, got {rows}x{cols}"));
+    }
+    let digits = rows
+        .checked_mul(cols)
+        .and_then(|entries| entries.checked_mul(16))
+        .ok_or_else(|| JsonError(format!("matrix size {rows}x{cols} overflows")))?;
+    let bits = json.get("bits")?.as_str()?.as_bytes();
+    if bits.len() != digits {
+        return err(format!(
+            "matrix {rows}x{cols} needs {digits} hex digits, found {}",
+            bits.len()
+        ));
+    }
+    let data = bits
+        .chunks_exact(16)
+        .enumerate()
+        .map(|(entry, hex)| {
+            // Branch-free per digit; a non-digit sets the high nibble of
+            // `invalid`.
+            let (word, invalid) = hex.iter().fold((0u64, 0u8), |(word, invalid), &d| {
+                let value = HEX_VALUE[usize::from(d)];
+                (word << 4 | u64::from(value & 0xf), invalid | value)
+            });
+            if invalid > 0xf {
+                let d = hex.iter().find(|&&d| HEX_VALUE[usize::from(d)] > 0xf);
+                let d = char::from(*d.expect("an invalid digit"));
+                return err(format!("entry {entry}: {d:?} is not a lowercase hex digit"));
+            }
+            let v = f64::from_bits(word);
+            if !v.is_finite() {
+                return err(format!("entry {entry} is not finite ({word:#018x})"));
+            }
+            Ok(v)
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    Ok(Matrix::from_flat(rows, cols, data))
+}
+
 fn moments_to_json(moments: &[(usize, Matrix)]) -> Json {
     Json::Arr(
         moments
@@ -881,7 +969,7 @@ fn moments_to_json(moments: &[(usize, Matrix)]) -> Json {
             .map(|(index, matrix)| {
                 obj(vec![
                     ("index", Json::uint(*index as u64)),
-                    ("matrix", matrix.to_json()),
+                    ("matrix", matrix_bits_to_json(matrix)),
                 ])
             })
             .collect(),
@@ -894,7 +982,7 @@ fn moments_from_json(json: &Json) -> Result<Vec<(usize, Matrix)>, JsonError> {
         .map(|entry| {
             Ok((
                 entry.get("index")?.as_usize()?,
-                Matrix::from_json(entry.get("matrix")?)?,
+                matrix_bits_from_json(entry.get("matrix")?)?,
             ))
         })
         .collect()
@@ -958,7 +1046,7 @@ impl ToJson for TrainState {
             ("done", Json::Bool(self.done)),
             (
                 "params",
-                Json::Arr(self.params.iter().map(ToJson::to_json).collect()),
+                Json::Arr(self.params.iter().map(matrix_bits_to_json).collect()),
             ),
             ("optimizer", self.optimizer.to_json()),
             ("scheduler", self.scheduler.to_json()),
@@ -967,7 +1055,7 @@ impl ToJson for TrainState {
             ("best_loss_bits", Json::uint(self.best_loss.to_bits())),
             (
                 "best_params",
-                Json::Arr(self.best_params.iter().map(ToJson::to_json).collect()),
+                Json::Arr(self.best_params.iter().map(matrix_bits_to_json).collect()),
             ),
             (
                 "order",
@@ -999,7 +1087,7 @@ impl FromJson for TrainState {
                 .get("params")?
                 .as_arr()?
                 .iter()
-                .map(Matrix::from_json)
+                .map(matrix_bits_from_json)
                 .collect::<Result<_, _>>()?,
             optimizer: AdamState::from_json(json.get("optimizer")?)?,
             scheduler: PlateauState::from_json(json.get("scheduler")?)?,
@@ -1008,7 +1096,7 @@ impl FromJson for TrainState {
                 .get("best_params")?
                 .as_arr()?
                 .iter()
-                .map(Matrix::from_json)
+                .map(matrix_bits_from_json)
                 .collect::<Result<_, _>>()?,
             order: json
                 .get("order")?
@@ -1545,6 +1633,91 @@ mod tests {
             let v = (mantissa as f64 / u64::MAX as f64) * 10f64.powi(exp as i32 - 300);
             qcheck::prop_assume!(v.is_finite());
             qcheck::prop_assert_eq!(round_trip_bits(v), v.to_bits());
+        }
+    }
+
+    /// Encodes one row of raw f64 bit patterns with the checkpoint's bits
+    /// codec, reparses the text and decodes it again.
+    fn bits_codec_round_trip(bits: &[u64]) -> Result<Vec<u64>, JsonError> {
+        let values = bits.iter().map(|&b| f64::from_bits(b)).collect();
+        let text = matrix_bits_to_json(&Matrix::from_flat(1, bits.len(), values)).to_compact();
+        let matrix = matrix_bits_from_json(&Json::parse(&text)?)?;
+        Ok(matrix.data().iter().map(|v| v.to_bits()).collect())
+    }
+
+    #[test]
+    fn bits_codec_keeps_zero_signs_and_subnormals() {
+        let edge = [
+            0.0f64,
+            -0.0,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            f64::from_bits(u64::MAX >> 12),
+            f64::MIN_POSITIVE,
+            f64::MAX,
+            f64::MIN,
+        ]
+        .map(f64::to_bits);
+        assert_eq!(bits_codec_round_trip(&edge).unwrap(), edge);
+        let text = matrix_bits_to_json(&Matrix::from_flat(1, 2, vec![-0.0, 1.0])).to_compact();
+        assert_eq!(
+            text,
+            r#"{"rows":1,"cols":2,"bits":"80000000000000003ff0000000000000"}"#
+        );
+    }
+
+    #[test]
+    fn bits_codec_rejects_malformed_matrices() {
+        let decode = |rows: u64, cols: u64, bits: &str| {
+            matrix_bits_from_json(&Json::Obj(vec![
+                ("rows".to_string(), Json::uint(rows)),
+                ("cols".to_string(), Json::uint(cols)),
+                ("bits".to_string(), Json::Str(bits.to_string())),
+            ]))
+            .unwrap_err()
+            .0
+        };
+        let one = "3ff0000000000000";
+        for (rows, cols, bits, needle) in [
+            (1, 2, one, "needs 32 hex digits, found 16"),
+            (1, 1, "3ff000000000000", "needs 16 hex digits, found 15"),
+            (1, 1, "3FF0000000000000", "'F' is not a lowercase hex digit"),
+            (1, 1, "3ff000000000000g", "'g' is not a lowercase hex digit"),
+            (1, 1, "3ff0 00000000000", "' ' is not a lowercase hex digit"),
+            (0, 1, "", "dimensions must be positive, got 0x1"),
+            (0, 4, "", "dimensions must be positive, got 0x4"),
+            (u64::MAX, 2, one, "overflows"),
+            (1, 1, "7ff8000000000000", "entry 0 is not finite"),
+        ] {
+            let message = decode(rows, cols, bits);
+            assert!(message.contains(needle), "{rows}x{cols} {bits:?}: {message}");
+        }
+    }
+
+    qcheck::properties! {
+        cases = 256;
+
+        fn bits_codec_round_trips_every_finite_pattern(
+            words in qcheck::vec(qcheck::any_u64(), 1usize..12),
+        ) {
+            let finite: Vec<u64> = words
+                .into_iter()
+                .filter(|&b| f64::from_bits(b).is_finite())
+                .collect();
+            qcheck::prop_assume!(!finite.is_empty());
+            qcheck::prop_assert_eq!(bits_codec_round_trip(&finite).unwrap(), finite);
+        }
+
+        fn bits_codec_rejects_every_non_finite_pattern(
+            raw in qcheck::any_u64(),
+            at in 0usize..4,
+        ) {
+            // An all-ones exponent is ±∞ (zero mantissa) or a NaN.
+            let bad = raw | 0x7ff0_0000_0000_0000;
+            let mut words = [1.5f64.to_bits(); 4];
+            words[at] = bad;
+            let message = bits_codec_round_trip(&words).unwrap_err().0;
+            qcheck::prop_assert_eq!(message, format!("entry {at} is not finite ({bad:#018x})"));
         }
     }
 

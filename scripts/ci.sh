@@ -30,7 +30,7 @@ cargo test -q --offline | tee "$test_log"
 echo "==> test-count floor"
 # The suite must never silently shrink: the floor is the passing-test
 # count at the time of the last change to it. Raise it when adding tests.
-TEST_FLOOR=691
+TEST_FLOOR=696
 total=$(grep -oE '[0-9]+ passed' "$test_log" | awk '{s+=$1} END {print s+0}')
 rm -f "$test_log"
 if [ "$total" -lt "$TEST_FLOOR" ]; then
@@ -65,10 +65,13 @@ echo "==> serial golden pins (release build)"
 # reference: its mirror kernels are exact only because IEEE addition is
 # commutative and nothing is contracted into an FMA. The memoized
 # warm-start trace must equal the bare trace under the same optimizations.
+# The golden artifact, checkpoint-bytes and checkpoint-state digests pin
+# Adam's no-FMA arithmetic, so they run here as well.
 cargo test --release --offline -q -p qaoa-gnn --test golden_serial >/dev/null
 cargo test --release --offline -q -p qaoa --test bit_identity >/dev/null
 cargo test --release --offline -q -p qaoa --test memo_identity >/dev/null
-echo "OK: serial state-vector path matches its golden bits"
+cargo test --release --offline -q -p qaoa-gnn --lib golden_digest >/dev/null
+echo "OK: serial state-vector path and golden digests match their pinned bits"
 
 echo "==> artifact smoke (train tiny, save, reload in a fresh process, diff bits)"
 cargo run --release --offline -q -p qaoa-gnn-bench --bin artifact_smoke

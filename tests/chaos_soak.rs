@@ -143,10 +143,21 @@ struct SoakRun {
 
 /// One full soak: arm the seeded schedule, drive `requests` numbered
 /// requests sequentially (submit → wait, so the request clock is total),
-/// hot-swap once mid-stream, and exercise the persistence failpoints at a
-/// tagged index. Returns everything that must replay bit-for-bit.
+/// hot-swap once at the start of the schedule's `hot_swap` window, and
+/// save and load an artifact at the start of its `artifact_load` window
+/// (mid-stream when the seed scripts no such window). Returns everything
+/// that must replay bit-for-bit.
 fn run_soak(seed: u64, requests: u64, tag: &str) -> SoakRun {
     let schedule = FaultSchedule::from_seed(seed, requests);
+    let window_start = |failpoint: &str, fallback: u64| {
+        schedule
+            .entries
+            .iter()
+            .find(|e| e.failpoint == failpoint)
+            .map_or(fallback, |e| e.from_index)
+    };
+    let swap_at = window_start(faults::HOT_SWAP, requests / 2);
+    let persist_at = window_start(faults::ARTIFACT_LOAD, requests / 3);
     let kills = schedule
         .entries
         .iter()
@@ -162,18 +173,16 @@ fn run_soak(seed: u64, requests: u64, tag: &str) -> SoakRun {
             .submit(ServeRequest::from_graph(Graph::cycle(n).unwrap()))
             .wait();
         fingerprints.push(fingerprint(i, &done));
-        if i == requests / 2 {
-            // Mid-stream hot swap; lands inside the schedule's HOT_SWAP
-            // window or not as a pure function of the seed.
+        if i == swap_at {
             let swap = serve.swap_artifact(artifact(seed ^ 1));
             fingerprints.push(format!("swap@{i} -> {swap:?}"));
         }
-        if i == requests / 3 {
+        if i == persist_at {
             // Persistence under chaos: the driver thread is tagged with
             // request index `i` (the tag lingers past submit by design),
-            // so ARTIFACT_LOAD / JOURNAL_IO windows covering `i` fire
-            // here. Panics are contained; only the outcome kind is
-            // recorded (paths and io text are not replayable).
+            // so an ARTIFACT_LOAD window covering `i` fires here. Panics
+            // are contained; only the outcome kind is recorded (paths and
+            // io text are not replayable).
             let dir = std::env::temp_dir().join(format!("qaoa-chaos-{seed}-{tag}"));
             std::fs::create_dir_all(&dir).expect("temp dir");
             let path = dir.join("artifact.json");
@@ -256,6 +265,26 @@ fn chaos_soak_answers_exactly_once_and_replays_bit_identically() {
         !first.counters.contains("fixed=0 "),
         "the FORWARD storm must degrade requests to fixed angles: {}",
         first.counters
+    );
+    // The driver acts inside the control-plane and persistence windows, so
+    // they fire: seed 42 scripts a panic at both.
+    let entry = |prefix: &str| {
+        first
+            .fingerprints
+            .iter()
+            .find(|f| f.starts_with(prefix))
+            .unwrap_or_else(|| panic!("no {prefix} entry"))
+            .clone()
+    };
+    let swap = entry("swap@");
+    assert!(
+        swap.contains(" -> Err(Panicked("),
+        "the hot_swap window must refuse the swap: {swap}"
+    );
+    let persist = entry("persist@");
+    assert!(
+        persist.ends_with(" load=panic"),
+        "the artifact_load window must fire: {persist}"
     );
 }
 

@@ -35,7 +35,7 @@ use gnn::{GnnKind, GnnModel, ModelConfig};
 use qaoa_gnn::dataset::{LabelConfig, LabelReport};
 use qaoa_gnn::faults::{self, FaultAction};
 use qaoa_gnn::pipeline::{Pipeline, PipelineConfig, PipelineError};
-use qaoa_gnn::store::{train_checkpoint_path, TrainCheckpoint};
+use qaoa_gnn::store::{train_checkpoint_path, ArtifactError, TrainCheckpoint};
 use qaoa_gnn::RunArtifact;
 use qgraph::generate::DatasetSpec;
 use qrand::rngs::StdRng;
@@ -211,14 +211,25 @@ fn corrupted_checkpoint_falls_back_to_fresh_start() {
         .position(|w| w == b"\"state\"")
         .unwrap();
     flipped[state_start + 64] ^= 0x20;
-    let corruptions: [&[u8]; 3] = [
+    // A checkpoint from before the bit-pattern state encoding.
+    let stale = String::from_utf8(good_bytes.clone())
+        .unwrap()
+        .replacen("\"version\": 2", "\"version\": 1", 1)
+        .into_bytes();
+    assert_ne!(stale, good_bytes);
+    let corruptions: [&[u8]; 4] = [
         &good_bytes[..good_bytes.len() / 2],
         &flipped,
         b"garbage\n",
+        &stale,
     ];
     for (i, corrupt) in corruptions.iter().enumerate() {
         fs::write(&path, corrupt).unwrap();
-        TrainCheckpoint::load(&path).expect_err("corruption must not load");
+        let err = TrainCheckpoint::load(&path).expect_err("corruption must not load");
+        assert!(
+            i != 3 || matches!(err, ArtifactError::Version { found: 1, supported: 2 }),
+            "corruption {i}: {err}"
+        );
         let mut rng = StdRng::seed_from_u64(21);
         Pipeline::try_run(GnnKind::Gcn, &config, &mut rng)
             .unwrap_or_else(|e| panic!("corruption {i}: fallback run failed: {e}"));
