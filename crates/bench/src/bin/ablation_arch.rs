@@ -86,7 +86,13 @@ fn main() {
             f2(p.report.win_rate() * 100.0),
         ]);
     }
-    let header = ["readout", "test_mse", "improvement_pts", "std", "win_rate_%"];
+    let header = [
+        "readout",
+        "test_mse",
+        "improvement_pts",
+        "std",
+        "win_rate_%",
+    ];
     print_table("Readout ablation (GIN)", &header, &rows);
     let path = write_csv("ablation_readout.csv", &header, &rows).expect("write csv");
     println!("wrote {}", path.display());

@@ -25,7 +25,12 @@ fn main() {
     let mut rows = Vec::new();
     for degree in fixed_angle::LOOKUP_DEGREES {
         // Smallest even-product size comfortably above the degree.
-        let n = if (degree + 1) % 2 == 0 { degree + 1 } else { degree + 2 }.max(8);
+        let n = if (degree + 1) % 2 == 0 {
+            degree + 1
+        } else {
+            degree + 2
+        }
+        .max(8);
         let n = if (n * degree) % 2 == 0 { n } else { n + 1 };
         let fa = fixed_angle::fixed_angles(degree);
         let mut fixed_ars = Vec::new();
@@ -72,7 +77,10 @@ fn main() {
     println!("wrote {}", path.display());
 
     // View 2: dataset coverage and augmentation effect.
-    println!("\nlabeling {} graphs for the coverage study...", config.dataset.count);
+    println!(
+        "\nlabeling {} graphs for the coverage study...",
+        config.dataset.count
+    );
     let dataset = Dataset::generate(&config.dataset, &config.labeling, config.seed)
         .expect("default dataset spec is valid");
     let before = dataset.mean_approx_ratio();

@@ -65,10 +65,22 @@ fn main() {
             f4(hamiltonian.approximation_ratio(random_mean)),
             f4((warm - random_mean) / hamiltonian.optimal_value() * 100.0),
         ]);
-        println!("noise {rate}: warm AR {:.4}", hamiltonian.approximation_ratio(warm));
+        println!(
+            "noise {rate}: warm AR {:.4}",
+            hamiltonian.approximation_ratio(warm)
+        );
     }
-    let header = ["noise_rate", "ar_fixed_angles", "ar_random_mean", "advantage_pts"];
-    print_table("Depolarizing-noise study (10-node 3-regular, p=1)", &header, &rows);
+    let header = [
+        "noise_rate",
+        "ar_fixed_angles",
+        "ar_random_mean",
+        "advantage_pts",
+    ];
+    print_table(
+        "Depolarizing-noise study (10-node 3-regular, p=1)",
+        &header,
+        &rows,
+    );
     let path = write_csv("ablation_noise.csv", &header, &rows).expect("write csv");
     println!("wrote {}", path.display());
 }

@@ -45,7 +45,12 @@ fn prediction_bits(model: &GnnModel) -> String {
         .iter()
         .map(|g| {
             let (gamma, beta) = model.predict(g);
-            format!("n={} {:016x} {:016x}\n", g.n(), gamma.to_bits(), beta.to_bits())
+            format!(
+                "n={} {:016x} {:016x}\n",
+                g.n(),
+                gamma.to_bits(),
+                beta.to_bits()
+            )
         })
         .collect()
 }
@@ -93,7 +98,10 @@ fn main() -> ExitCode {
         .with_seed(500 + i as u64)
         .with_artifact_path(Some(path.clone()));
 
-        println!("{kind}: training tiny model and saving {}...", path.display());
+        println!(
+            "{kind}: training tiny model and saving {}...",
+            path.display()
+        );
         let mut rng = StdRng::seed_from_u64(config.seed);
         let pipeline = Pipeline::run(kind, &config, &mut rng);
         let expected = prediction_bits(&pipeline.model);
@@ -120,7 +128,10 @@ fn main() -> ExitCode {
             );
             return ExitCode::FAILURE;
         }
-        println!("{kind}: fresh-process predictions bit-identical ({} probes)", probe_graphs().len());
+        println!(
+            "{kind}: fresh-process predictions bit-identical ({} probes)",
+            probe_graphs().len()
+        );
     }
 
     let _ = fs::remove_dir_all(&dir);

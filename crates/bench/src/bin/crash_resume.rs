@@ -192,7 +192,9 @@ fn kill_in_phase(spec: &RunSpec, phase: &Phase, jitter: Duration) -> Result<bool
         if marker.exists() {
             std::thread::sleep(jitter);
             // SIGKILL: no destructors, no flushes — the real crash model.
-            child.kill().map_err(|e| format!("kill {}: {e}", phase.label))?;
+            child
+                .kill()
+                .map_err(|e| format!("kill {}: {e}", phase.label))?;
             let _ = child.wait();
             return Ok(true);
         }
@@ -230,13 +232,9 @@ fn measure_overhead(spec: &RunSpec, train_size: usize) -> Result<(f64, usize), S
     use qaoa_gnn::store;
 
     let config = spec.config();
-    let (dataset, _) = Dataset::generate_checked(
-        &config.dataset,
-        &config.labeling,
-        config.seed,
-        None,
-    )
-    .map_err(|e| format!("overhead dataset: {e}"))?;
+    let (dataset, _) =
+        Dataset::generate_checked(&config.dataset, &config.labeling, config.seed, None)
+            .map_err(|e| format!("overhead dataset: {e}"))?;
     let mut rng = StdRng::seed_from_u64(spec.seed);
     let model = GnnModel::new(GnnKind::Gcn, config.model.clone(), &mut rng);
     let base = to_examples(&dataset, &config.model);

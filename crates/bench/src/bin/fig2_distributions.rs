@@ -37,8 +37,12 @@ fn main() {
         &["degree", "count", "frequency"],
         &rows,
     );
-    let path = write_csv("fig2a_degree_frequency.csv", &["degree", "count", "frequency"], &rows)
-        .expect("write csv");
+    let path = write_csv(
+        "fig2a_degree_frequency.csv",
+        &["degree", "count", "frequency"],
+        &rows,
+    )
+    .expect("write csv");
     println!("wrote {}", path.display());
 
     let by_size = size_histogram(&graphs);
@@ -52,7 +56,11 @@ fn main() {
         &["nodes", "count", "frequency"],
         &rows,
     );
-    let path = write_csv("fig2b_size_frequency.csv", &["nodes", "count", "frequency"], &rows)
-        .expect("write csv");
+    let path = write_csv(
+        "fig2b_size_frequency.csv",
+        &["nodes", "count", "frequency"],
+        &rows,
+    )
+    .expect("write csv");
     println!("wrote {}", path.display());
 }

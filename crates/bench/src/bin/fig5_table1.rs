@@ -18,12 +18,12 @@ fn main() {
     let config = PipelineConfig::from_env();
     println!(
         "dataset: {} graphs, {} labeling iterations, {} epochs, {} test graphs",
-        config.dataset.count,
-        config.labeling.iterations,
-        config.training.epochs,
-        config.test_size
+        config.dataset.count, config.labeling.iterations, config.training.epochs, config.test_size
     );
-    println!("labeling (parallel across {} threads)...", config.labeling.threads);
+    println!(
+        "labeling (parallel across {} threads)...",
+        config.labeling.threads
+    );
     let dataset = label_dataset(&config);
     println!("mean label AR: {:.4}", dataset.mean_approx_ratio());
 
@@ -67,7 +67,14 @@ fn main() {
                 ]
             })
             .collect();
-        let header = ["graph", "nodes", "degree", "ar_random", "ar_gnn", "improvement_pts"];
+        let header = [
+            "graph",
+            "nodes",
+            "degree",
+            "ar_random",
+            "ar_gnn",
+            "improvement_pts",
+        ];
         let name = format!("fig5_{}.csv", kind.to_string().to_lowercase());
         let path = write_csv(&name, &header, &rows).expect("write csv");
         println!(
@@ -80,7 +87,11 @@ fn main() {
         );
         table1_rows.push(vec![
             kind.to_string(),
-            format!("{} ± {}", f2(report.mean_improvement), f2(report.std_improvement)),
+            format!(
+                "{} ± {}",
+                f2(report.mean_improvement),
+                f2(report.std_improvement)
+            ),
             f4(report.mean_random_ratio),
             f4(report.mean_gnn_ratio),
             f2(report.win_rate() * 100.0),

@@ -21,8 +21,8 @@ fn main() {
     let mut rows = Vec::new();
     for degree in [2usize, 3, 4, 6, 8, 10] {
         let n = if (12 * degree) % 2 == 0 { 12 } else { 13 };
-        let graph = qgraph::generate::random_regular(n, degree, &mut rng)
-            .expect("feasible regular shape");
+        let graph =
+            qgraph::generate::random_regular(n, degree, &mut rng).expect("feasible regular shape");
         let hamiltonian = MaxCutHamiltonian::new(&graph);
         let landscape = Landscape::scan(&hamiltonian, resolution);
         let maxima = landscape.local_maxima();

@@ -90,7 +90,10 @@ fn main() -> ExitCode {
     };
     println!("request 2 (disarmed):    {}", clean.summary());
     if !clean.is_clean() {
-        return fail(&format!("expected a clean gnn outcome, got {}", clean.summary()));
+        return fail(&format!(
+            "expected a clean gnn outcome, got {}",
+            clean.summary()
+        ));
     }
     let raw = match artifact.build_model() {
         Ok(m) => m,
@@ -103,7 +106,10 @@ fn main() -> ExitCode {
     }
 
     // Hostile text: typed rejection with the offending line.
-    match served.handle(&ServeRequest::from_text("n 3\ne 0 1 nan\n")).result {
+    match served
+        .handle(&ServeRequest::from_text("n 3\ne 0 1 nan\n"))
+        .result
+    {
         Err(RequestError::Parse(e)) if e.line == 2 => {
             println!("hostile text rejected:   {e}");
         }

@@ -286,7 +286,11 @@ impl PredictionCache {
             } else {
                 0
             },
-            per_shard_bytes: if enabled { config.max_bytes / shards } else { 0 },
+            per_shard_bytes: if enabled {
+                config.max_bytes / shards
+            } else {
+                0
+            },
             enabled,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),

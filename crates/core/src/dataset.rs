@@ -64,10 +64,9 @@ pub enum DatasetError {
 impl std::fmt::Display for DatasetError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            DatasetError::SplitTooLarge { test_size, len } => write!(
-                f,
-                "test size {test_size} must be below dataset size {len}"
-            ),
+            DatasetError::SplitTooLarge { test_size, len } => {
+                write!(f, "test size {test_size} must be below dataset size {len}")
+            }
             DatasetError::InvalidSpec(e) => write!(f, "invalid dataset spec: {e}"),
             DatasetError::Io(e) => write!(f, "checkpoint io: {e}"),
             DatasetError::LabelingFailed(report) => write!(
@@ -658,11 +657,7 @@ impl Dataset {
     /// Per-graph outcomes of a checked labeling run, in input order — the
     /// structured view (`Ok` label or `Failed {index, reason}`) of what
     /// [`Self::label_graphs_checked`] folds into a dataset + report.
-    pub fn label_outcomes(
-        graphs: &[Graph],
-        config: &LabelConfig,
-        seed: u64,
-    ) -> Vec<LabelOutcome> {
+    pub fn label_outcomes(graphs: &[Graph], config: &LabelConfig, seed: u64) -> Vec<LabelOutcome> {
         let (dataset, report) = Self::label_graphs_checked(graphs, config, seed);
         let mut failed: std::collections::HashMap<usize, LabelFailureReason> = report
             .failures
@@ -834,7 +829,14 @@ mod tests {
         let ds = Dataset::label_graphs(&graphs, &config, 9);
         assert_eq!(ds.len(), graphs.len());
         // Same answer as the serial-ish default config with the same seed.
-        let baseline = Dataset::label_graphs(&graphs, &LabelConfig { threads: 1, ..quick_config() }, 9);
+        let baseline = Dataset::label_graphs(
+            &graphs,
+            &LabelConfig {
+                threads: 1,
+                ..quick_config()
+            },
+            9,
+        );
         // Chunking differs, so only per-worker streams match when the chunk
         // boundaries do; determinism for a fixed config is what we promise:
         let again = Dataset::label_graphs(&graphs, &config, 9);
@@ -848,7 +850,11 @@ mod tests {
         let g = Graph::cycle(6).unwrap();
         let l = label_graph(&g, &quick_config(), &mut rng);
         assert_eq!(l.optimal, 6.0);
-        assert!(l.approx_ratio > 0.5, "optimized AR {} too low", l.approx_ratio);
+        assert!(
+            l.approx_ratio > 0.5,
+            "optimized AR {} too low",
+            l.approx_ratio
+        );
         assert!(l.approx_ratio <= 1.0 + 1e-9);
         assert!((l.expectation / l.optimal - l.approx_ratio).abs() < 1e-12);
         assert_eq!(l.params.depth(), 1);
@@ -935,7 +941,13 @@ mod tests {
         let ds = Dataset::generate(&spec, &quick_config(), 6).unwrap();
         let err = ds.split(5, 1).unwrap_err();
         assert!(
-            matches!(err, DatasetError::SplitTooLarge { test_size: 5, len: 5 }),
+            matches!(
+                err,
+                DatasetError::SplitTooLarge {
+                    test_size: 5,
+                    len: 5
+                }
+            ),
             "unexpected error: {err:?}"
         );
         assert!(err.to_string().contains("test size"));
@@ -1018,7 +1030,8 @@ mod tests {
             assert!(g.n() != 7, "injected fault for n=7");
             label_graph(g, c, r)
         };
-        let (ds, report) = Dataset::label_graphs_checked_with(&labeler, &graphs, &quick_config(), 5);
+        let (ds, report) =
+            Dataset::label_graphs_checked_with(&labeler, &graphs, &quick_config(), 5);
         assert_eq!(ds.len(), graphs.len() - 1);
         assert_eq!(report.total, graphs.len());
         assert_eq!(report.labeled, graphs.len() - 1);
@@ -1032,11 +1045,8 @@ mod tests {
         );
         // All the surviving labels are bit-identical to a clean run's.
         let clean = Dataset::label_graphs(&graphs, &quick_config(), 5);
-        let survivors: Vec<&LabeledGraph> = clean
-            .entries
-            .iter()
-            .filter(|e| e.graph.n() != 7)
-            .collect();
+        let survivors: Vec<&LabeledGraph> =
+            clean.entries.iter().filter(|e| e.graph.n() != 7).collect();
         assert_eq!(ds.entries.iter().collect::<Vec<_>>(), survivors);
     }
 
@@ -1055,7 +1065,8 @@ mod tests {
             }
             label
         };
-        let (ds, report) = Dataset::label_graphs_checked_with(&labeler, &graphs, &quick_config(), 5);
+        let (ds, report) =
+            Dataset::label_graphs_checked_with(&labeler, &graphs, &quick_config(), 5);
         assert!(ds.entries.iter().all(|e| e.expectation.is_finite()));
         // n=5 is index 1; the retry re-runs the same injected divergence.
         assert_eq!(report.unrecovered(), vec![1]);
@@ -1113,7 +1124,9 @@ mod tests {
     fn from_iterator_collects() {
         let mut rng = StdRng::seed_from_u64(113);
         let g = Graph::complete(3).unwrap();
-        let ds: Dataset = (0..3).map(|_| label_graph(&g, &quick_config(), &mut rng)).collect();
+        let ds: Dataset = (0..3)
+            .map(|_| label_graph(&g, &quick_config(), &mut rng))
+            .collect();
         assert_eq!(ds.len(), 3);
         assert!(!ds.is_empty());
     }

@@ -81,7 +81,10 @@ impl EvaluationReport {
     ///
     /// Panics if `per_graph` is empty.
     pub fn from_comparisons(per_graph: Vec<GraphComparison>) -> Self {
-        assert!(!per_graph.is_empty(), "report needs at least one comparison");
+        assert!(
+            !per_graph.is_empty(),
+            "report needs at least one comparison"
+        );
         let improvements: Vec<f64> = per_graph.iter().map(GraphComparison::improvement).collect();
         let (mean_improvement, std_improvement) = mean_std(&improvements);
         let randoms: Vec<f64> = per_graph.iter().map(|c| c.random_ratio).collect();

@@ -7,7 +7,6 @@
 //! improve its approximation ratio — mirroring how the paper used the
 //! JPMorgan lookup on "about 6% of our dataset".
 
-
 use qaoa::{fixed_angle, Evaluator, MaxCutHamiltonian, QaoaCircuit};
 
 use crate::dataset::Dataset;
@@ -112,7 +111,9 @@ mod tests {
     #[test]
     fn out_of_range_degrees_untouched() {
         // 2-regular (ring) is below the lookup range.
-        let ds: Dataset = vec![poor_label(Graph::cycle(8).unwrap())].into_iter().collect();
+        let ds: Dataset = vec![poor_label(Graph::cycle(8).unwrap())]
+            .into_iter()
+            .collect();
         let (augmented, stats) = augment(&ds);
         assert_eq!(stats.eligible, 0);
         assert_eq!(augmented, ds);
@@ -120,7 +121,9 @@ mod tests {
 
     #[test]
     fn irregular_graphs_untouched() {
-        let ds: Dataset = vec![poor_label(Graph::star(6).unwrap())].into_iter().collect();
+        let ds: Dataset = vec![poor_label(Graph::star(6).unwrap())]
+            .into_iter()
+            .collect();
         let (augmented, stats) = augment(&ds);
         assert_eq!(stats.eligible, 0);
         assert_eq!(augmented, ds);
@@ -131,11 +134,8 @@ mod tests {
         // Label a graph well first; augmentation must keep the better label.
         let mut rng = StdRng::seed_from_u64(132);
         let g = qgraph::generate::random_regular(8, 3, &mut rng).unwrap();
-        let good = crate::dataset::label_graph(
-            &g,
-            &crate::dataset::LabelConfig::quick(200),
-            &mut rng,
-        );
+        let good =
+            crate::dataset::label_graph(&g, &crate::dataset::LabelConfig::quick(200), &mut rng);
         let before = good.approx_ratio;
         let ds: Dataset = vec![good].into_iter().collect();
         let (augmented, _) = augment(&ds);

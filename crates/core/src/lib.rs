@@ -47,20 +47,18 @@ pub mod serve;
 pub mod serve_loop;
 pub mod store;
 
+pub use cache::{CacheConfig, CacheStats, PredictionCache};
 pub use dataset::{Dataset, LabeledGraph};
 pub use eval::{EvaluationReport, GraphComparison};
+pub use faults::{FaultSchedule, ScheduledFault};
 pub use json::{FromJson, Json, JsonError, ToJson};
 pub use pipeline::{Pipeline, PipelineConfig, PipelineError};
 pub use serve::{
     EnvelopeStatus, GuardedPredictor, PredictionOutcome, Priority, RequestError, RequestPayload,
     Rung, ServeConfig, ServeRequest, ServeResponse, Skip, SkipReason,
 };
-pub use cache::{CacheConfig, CacheStats, PredictionCache};
-pub use faults::{FaultSchedule, ScheduledFault};
 pub use serve_loop::{
-    Completed, Health, HealthReason, HealthReport, LoopConfig, LoopMetrics, ServeLoop,
-    SwapError, Ticket, WaitTimeout,
+    Completed, Health, HealthReason, HealthReport, LoopConfig, LoopMetrics, ServeLoop, SwapError,
+    Ticket, WaitTimeout,
 };
-pub use store::{
-    ArtifactError, EnvelopeViolation, RunArtifact, TrainCheckpoint, TrainingEnvelope,
-};
+pub use store::{ArtifactError, EnvelopeViolation, RunArtifact, TrainCheckpoint, TrainingEnvelope};

@@ -476,9 +476,8 @@ impl Pipeline {
         let train_examples = to_examples(&train_dataset, &config.model);
         let history = match &config.checkpoint_dir {
             Some(dir) if !train_examples.is_empty() => {
-                let dataset_fingerprint = store::fingerprint_graph_refs(
-                    raw_dataset.entries.iter().map(|e| &e.graph),
-                );
+                let dataset_fingerprint =
+                    store::fingerprint_graph_refs(raw_dataset.entries.iter().map(|e| &e.graph));
                 // The identity is taken at the train-start RNG position:
                 // every stage before this point replays deterministically
                 // from the master seed, so first run and resume compute the
@@ -535,11 +534,8 @@ impl Pipeline {
         let test_examples = to_examples(&test_split, &config.model);
         let test_mse = train::evaluate(&model, &test_examples);
 
-        let test_graphs: Vec<qgraph::Graph> = test_split
-            .entries
-            .iter()
-            .map(|e| e.graph.clone())
-            .collect();
+        let test_graphs: Vec<qgraph::Graph> =
+            test_split.entries.iter().map(|e| e.graph.clone()).collect();
         let report = eval::evaluate_model(&model, &test_graphs, &config.eval, rng);
 
         let pipeline = Pipeline {
@@ -631,9 +627,7 @@ mod tests {
         assert!(p.sdp_stats.is_some());
         assert!(p.fixed_stats.is_some());
         // Data-quality passes must not lower mean label quality.
-        assert!(
-            p.train_dataset.mean_approx_ratio() >= p.raw_dataset.mean_approx_ratio() - 0.05
-        );
+        assert!(p.train_dataset.mean_approx_ratio() >= p.raw_dataset.mean_approx_ratio() - 0.05);
     }
 
     #[test]
@@ -690,12 +684,8 @@ mod tests {
     #[test]
     fn to_examples_normalizes_targets() {
         let mut rng = StdRng::seed_from_u64(153);
-        let ds = Dataset::generate(
-            &DatasetSpec::with_count(5),
-            &LabelConfig::quick(30),
-            9,
-        )
-        .unwrap();
+        let ds =
+            Dataset::generate(&DatasetSpec::with_count(5), &LabelConfig::quick(30), 9).unwrap();
         let _ = &mut rng;
         let examples = to_examples(&ds, &ModelConfig::default());
         assert_eq!(examples.len(), 5);

@@ -167,7 +167,11 @@ mod tests {
             "stats must be consistent"
         );
         // Surviving ARs appear in original relative order.
-        let survivors: Vec<u64> = pruned.entries.iter().map(|e| e.approx_ratio.to_bits()).collect();
+        let survivors: Vec<u64> = pruned
+            .entries
+            .iter()
+            .map(|e| e.approx_ratio.to_bits())
+            .collect();
         let mut it = ds.entries.iter().map(|e| e.approx_ratio.to_bits());
         for s in survivors {
             assert!(it.any(|o| o == s), "survivor out of order");

@@ -534,10 +534,7 @@ impl From<ParseError> for RequestError {
 /// envelope mean: the degree-2 closed-form fixed angles `(π/4, π/8)` — a
 /// sane interior point of the principal domain for any instance.
 fn default_init() -> (f64, f64) {
-    (
-        std::f64::consts::FRAC_PI_4,
-        std::f64::consts::PI / 8.0,
-    )
+    (std::f64::consts::FRAC_PI_4, std::f64::consts::PI / 8.0)
 }
 
 /// A serving wrapper around a loaded [`RunArtifact`]: validation, envelope
@@ -696,10 +693,7 @@ impl GuardedPredictor {
 
     /// [`Self::handle`] without the response wrapper: payload dispatch,
     /// the ladder, then the rung floor.
-    fn handle_request(
-        &self,
-        request: &ServeRequest,
-    ) -> Result<PredictionOutcome, RequestError> {
+    fn handle_request(&self, request: &ServeRequest) -> Result<PredictionOutcome, RequestError> {
         let outcome = match &request.payload {
             RequestPayload::Graph(graph) => self.predict_graph(graph)?,
             RequestPayload::Text(text) => {
@@ -969,7 +963,9 @@ mod tests {
 
     /// Serves one graph through the typed entry point.
     fn serve(served: &GuardedPredictor, graph: &Graph) -> Result<PredictionOutcome, RequestError> {
-        served.handle(&ServeRequest::from_graph(graph.clone())).result
+        served
+            .handle(&ServeRequest::from_graph(graph.clone()))
+            .result
     }
 
     #[test]
@@ -1027,7 +1023,10 @@ mod tests {
                 reason: SkipReason::Shed { queue_depth: 37 },
             }
         );
-        assert_eq!(outcome.verified_score, None, "shed answers skip the simulator");
+        assert_eq!(
+            outcome.verified_score, None,
+            "shed answers skip the simulator"
+        );
         let (gamma, beta) = outcome.angles();
         assert!(gamma.is_finite() && beta.is_finite());
         // Edgeless: the shed ladder still answers, on the total rung.

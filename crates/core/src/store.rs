@@ -48,7 +48,8 @@ fn graph_file_name(index: usize) -> String {
 pub fn save_dataset<P: AsRef<Path>>(dataset: &Dataset, dir: P) -> io::Result<()> {
     let dir = dir.as_ref();
     fs::create_dir_all(dir)?;
-    let mut index = String::from("file\tdepth\tgammas\tbetas\texpectation\toptimal\tapprox_ratio\n");
+    let mut index =
+        String::from("file\tdepth\tgammas\tbetas\texpectation\toptimal\tapprox_ratio\n");
     for (i, entry) in dataset.entries.iter().enumerate() {
         let name = graph_file_name(i);
         qgraph::io::write_graph(&entry.graph, dir.join(&name))?;
@@ -241,7 +242,10 @@ where
 }
 
 fn journal_corrupt<E: std::fmt::Display>(message: E) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, format!("checkpoint journal: {message}"))
+    io::Error::new(
+        io::ErrorKind::InvalidData,
+        format!("checkpoint journal: {message}"),
+    )
 }
 
 fn parse_journal_line(line: &str, graphs: &[Graph]) -> io::Result<(usize, LabeledGraph)> {
@@ -294,8 +298,8 @@ impl LabelJournal {
         let meta = Self::meta_json(graphs, config, seed);
         let meta_path = dir.join(JOURNAL_META_FILE);
         if meta_path.exists() {
-            let existing = Json::parse(&fs::read_to_string(&meta_path)?)
-                .map_err(journal_corrupt)?;
+            let existing =
+                Json::parse(&fs::read_to_string(&meta_path)?).map_err(journal_corrupt)?;
             if existing != meta {
                 return Err(journal_corrupt(format!(
                     "{} does not match this run (different seed, config, or graphs); \
@@ -1026,7 +1030,9 @@ pub fn artifact_path_for_kind(base: &Path, kind: GnnKind) -> PathBuf {
         )),
         _ => base.with_file_name(format!(
             "{}.{slug}",
-            base.file_name().map(|n| n.to_string_lossy()).unwrap_or_default()
+            base.file_name()
+                .map(|n| n.to_string_lossy())
+                .unwrap_or_default()
         )),
     }
 }
@@ -1198,12 +1204,8 @@ mod tests {
 
     #[test]
     fn save_load_round_trips() {
-        let dataset = Dataset::generate(
-            &DatasetSpec::with_count(6),
-            &LabelConfig::quick(30),
-            17,
-        )
-        .unwrap();
+        let dataset =
+            Dataset::generate(&DatasetSpec::with_count(6), &LabelConfig::quick(30), 17).unwrap();
         let dir = temp_dir("round_trip");
         save_dataset(&dataset, &dir).unwrap();
         let back = load_dataset(&dir).unwrap();
@@ -1219,9 +1221,15 @@ mod tests {
         qgraph::io::write_graph(&graph, dir.join("g.txt")).unwrap();
         let rows = [
             ("g.txt\t1\t0.5", "expected 7 fields, got 3"),
-            ("g.txt\tx\t0.5\t0.25\t1\t2\t0.5", "invalid digit found in string"),
+            (
+                "g.txt\tx\t0.5\t0.25\t1\t2\t0.5",
+                "invalid digit found in string",
+            ),
             ("g.txt\t1\t0.5\tzz\t1\t2\t0.5", "invalid float literal"),
-            ("g.txt\t2\t0.5\t0.25\t1\t2\t0.5", "angle count does not match depth"),
+            (
+                "g.txt\t2\t0.5\t0.25\t1\t2\t0.5",
+                "angle count does not match depth",
+            ),
         ];
         for (row, message) in rows {
             fs::write(dir.join(INDEX_FILE), format!("header\n{row}\n")).unwrap();
@@ -1239,12 +1247,8 @@ mod tests {
 
     #[test]
     fn directory_layout_matches_paper_description() {
-        let dataset = Dataset::generate(
-            &DatasetSpec::with_count(3),
-            &LabelConfig::quick(20),
-            18,
-        )
-        .unwrap();
+        let dataset =
+            Dataset::generate(&DatasetSpec::with_count(3), &LabelConfig::quick(20), 18).unwrap();
         let dir = temp_dir("layout");
         save_dataset(&dataset, &dir).unwrap();
         assert!(dir.join("graph_00000.txt").is_file());
@@ -1419,8 +1423,7 @@ mod tests {
         let err = Dataset::resume_labeling(&dir, &reordered, &config, 80).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         // Different iteration budget: refuse.
-        let err =
-            Dataset::resume_labeling(&dir, &graphs, &LabelConfig::quick(26), 80).unwrap_err();
+        let err = Dataset::resume_labeling(&dir, &graphs, &LabelConfig::quick(26), 80).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         // The matching run still resumes (as a no-op).
         let (ds, report) = Dataset::resume_labeling(&dir, &graphs, &config, 80).unwrap();
@@ -1452,7 +1455,10 @@ mod tests {
         let mut reordered = graphs.clone();
         reordered.swap(0, 2);
         assert_ne!(fingerprint_graphs(&graphs), fingerprint_graphs(&reordered));
-        assert_eq!(fingerprint_graphs(&graphs), fingerprint_graphs(&graphs.clone()));
+        assert_eq!(
+            fingerprint_graphs(&graphs),
+            fingerprint_graphs(&graphs.clone())
+        );
         assert_ne!(
             fingerprint_graphs(&graphs),
             fingerprint_graphs(&graphs[..2])
@@ -1518,7 +1524,10 @@ mod tests {
         assert_ne!(text, tampered);
         fs::write(&path, tampered).unwrap();
         match RunArtifact::load(&path) {
-            Err(ArtifactError::ChecksumMismatch { section: "envelope", .. }) => {}
+            Err(ArtifactError::ChecksumMismatch {
+                section: "envelope",
+                ..
+            }) => {}
             other => panic!("expected envelope checksum mismatch, got {other:?}"),
         }
         fs::remove_dir_all(&dir).unwrap();
@@ -1559,11 +1568,14 @@ mod tests {
     fn one_pass_bytes_match_pretty_sealed_tree() {
         let pretty = |json: Json| format!("{}\n", json.to_pretty()).into_bytes();
         let mut artifact = tiny_artifact(GnnKind::Sage, 430);
-        artifact.label_report.failures.push(crate::dataset::LabelFailure {
-            index: 1,
-            reason: crate::dataset::LabelFailureReason::Panic("tab\there \"q\" \u{1}".into()),
-            recovered: false,
-        });
+        artifact
+            .label_report
+            .failures
+            .push(crate::dataset::LabelFailure {
+                index: 1,
+                reason: crate::dataset::LabelFailureReason::Panic("tab\there \"q\" \u{1}".into()),
+                recovered: false,
+            });
         assert_eq!(artifact.to_bytes(), pretty(artifact.to_json()));
         artifact.envelope = Some(TrainingEnvelope {
             min_nodes: 2,
@@ -1624,7 +1636,10 @@ mod tests {
             }
         }
         match RunArtifact::from_json(&json) {
-            Err(ArtifactError::Version { found: 99, supported }) => {
+            Err(ArtifactError::Version {
+                found: 99,
+                supported,
+            }) => {
                 assert_eq!(supported, ARTIFACT_VERSION);
             }
             other => panic!("expected Version error, got {other:?}"),
@@ -1867,38 +1882,59 @@ mod tests {
                 .fold(hash, fnv1a_word)
         }
         fn moments(hash: u64, moments: &[(usize, Matrix)]) -> u64 {
-            moments.iter().fold(fnv1a_word(hash, moments.len() as u64), |h, (i, m)| {
-                matrix(fnv1a_word(h, *i as u64), m)
-            })
+            moments
+                .iter()
+                .fold(fnv1a_word(hash, moments.len() as u64), |h, (i, m)| {
+                    matrix(fnv1a_word(h, *i as u64), m)
+                })
         }
         fn matrices(hash: u64, ms: &[Matrix]) -> u64 {
             ms.iter().fold(fnv1a_word(hash, ms.len() as u64), matrix)
         }
         let s = pin_checkpoint_state(kind);
-        let mut h = [s.next_epoch as u64, u64::from(s.done), s.best_loss.to_bits()]
-            .into_iter()
-            .chain([s.order.len() as u64])
-            .chain(s.order.iter().map(|&i| i as u64))
-            .chain(s.rng_state)
-            .fold(FNV1A_OFFSET, fnv1a_word);
+        let mut h = [
+            s.next_epoch as u64,
+            u64::from(s.done),
+            s.best_loss.to_bits(),
+        ]
+        .into_iter()
+        .chain([s.order.len() as u64])
+        .chain(s.order.iter().map(|&i| i as u64))
+        .chain(s.rng_state)
+        .fold(FNV1A_OFFSET, fnv1a_word);
         h = matrices(h, &s.params);
         h = matrices(h, &s.best_params);
         let adam = &s.optimizer;
-        h = [adam.t, adam.lr.to_bits(), adam.beta1.to_bits(), adam.beta2.to_bits()]
-            .into_iter()
-            .chain([adam.eps.to_bits(), adam.weight_decay.to_bits()])
-            .fold(h, fnv1a_word);
+        h = [
+            adam.t,
+            adam.lr.to_bits(),
+            adam.beta1.to_bits(),
+            adam.beta2.to_bits(),
+        ]
+        .into_iter()
+        .chain([adam.eps.to_bits(), adam.weight_decay.to_bits()])
+        .fold(h, fnv1a_word);
         h = moments(h, &adam.m);
         h = moments(h, &adam.v);
         let best = s.scheduler.best.map_or(u64::MAX, f64::to_bits);
-        h = [u64::from(s.scheduler.best.is_some()), best, s.scheduler.bad_epochs as u64]
-            .into_iter()
-            .fold(h, fnv1a_word);
+        h = [
+            u64::from(s.scheduler.best.is_some()),
+            best,
+            s.scheduler.bad_epochs as u64,
+        ]
+        .into_iter()
+        .fold(h, fnv1a_word);
         h = s
             .history
             .epochs
             .iter()
-            .flat_map(|e| [e.epoch as u64, e.train_loss.to_bits(), e.learning_rate.to_bits()])
+            .flat_map(|e| {
+                [
+                    e.epoch as u64,
+                    e.train_loss.to_bits(),
+                    e.learning_rate.to_bits(),
+                ]
+            })
             .chain([s.history.epochs.len() as u64])
             .fold(h, fnv1a_word);
         match &s.history.diverged {

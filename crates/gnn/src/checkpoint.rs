@@ -97,7 +97,10 @@ pub struct ModelWeights {
 /// [`WeightError::BadConfig`] when the configuration is one `GnnModel::new`
 /// would reject (zero layers, zero hidden width, zero-dimensional features,
 /// or dropout outside `[0, 1)`).
-pub fn expected_shapes(kind: GnnKind, config: &ModelConfig) -> Result<Vec<(usize, usize)>, WeightError> {
+pub fn expected_shapes(
+    kind: GnnKind,
+    config: &ModelConfig,
+) -> Result<Vec<(usize, usize)>, WeightError> {
     if config.layers == 0 {
         return Err(WeightError::BadConfig("need at least one GNN layer".into()));
     }
@@ -277,10 +280,7 @@ mod tests {
     fn truncated_and_reshaped_params_fail_typed() {
         let mut w = model(GnnKind::Gin, 311).export_weights();
         w.params.pop();
-        assert!(matches!(
-            w.validate(),
-            Err(WeightError::ParamCount { .. })
-        ));
+        assert!(matches!(w.validate(), Err(WeightError::ParamCount { .. })));
 
         let mut w = model(GnnKind::Gin, 312).export_weights();
         w.params[0] = Matrix::zeros(1, 1);

@@ -84,25 +84,10 @@ impl Default for ModelConfig {
 /// [`Matrix`] values in a [`crate::Frozen`] model.
 #[derive(Debug, Clone)]
 pub(crate) enum Layer<P> {
-    Gcn {
-        w: P,
-    },
-    Gat {
-        w: P,
-        a_src: P,
-        a_dst: P,
-    },
-    Gin {
-        w1: P,
-        b1: P,
-        w2: P,
-        b2: P,
-    },
-    Sage {
-        w_pool: P,
-        b_pool: P,
-        w: P,
-    },
+    Gcn { w: P },
+    Gat { w: P, a_src: P, a_dst: P },
+    Gin { w1: P, b1: P, w2: P, b2: P },
+    Sage { w_pool: P, b_pool: P, w: P },
 }
 
 /// A GNN-based (γ, β) predictor: message-passing encoder, mean-pooling
@@ -197,10 +182,17 @@ impl GnnModel {
         }
 
         let head_w1 = track(
-            tape.parameter(Matrix::xavier_uniform(config.hidden_dim, config.hidden_dim, rng)),
+            tape.parameter(Matrix::xavier_uniform(
+                config.hidden_dim,
+                config.hidden_dim,
+                rng,
+            )),
             &mut params,
         );
-        let head_b1 = track(tape.parameter(Matrix::zeros(1, config.hidden_dim)), &mut params);
+        let head_b1 = track(
+            tape.parameter(Matrix::zeros(1, config.hidden_dim)),
+            &mut params,
+        );
         let head_w2 = track(
             tape.parameter(Matrix::xavier_uniform(config.hidden_dim, 2, rng)),
             &mut params,
@@ -422,8 +414,7 @@ impl GnnModel {
             // Column-wise max: a single pseudo-node whose "neighbors" are
             // every row reuses the neighbor-max kernel.
             Readout::Max => {
-                let all: std::rc::Rc<Vec<Vec<usize>>> =
-                    std::rc::Rc::new(vec![(0..n).collect()]);
+                let all: std::rc::Rc<Vec<Vec<usize>>> = std::rc::Rc::new(vec![(0..n).collect()]);
                 h.neighbor_max(&all)
             }
         }; // 1 × hidden

@@ -263,8 +263,7 @@ impl TrainState {
         config: &TrainConfig,
         num_examples: usize,
     ) -> Result<(), WeightError> {
-        let shapes: Vec<(usize, usize)> =
-            model.parameters().iter().map(|p| p.shape()).collect();
+        let shapes: Vec<(usize, usize)> = model.parameters().iter().map(|p| p.shape()).collect();
         for set in [&self.params, &self.best_params] {
             if set.len() != shapes.len() {
                 return Err(WeightError::ParamCount {
@@ -765,8 +764,7 @@ mod tests {
         let model_b = mk(200);
         let mut rng_b = StdRng::seed_from_u64(201);
         let history_b =
-            train_resumable(&model_b, &data, &config, &mut rng_b, None, 1, |_| Ok(()))
-                .unwrap();
+            train_resumable(&model_b, &data, &config, &mut rng_b, None, 1, |_| Ok(())).unwrap();
 
         assert_eq!(history_a, history_b);
         assert_eq!(param_bits(&model_a), param_bits(&model_b));
@@ -789,19 +787,12 @@ mod tests {
         let control = mk(210);
         let mut control_rng = StdRng::seed_from_u64(211);
         let mut states: Vec<TrainState> = Vec::new();
-        let control_history = train_resumable(
-            &control,
-            &data,
-            &config,
-            &mut control_rng,
-            None,
-            1,
-            |s| {
+        let control_history =
+            train_resumable(&control, &data, &config, &mut control_rng, None, 1, |s| {
                 states.push(s.clone());
                 Ok(())
-            },
-        )
-        .unwrap();
+            })
+            .unwrap();
         // 5 mid-run boundaries (epochs 1..=5) plus the final done state.
         assert_eq!(states.len(), config.epochs);
         assert!(states.last().unwrap().done);
@@ -832,7 +823,11 @@ mod tests {
                 "parameters diverged resuming from epoch {}",
                 state.next_epoch
             );
-            assert_eq!(rng, control_rng, "RNG diverged from epoch {}", state.next_epoch);
+            assert_eq!(
+                rng, control_rng,
+                "RNG diverged from epoch {}",
+                state.next_epoch
+            );
         }
     }
 
@@ -918,15 +913,9 @@ mod tests {
 
         let resumed = mk(240);
         let mut rng = StdRng::seed_from_u64(999);
-        let replayed = train_resumable(
-            &resumed,
-            &data,
-            &config,
-            &mut rng,
-            Some(done),
-            1,
-            |_| panic!("done state must not re-checkpoint"),
-        )
+        let replayed = train_resumable(&resumed, &data, &config, &mut rng, Some(done), 1, |_| {
+            panic!("done state must not re-checkpoint")
+        })
         .unwrap();
         assert_eq!(replayed, history);
         assert_eq!(param_bits(&resumed), param_bits(&control));

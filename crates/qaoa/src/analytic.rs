@@ -45,10 +45,7 @@ pub fn edge_expectation(
     let f = (degree_v - 1) as i32;
     let lambda = triangles as i32;
     let cos_g = gamma.cos();
-    let term1 = 0.25
-        * (4.0 * beta).sin()
-        * gamma.sin()
-        * (cos_g.powi(e) + cos_g.powi(f));
+    let term1 = 0.25 * (4.0 * beta).sin() * gamma.sin() * (cos_g.powi(e) + cos_g.powi(f));
     let term2 = 0.25
         * (2.0 * beta).sin().powi(2)
         * cos_g.powi(e + f - 2 * lambda)

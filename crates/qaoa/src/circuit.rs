@@ -174,7 +174,10 @@ mod tests {
         // γ* = π/4 (unit weights ⇒ phase period matches), β* = π/8.
         let g = Graph::cycle(8).unwrap();
         let c = circuit(&g);
-        let star = Params::new(vec![std::f64::consts::FRAC_PI_4], vec![std::f64::consts::PI / 8.0]);
+        let star = Params::new(
+            vec![std::f64::consts::FRAC_PI_4],
+            vec![std::f64::consts::PI / 8.0],
+        );
         let ar = c.approximation_ratio(&star);
         assert!((ar - 0.75).abs() < 1e-10, "ar = {ar}");
     }

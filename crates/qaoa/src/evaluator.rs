@@ -70,7 +70,10 @@ impl<'c> Evaluator<'c> {
         debug_assert!(
             {
                 let values = circuit.hamiltonian().operator().values();
-                values.iter().zip(values.iter().rev()).all(|(a, b)| a.to_bits() == b.to_bits())
+                values
+                    .iter()
+                    .zip(values.iter().rev())
+                    .all(|(a, b)| a.to_bits() == b.to_bits())
             },
             "cost diagonal must be flip-symmetric"
         );
@@ -192,7 +195,13 @@ impl<'c> Evaluator<'c> {
         let level_of = &operator.level_of()[..self.re.len()];
         for (&gamma, &beta) in gammas.iter().zip(betas) {
             self.phases.fill(operator.levels(), gamma);
-            fused::phase_rx_half(&mut self.re, &mut self.im, level_of, &self.phases, 2.0 * beta);
+            fused::phase_rx_half(
+                &mut self.re,
+                &mut self.im,
+                level_of,
+                &self.phases,
+                2.0 * beta,
+            );
         }
     }
 

@@ -16,7 +16,6 @@
 //! [`tree_edge_value`] evaluates the tree objective at arbitrary angles
 //! (used by the tests to confirm the closed form really is the maximizer).
 
-
 use crate::analytic::regular_tree_edge_expectation;
 use crate::Params;
 

@@ -52,7 +52,11 @@ where
     M: Maximizer,
     R: Rng + ?Sized,
 {
-    assert_eq!(initial.depth(), 1, "deepening starts from a depth-1 schedule");
+    assert_eq!(
+        initial.depth(),
+        1,
+        "deepening starts from a depth-1 schedule"
+    );
     assert!(max_depth >= 1, "max_depth must be at least 1");
     let mut outcomes = Vec::with_capacity(max_depth);
     let mut current = initial;
@@ -132,7 +136,11 @@ mod tests {
             );
         }
         // p=3 should get close to optimal on a 10-node instance.
-        assert!(outcomes[2].final_ratio > 0.85, "{}", outcomes[2].final_ratio);
+        assert!(
+            outcomes[2].final_ratio > 0.85,
+            "{}",
+            outcomes[2].final_ratio
+        );
     }
 
     #[test]
@@ -141,12 +149,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(72);
         let g = qgraph::Graph::cycle(4).unwrap();
         let ham = MaxCutHamiltonian::new(&g);
-        let _ = deepen(
-            &ham,
-            Params::zeros(2),
-            3,
-            &NelderMead::new(10),
-            &mut rng,
-        );
+        let _ = deepen(&ham, Params::zeros(2), 3, &NelderMead::new(10), &mut rng);
     }
 }

@@ -7,7 +7,6 @@
 //! `(γ, β)` plane, count local maxima, and estimate the basin of attraction
 //! of the global optimum — the quantities behind the warm-start motivation.
 
-
 use crate::{Evaluator, MaxCutHamiltonian, QaoaCircuit};
 
 /// A dense scan of the p=1 objective over the canonical domain
@@ -65,13 +64,19 @@ impl Landscape {
     ///
     /// Panics if either index is out of range.
     pub fn value(&self, i: usize, j: usize) -> f64 {
-        assert!(i < self.resolution && j < self.resolution, "index out of range");
+        assert!(
+            i < self.resolution && j < self.resolution,
+            "index out of range"
+        );
         self.values[i * self.resolution + j]
     }
 
     /// The best grid value.
     pub fn max_value(&self) -> f64 {
-        self.values.iter().copied().fold(f64::NEG_INFINITY, f64::max)
+        self.values
+            .iter()
+            .copied()
+            .fold(f64::NEG_INFINITY, f64::max)
     }
 
     /// The best grid point's `(γ, β)`.

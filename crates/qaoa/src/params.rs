@@ -117,10 +117,7 @@ impl Params {
     pub fn canonical(&self) -> Params {
         let wrap = |gammas: &[f64], betas: &[f64]| Params {
             gammas: gammas.iter().map(|g| g.rem_euclid(2.0 * PI)).collect(),
-            betas: betas
-                .iter()
-                .map(|b| b.rem_euclid(PI / 2.0))
-                .collect(),
+            betas: betas.iter().map(|b| b.rem_euclid(PI / 2.0)).collect(),
         };
         let wrapped = wrap(&self.gammas, &self.betas);
         if wrapped.gammas[0] <= PI {

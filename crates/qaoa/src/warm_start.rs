@@ -63,11 +63,7 @@ impl WarmStartOutcome {
     /// or any final parameter is non-finite.
     pub fn diverged(&self) -> bool {
         !self.final_expectation.is_finite()
-            || self
-                .final_params
-                .to_flat()
-                .iter()
-                .any(|v| !v.is_finite())
+            || self.final_params.to_flat().iter().any(|v| !v.is_finite())
     }
 }
 

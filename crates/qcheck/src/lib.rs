@@ -337,12 +337,19 @@ macro_rules! impl_tuple_gen {
         }
     };
 }
-impl_tuple_gen!(A/a/0);
-impl_tuple_gen!(A/a/0, B/b/1);
-impl_tuple_gen!(A/a/0, B/b/1, C/c/2);
-impl_tuple_gen!(A/a/0, B/b/1, C/c/2, D/d/3);
-impl_tuple_gen!(A/a/0, B/b/1, C/c/2, D/d/3, E/e/4);
-impl_tuple_gen!(A/a/0, B/b/1, C/c/2, D/d/3, E/e/4, F/f/5);
+impl_tuple_gen!(A / a / 0);
+impl_tuple_gen!(A / a / 0, B / b / 1);
+impl_tuple_gen!(A / a / 0, B / b / 1, C / c / 2);
+impl_tuple_gen!(A / a / 0, B / b / 1, C / c / 2, D / d / 3);
+impl_tuple_gen!(A / a / 0, B / b / 1, C / c / 2, D / d / 3, E / e / 4);
+impl_tuple_gen!(
+    A / a / 0,
+    B / b / 1,
+    C / c / 2,
+    D / d / 3,
+    E / e / 4,
+    F / f / 5
+);
 
 // ---------------------------------------------------------------------------
 // Runner
@@ -538,7 +545,10 @@ macro_rules! prop_assert_eq {
                 if !(l == r) {
                     return $crate::Outcome::fail(format!(
                         "assertion failed: {} == {}\n  left: {:?}\n right: {:?}",
-                        stringify!($left), stringify!($right), l, r
+                        stringify!($left),
+                        stringify!($right),
+                        l,
+                        r
                     ));
                 }
             }
@@ -555,7 +565,9 @@ macro_rules! prop_assert_ne {
                 if l == r {
                     return $crate::Outcome::fail(format!(
                         "assertion failed: {} != {} (both {:?})",
-                        stringify!($left), stringify!($right), l
+                        stringify!($left),
+                        stringify!($right),
+                        l
                     ));
                 }
             }
@@ -658,7 +670,9 @@ mod tests {
             ..Config::default()
         };
         let err = std::panic::catch_unwind(|| {
-            check_with(&cfg, "discards_everything", &(0u64..10), |_| Outcome::Discard);
+            check_with(&cfg, "discards_everything", &(0u64..10), |_| {
+                Outcome::Discard
+            });
         })
         .expect_err("must exhaust discard budget");
         let msg = err.downcast_ref::<String>().expect("string panic");

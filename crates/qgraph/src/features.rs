@@ -5,7 +5,6 @@
 //! one-hot id padded to the maximum graph size. [`node_features`] reproduces
 //! that layout; [`FeatureConfig`] lets ablations vary it.
 
-
 use crate::Graph;
 
 /// Configuration of the per-node feature vector.

@@ -68,12 +68,19 @@ pub fn random_regular<R: Rng + ?Sized>(
         return Ok(g);
     }
     'restart: loop {
-        let mut stubs: Vec<usize> =
-            (0..n).flat_map(|v| std::iter::repeat_n(v, degree)).collect();
+        let mut stubs: Vec<usize> = (0..n)
+            .flat_map(|v| std::iter::repeat_n(v, degree))
+            .collect();
         stubs.shuffle(rng);
         let mut edges: Vec<(usize, usize)> = stubs
             .chunks(2)
-            .map(|p| if p[0] <= p[1] { (p[0], p[1]) } else { (p[1], p[0]) })
+            .map(|p| {
+                if p[0] <= p[1] {
+                    (p[0], p[1])
+                } else {
+                    (p[1], p[0])
+                }
+            })
             .collect();
         if repair_pairing(&mut edges, rng) {
             let mut g = Graph::empty(n)?;
@@ -156,7 +163,11 @@ pub fn randomize_weights<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> Result<Graph, GraphError> {
     if !lo.is_finite() || !hi.is_finite() || lo > hi {
-        return Err(GraphError::InvalidWeight(if lo.is_finite() { hi } else { lo }));
+        return Err(GraphError::InvalidWeight(if lo.is_finite() {
+            hi
+        } else {
+            lo
+        }));
     }
     let triples: Vec<(usize, usize, f64)> = graph
         .edges()

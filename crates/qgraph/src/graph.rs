@@ -1,4 +1,3 @@
-
 use crate::GraphError;
 
 /// A weighted undirected edge with canonical endpoint order (`u < v`).
@@ -75,8 +74,7 @@ impl Graph {
     ///
     /// Fails on out-of-range endpoints, self-loops or duplicate edges.
     pub fn from_edges(n: usize, pairs: &[(usize, usize)]) -> Result<Self, GraphError> {
-        let weighted: Vec<(usize, usize, f64)> =
-            pairs.iter().map(|&(u, v)| (u, v, 1.0)).collect();
+        let weighted: Vec<(usize, usize, f64)> = pairs.iter().map(|&(u, v)| (u, v, 1.0)).collect();
         Self::from_weighted_edges(n, &weighted)
     }
 

@@ -163,10 +163,7 @@ pub fn graph_from_str_limited(text: &str, limits: &ParseLimits) -> Result<Graph,
                     None => 1.0,
                 };
                 if !w.is_finite() {
-                    return Err(ParseError::new(
-                        lineno,
-                        ParseErrorKind::NonFiniteWeight(w),
-                    ));
+                    return Err(ParseError::new(lineno, ParseErrorKind::NonFiniteWeight(w)));
                 }
                 edges += 1;
                 if edges > limits.max_edges {
@@ -212,9 +209,8 @@ fn parse_field<T: std::str::FromStr>(
     line: usize,
     what: &str,
 ) -> Result<T, ParseError> {
-    let tok = tok.ok_or_else(|| {
-        ParseError::new(line, ParseErrorKind::Syntax(format!("missing {what}")))
-    })?;
+    let tok = tok
+        .ok_or_else(|| ParseError::new(line, ParseErrorKind::Syntax(format!("missing {what}"))))?;
     tok.parse().map_err(|_| {
         ParseError::new(
             line,
@@ -279,7 +275,10 @@ mod tests {
         assert!(matches!(err.kind, ParseErrorKind::Syntax(_)));
         assert_eq!(err.line, 2);
         let err = graph_from_str("x 1\n").unwrap_err();
-        assert_eq!(err, ParseError::new(1, ParseErrorKind::UnknownRecord("x".into())));
+        assert_eq!(
+            err,
+            ParseError::new(1, ParseErrorKind::UnknownRecord("x".into()))
+        );
         let err = graph_from_str("e 0 1\n").unwrap_err();
         assert_eq!(err, ParseError::new(0, ParseErrorKind::MissingHeader));
         let err = graph_from_str("n 2\nn 3\n").unwrap_err();
@@ -335,12 +334,20 @@ mod tests {
         let big = "#".repeat(100);
         assert!(matches!(
             graph_from_str_limited(&big, &limits).unwrap_err().kind,
-            ParseErrorKind::InputTooLarge { bytes: 100, cap: 64 }
+            ParseErrorKind::InputTooLarge {
+                bytes: 100,
+                cap: 64
+            }
         ));
         // A huge declared node count is refused without building the graph.
         assert!(matches!(
-            graph_from_str_limited("n 99999999\n", &limits).unwrap_err().kind,
-            ParseErrorKind::TooManyNodes { n: 99999999, cap: 10 }
+            graph_from_str_limited("n 99999999\n", &limits)
+                .unwrap_err()
+                .kind,
+            ParseErrorKind::TooManyNodes {
+                n: 99999999,
+                cap: 10
+            }
         ));
         let err = graph_from_str_limited("n 4\ne 0 1\ne 1 2\ne 2 3\n", &limits).unwrap_err();
         assert_eq!(

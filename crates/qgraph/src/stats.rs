@@ -3,7 +3,6 @@
 
 use std::collections::BTreeMap;
 
-
 use crate::Graph;
 
 /// A discrete histogram keyed by an integer bin (degree, size, ...).
@@ -69,10 +68,7 @@ impl Extend<usize> for Histogram {
 
 /// Degree histogram over all nodes of all graphs (Fig. 2a).
 pub fn degree_histogram<'a, I: IntoIterator<Item = &'a Graph>>(graphs: I) -> Histogram {
-    graphs
-        .into_iter()
-        .flat_map(|g| g.degrees())
-        .collect()
+    graphs.into_iter().flat_map(|g| g.degrees()).collect()
 }
 
 /// Graph-size histogram (Fig. 2b).

@@ -31,7 +31,10 @@ impl StdRng {
     ///
     /// Panics if all words are zero (the one forbidden xoshiro state).
     pub fn from_state(s: [u64; 4]) -> Self {
-        assert!(s.iter().any(|&w| w != 0), "xoshiro256** state must be nonzero");
+        assert!(
+            s.iter().any(|&w| w != 0),
+            "xoshiro256** state must be nonzero"
+        );
         StdRng { s }
     }
 
@@ -96,10 +99,7 @@ impl SeedableRng for StdRng {
 impl RngCore for StdRng {
     #[inline]
     fn next_u64(&mut self) -> u64 {
-        let result = self.s[1]
-            .wrapping_mul(5)
-            .rotate_left(7)
-            .wrapping_mul(9);
+        let result = self.s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
         let t = self.s[1] << 17;
         self.s[2] ^= self.s[0];
         self.s[3] ^= self.s[1];

@@ -6,7 +6,6 @@
 //! [`Circuit::maxcut_qaoa`] decomposition that the tests verify against the
 //! fast path.
 
-
 use crate::{gates, StateVector};
 
 /// A gate in a [`Circuit`].
@@ -291,7 +290,12 @@ mod tests {
     #[test]
     fn qaoa_decomposition_matches_fast_path() {
         use crate::diagonal::DiagonalOperator;
-        let edges = [(0usize, 1usize, 1.0f64), (1, 2, 1.0), (0, 2, 1.0), (2, 3, 1.0)];
+        let edges = [
+            (0usize, 1usize, 1.0f64),
+            (1, 2, 1.0),
+            (0, 2, 1.0),
+            (2, 3, 1.0),
+        ];
         let (gamma, beta) = (0.63, 0.27);
         let explicit = Circuit::maxcut_qaoa(4, &edges, &[gamma], &[beta]).simulate();
 

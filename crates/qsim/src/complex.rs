@@ -2,7 +2,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
 
-
 /// A complex number with `f64` components.
 ///
 /// The approved offline dependency set contains no complex-arithmetic crate,

@@ -100,7 +100,10 @@ impl DiagonalOperator {
 
     /// Largest diagonal value (the classical optimum for a cost function).
     pub fn max_value(&self) -> f64 {
-        self.values.iter().copied().fold(f64::NEG_INFINITY, f64::max)
+        self.values
+            .iter()
+            .copied()
+            .fold(f64::NEG_INFINITY, f64::max)
     }
 
     /// Smallest diagonal value.

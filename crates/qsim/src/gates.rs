@@ -69,7 +69,10 @@ pub fn z(psi: &mut StateVector, qubit: usize) {
     single_qubit(
         psi,
         qubit,
-        [[Complex::ONE, Complex::ZERO], [Complex::ZERO, -Complex::ONE]],
+        [
+            [Complex::ONE, Complex::ZERO],
+            [Complex::ZERO, -Complex::ONE],
+        ],
     );
 }
 
@@ -109,7 +112,11 @@ pub fn rz(psi: &mut StateVector, qubit: usize, theta: f64) {
     let (re, im) = psi.re_im_mut();
     for i in 0..dim {
         let a = Complex::new(re[i], im[i])
-            * if (i >> qubit) & 1 == 0 { phase0 } else { phase1 };
+            * if (i >> qubit) & 1 == 0 {
+                phase0
+            } else {
+                phase1
+            };
         re[i] = a.re;
         im[i] = a.im;
     }
@@ -122,7 +129,10 @@ pub fn rz(psi: &mut StateVector, qubit: usize, theta: f64) {
 /// Panics if either qubit is out of range or they coincide.
 pub fn cnot(psi: &mut StateVector, control: usize, target: usize) {
     let n = psi.num_qubits();
-    assert!(control < n && target < n, "qubit out of range for {n} qubits");
+    assert!(
+        control < n && target < n,
+        "qubit out of range for {n} qubits"
+    );
     assert_ne!(control, target, "control and target must differ");
     let dim = psi.dim();
     let (re, im) = psi.re_im_mut();
@@ -144,7 +154,10 @@ pub fn cnot(psi: &mut StateVector, control: usize, target: usize) {
 /// Panics if either qubit is out of range or they coincide.
 pub fn rzz(psi: &mut StateVector, qubit_a: usize, qubit_b: usize, theta: f64) {
     let n = psi.num_qubits();
-    assert!(qubit_a < n && qubit_b < n, "qubit out of range for {n} qubits");
+    assert!(
+        qubit_a < n && qubit_b < n,
+        "qubit out of range for {n} qubits"
+    );
     assert_ne!(qubit_a, qubit_b, "rzz qubits must differ");
     let same = Complex::cis(-theta / 2.0);
     let diff = Complex::cis(theta / 2.0);

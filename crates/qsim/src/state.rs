@@ -110,7 +110,10 @@ impl StateVector {
     /// Panics if the length is not `2^k` for `1 <= k <= MAX_QUBITS`.
     pub fn from_amplitudes(amplitudes: Vec<Complex>) -> Self {
         let dim = amplitudes.len();
-        assert!(dim >= 2 && dim.is_power_of_two(), "length must be a power of two >= 2");
+        assert!(
+            dim >= 2 && dim.is_power_of_two(),
+            "length must be a power of two >= 2"
+        );
         let num_qubits = dim.trailing_zeros() as usize;
         assert!(num_qubits <= MAX_QUBITS, "too many qubits");
         StateVector {
@@ -370,10 +373,8 @@ mod tests {
 
     #[test]
     fn normalize_rescales() {
-        let mut psi = StateVector::from_amplitudes(vec![
-            Complex::new(3.0, 0.0),
-            Complex::new(0.0, 4.0),
-        ]);
+        let mut psi =
+            StateVector::from_amplitudes(vec![Complex::new(3.0, 0.0), Complex::new(0.0, 4.0)]);
         psi.normalize();
         assert!((psi.norm() - 1.0).abs() < 1e-15);
         assert!((psi.probability(0) - 0.36).abs() < 1e-12);

@@ -45,7 +45,11 @@ pub struct ParseCheckpointError {
 
 impl std::fmt::Display for ParseCheckpointError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "checkpoint parse error at line {}: {}", self.line, self.message)
+        write!(
+            f,
+            "checkpoint parse error at line {}: {}",
+            self.line, self.message
+        )
     }
 }
 

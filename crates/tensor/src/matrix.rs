@@ -185,7 +185,8 @@ impl Matrix {
     /// Panics if `self.cols != other.rows`.
     pub fn matmul(&self, other: &Matrix) -> Matrix {
         assert_eq!(
-            self.cols, other.rows,
+            self.cols,
+            other.rows,
             "matmul shape mismatch: {:?} x {:?}",
             self.shape(),
             other.shape()
@@ -251,11 +252,7 @@ impl Matrix {
     ///
     /// Panics on shape mismatch.
     pub fn zip_with<F: FnMut(f64, f64) -> f64>(&self, other: &Matrix, mut f: F) -> Matrix {
-        assert_eq!(
-            self.shape(),
-            other.shape(),
-            "elementwise op shape mismatch"
-        );
+        assert_eq!(self.shape(), other.shape(), "elementwise op shape mismatch");
         let data = self
             .data
             .iter()
@@ -422,10 +419,8 @@ impl Matrix {
         assert_eq!(self.rows, other.rows, "concat requires equal row counts");
         let mut out = Matrix::zeros(self.rows, self.cols + other.cols);
         for r in 0..self.rows {
-            out.data[r * out.cols..r * out.cols + self.cols]
-                .copy_from_slice(self.row(r));
-            out.data[r * out.cols + self.cols..(r + 1) * out.cols]
-                .copy_from_slice(other.row(r));
+            out.data[r * out.cols..r * out.cols + self.cols].copy_from_slice(self.row(r));
+            out.data[r * out.cols + self.cols..(r + 1) * out.cols].copy_from_slice(other.row(r));
         }
         out
     }
@@ -434,14 +429,20 @@ impl Matrix {
 impl Index<(usize, usize)> for Matrix {
     type Output = f64;
     fn index(&self, (r, c): (usize, usize)) -> &f64 {
-        assert!(r < self.rows && c < self.cols, "index ({r}, {c}) out of range");
+        assert!(
+            r < self.rows && c < self.cols,
+            "index ({r}, {c}) out of range"
+        );
         &self.data[r * self.cols + c]
     }
 }
 
 impl IndexMut<(usize, usize)> for Matrix {
     fn index_mut(&mut self, (r, c): (usize, usize)) -> &mut f64 {
-        assert!(r < self.rows && c < self.cols, "index ({r}, {c}) out of range");
+        assert!(
+            r < self.rows && c < self.cols,
+            "index ({r}, {c}) out of range"
+        );
         &mut self.data[r * self.cols + c]
     }
 }

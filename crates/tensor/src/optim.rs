@@ -410,14 +410,8 @@ mod tests {
             for (i, p) in params.iter().enumerate() {
                 let grad = p.grad();
                 let (rows, cols) = (grad.rows(), grad.cols());
-                let m = self
-                    .m
-                    .entry(i)
-                    .or_insert_with(|| Matrix::zeros(rows, cols));
-                let v = self
-                    .v
-                    .entry(i)
-                    .or_insert_with(|| Matrix::zeros(rows, cols));
+                let m = self.m.entry(i).or_insert_with(|| Matrix::zeros(rows, cols));
+                let v = self.v.entry(i).or_insert_with(|| Matrix::zeros(rows, cols));
                 *m = m.scale(self.beta1).add(&grad.scale(1.0 - self.beta1));
                 *v = v
                     .scale(self.beta2)

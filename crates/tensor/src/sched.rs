@@ -8,7 +8,6 @@
 //! as dividing the rate by 5, the multiplicative factor 0.2). [`StepLr`] and
 //! [`CosineAnnealing`] support the ablations.
 
-
 use crate::optim::Optimizer;
 
 /// Whether a monitored metric should decrease or increase.
@@ -162,7 +161,9 @@ impl StepLr {
 
     /// Advances one epoch and updates the optimizer's learning rate.
     pub fn step<O: Optimizer + ?Sized>(&mut self, optimizer: &mut O) {
-        let base = *self.base_lr.get_or_insert_with(|| optimizer.learning_rate());
+        let base = *self
+            .base_lr
+            .get_or_insert_with(|| optimizer.learning_rate());
         self.epoch += 1;
         let decays = (self.epoch / self.step_size) as i32;
         optimizer.set_learning_rate(base * self.gamma.powi(decays));
@@ -200,7 +201,9 @@ impl CosineAnnealing {
 
     /// Advances one epoch and updates the optimizer's learning rate.
     pub fn step<O: Optimizer + ?Sized>(&mut self, optimizer: &mut O) {
-        let base = *self.base_lr.get_or_insert_with(|| optimizer.learning_rate());
+        let base = *self
+            .base_lr
+            .get_or_insert_with(|| optimizer.learning_rate());
         self.epoch = (self.epoch + 1).min(self.t_max);
         let progress = self.epoch as f64 / self.t_max as f64;
         let lr = self.eta_min
@@ -324,7 +327,10 @@ mod tests {
             let ra = sched_a.step(m, &mut opt_a);
             let rb = sched_b.step(m, &mut opt_b);
             assert_eq!(ra, rb, "reduction decision diverged at metric {m}");
-            assert_eq!(opt_a.learning_rate().to_bits(), opt_b.learning_rate().to_bits());
+            assert_eq!(
+                opt_a.learning_rate().to_bits(),
+                opt_b.learning_rate().to_bits()
+            );
         }
     }
 

@@ -285,9 +285,15 @@ impl Tape {
                     grad.hadamard(&node.value.map(|v| 1.0 - v * v))
                 }),
                 Op::Abs(a) => accumulate(nodes, a, |n| {
-                    let sign = n[a]
-                        .value
-                        .map(|v| if v > 0.0 { 1.0 } else if v < 0.0 { -1.0 } else { 0.0 });
+                    let sign = n[a].value.map(|v| {
+                        if v > 0.0 {
+                            1.0
+                        } else if v < 0.0 {
+                            -1.0
+                        } else {
+                            0.0
+                        }
+                    });
                     grad.hadamard(&sign)
                 }),
                 // huber'(x) = x for |x| <= δ, δ·sign(x) otherwise.
@@ -601,7 +607,13 @@ impl Tensor {
         let (v, mask) = {
             let inner = self.tape.inner.borrow();
             let value = &inner.nodes[self.id].value;
-            let mask = value.map(|_| if rng.gen::<f64>() < keep { 1.0 / keep } else { 0.0 });
+            let mask = value.map(|_| {
+                if rng.gen::<f64>() < keep {
+                    1.0 / keep
+                } else {
+                    0.0
+                }
+            });
             (value.hadamard(&mask), mask)
         };
         self.tape.push(v, Op::Dropout(self.id, mask))
@@ -835,7 +847,10 @@ mod tests {
         // Some zeros, survivors scaled to 2.
         let zeros = dropped.data().iter().filter(|&&v| v == 0.0).count();
         assert!(zeros > 10 && zeros < 90);
-        assert!(dropped.data().iter().all(|&v| v == 0.0 || (v - 2.0).abs() < 1e-12));
+        assert!(dropped
+            .data()
+            .iter()
+            .all(|&v| v == 0.0 || (v - 2.0).abs() < 1e-12));
 
         tape.set_training(false);
         let kept = x.dropout(0.5, &mut rng).value();

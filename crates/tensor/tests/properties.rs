@@ -46,7 +46,9 @@ fn arb_unary() -> impl Gen<Item = UnaryOp> {
 /// are well-behaved: magnitude in [0.05, 2), either sign.
 fn arb_entries(n: usize) -> impl Gen<Item = Vec<f64>> {
     qcheck::vec(
-        qcheck::map((0.05f64..2.0, qcheck::choice([1.0f64, -1.0])), |(m, s)| m * s),
+        qcheck::map((0.05f64..2.0, qcheck::choice([1.0f64, -1.0])), |(m, s)| {
+            m * s
+        }),
         n..=n,
     )
 }

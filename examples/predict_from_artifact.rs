@@ -40,7 +40,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .unwrap_or_else(|| std::env::temp_dir().join("qaoa_gnn_example_artifact.json"));
 
     if !path.exists() {
-        println!("no artifact at {} — training one (quick config)...", path.display());
+        println!(
+            "no artifact at {} — training one (quick config)...",
+            path.display()
+        );
         let config = PipelineConfig::paper_scale()
             .with_dataset(DatasetSpec::with_count(60))
             .with_training(TrainConfig::quick(15))
@@ -108,10 +111,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Hostile requests never reach the model: typed, line-numbered errors.
-    match served.handle(&ServeRequest::from_text("n 3\ne 0 1 inf\n")).result {
+    match served
+        .handle(&ServeRequest::from_text("n 3\ne 0 1 inf\n"))
+        .result
+    {
         Err(RequestError::Parse(e)) => println!("\nhostile text rejected: {e}"),
         other => println!("\nunexpected: {other:?}"),
     }
-    println!("(clean gnn outcomes are bit-identical across processes — see tests/serve_degradation.rs)");
+    println!(
+        "(clean gnn outcomes are bit-identical across processes — see tests/serve_degradation.rs)"
+    );
     Ok(())
 }

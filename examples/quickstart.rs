@@ -30,7 +30,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ..DatasetSpec::default()
     };
     let dataset = Dataset::generate(&spec, &LabelConfig::quick(100), 7)?;
-    println!("mean label approximation ratio: {:.3}", dataset.mean_approx_ratio());
+    println!(
+        "mean label approximation ratio: {:.3}",
+        dataset.mean_approx_ratio()
+    );
 
     // 2. Train a GCN to predict (γ, β) from graph structure.
     println!("training GCN for 25 epochs...");
@@ -45,7 +48,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!(
         "train loss: {:.4} -> {:.4}",
-        history.epochs.first().map(|e| e.train_loss).unwrap_or(f64::NAN),
+        history
+            .epochs
+            .first()
+            .map(|e| e.train_loss)
+            .unwrap_or(f64::NAN),
         history.final_loss().unwrap_or(f64::NAN)
     );
 
@@ -60,7 +67,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let gnn_ratio = circuit.approximation_ratio(&predicted);
     let random_ratio = circuit.approximation_ratio(&Params::random(1, &mut rng));
 
-    println!("\nunseen 3-regular graph on 12 nodes (optimal cut = {}):", hamiltonian.optimal_value());
+    println!(
+        "\nunseen 3-regular graph on 12 nodes (optimal cut = {}):",
+        hamiltonian.optimal_value()
+    );
     println!("  GNN-predicted (γ={gamma:.3}, β={beta:.3}) AR: {gnn_ratio:.3}");
     println!("  random initialization AR:                  {random_ratio:.3}");
     println!(

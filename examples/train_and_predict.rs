@@ -46,12 +46,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!("mean label AR: {:.3}", dataset.mean_approx_ratio());
 
-    println!("\n{:<10} {:>18} {:>10} {:>9}", "method", "improvement (pts)", "win rate", "test MSE");
+    println!(
+        "\n{:<10} {:>18} {:>10} {:>9}",
+        "method", "improvement (pts)", "win rate", "test MSE"
+    );
     for kind in GnnKind::ALL {
         let mut rng = StdRng::seed_from_u64(config.seed);
         let p = Pipeline::run_on_dataset(kind, dataset.clone(), &config, &mut rng);
         if let Some(event) = &p.history.diverged {
-            println!("{kind}: training diverged at epoch {}; best weights kept", event.epoch);
+            println!(
+                "{kind}: training diverged at epoch {}; best weights kept",
+                event.epoch
+            );
         }
         println!(
             "{:<10} {:>8.2} ± {:<7.2} {:>9.2} {:>9.5}",
@@ -62,6 +68,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             p.test_mse
         );
     }
-    println!("\n(paper, full scale: GAT 3.28±9.99, GCN 3.65±10.17, GIN 3.66±9.97, GraphSAGE 2.86±10.01)");
+    println!(
+        "\n(paper, full scale: GAT 3.28±9.99, GCN 3.65±10.17, GIN 3.66±9.97, GraphSAGE 2.86±10.01)"
+    );
     Ok(())
 }

@@ -154,7 +154,10 @@ fn straight_and_resumed_runs_write_identical_artifacts() {
     let journal_path = dir.join("journal").join(JOURNAL_FILE);
     let full = fs::read_to_string(&journal_path).unwrap();
     let lines: Vec<&str> = full.lines().collect();
-    assert!(lines.len() >= 4, "journal too small to truncate meaningfully");
+    assert!(
+        lines.len() >= 4,
+        "journal too small to truncate meaningfully"
+    );
     let mut truncated: String = lines[..lines.len() / 2]
         .iter()
         .flat_map(|l| [*l, "\n"])

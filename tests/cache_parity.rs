@@ -331,11 +331,17 @@ fn generations_partition_the_cache() {
 
     let gen1 = cached_predictor(&cache, 1);
     let after_swap = serve(&gen1, &graph);
-    assert!(!after_swap.cached, "a new generation must re-run the ladder");
+    assert!(
+        !after_swap.cached,
+        "a new generation must re-run the ladder"
+    );
     // Same untrained artifact bits back the two predictors here, so the
     // recomputed reply matches; the point is it was recomputed.
     assert_eq!(after_swap, fresh);
-    assert!(serve(&gen1, &graph).cached, "generation 1 re-warms normally");
+    assert!(
+        serve(&gen1, &graph).cached,
+        "generation 1 re-warms normally"
+    );
 }
 
 #[test]

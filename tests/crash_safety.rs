@@ -227,7 +227,14 @@ fn corrupted_checkpoint_falls_back_to_fresh_start() {
         fs::write(&path, corrupt).unwrap();
         let err = TrainCheckpoint::load(&path).expect_err("corruption must not load");
         assert!(
-            i != 3 || matches!(err, ArtifactError::Version { found: 1, supported: 2 }),
+            i != 3
+                || matches!(
+                    err,
+                    ArtifactError::Version {
+                        found: 1,
+                        supported: 2
+                    }
+                ),
             "corruption {i}: {err}"
         );
         let mut rng = StdRng::seed_from_u64(21);

@@ -24,8 +24,8 @@ fn test_config() -> PipelineConfig {
 #[test]
 fn all_architectures_complete_the_pipeline() {
     let config = test_config();
-    let dataset = Dataset::generate(&config.dataset, &config.labeling, config.seed)
-        .expect("valid spec");
+    let dataset =
+        Dataset::generate(&config.dataset, &config.labeling, config.seed).expect("valid spec");
     for kind in GnnKind::ALL {
         let mut rng = StdRng::seed_from_u64(301);
         let p = Pipeline::run_on_dataset(kind, dataset.clone(), &config, &mut rng);
@@ -56,8 +56,8 @@ fn all_architectures_complete_the_pipeline() {
 #[test]
 fn pipeline_is_deterministic() {
     let config = test_config();
-    let dataset = Dataset::generate(&config.dataset, &config.labeling, config.seed)
-        .expect("valid spec");
+    let dataset =
+        Dataset::generate(&config.dataset, &config.labeling, config.seed).expect("valid spec");
     let run = |seed: u64| {
         let mut rng = StdRng::seed_from_u64(seed);
         Pipeline::run_on_dataset(GnnKind::Gcn, dataset.clone(), &config, &mut rng)

@@ -24,9 +24,7 @@ use qgraph::generate::DatasetSpec;
 use qgraph::Graph;
 
 fn temp_dir(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir()
-        .join("qaoa_gnn_fault_tests")
-        .join(name);
+    let dir = std::env::temp_dir().join("qaoa_gnn_fault_tests").join(name);
     let _ = fs::remove_dir_all(&dir);
     dir
 }
@@ -72,11 +70,7 @@ fn injected_panics_report_exact_indices_and_label_the_rest() {
     }
     // Survivors are bit-identical to the clean run's labels.
     let clean = Dataset::label_graphs(&graphs, &config, 5);
-    let survivors: Vec<&LabeledGraph> = clean
-        .entries
-        .iter()
-        .filter(|e| e.graph.n() != 6)
-        .collect();
+    let survivors: Vec<&LabeledGraph> = clean.entries.iter().filter(|e| e.graph.n() != 6).collect();
     assert_eq!(ds.entries.iter().collect::<Vec<_>>(), survivors);
 }
 
@@ -258,10 +252,7 @@ fn training_divergence_recorded_and_model_stays_finite() {
     assert!(!event.loss.is_finite());
     let (gamma, beta) = model.predict(&Graph::cycle(9).unwrap());
     assert!(gamma.is_finite() && beta.is_finite());
-    assert!(history
-        .epochs
-        .iter()
-        .all(|e| e.train_loss.is_finite()));
+    assert!(history.epochs.iter().all(|e| e.train_loss.is_finite()));
 }
 
 /// The serialized artifact story: a label report and training history both

@@ -71,11 +71,13 @@ fn canonical_label_goldens_on_regular_graphs() {
     ];
     for (gi, (g, want_row)) in graphs.iter().zip(&expected).enumerate() {
         let circuit = QaoaCircuit::new(MaxCutHamiltonian::new(g));
-        for (pi, (probe, &(want_gamma, want_beta))) in
-            probes().iter().zip(want_row).enumerate()
-        {
+        for (pi, (probe, &(want_gamma, want_beta))) in probes().iter().zip(want_row).enumerate() {
             let label = circuit.canonical_label(probe);
-            assert_eq!(label.gammas()[0], want_gamma, "graph {gi} probe {pi}: gamma");
+            assert_eq!(
+                label.gammas()[0],
+                want_gamma,
+                "graph {gi} probe {pi}: gamma"
+            );
             assert_eq!(label.betas()[0], want_beta, "graph {gi} probe {pi}: beta");
         }
     }
@@ -93,11 +95,13 @@ fn canonical_label_goldens_on_seed_batch() {
     ];
     for (gi, g) in seed_batch().iter().enumerate() {
         let circuit = QaoaCircuit::new(MaxCutHamiltonian::new(g));
-        for (pi, (probe, &(want_gamma, want_beta))) in
-            probes().iter().zip(&expected).enumerate()
-        {
+        for (pi, (probe, &(want_gamma, want_beta))) in probes().iter().zip(&expected).enumerate() {
             let label = circuit.canonical_label(probe);
-            assert_eq!(label.gammas()[0], want_gamma, "graph {gi} probe {pi}: gamma");
+            assert_eq!(
+                label.gammas()[0],
+                want_gamma,
+                "graph {gi} probe {pi}: gamma"
+            );
             assert_eq!(label.betas()[0], want_beta, "graph {gi} probe {pi}: beta");
         }
     }
@@ -198,18 +202,30 @@ fn dedupe_replays_representative_labels_bit_identically() {
     // Representatives (the original six) are bit-identical to the
     // undeduped run: dedupe must not perturb their RNG substreams.
     for i in 0..6 {
-        assert_eq!(deduped.entries[i], baseline.entries[i], "representative {i}");
+        assert_eq!(
+            deduped.entries[i], baseline.entries[i],
+            "representative {i}"
+        );
     }
     // Duplicates carry their own graph but the representative's exact
     // label scalars.
     for &(dup, rep) in &duplicates {
         let entry = &deduped.entries[dup];
         let rep_entry = &deduped.entries[rep];
-        assert_eq!(entry.graph, batch[dup], "duplicate {dup} keeps its labeling");
+        assert_eq!(
+            entry.graph, batch[dup],
+            "duplicate {dup} keeps its labeling"
+        );
         assert_eq!(entry.params, rep_entry.params, "duplicate {dup}: params");
-        assert_eq!(entry.expectation, rep_entry.expectation, "duplicate {dup}: expectation");
+        assert_eq!(
+            entry.expectation, rep_entry.expectation,
+            "duplicate {dup}: expectation"
+        );
         assert_eq!(entry.optimal, rep_entry.optimal, "duplicate {dup}: optimal");
-        assert_eq!(entry.approx_ratio, rep_entry.approx_ratio, "duplicate {dup}: ratio");
+        assert_eq!(
+            entry.approx_ratio, rep_entry.approx_ratio,
+            "duplicate {dup}: ratio"
+        );
     }
 
     // A batch with no isomorphic pairs round-trips bit-identically in

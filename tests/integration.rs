@@ -46,16 +46,21 @@ fn optimizer_hierarchy_on_real_instances() {
     for _ in 0..5 {
         let g = generate::random_regular(8, 3, &mut rng).unwrap();
         let circuit = QaoaCircuit::new(MaxCutHamiltonian::new(&g));
-        let objective = |flat: &[f64]| {
-            circuit.expectation(&Params::from_flat(flat).expect("p=1 layout"))
-        };
+        let objective =
+            |flat: &[f64]| circuit.expectation(&Params::from_flat(flat).expect("p=1 layout"));
         let grid = GridSearch { resolution: 48 }.maximize(objective, &[0.0, 0.0], &mut rng);
         let start = Params::random(1, &mut rng).to_flat();
         let nm = NelderMead::new(150).maximize(objective, &start, &mut rng);
         let optimal = circuit.hamiltonian().optimal_value();
         assert!(grid.best_value <= optimal + 1e-9);
-        assert!(nm.best_value <= grid.best_value + 0.05, "NM should not beat a dense grid by much");
-        assert!(grid.best_value > optimal * 0.5, "p=1 QAOA beats random guessing");
+        assert!(
+            nm.best_value <= grid.best_value + 0.05,
+            "NM should not beat a dense grid by much"
+        );
+        assert!(
+            grid.best_value > optimal * 0.5,
+            "p=1 QAOA beats random guessing"
+        );
     }
 }
 
@@ -70,13 +75,10 @@ fn fixed_angles_transfer_to_instances() {
         let fa = fixed_angle::fixed_angles(degree);
         let fixed_ar = circuit.approximation_ratio(&fa.params);
         // Dense grid reference.
-        let objective = |flat: &[f64]| {
-            circuit.expectation(&Params::from_flat(flat).expect("p=1 layout"))
-        };
+        let objective =
+            |flat: &[f64]| circuit.expectation(&Params::from_flat(flat).expect("p=1 layout"));
         let grid = GridSearch { resolution: 48 }.maximize(objective, &[0.0, 0.0], &mut rng);
-        let grid_ar = circuit
-            .hamiltonian()
-            .approximation_ratio(grid.best_value);
+        let grid_ar = circuit.hamiltonian().approximation_ratio(grid.best_value);
         assert!(
             fixed_ar > grid_ar - 0.06,
             "degree {degree}: fixed {fixed_ar} vs grid {grid_ar}"
@@ -104,12 +106,8 @@ fn labels_are_consistent_with_brute_force() {
 /// only improve mean label quality, and never touch the graph structures.
 #[test]
 fn quality_passes_compose() {
-    let dataset = Dataset::generate(
-        &DatasetSpec::with_count(30),
-        &LabelConfig::quick(50),
-        205,
-    )
-    .unwrap();
+    let dataset =
+        Dataset::generate(&DatasetSpec::with_count(30), &LabelConfig::quick(50), 205).unwrap();
     let mut rng = StdRng::seed_from_u64(205);
     let before = dataset.mean_approx_ratio();
     let (pruned, stats) = sdp::prune(&dataset, &SdpConfig::paper_default(), &mut rng);
@@ -183,7 +181,11 @@ fn graph_files_round_trip_through_labeling() {
     let text = qgraph::io::graph_to_string(&g);
     let back = qgraph::io::graph_from_str(&text).unwrap();
     let a = label_graph(&g, &LabelConfig::quick(40), &mut StdRng::seed_from_u64(1));
-    let b = label_graph(&back, &LabelConfig::quick(40), &mut StdRng::seed_from_u64(1));
+    let b = label_graph(
+        &back,
+        &LabelConfig::quick(40),
+        &mut StdRng::seed_from_u64(1),
+    );
     assert_eq!(a, b);
 }
 
@@ -198,10 +200,11 @@ fn weighted_graphs_supported_by_simulator_path() {
     assert!(label.approx_ratio > 0.4);
     assert!(label.approx_ratio <= 1.0 + 1e-9);
     // The analytic fast path explicitly refuses weighted inputs.
-    let result = std::panic::catch_unwind(|| {
-        analytic::graph_expectation(&weighted, 0.3, 0.2)
-    });
-    assert!(result.is_err(), "analytic formula must reject weighted graphs");
+    let result = std::panic::catch_unwind(|| analytic::graph_expectation(&weighted, 0.3, 0.2));
+    assert!(
+        result.is_err(),
+        "analytic formula must reject weighted graphs"
+    );
 }
 
 /// Evaluation reports are structurally sound for a freshly initialized

@@ -38,9 +38,7 @@ use qgraph::generate::DatasetSpec;
 use qgraph::Graph;
 
 fn temp_dir(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir()
-        .join("qaoa_gnn_serve_tests")
-        .join(name);
+    let dir = std::env::temp_dir().join("qaoa_gnn_serve_tests").join(name);
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }
@@ -293,7 +291,10 @@ fn disarmed_guarded_serving_is_bit_identical_to_raw_path() {
     let mut rng = StdRng::seed_from_u64(config.seed);
     let pipeline = Pipeline::run(GnnKind::Gcn, &config, &mut rng);
     let artifact = pipeline.to_artifact(&config);
-    let envelope = artifact.envelope.clone().expect("pipeline records an envelope");
+    let envelope = artifact
+        .envelope
+        .clone()
+        .expect("pipeline records an envelope");
     assert!(envelope.min_nodes <= envelope.max_nodes);
 
     let dir = temp_dir("bit_identity");
@@ -308,7 +309,11 @@ fn disarmed_guarded_serving_is_bit_identical_to_raw_path() {
     for entry in pipeline.train_dataset.entries.iter().take(5) {
         let (rg, rb) = raw.predict(&entry.graph);
         let outcome = serve(&served, &entry.graph).unwrap();
-        assert!(outcome.is_clean(), "unexpected degradation: {}", outcome.summary());
+        assert!(
+            outcome.is_clean(),
+            "unexpected degradation: {}",
+            outcome.summary()
+        );
         let (sg, sb) = outcome.angles();
         assert_eq!(rg.to_bits(), sg.to_bits());
         assert_eq!(rb.to_bits(), sb.to_bits());
