@@ -20,7 +20,6 @@
 //! | [`JOURNAL_IO`] | [`crate::store::LabelJournal::append`] | append fails or panics |
 //! | [`HOT_SWAP`] | [`crate::serve_loop::ServeLoop::swap_artifact`] | swap rejected (`Error`) or panics; the old artifact keeps serving |
 //! | [`ADMISSION`] | [`crate::serve_loop::ServeLoop::submit`] | request refused (`Error`) or panics at admission |
-//! | [`WORKER`] | the serve-loop worker, *outside* the per-request guard | the worker thread dies (`Panic`); the supervisor must respawn it |
 //! | [`CACHE_LOOKUP`] | [`crate::cache::PredictionCache::lookup`] | the canonical-hash/lookup path panics (`Panic`) or aborts (`Error`/`Nan`); the request degrades to a normal GNN-rung miss |
 //! | [`CHECKPOINT_WRITE`] | the atomic training-checkpoint write, between tmp-file flush and rename | write fails (`Error`), panics (`Panic`), or pauses (`Stall`) with the tmp file visible — a kill window for crash harnesses |
 //! | [`ARTIFACT_SAVE`] | [`crate::store::RunArtifact::save`], between tmp-file flush and rename | save fails (`Error`), panics (`Panic`), or pauses (`Stall`); the previous artifact stays intact either way |
@@ -88,12 +87,6 @@ pub const HOT_SWAP: &str = "hot_swap";
 /// Failpoint inside [`crate::serve_loop::ServeLoop::submit`]: admission
 /// refuses (`Error`) or panics (`Panic`) instead of enqueueing.
 pub const ADMISSION: &str = "admission";
-/// Failpoint in the serve-loop worker body, deliberately *outside* the
-/// per-request `catch_unwind` guard: a `Panic` firing kills the worker
-/// thread itself, exercising supervision (census, respawn, requeue) rather
-/// than per-request containment. The claimed-but-unanswered batch must be
-/// requeued and answered by a surviving or respawned worker.
-pub const WORKER: &str = "worker";
 /// Failpoint inside [`crate::cache::PredictionCache::lookup`], *before* the
 /// canonical hash is computed: a `Panic` unwinds out of the hash/lookup
 /// path (contained by the cache itself), any other action aborts the
@@ -115,7 +108,7 @@ pub const CHECKPOINT_WRITE: &str = "checkpoint_write";
 pub const ARTIFACT_SAVE: &str = "artifact_save";
 
 /// Every failpoint name, for enumeration in tests and docs.
-pub const ALL: [&str; 11] = [
+pub const ALL: [&str; 10] = [
     ARTIFACT_LOAD,
     WEIGHT_BUILD,
     FORWARD,
@@ -123,7 +116,6 @@ pub const ALL: [&str; 11] = [
     JOURNAL_IO,
     HOT_SWAP,
     ADMISSION,
-    WORKER,
     CACHE_LOOKUP,
     CHECKPOINT_WRITE,
     ARTIFACT_SAVE,
@@ -464,16 +456,15 @@ impl FaultSchedule {
     /// pure function of `seed`: same seed, same script, bit for bit.
     ///
     /// The script spreads failure windows across every failpoint on the
-    /// serving path — worker kills ([`WORKER`], exercising supervision),
-    /// GNN-rung poison ([`FORWARD`]/[`SIM_EVAL`], each firing degrading
-    /// the one request it hits), hot-swap rejections ([`HOT_SWAP`], and
-    /// [`WEIGHT_BUILD`] when its window covers the swap's request index)
-    /// and admission refusals ([`ADMISSION`]) —
+    /// serving path — GNN-rung poison ([`FORWARD`]/[`SIM_EVAL`], each
+    /// firing degrading the one request it hits), hot-swap rejections
+    /// ([`HOT_SWAP`], and [`WEIGHT_BUILD`] when its window covers the
+    /// swap's request index) and admission refusals ([`ADMISSION`]) —
     /// plus windows on the persistence failpoints ([`ARTIFACT_LOAD`],
     /// [`JOURNAL_IO`]) for drivers that touch disk between requests. Every
     /// window closes before `requests`, with a fault-free tail (the last
-    /// ~20% of the stream) so recovery invariants (census restored, a
-    /// `Ready` end state) can be asserted at the end.
+    /// ~20% of the stream) so a recovered end state (`Ready`, every
+    /// request served) can be asserted at the end.
     pub fn from_seed(seed: u64, requests: u64) -> FaultSchedule {
         use qrand::rngs::StdRng;
         use qrand::{Rng, SeedableRng};
@@ -495,12 +486,6 @@ impl FaultSchedule {
             }
         };
         use FaultAction::{Error, Nan, Panic};
-        // Worker kills: a few short windows, one kill each.
-        for _ in 0..3 {
-            let mut kill = window(WORKER, &[Panic], 4);
-            kill.budget = 1;
-            entries.push(kill);
-        }
         // GNN-rung poison: one long dense window (a storm of consecutive
         // per-request degradations) plus scattered short ones.
         let mut storm = window(FORWARD, &[Panic, Nan], horizon / 4 + 1);
@@ -685,7 +670,7 @@ mod tests {
     #[test]
     fn scheduled_faults_respect_their_budget() {
         let schedule = FaultSchedule::new().push(ScheduledFault {
-            failpoint: WORKER,
+            failpoint: ADMISSION,
             action: FaultAction::Panic,
             from_index: 0,
             to_index: 100,
@@ -693,10 +678,10 @@ mod tests {
         });
         let guard = arm_schedule(schedule);
         set_request_index(0);
-        assert_eq!(fire(WORKER), Some(FaultAction::Panic));
-        assert_eq!(fire(WORKER), Some(FaultAction::Panic));
-        assert_eq!(fire(WORKER), None, "budget spent");
-        assert!(!is_armed(WORKER));
+        assert_eq!(fire(ADMISSION), Some(FaultAction::Panic));
+        assert_eq!(fire(ADMISSION), Some(FaultAction::Panic));
+        assert_eq!(fire(ADMISSION), None, "budget spent");
+        assert!(!is_armed(ADMISSION));
         assert_eq!(guard.remaining_budget(), 0);
         clear_request_index();
     }
@@ -736,8 +721,14 @@ mod tests {
             assert!(entry.to_index <= 2000 * 4 / 5);
             assert!(entry.budget >= 1);
         }
-        // The script covers worker kills and a dense GNN-rung storm.
-        assert!(a.entries.iter().filter(|e| e.failpoint == WORKER).count() >= 3);
+        // Every serving-path failpoint gets a window, and the script
+        // includes a dense GNN-rung storm.
+        for failpoint in [FORWARD, SIM_EVAL, WEIGHT_BUILD, HOT_SWAP, ADMISSION] {
+            assert!(
+                a.entries.iter().any(|e| e.failpoint == failpoint),
+                "no {failpoint} window"
+            );
+        }
         assert!(a
             .entries
             .iter()
