@@ -113,20 +113,6 @@ impl std::fmt::Display for LabelFailureReason {
     }
 }
 
-/// The outcome of labeling one graph inside a checked batch.
-#[derive(Debug, Clone, PartialEq)]
-pub enum LabelOutcome {
-    /// The graph labeled successfully.
-    Ok(LabeledGraph),
-    /// The graph failed (after the built-in fresh-seed retry).
-    Failed {
-        /// Index of the graph in the input batch.
-        index: usize,
-        /// What went wrong on the final attempt.
-        reason: LabelFailureReason,
-    },
-}
-
 /// One recorded labeling failure (first-attempt reason plus retry result).
 #[derive(Debug, Clone, PartialEq)]
 pub struct LabelFailure {
@@ -147,11 +133,6 @@ pub struct LabelReport {
     /// Number of graphs that produced a label (including retries and
     /// journal-restored entries on resume).
     pub labeled: usize,
-    /// Simulations skipped by the isomorphism deduper
-    /// ([`LabelConfig::dedupe_isomorphic`]): graphs whose label was
-    /// replicated from a structurally identical representative instead of
-    /// being re-simulated. Always 0 when deduplication is off.
-    pub skipped_isomorphic: usize,
     /// Every first-attempt failure, in input order.
     pub failures: Vec<LabelFailure>,
 }
@@ -162,7 +143,6 @@ impl LabelReport {
         LabelReport {
             total,
             labeled: total,
-            skipped_isomorphic: 0,
             failures: Vec::new(),
         }
     }
@@ -202,17 +182,6 @@ pub struct LabelConfig {
     pub iterations: usize,
     /// Worker threads for parallel labeling.
     pub threads: usize,
-    /// When `true`, detect isomorphic duplicates (via
-    /// [`qgraph::canon::wl_hash`] bucketing + the exact matcher) before
-    /// labeling, simulate only one representative per isomorphism class,
-    /// and replicate its label scalars — `(γ, β)`, expectation, optimum and
-    /// approximation ratio are all relabeling-invariant — onto each
-    /// duplicate (which keeps its own node labeling). Representatives keep
-    /// their usual per-index RNG substream, so their labels stay
-    /// bit-identical to an undeduped run; the skipped-simulation count
-    /// lands in [`LabelReport::skipped_isomorphic`]. Default `false`: every
-    /// graph is simulated, the historical behavior.
-    pub dedupe_isomorphic: bool,
 }
 
 impl Default for LabelConfig {
@@ -223,7 +192,6 @@ impl Default for LabelConfig {
             threads: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(4),
-            dedupe_isomorphic: false,
         }
     }
 }
@@ -252,13 +220,6 @@ impl LabelConfig {
     /// Builder-style: sets the worker-thread count for parallel labeling.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Builder-style: enables isomorphism deduplication before labeling
-    /// (see the [`LabelConfig::dedupe_isomorphic`] field docs).
-    pub fn with_dedupe_isomorphic(mut self, dedupe_isomorphic: bool) -> Self {
-        self.dedupe_isomorphic = dedupe_isomorphic;
         self
     }
 }
@@ -296,23 +257,6 @@ pub fn label_graph<R: Rng + ?Sized>(
     }
 }
 
-/// [`label_graph`] with divergence detection: returns a structured failure
-/// instead of a NaN-poisoned label when the optimization diverged.
-///
-/// # Errors
-///
-/// [`LabelFailureReason::NonFinite`] when any numeric field of the label
-/// (parameters, expectation, optimum, approximation ratio) is NaN or ±∞.
-pub fn label_graph_checked<R: Rng + ?Sized>(
-    graph: &Graph,
-    config: &LabelConfig,
-    rng: &mut R,
-) -> Result<LabeledGraph, LabelFailureReason> {
-    let label = label_graph(graph, config, rng);
-    validate_label(&label)?;
-    Ok(label)
-}
-
 /// Checks every numeric field of a label for finiteness.
 fn validate_label(label: &LabeledGraph) -> Result<(), LabelFailureReason> {
     let non_finite = |what: &str| Err(LabelFailureReason::NonFinite(what.to_string()));
@@ -329,17 +273,6 @@ fn validate_label(label: &LabeledGraph) -> Result<(), LabelFailureReason> {
         return non_finite("approx_ratio");
     }
     Ok(())
-}
-
-/// Best-effort text of a caught panic payload.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "opaque panic payload".to_string()
-    }
 }
 
 /// Seed salt for the automatic fresh-seed retry of a failed graph. The
@@ -396,9 +329,9 @@ fn label_indices_checked(
                                 labeler(&graphs[index], config, &mut rng)
                             })) {
                                 Ok(label) => validate_label(&label).map(|()| label),
-                                Err(payload) => {
-                                    Err(LabelFailureReason::Panic(panic_message(payload.as_ref())))
-                                }
+                                Err(payload) => Err(LabelFailureReason::Panic(
+                                    crate::serve::panic_message(payload.as_ref()),
+                                )),
                             }
                         };
                         let label = match attempt(0) {
@@ -448,15 +381,6 @@ fn label_indices_checked(
 /// and the journaled [`Dataset::resume_labeling`]: labels every index of
 /// `graphs` not already in `done` (labels a previous run journaled) and
 /// assembles the ordered dataset and report.
-///
-/// With [`LabelConfig::dedupe_isomorphic`] on, the batch is first
-/// partitioned into isomorphism classes; only each class's first-seen
-/// representative is simulated (and passed to `sink`), on its usual
-/// per-index RNG substream, so representatives are bit-identical to the
-/// undeduped run. Every duplicate is derived again from its
-/// representative on each call, and a journaled duplicate is ignored, so
-/// a journal holds representatives only. With it off, no graph is
-/// fingerprinted.
 pub(crate) fn label_batch(
     labeler: &(dyn Fn(&Graph, &LabelConfig, &mut StdRng) -> LabeledGraph + Sync),
     graphs: &[Graph],
@@ -465,112 +389,15 @@ pub(crate) fn label_batch(
     seed: u64,
     sink: &(dyn Fn(usize, &LabeledGraph) -> std::io::Result<()> + Sync),
 ) -> std::io::Result<(Dataset, LabelReport)> {
-    let rep_of = config
-        .dedupe_isomorphic
-        .then(|| isomorphism_representatives(graphs));
-    let is_rep = |index: usize| rep_of.as_ref().is_none_or(|rep_of| rep_of[index] == index);
-    let mut labeled: Vec<(usize, LabeledGraph)> = done
-        .into_iter()
-        .filter(|&(index, _)| is_rep(index))
-        .collect();
     let mut is_done = vec![false; graphs.len()];
-    for &(index, _) in &labeled {
+    for &(index, _) in &done {
         is_done[index] = true;
     }
-    let todo: Vec<usize> = (0..graphs.len())
-        .filter(|&index| !is_done[index] && is_rep(index))
-        .collect();
-    let (fresh, mut failures) = label_indices_checked(labeler, graphs, &todo, config, seed, sink)?;
+    let todo: Vec<usize> = (0..graphs.len()).filter(|&index| !is_done[index]).collect();
+    let (fresh, failures) = label_indices_checked(labeler, graphs, &todo, config, seed, sink)?;
+    let mut labeled = done;
     labeled.extend(fresh);
-    let skipped = match &rep_of {
-        Some(rep_of) => replicate_duplicates(graphs, rep_of, &mut labeled, &mut failures),
-        None => 0,
-    };
-    let (dataset, mut report) = Dataset::assemble(graphs.len(), labeled, failures);
-    report.skipped_isomorphic = skipped;
-    Ok((dataset, report))
-}
-
-/// For each graph, the index of the first-seen graph isomorphic to it
-/// (itself for a representative). Graphs are bucketed by fingerprint hash
-/// and refined by the exact matcher, so a hash collision can never merge
-/// distinct structures; each fingerprint is computed once.
-fn isomorphism_representatives(graphs: &[Graph]) -> Vec<usize> {
-    use std::collections::HashMap;
-
-    use qgraph::canon::{are_isomorphic_with, Fingerprint};
-
-    let prints: Vec<Fingerprint> = graphs.iter().map(Fingerprint::of).collect();
-    let mut rep_of: Vec<usize> = (0..graphs.len()).collect();
-    let mut buckets: HashMap<u64, Vec<usize>> = HashMap::new();
-    for (index, graph) in graphs.iter().enumerate() {
-        let print = &prints[index];
-        let bucket = buckets.entry(print.hash()).or_default();
-        match bucket
-            .iter()
-            .find(|&&rep| are_isomorphic_with(&graphs[rep], &prints[rep], graph, print))
-        {
-            Some(&rep) => rep_of[index] = rep,
-            None => bucket.push(index),
-        }
-    }
-    rep_of
-}
-
-/// Copies each labeled representative's relabeling-invariant scalars onto
-/// its duplicates (which keep their own node labeling) and returns how
-/// many simulations that saved. A duplicate of an unrecovered
-/// representative records the same failure at its own index.
-fn replicate_duplicates(
-    graphs: &[Graph],
-    rep_of: &[usize],
-    labeled: &mut Vec<(usize, LabeledGraph)>,
-    failures: &mut Vec<LabelFailure>,
-) -> usize {
-    let mut slot_of: Vec<Option<usize>> = vec![None; graphs.len()];
-    for (slot, &(index, _)) in labeled.iter().enumerate() {
-        slot_of[index] = Some(slot);
-    }
-    let mut skipped = 0usize;
-    for (index, graph) in graphs.iter().enumerate() {
-        let rep = rep_of[index];
-        if rep == index {
-            continue;
-        }
-        match slot_of[rep] {
-            Some(slot) => {
-                let label = &labeled[slot].1;
-                let copy = LabeledGraph {
-                    graph: graph.clone(),
-                    params: label.params.clone(),
-                    expectation: label.expectation,
-                    optimal: label.optimal,
-                    approx_ratio: label.approx_ratio,
-                };
-                labeled.push((index, copy));
-                skipped += 1;
-            }
-            None => {
-                // The representative stayed unlabeled even after its
-                // retry; its duplicates share that fate (re-simulating
-                // an identical structure would fail identically).
-                let reason = failures
-                    .iter()
-                    .find(|f| f.index == rep && !f.recovered)
-                    .map(|f| f.reason.clone())
-                    .unwrap_or_else(|| {
-                        LabelFailureReason::Panic("representative unlabeled".to_string())
-                    });
-                failures.push(LabelFailure {
-                    index,
-                    reason,
-                    recovered: false,
-                });
-            }
-        }
-    }
-    failures.sort_by_key(|f| f.index);
-    skipped
+    Ok(Dataset::assemble(graphs.len(), labeled, failures))
 }
 
 /// Effective worker count for `items` work items when the configuration
@@ -648,30 +475,9 @@ impl Dataset {
         let report = LabelReport {
             total,
             labeled: dataset.len(),
-            skipped_isomorphic: 0,
             failures,
         };
         (dataset, report)
-    }
-
-    /// Per-graph outcomes of a checked labeling run, in input order — the
-    /// structured view (`Ok` label or `Failed {index, reason}`) of what
-    /// [`Self::label_graphs_checked`] folds into a dataset + report.
-    pub fn label_outcomes(graphs: &[Graph], config: &LabelConfig, seed: u64) -> Vec<LabelOutcome> {
-        let (dataset, report) = Self::label_graphs_checked(graphs, config, seed);
-        let mut failed: std::collections::HashMap<usize, LabelFailureReason> = report
-            .failures
-            .iter()
-            .filter(|f| !f.recovered)
-            .map(|f| (f.index, f.reason.clone()))
-            .collect();
-        let mut entries = dataset.entries.into_iter();
-        (0..graphs.len())
-            .map(|index| match failed.remove(&index) {
-                Some(reason) => LabelOutcome::Failed { index, reason },
-                None => LabelOutcome::Ok(entries.next().expect("one entry per success")),
-            })
-            .collect()
     }
 
     /// Generates `spec.count` graphs and labels them.
@@ -1102,22 +908,6 @@ mod tests {
         assert_eq!(report.failures.len(), 1);
         assert!(report.failures[0].recovered);
         assert!(report.unrecovered().is_empty());
-    }
-
-    #[test]
-    fn label_outcomes_align_with_input_order() {
-        let mut rng = StdRng::seed_from_u64(204);
-        let graphs: Vec<Graph> = (4..8)
-            .map(|n| qgraph::generate::erdos_renyi(n, 0.5, &mut rng).unwrap())
-            .collect();
-        let outcomes = Dataset::label_outcomes(&graphs, &quick_config(), 9);
-        assert_eq!(outcomes.len(), graphs.len());
-        for (i, outcome) in outcomes.iter().enumerate() {
-            match outcome {
-                LabelOutcome::Ok(l) => assert_eq!(&l.graph, &graphs[i]),
-                LabelOutcome::Failed { index, .. } => assert_eq!(*index, i),
-            }
-        }
     }
 
     #[test]

@@ -602,7 +602,9 @@ impl ToJson for LabelConfig {
             // A fixed field: simulation is always serial now, but artifacts
             // and `train_identity` hash this object, so its bytes stay.
             ("sim_threads", Json::uint(0)),
-            ("dedupe_isomorphic", Json::Bool(self.dedupe_isomorphic)),
+            // A fixed field: isomorphic graphs are always labeled on their
+            // own, but artifacts and `train_identity` hash this object.
+            ("dedupe_isomorphic", Json::Bool(false)),
         ])
     }
 }
@@ -613,12 +615,6 @@ impl FromJson for LabelConfig {
             depth: json.get("depth")?.as_usize()?,
             iterations: json.get("iterations")?.as_usize()?,
             threads: json.get("threads")?.as_usize()?,
-            // Absent before the isomorphism deduper existed; those runs
-            // labeled every graph, which `false` encodes.
-            dedupe_isomorphic: match json.get("dedupe_isomorphic") {
-                Ok(v) => v.as_bool()?,
-                Err(_) => false,
-            },
         })
     }
 }
@@ -1233,10 +1229,9 @@ impl ToJson for LabelReport {
         obj(vec![
             ("total", Json::uint(self.total as u64)),
             ("labeled", Json::uint(self.labeled as u64)),
-            (
-                "skipped_isomorphic",
-                Json::uint(self.skipped_isomorphic as u64),
-            ),
+            // A fixed field: no graph's label is copied from an isomorphic
+            // one, but the artifact bytes hold this key.
+            ("skipped_isomorphic", Json::uint(0)),
             (
                 "failures",
                 Json::Arr(self.failures.iter().map(ToJson::to_json).collect()),
@@ -1250,12 +1245,6 @@ impl FromJson for LabelReport {
         Ok(LabelReport {
             total: json.get("total")?.as_usize()?,
             labeled: json.get("labeled")?.as_usize()?,
-            // Absent in reports written before the isomorphism deduper
-            // existed; those runs simulated every graph, which 0 encodes.
-            skipped_isomorphic: match json.get("skipped_isomorphic") {
-                Ok(v) => v.as_usize()?,
-                Err(_) => 0,
-            },
             failures: json
                 .get("failures")?
                 .as_arr()?
@@ -1800,7 +1789,6 @@ mod tests {
         let report = LabelReport {
             total: 10,
             labeled: 8,
-            skipped_isomorphic: 2,
             failures: vec![
                 LabelFailure {
                     index: 3,

@@ -909,6 +909,7 @@ fn enforce_floor(
     }
 }
 
+/// Best-effort text of a caught panic payload.
 pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()

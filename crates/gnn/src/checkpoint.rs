@@ -2,8 +2,7 @@
 //!
 //! [`ModelWeights`] is the serializable identity of a trained [`GnnModel`]:
 //! the architecture kind, the full hyper-parameter configuration, and every
-//! trainable parameter matrix in construction order. Unlike the raw
-//! parameter dump of [`GnnModel::save_params`], a `ModelWeights` is
+//! trainable parameter matrix in construction order. A `ModelWeights` is
 //! self-describing — [`ModelWeights::build_model`] reconstructs the exact
 //! model with no out-of-band knowledge, and validation is total: a
 //! corrupted or architecture-mismatched weight set fails with a typed

@@ -243,60 +243,8 @@ impl GnnModel {
             .sum()
     }
 
-    /// Saves all trainable parameters to a text checkpoint.
-    ///
-    /// Architecture and hyper-parameters are *not* stored; to restore,
-    /// construct a model with the same [`GnnKind`] and [`ModelConfig`] and
-    /// call [`Self::load_params`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors.
-    pub fn save_params<P: AsRef<std::path::Path>>(&self, path: P) -> std::io::Result<()> {
-        let values: Vec<Matrix> = self.params.iter().map(Tensor::value).collect();
-        tensor::io::write_params(&values, path)
-    }
-
-    /// Restores parameters from a checkpoint written by
-    /// [`Self::save_params`].
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the file is unreadable, malformed, or the
-    /// parameter count/shapes do not match this model's architecture.
-    pub fn load_params<P: AsRef<std::path::Path>>(&self, path: P) -> std::io::Result<()> {
-        let values = tensor::io::read_params(path)?;
-        if values.len() != self.params.len() {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!(
-                    "checkpoint has {} parameters, model expects {}",
-                    values.len(),
-                    self.params.len()
-                ),
-            ));
-        }
-        for (param, value) in self.params.iter().zip(&values) {
-            if param.shape() != value.shape() {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!(
-                        "parameter shape mismatch: checkpoint {:?}, model {:?}",
-                        value.shape(),
-                        param.shape()
-                    ),
-                ));
-            }
-        }
-        for (param, value) in self.params.iter().zip(values) {
-            param.set_value(value);
-        }
-        Ok(())
-    }
-
-    /// In-memory copy of every trainable parameter — the file-free
-    /// counterpart of [`Self::save_params`], used by the training loop to
-    /// keep the best-epoch weights restorable after a divergence.
+    /// In-memory copy of every trainable parameter, used by the training
+    /// loop to keep the best-epoch weights restorable after a divergence.
     pub fn snapshot(&self) -> Vec<Matrix> {
         self.params.iter().map(Tensor::value).collect()
     }
@@ -598,41 +546,6 @@ mod tests {
                 "{readout:?}: {a:?} vs {b:?}"
             );
         }
-    }
-
-    #[test]
-    fn save_load_round_trips_predictions() {
-        let dir = std::env::temp_dir().join("gnn_model_io_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("gin.ckpt");
-        let g = Graph::complete(5).unwrap();
-
-        let mut rng = StdRng::seed_from_u64(97);
-        let original = GnnModel::new(GnnKind::Gin, ModelConfig::default(), &mut rng);
-        let want = original.predict(&g);
-        original.save_params(&path).unwrap();
-
-        // A differently initialized model converges to the same predictions
-        // after loading.
-        let mut rng2 = StdRng::seed_from_u64(98);
-        let restored = GnnModel::new(GnnKind::Gin, ModelConfig::default(), &mut rng2);
-        assert_ne!(restored.predict(&g), want, "fresh init should differ");
-        restored.load_params(&path).unwrap();
-        assert_eq!(restored.predict(&g), want);
-        std::fs::remove_file(path).unwrap();
-    }
-
-    #[test]
-    fn load_rejects_architecture_mismatch() {
-        let dir = std::env::temp_dir().join("gnn_model_io_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("gcn.ckpt");
-        let mut rng = StdRng::seed_from_u64(99);
-        let gcn = GnnModel::new(GnnKind::Gcn, ModelConfig::default(), &mut rng);
-        gcn.save_params(&path).unwrap();
-        let gat = GnnModel::new(GnnKind::Gat, ModelConfig::default(), &mut rng);
-        assert!(gat.load_params(&path).is_err());
-        std::fs::remove_file(path).unwrap();
     }
 
     #[test]

@@ -113,51 +113,20 @@ impl TrainHistory {
 /// # Panics
 ///
 /// Panics if `examples` is empty.
-pub fn train<R: Rng + ?Sized>(
+pub fn train(
     model: &GnnModel,
     examples: &[Example],
     config: &TrainConfig,
-    rng: &mut R,
+    rng: &mut StdRng,
 ) -> TrainHistory {
-    assert!(!examples.is_empty(), "training set must be non-empty");
-    let mut optimizer = Adam::new(config.learning_rate);
-    let mut scheduler = ReduceLrOnPlateau::paper_default();
-    let mut order: Vec<usize> = (0..examples.len()).collect();
-    let mut history = TrainHistory::default();
-    // Best-so-far weights, seeded with the initial ones so a divergence in
-    // epoch 0 still leaves a usable (if untrained) model.
-    let mut best: (f64, Vec<Matrix>) = (f64::INFINITY, model.snapshot());
-
-    model.tape().set_training(true);
-    for epoch in 0..config.epochs {
-        if run_epoch(
-            model,
-            examples,
-            config,
-            &mut order,
-            &mut optimizer,
-            &mut scheduler,
-            rng,
-            epoch,
-            &mut history,
-            &mut best,
-        ) {
-            break;
-        }
-    }
-    model.tape().reset();
-    if history.diverged.is_some() {
-        model.restore(&best.1);
-    }
-    model.tape().set_training(false);
-    history
+    train_resumable(model, examples, config, rng, None, usize::MAX, |_| Ok(()))
+        .expect("a fresh run with a discarding sink cannot fail")
 }
 
-/// One epoch of the §4.1 loop, shared verbatim between [`train`] and
-/// [`train_resumable`] so the two are bit-identical by construction: same
-/// shuffle draw, same forward/backward order, same optimizer and scheduler
-/// arithmetic. Returns `true` when the epoch diverged (recorded in
-/// `history`); the caller stops training.
+/// One epoch of the §4.1 loop: shuffle, then per example forward, loss
+/// check, backward and optimizer step, then the scheduler. Returns `true`
+/// when the epoch diverged (recorded in `history`); the caller stops
+/// training.
 #[allow(clippy::too_many_arguments)]
 fn run_epoch<R: Rng + ?Sized>(
     model: &GnnModel,
@@ -743,32 +712,6 @@ mod tests {
                 bits
             })
             .collect()
-    }
-
-    /// With no resume state and a discarding sink, `train_resumable` is the
-    /// same computation as `train`: identical history and identical final
-    /// parameter bits (dropout on, so the RNG stream is exercised too).
-    #[test]
-    fn resumable_with_no_interruption_matches_train() {
-        let data = toy_dataset();
-        let config = TrainConfig::quick(8);
-        let mk = |seed| {
-            let mut rng = StdRng::seed_from_u64(seed);
-            GnnModel::new(GnnKind::Gcn, ModelConfig::default(), &mut rng)
-        };
-
-        let model_a = mk(200);
-        let mut rng_a = StdRng::seed_from_u64(201);
-        let history_a = train(&model_a, &data, &config, &mut rng_a);
-
-        let model_b = mk(200);
-        let mut rng_b = StdRng::seed_from_u64(201);
-        let history_b =
-            train_resumable(&model_b, &data, &config, &mut rng_b, None, 1, |_| Ok(())).unwrap();
-
-        assert_eq!(history_a, history_b);
-        assert_eq!(param_bits(&model_a), param_bits(&model_b));
-        assert_eq!(rng_a, rng_b, "RNG must end at the same stream position");
     }
 
     /// Kill-and-resume from *every* epoch boundary reproduces the

@@ -317,6 +317,47 @@ mod tests {
         crate::fused::phase_rx_all(&mut psi, op.level_of(), &phases, 0.2);
     }
 
+    /// The literal gate decomposition of a p = 1 Max-Cut QAOA circuit: a
+    /// Hadamard wall, one `RZZ(−γw)` per edge, then the `RX(2β)` wall. The
+    /// edge phase `e^{-iγ w (1 - Z⊗Z)/2}` equals `RZZ(−γ w)` up to a global
+    /// phase, so it must match the diagonal fast path on cut values.
+    #[test]
+    fn qaoa_decomposition_matches_fast_path() {
+        let edges = [
+            (0usize, 1usize, 1.0f64),
+            (1, 2, 1.0),
+            (0, 2, 1.0),
+            (2, 3, 1.0),
+        ];
+        let (gamma, beta) = (0.63, 0.27);
+        let mut explicit = StateVector::zero_state(4);
+        for q in 0..4 {
+            gates::h(&mut explicit, q);
+        }
+        for &(u, v, w) in &edges {
+            gates::rzz(&mut explicit, u, v, -gamma * w);
+        }
+        gates::rx_all(&mut explicit, 2.0 * beta);
+
+        // Fast path: diagonal cut-value phases + RX wall.
+        let cut = |z: u64| {
+            edges
+                .iter()
+                .filter(|&&(u, v, _)| (z >> u) & 1 != (z >> v) & 1)
+                .map(|&(_, _, w)| w)
+                .sum::<f64>()
+        };
+        let op = DiagonalOperator::from_fn(4, cut);
+        let mut fast = StateVector::uniform_superposition(4);
+        op.apply_phase(&mut fast, gamma);
+        gates::rx_all(&mut fast, 2.0 * beta);
+
+        assert!(
+            (explicit.fidelity(&fast) - 1.0).abs() < 1e-10,
+            "gate decomposition must agree with the diagonal fast path"
+        );
+    }
+
     #[test]
     fn variance_of_uniform_state() {
         // Single qubit, D = diag(0, 1): mean 1/2, variance 1/4.

@@ -48,7 +48,6 @@
 mod complex;
 mod state;
 
-pub mod circuit;
 pub mod diagonal;
 pub mod fused;
 pub mod gates;

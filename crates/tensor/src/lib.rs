@@ -8,10 +8,9 @@
 //! * [`Tape`] / [`Tensor`] — define-by-run reverse-mode automatic
 //!   differentiation with the operations graph networks use: matmul,
 //!   activations, dropout, masked row softmax (GAT attention), neighbor max
-//!   pooling (GraphSAGE), mean-pooling readout, and MSE/MAE/Huber losses.
-//! * [`optim`] — SGD and Adam (the paper's optimizer, §4.1).
-//! * [`sched`] — learning-rate schedulers including the paper's
-//!   ReduceLROnPlateau configuration.
+//!   pooling (GraphSAGE), mean-pooling readout, and the MSE loss (§4.1).
+//! * [`optim`] — Adam, the paper's optimizer (§4.1).
+//! * [`sched`] — the paper's ReduceLROnPlateau learning-rate scheduler.
 //!
 //! ## Example: one gradient step
 //!
@@ -39,7 +38,6 @@ mod matrix;
 mod tape;
 
 pub mod activation;
-pub mod io;
 pub mod optim;
 pub mod sched;
 

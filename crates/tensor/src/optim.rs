@@ -1,8 +1,7 @@
 //! First-order optimizers over tape parameters.
 //!
-//! The paper trains its GNNs with Adam (§4.1). [`Sgd`] (with optional
-//! momentum) and AdamW-style decoupled weight decay are provided for the
-//! architecture ablations. Optimizers read each parameter's gradient (filled
+//! The paper trains its GNNs with Adam (§4.1), here with optional AdamW-style
+//! decoupled weight decay. Optimizers read each parameter's gradient (filled
 //! in by [`crate::Tape::backward`]) and update the value in place.
 
 use std::collections::HashMap;
@@ -20,67 +19,6 @@ pub trait Optimizer {
     fn learning_rate(&self) -> f64;
     /// Overrides the learning rate (schedulers call this).
     fn set_learning_rate(&mut self, lr: f64);
-}
-
-/// Stochastic gradient descent with optional classical momentum.
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    lr: f64,
-    momentum: f64,
-    velocity: HashMap<usize, Matrix>,
-}
-
-impl Sgd {
-    /// Plain SGD with the given learning rate.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lr <= 0`.
-    pub fn new(lr: f64) -> Self {
-        Self::with_momentum(lr, 0.0)
-    }
-
-    /// SGD with momentum `μ`: `v ← μv + g`, `θ ← θ − lr·v`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lr <= 0` or `momentum` is outside `[0, 1)`.
-    pub fn with_momentum(lr: f64, momentum: f64) -> Self {
-        assert!(lr > 0.0, "learning rate must be positive");
-        assert!((0.0..1.0).contains(&momentum), "momentum must be in [0, 1)");
-        Sgd {
-            lr,
-            momentum,
-            velocity: HashMap::new(),
-        }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, params: &[Tensor]) {
-        for (i, p) in params.iter().enumerate() {
-            p.update_in_place(|value, grad| {
-                if self.momentum > 0.0 {
-                    let v = self
-                        .velocity
-                        .entry(i)
-                        .or_insert_with(|| Matrix::zeros(grad.rows(), grad.cols()));
-                    *v = v.scale(self.momentum).add(grad);
-                    value.add_scaled_assign(v, -self.lr);
-                } else {
-                    value.add_scaled_assign(grad, -self.lr);
-                }
-            });
-        }
-    }
-
-    fn learning_rate(&self) -> f64 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f64) {
-        self.lr = lr;
-    }
 }
 
 /// The Adam optimizer (Kingma & Ba), optionally with AdamW-style decoupled
@@ -265,20 +203,6 @@ mod tests {
     }
 
     #[test]
-    fn sgd_converges_on_quadratic() {
-        let w = train(Sgd::new(0.4), 200);
-        assert!((w[(0, 0)] - 1.0).abs() < 1e-3, "{w}");
-        assert!((w[(0, 1)] - 2.0).abs() < 1e-3);
-    }
-
-    #[test]
-    fn sgd_momentum_converges() {
-        let w = train(Sgd::with_momentum(0.1, 0.9), 300);
-        assert!((w[(0, 0)] - 1.0).abs() < 1e-2);
-        assert!((w[(0, 1)] - 2.0).abs() < 1e-2);
-    }
-
-    #[test]
     fn adam_converges_on_quadratic() {
         let w = train(Adam::new(0.1), 400);
         assert!((w[(0, 0)] - 1.0).abs() < 1e-2, "{w}");
@@ -309,15 +233,12 @@ mod tests {
         assert_eq!(opt.learning_rate(), 0.01);
         opt.set_learning_rate(0.002);
         assert_eq!(opt.learning_rate(), 0.002);
-        let mut sgd = Sgd::new(0.1);
-        sgd.set_learning_rate(0.05);
-        assert_eq!(sgd.learning_rate(), 0.05);
     }
 
     #[test]
     #[should_panic(expected = "positive")]
     fn bad_lr_rejected() {
-        let _ = Sgd::new(0.0);
+        let _ = Adam::new(0.0);
     }
 
     /// Export mid-run, rebuild, and finish training on both: the restored

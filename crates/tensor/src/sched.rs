@@ -5,8 +5,7 @@
 //! defined number of epochs. In particular, we set scheduler mode to min,
 //! factor to 5, patience to 5 and minimum learning rate to 1e-5" (§4.1).
 //! [`ReduceLrOnPlateau`] reproduces that behavior (interpreting "factor 5"
-//! as dividing the rate by 5, the multiplicative factor 0.2). [`StepLr`] and
-//! [`CosineAnnealing`] support the ablations.
+//! as dividing the rate by 5, the multiplicative factor 0.2).
 
 use crate::optim::Optimizer;
 
@@ -130,96 +129,14 @@ pub struct PlateauState {
     pub bad_epochs: usize,
 }
 
-/// Step decay: multiply the learning rate by `gamma` every `step_size`
-/// epochs.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StepLr {
-    /// Epochs between decays.
-    pub step_size: usize,
-    /// Multiplicative decay factor.
-    pub gamma: f64,
-    epoch: usize,
-    base_lr: Option<f64>,
-}
-
-impl StepLr {
-    /// Creates a step scheduler.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `step_size >= 1` and `0 < gamma <= 1`.
-    pub fn new(step_size: usize, gamma: f64) -> Self {
-        assert!(step_size >= 1, "step size must be at least 1");
-        assert!(gamma > 0.0 && gamma <= 1.0, "gamma must be in (0, 1]");
-        StepLr {
-            step_size,
-            gamma,
-            epoch: 0,
-            base_lr: None,
-        }
-    }
-
-    /// Advances one epoch and updates the optimizer's learning rate.
-    pub fn step<O: Optimizer + ?Sized>(&mut self, optimizer: &mut O) {
-        let base = *self
-            .base_lr
-            .get_or_insert_with(|| optimizer.learning_rate());
-        self.epoch += 1;
-        let decays = (self.epoch / self.step_size) as i32;
-        optimizer.set_learning_rate(base * self.gamma.powi(decays));
-    }
-}
-
-/// Cosine annealing from the optimizer's initial rate down to `eta_min`
-/// over `t_max` epochs.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CosineAnnealing {
-    /// Annealing horizon in epochs.
-    pub t_max: usize,
-    /// Final learning rate.
-    pub eta_min: f64,
-    epoch: usize,
-    base_lr: Option<f64>,
-}
-
-impl CosineAnnealing {
-    /// Creates a cosine-annealing scheduler.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `t_max >= 1` and `eta_min >= 0`.
-    pub fn new(t_max: usize, eta_min: f64) -> Self {
-        assert!(t_max >= 1, "t_max must be at least 1");
-        assert!(eta_min >= 0.0, "eta_min must be non-negative");
-        CosineAnnealing {
-            t_max,
-            eta_min,
-            epoch: 0,
-            base_lr: None,
-        }
-    }
-
-    /// Advances one epoch and updates the optimizer's learning rate.
-    pub fn step<O: Optimizer + ?Sized>(&mut self, optimizer: &mut O) {
-        let base = *self
-            .base_lr
-            .get_or_insert_with(|| optimizer.learning_rate());
-        self.epoch = (self.epoch + 1).min(self.t_max);
-        let progress = self.epoch as f64 / self.t_max as f64;
-        let lr = self.eta_min
-            + 0.5 * (base - self.eta_min) * (1.0 + (std::f64::consts::PI * progress).cos());
-        optimizer.set_learning_rate(lr);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::optim::Sgd;
+    use crate::optim::Adam;
 
     #[test]
     fn plateau_reduces_after_patience() {
-        let mut opt = Sgd::new(1.0);
+        let mut opt = Adam::new(1.0);
         let mut sched = ReduceLrOnPlateau::new(PlateauMode::Min, 0.2, 2, 1e-5);
         assert!(!sched.step(1.0, &mut opt)); // sets best
         assert!(!sched.step(1.0, &mut opt)); // bad 1
@@ -230,7 +147,7 @@ mod tests {
 
     #[test]
     fn plateau_resets_on_improvement() {
-        let mut opt = Sgd::new(1.0);
+        let mut opt = Adam::new(1.0);
         let mut sched = ReduceLrOnPlateau::new(PlateauMode::Min, 0.5, 1, 1e-5);
         sched.step(1.0, &mut opt);
         sched.step(1.0, &mut opt); // bad 1
@@ -243,7 +160,7 @@ mod tests {
 
     #[test]
     fn plateau_respects_min_lr() {
-        let mut opt = Sgd::new(1e-4);
+        let mut opt = Adam::new(1e-4);
         let mut sched = ReduceLrOnPlateau::paper_default();
         for _ in 0..100 {
             sched.step(1.0, &mut opt);
@@ -253,7 +170,7 @@ mod tests {
 
     #[test]
     fn plateau_max_mode() {
-        let mut opt = Sgd::new(1.0);
+        let mut opt = Adam::new(1.0);
         let mut sched = ReduceLrOnPlateau::new(PlateauMode::Max, 0.5, 0, 0.0);
         sched.step(0.5, &mut opt);
         assert!(sched.step(0.4, &mut opt)); // worse in max mode → reduce
@@ -271,36 +188,6 @@ mod tests {
     }
 
     #[test]
-    fn step_lr_decays_on_schedule() {
-        let mut opt = Sgd::new(1.0);
-        let mut sched = StepLr::new(2, 0.1);
-        sched.step(&mut opt); // epoch 1
-        assert_eq!(opt.learning_rate(), 1.0);
-        sched.step(&mut opt); // epoch 2 → decay once
-        assert!((opt.learning_rate() - 0.1).abs() < 1e-12);
-        sched.step(&mut opt); // epoch 3
-        assert!((opt.learning_rate() - 0.1).abs() < 1e-12);
-        sched.step(&mut opt); // epoch 4 → decay twice
-        assert!((opt.learning_rate() - 0.01).abs() < 1e-12);
-    }
-
-    #[test]
-    fn cosine_hits_eta_min_at_horizon() {
-        let mut opt = Sgd::new(1.0);
-        let mut sched = CosineAnnealing::new(10, 0.001);
-        let mut last = opt.learning_rate();
-        for _ in 0..10 {
-            sched.step(&mut opt);
-            assert!(opt.learning_rate() <= last + 1e-12, "monotone decay");
-            last = opt.learning_rate();
-        }
-        assert!((opt.learning_rate() - 0.001).abs() < 1e-9);
-        // Stays clamped past the horizon.
-        sched.step(&mut opt);
-        assert!((opt.learning_rate() - 0.001).abs() < 1e-9);
-    }
-
-    #[test]
     #[should_panic(expected = "factor")]
     fn bad_factor_rejected() {
         let _ = ReduceLrOnPlateau::new(PlateauMode::Min, 1.5, 5, 0.0);
@@ -311,14 +198,14 @@ mod tests {
     #[test]
     fn plateau_state_round_trip_preserves_decisions() {
         let metrics = [1.0, 0.9, 0.9, 0.9, 0.95, 0.9, 0.9, 0.9, 0.9, 0.85];
-        let mut opt_a = Sgd::new(1.0);
+        let mut opt_a = Adam::new(1.0);
         let mut sched_a = ReduceLrOnPlateau::new(PlateauMode::Min, 0.5, 2, 1e-5);
         for &m in &metrics[..4] {
             sched_a.step(m, &mut opt_a);
         }
         let state = sched_a.export_state();
 
-        let mut opt_b = Sgd::new(opt_a.learning_rate());
+        let mut opt_b = Adam::new(opt_a.learning_rate());
         let mut sched_b = ReduceLrOnPlateau::new(PlateauMode::Min, 0.5, 2, 1e-5);
         sched_b.import_state(&state);
         assert_eq!(sched_b.export_state(), state);

@@ -20,7 +20,6 @@ enum Op {
     Sigmoid(usize),
     Tanh(usize),
     Abs(usize),
-    Huber(usize, f64),
     Transpose(usize),
     SumAll(usize),
     MeanRows(usize),
@@ -51,7 +50,6 @@ impl Op {
             | Op::Sigmoid(a)
             | Op::Tanh(a)
             | Op::Abs(a)
-            | Op::Huber(a, _)
             | Op::Transpose(a)
             | Op::SumAll(a)
             | Op::MeanRows(a)
@@ -296,17 +294,6 @@ impl Tape {
                     });
                     grad.hadamard(&sign)
                 }),
-                // huber'(x) = x for |x| <= δ, δ·sign(x) otherwise.
-                Op::Huber(a, delta) => accumulate(nodes, a, |n| {
-                    let d = n[a].value.map(|v| {
-                        if v.abs() <= delta {
-                            v
-                        } else {
-                            delta * v.signum()
-                        }
-                    });
-                    grad.hadamard(&d)
-                }),
                 Op::Transpose(a) => accumulate(nodes, a, |_| grad.transpose()),
                 Op::SumAll(a) => accumulate(nodes, a, |n| {
                     let (rows, cols) = n[a].value.shape();
@@ -534,25 +521,6 @@ impl Tensor {
         self.unary(Op::Abs(self.id), |x| x.map(f64::abs))
     }
 
-    /// Elementwise Huber function `0.5x²` for `|x| ≤ δ`, else
-    /// `δ(|x| − δ/2)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `delta <= 0`.
-    pub fn huber(&self, delta: f64) -> Tensor {
-        assert!(delta > 0.0, "huber delta must be positive");
-        self.unary(Op::Huber(self.id, delta), |x| {
-            x.map(|v| {
-                if v.abs() <= delta {
-                    0.5 * v * v
-                } else {
-                    delta * (v.abs() - 0.5 * delta)
-                }
-            })
-        })
-    }
-
     /// Transpose.
     pub fn transpose(&self) -> Tensor {
         self.unary(Op::Transpose(self.id), Matrix::transpose)
@@ -658,26 +626,6 @@ impl Tensor {
         let d = self.sub(&t);
         d.hadamard(&d).mean()
     }
-
-    /// Mean-absolute-error loss against a constant target.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes differ.
-    pub fn mae(&self, target: &Matrix) -> Tensor {
-        let t = self.tape.constant(target.clone());
-        self.sub(&t).abs().mean()
-    }
-
-    /// Mean Huber loss against a constant target.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes differ or `delta <= 0`.
-    pub fn huber_loss(&self, target: &Matrix, delta: f64) -> Tensor {
-        let t = self.tape.constant(target.clone());
-        self.sub(&t).huber(delta).mean()
-    }
 }
 
 #[cfg(test)]
@@ -747,8 +695,7 @@ mod tests {
         grad_check(|_t, p| p.leaky_relu(0.2).sum(), init.clone(), 1e-5);
         grad_check(|_t, p| p.sigmoid().sum(), init.clone(), 1e-5);
         grad_check(|_t, p| p.tanh().sum(), init.clone(), 1e-5);
-        grad_check(|_t, p| p.abs().sum(), init.clone(), 1e-5);
-        grad_check(|_t, p| p.huber(0.6).sum(), init, 1e-5);
+        grad_check(|_t, p| p.abs().sum(), init, 1e-5);
     }
 
     #[test]
@@ -875,9 +822,6 @@ mod tests {
         let pred = tape.constant(Matrix::from_rows(&[&[1.0, 2.0]]));
         let target = Matrix::from_rows(&[&[0.0, 4.0]]);
         assert!((pred.mse(&target).value()[(0, 0)] - 2.5).abs() < 1e-12);
-        assert!((pred.mae(&target).value()[(0, 0)] - 1.5).abs() < 1e-12);
-        // Huber δ=1: 0.5·1² and 1·(2−0.5) → mean = (0.5 + 1.5)/2 = 1.0.
-        assert!((pred.huber_loss(&target, 1.0).value()[(0, 0)] - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -265,7 +265,6 @@ fn reports_serialize_into_the_run_artifact() {
     let report = LabelReport {
         total: 4,
         labeled: 3,
-        skipped_isomorphic: 0,
         failures: vec![LabelFailure {
             index: 2,
             reason: LabelFailureReason::Panic("boom".to_string()),

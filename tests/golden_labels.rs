@@ -168,71 +168,3 @@ fn label_graphs_goldens_pin_the_optimizer() {
         assert_eq!(entry.approx_ratio, ratio, "graph {i}: approx ratio");
     }
 }
-
-/// Isomorphism-deduped labeling: representatives stay bit-identical to
-/// the undeduped run, duplicates inherit the representative's scalars
-/// exactly (they are relabeling-invariant), and the report accounts for
-/// every simulation skipped.
-#[test]
-fn dedupe_replays_representative_labels_bit_identically() {
-    use qrand::seq::SliceRandom;
-
-    // The fixed batch plus relabeled copies of graphs 1 and 4 — same
-    // canonical forms, scrambled node names.
-    let mut batch = seed_batch();
-    let mut rng = StdRng::seed_from_u64(77);
-    for &dup_of in &[1usize, 4, 1] {
-        let n = batch[dup_of].n();
-        let mut perm: Vec<usize> = (0..n).collect();
-        perm.shuffle(&mut rng);
-        batch.push(batch[dup_of].relabel(&perm));
-    }
-    let duplicates = [(6usize, 1usize), (7, 4), (8, 1)];
-
-    let plain = LabelConfig::quick(40);
-    let deduped_config = plain.clone().with_dedupe_isomorphic(true);
-    let (baseline, baseline_report) = Dataset::label_graphs_checked(&batch, &plain, 2024);
-    let (deduped, report) = Dataset::label_graphs_checked(&batch, &deduped_config, 2024);
-
-    assert_eq!(baseline_report.skipped_isomorphic, 0);
-    assert_eq!(report.skipped_isomorphic, duplicates.len());
-    assert!(report.is_complete());
-    assert_eq!(deduped.len(), batch.len());
-
-    // Representatives (the original six) are bit-identical to the
-    // undeduped run: dedupe must not perturb their RNG substreams.
-    for i in 0..6 {
-        assert_eq!(
-            deduped.entries[i], baseline.entries[i],
-            "representative {i}"
-        );
-    }
-    // Duplicates carry their own graph but the representative's exact
-    // label scalars.
-    for &(dup, rep) in &duplicates {
-        let entry = &deduped.entries[dup];
-        let rep_entry = &deduped.entries[rep];
-        assert_eq!(
-            entry.graph, batch[dup],
-            "duplicate {dup} keeps its labeling"
-        );
-        assert_eq!(entry.params, rep_entry.params, "duplicate {dup}: params");
-        assert_eq!(
-            entry.expectation, rep_entry.expectation,
-            "duplicate {dup}: expectation"
-        );
-        assert_eq!(entry.optimal, rep_entry.optimal, "duplicate {dup}: optimal");
-        assert_eq!(
-            entry.approx_ratio, rep_entry.approx_ratio,
-            "duplicate {dup}: ratio"
-        );
-    }
-
-    // A batch with no isomorphic pairs round-trips bit-identically in
-    // full — dedupe enabled is then a pure no-op.
-    let unique = seed_batch();
-    let (plain_ds, _) = Dataset::label_graphs_checked(&unique, &plain, 2024);
-    let (deduped_ds, unique_report) = Dataset::label_graphs_checked(&unique, &deduped_config, 2024);
-    assert_eq!(unique_report.skipped_isomorphic, 0);
-    assert_eq!(deduped_ds.entries, plain_ds.entries);
-}
