@@ -388,7 +388,7 @@ mod tests {
                     .constant(x.clone())
                     .matmul(&params[0])
                     .add(&bias)
-                    .tanh();
+                    .sigmoid();
                 tape.backward(&out.mse(&target));
                 assert_eq!(params[2].grad().max_abs(), 0.0, "unused parameter");
                 if round == 5 {

@@ -9,23 +9,15 @@
 
 use crate::optim::Optimizer;
 
-/// Whether a monitored metric should decrease or increase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PlateauMode {
-    /// Improvement means the metric got smaller (loss — the paper's mode).
-    Min,
-    /// Improvement means the metric got larger (accuracy-style).
-    Max,
-}
-
-/// Reduce-on-plateau scheduler: cuts the learning rate by `factor` when the
-/// monitored metric has not improved for `patience` consecutive epochs.
+/// Reduce-on-plateau scheduler in the paper's `min` mode: cuts the learning
+/// rate by `factor` when the monitored loss has not fallen for `patience`
+/// consecutive epochs.
 ///
 /// # Example
 ///
 /// ```
 /// use tensor::optim::{Adam, Optimizer};
-/// use tensor::sched::{PlateauMode, ReduceLrOnPlateau};
+/// use tensor::sched::ReduceLrOnPlateau;
 ///
 /// let mut opt = Adam::new(0.01);
 /// let mut sched = ReduceLrOnPlateau::paper_default();
@@ -37,8 +29,6 @@ pub enum PlateauMode {
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReduceLrOnPlateau {
-    /// Improvement direction.
-    pub mode: PlateauMode,
     /// Multiplicative factor applied on plateau (e.g. `0.2` = divide by 5).
     pub factor: f64,
     /// Epochs without improvement before reducing.
@@ -55,11 +45,10 @@ impl ReduceLrOnPlateau {
     /// # Panics
     ///
     /// Panics unless `0 < factor < 1` and `min_lr >= 0`.
-    pub fn new(mode: PlateauMode, factor: f64, patience: usize, min_lr: f64) -> Self {
+    pub fn new(factor: f64, patience: usize, min_lr: f64) -> Self {
         assert!(factor > 0.0 && factor < 1.0, "factor must be in (0, 1)");
         assert!(min_lr >= 0.0, "min_lr must be non-negative");
         ReduceLrOnPlateau {
-            mode,
             factor,
             patience,
             min_lr,
@@ -71,7 +60,7 @@ impl ReduceLrOnPlateau {
     /// The paper's §4.1 configuration: mode `min`, factor 5 (i.e. ×0.2),
     /// patience 5, minimum learning rate `1e-5`.
     pub fn paper_default() -> Self {
-        Self::new(PlateauMode::Min, 0.2, 5, 1e-5)
+        Self::new(0.2, 5, 1e-5)
     }
 
     /// Snapshots the mutable scheduler state (best metric seen and the
@@ -93,15 +82,11 @@ impl ReduceLrOnPlateau {
         self.bad_epochs = state.bad_epochs;
     }
 
-    /// Reports one epoch's metric; reduces the optimizer's learning rate if
-    /// the plateau condition fires. Returns `true` when a reduction
-    /// happened.
+    /// Reports one epoch's loss (improvement means it got smaller); reduces
+    /// the optimizer's learning rate if the plateau condition fires. Returns
+    /// `true` when a reduction happened.
     pub fn step<O: Optimizer + ?Sized>(&mut self, metric: f64, optimizer: &mut O) -> bool {
-        let improved = match (self.best, self.mode) {
-            (None, _) => true,
-            (Some(best), PlateauMode::Min) => metric < best,
-            (Some(best), PlateauMode::Max) => metric > best,
-        };
+        let improved = self.best.is_none_or(|best| metric < best);
         if improved {
             self.best = Some(metric);
             self.bad_epochs = 0;
@@ -137,7 +122,7 @@ mod tests {
     #[test]
     fn plateau_reduces_after_patience() {
         let mut opt = Adam::new(1.0);
-        let mut sched = ReduceLrOnPlateau::new(PlateauMode::Min, 0.2, 2, 1e-5);
+        let mut sched = ReduceLrOnPlateau::new(0.2, 2, 1e-5);
         assert!(!sched.step(1.0, &mut opt)); // sets best
         assert!(!sched.step(1.0, &mut opt)); // bad 1
         assert!(!sched.step(1.0, &mut opt)); // bad 2 == patience
@@ -148,7 +133,7 @@ mod tests {
     #[test]
     fn plateau_resets_on_improvement() {
         let mut opt = Adam::new(1.0);
-        let mut sched = ReduceLrOnPlateau::new(PlateauMode::Min, 0.5, 1, 1e-5);
+        let mut sched = ReduceLrOnPlateau::new(0.5, 1, 1e-5);
         sched.step(1.0, &mut opt);
         sched.step(1.0, &mut opt); // bad 1
         sched.step(0.5, &mut opt); // improvement resets
@@ -169,19 +154,8 @@ mod tests {
     }
 
     #[test]
-    fn plateau_max_mode() {
-        let mut opt = Adam::new(1.0);
-        let mut sched = ReduceLrOnPlateau::new(PlateauMode::Max, 0.5, 0, 0.0);
-        sched.step(0.5, &mut opt);
-        assert!(sched.step(0.4, &mut opt)); // worse in max mode → reduce
-        assert_eq!(opt.learning_rate(), 0.5);
-        assert!(!sched.step(0.9, &mut opt)); // improvement
-    }
-
-    #[test]
     fn paper_default_matches_section_4_1() {
         let s = ReduceLrOnPlateau::paper_default();
-        assert_eq!(s.mode, PlateauMode::Min);
         assert!((s.factor - 0.2).abs() < 1e-12);
         assert_eq!(s.patience, 5);
         assert!((s.min_lr - 1e-5).abs() < 1e-18);
@@ -190,7 +164,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "factor")]
     fn bad_factor_rejected() {
-        let _ = ReduceLrOnPlateau::new(PlateauMode::Min, 1.5, 5, 0.0);
+        let _ = ReduceLrOnPlateau::new(1.5, 5, 0.0);
     }
 
     /// Export mid-sequence, import into a fresh scheduler, and drive both
@@ -199,14 +173,14 @@ mod tests {
     fn plateau_state_round_trip_preserves_decisions() {
         let metrics = [1.0, 0.9, 0.9, 0.9, 0.95, 0.9, 0.9, 0.9, 0.9, 0.85];
         let mut opt_a = Adam::new(1.0);
-        let mut sched_a = ReduceLrOnPlateau::new(PlateauMode::Min, 0.5, 2, 1e-5);
+        let mut sched_a = ReduceLrOnPlateau::new(0.5, 2, 1e-5);
         for &m in &metrics[..4] {
             sched_a.step(m, &mut opt_a);
         }
         let state = sched_a.export_state();
 
         let mut opt_b = Adam::new(opt_a.learning_rate());
-        let mut sched_b = ReduceLrOnPlateau::new(PlateauMode::Min, 0.5, 2, 1e-5);
+        let mut sched_b = ReduceLrOnPlateau::new(0.5, 2, 1e-5);
         sched_b.import_state(&state);
         assert_eq!(sched_b.export_state(), state);
 

@@ -18,8 +18,6 @@ enum Op {
     Relu(usize),
     LeakyRelu(usize, f64),
     Sigmoid(usize),
-    Tanh(usize),
-    Abs(usize),
     Transpose(usize),
     SumAll(usize),
     MeanRows(usize),
@@ -48,8 +46,6 @@ impl Op {
             | Op::Relu(a)
             | Op::LeakyRelu(a, _)
             | Op::Sigmoid(a)
-            | Op::Tanh(a)
-            | Op::Abs(a)
             | Op::Transpose(a)
             | Op::SumAll(a)
             | Op::MeanRows(a)
@@ -75,6 +71,22 @@ struct Node {
 fn add_grad(nodes: &mut [Node], a: usize, g: &Matrix, scale: f64) {
     if let Some(grad) = &mut nodes[a].grad {
         grad.add_scaled_assign(g, scale);
+    }
+}
+
+/// Adds `g ⊙ slope(x)` to node `a`'s gradient in one pass, where `x` is
+/// `a`'s value and `slope` a piecewise-constant derivative (ReLU, leaky
+/// ReLU). Per entry it adds `g · slope(x)`, the bits [`accumulate`] adds
+/// for `g.hadamard(&x.map(slope))` (its `· 1.0` is exact), without building
+/// either matrix.
+fn accumulate_slope(nodes: &mut [Node], a: usize, g: &Matrix, slope: impl Fn(f64) -> f64) {
+    let Node { value, grad, .. } = &mut nodes[a];
+    if let Some(grad) = grad {
+        assert_eq!(grad.shape(), g.shape(), "gradient shape mismatch");
+        let lanes = grad.data_mut().iter_mut().zip(g.data()).zip(value.data());
+        for ((acc, &g), &x) in lanes {
+            *acc += g * slope(x);
+        }
     }
 }
 
@@ -247,7 +259,10 @@ impl Tape {
             let Some(grad) = &node.grad else {
                 continue;
             };
-            if grad.max_abs() == 0.0 {
+            // A leaf has no inputs to pass a gradient on to. A gradient of
+            // only `±0.0` and NaN is skipped too (`max_abs() == 0.0`, but
+            // stopping at the first non-zero entry).
+            if matches!(node.op, Op::Leaf) || grad.is_zero() {
                 continue;
             }
             match node.op {
@@ -266,33 +281,18 @@ impl Tape {
                 }
                 Op::MatMul(a, b) => {
                     accumulate(nodes, a, |n| grad.matmul(&n[b].value.transpose()));
-                    accumulate(nodes, b, |n| n[a].value.transpose().matmul(grad));
+                    accumulate(nodes, b, |n| n[a].value.transpose_matmul(grad));
                 }
                 Op::Scale(a, s) => add_grad(nodes, a, grad, s),
-                Op::Relu(a) => accumulate(nodes, a, |n| {
-                    grad.hadamard(&n[a].value.map(|v| if v > 0.0 { 1.0 } else { 0.0 }))
-                }),
-                Op::LeakyRelu(a, slope) => accumulate(nodes, a, |n| {
-                    grad.hadamard(&n[a].value.map(|v| if v > 0.0 { 1.0 } else { slope }))
-                }),
+                Op::Relu(a) => {
+                    accumulate_slope(nodes, a, grad, |v| if v > 0.0 { 1.0 } else { 0.0 })
+                }
+                Op::LeakyRelu(a, slope) => {
+                    accumulate_slope(nodes, a, grad, |v| if v > 0.0 { 1.0 } else { slope })
+                }
                 // y = σ(x): dy/dx = y (1 - y); the node value is y.
                 Op::Sigmoid(a) => accumulate(nodes, a, |_| {
                     grad.hadamard(&node.value.map(|v| v * (1.0 - v)))
-                }),
-                Op::Tanh(a) => accumulate(nodes, a, |_| {
-                    grad.hadamard(&node.value.map(|v| 1.0 - v * v))
-                }),
-                Op::Abs(a) => accumulate(nodes, a, |n| {
-                    let sign = n[a].value.map(|v| {
-                        if v > 0.0 {
-                            1.0
-                        } else if v < 0.0 {
-                            -1.0
-                        } else {
-                            0.0
-                        }
-                    });
-                    grad.hadamard(&sign)
                 }),
                 Op::Transpose(a) => accumulate(nodes, a, |_| grad.transpose()),
                 Op::SumAll(a) => accumulate(nodes, a, |n| {
@@ -511,16 +511,6 @@ impl Tensor {
         self.unary(Op::Sigmoid(self.id), |x| x.map(crate::activation::sigmoid))
     }
 
-    /// Hyperbolic tangent.
-    pub fn tanh(&self) -> Tensor {
-        self.unary(Op::Tanh(self.id), |x| x.map(f64::tanh))
-    }
-
-    /// Elementwise absolute value.
-    pub fn abs(&self) -> Tensor {
-        self.unary(Op::Abs(self.id), |x| x.map(f64::abs))
-    }
-
     /// Transpose.
     pub fn transpose(&self) -> Tensor {
         self.unary(Op::Transpose(self.id), Matrix::transpose)
@@ -572,16 +562,13 @@ impl Tensor {
             return self.clone();
         }
         let keep = 1.0 - p;
+        let scale = 1.0 / keep;
         let (v, mask) = {
             let inner = self.tape.inner.borrow();
             let value = &inner.nodes[self.id].value;
-            let mask = value.map(|_| {
-                if rng.gen::<f64>() < keep {
-                    1.0 / keep
-                } else {
-                    0.0
-                }
-            });
+            // One draw per entry in row-major order; `scale · 1` is `scale`
+            // and `scale · 0` is `+0.0`, so no entry needs a branch.
+            let mask = value.map(|_| scale * f64::from(u8::from(rng.gen::<f64>() < keep)));
             (value.hadamard(&mask), mask)
         };
         self.tape.push(v, Op::Dropout(self.id, mask))
@@ -693,9 +680,7 @@ mod tests {
         let init = Matrix::from_rows(&[&[0.5, -0.8], &[1.2, -0.1]]);
         grad_check(|_t, p| p.relu().sum(), init.clone(), 1e-5);
         grad_check(|_t, p| p.leaky_relu(0.2).sum(), init.clone(), 1e-5);
-        grad_check(|_t, p| p.sigmoid().sum(), init.clone(), 1e-5);
-        grad_check(|_t, p| p.tanh().sum(), init.clone(), 1e-5);
-        grad_check(|_t, p| p.abs().sum(), init, 1e-5);
+        grad_check(|_t, p| p.sigmoid().sum(), init, 1e-5);
     }
 
     #[test]
@@ -802,6 +787,50 @@ mod tests {
         tape.set_training(false);
         let kept = x.dropout(0.5, &mut rng).value();
         assert_eq!(kept, Matrix::ones(10, 10));
+    }
+
+    /// The branching mask [`Tensor::dropout`] drew before it went
+    /// branch-free, kept as the bit oracle.
+    fn branchy_mask(rows: usize, cols: usize, p: f64, rng: &mut StdRng) -> Matrix {
+        let keep = 1.0 - p;
+        Matrix::zeros(rows, cols).map(|_| {
+            if rng.gen::<f64>() < keep {
+                1.0 / keep
+            } else {
+                0.0
+            }
+        })
+    }
+
+    #[test]
+    fn dropout_mask_matches_branchy_mask_bits() {
+        for p in [0.1, 0.5, 0.9] {
+            for (rows, cols) in [(1, 1), (3, 7), (10, 32), (16, 33)] {
+                let seed = 83 + rows as u64 * 100 + cols as u64;
+                let tape = Tape::new();
+                let x = tape.parameter(Matrix::from_flat(
+                    rows,
+                    cols,
+                    (0..rows * cols).map(|i| i as f64 - 7.5).collect(),
+                ));
+                let mut rng = StdRng::seed_from_u64(seed);
+                let y = x.dropout(p, &mut rng);
+                let mut oracle_rng = StdRng::seed_from_u64(seed);
+                let want = branchy_mask(rows, cols, p, &mut oracle_rng);
+                let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                let inner = tape.inner.borrow();
+                let Op::Dropout(_, ref mask) = inner.nodes[y.id].op else {
+                    panic!("dropout pushed no mask");
+                };
+                assert_eq!(bits(mask), bits(&want), "mask at p {p}, {rows}x{cols}");
+                assert_eq!(
+                    bits(&inner.nodes[y.id].value),
+                    bits(&x.value().hadamard(&want)),
+                    "value at p {p}, {rows}x{cols}"
+                );
+                assert_eq!(rng.gen::<u64>(), oracle_rng.gen::<u64>(), "rng position");
+            }
+        }
     }
 
     #[test]

@@ -11,8 +11,6 @@ enum UnaryOp {
     Relu,
     LeakyRelu,
     Sigmoid,
-    Tanh,
-    Abs,
     Scale,
     Transpose,
 }
@@ -22,8 +20,6 @@ fn apply_unary(op: UnaryOp, x: &Tensor) -> Tensor {
         UnaryOp::Relu => x.relu(),
         UnaryOp::LeakyRelu => x.leaky_relu(0.1),
         UnaryOp::Sigmoid => x.sigmoid(),
-        UnaryOp::Tanh => x.tanh(),
-        UnaryOp::Abs => x.abs(),
         UnaryOp::Scale => x.scale(1.7),
         // Double transpose keeps the shape compatible with later binary ops.
         UnaryOp::Transpose => x.transpose().transpose(),
@@ -35,14 +31,12 @@ fn arb_unary() -> impl Gen<Item = UnaryOp> {
         UnaryOp::Relu,
         UnaryOp::LeakyRelu,
         UnaryOp::Sigmoid,
-        UnaryOp::Tanh,
-        UnaryOp::Abs,
         UnaryOp::Scale,
         UnaryOp::Transpose,
     ])
 }
 
-/// Entries away from activation kinks (ReLU/Abs at 0) so finite differences
+/// Entries away from activation kinks (ReLU at 0) so finite differences
 /// are well-behaved: magnitude in [0.05, 2), either sign.
 fn arb_entries(n: usize) -> impl Gen<Item = Vec<f64>> {
     qcheck::vec(

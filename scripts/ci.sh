@@ -33,7 +33,7 @@ cargo test -q --offline | tee "$test_log"
 echo "==> test-count floor"
 # The suite must never silently shrink: the floor is the passing-test
 # count at the time of the last change to it. Raise it when adding tests.
-TEST_FLOOR=669
+TEST_FLOOR=672
 total=$(grep -oE '[0-9]+ passed' "$test_log" | awk '{s+=$1} END {print s+0}')
 rm -f "$test_log"
 if [ "$total" -lt "$TEST_FLOOR" ]; then
@@ -69,12 +69,15 @@ echo "==> serial golden pins (release build)"
 # commutative and nothing is contracted into an FMA. The memoized
 # warm-start trace must equal the bare trace under the same optimizations.
 # The golden artifact, checkpoint-bytes and checkpoint-state digests pin
-# Adam's no-FMA arithmetic, so they run here as well.
+# Adam's no-FMA arithmetic, so they run here as well. The blocked matmul,
+# the transpose-free Aᵀ·G and the transpose are vectorized only under
+# optimization, so their bit oracles (`kernels_*`) run here too.
 cargo test --release --offline -q -p qaoa-gnn --test golden_serial >/dev/null
 cargo test --release --offline -q -p qaoa --test bit_identity >/dev/null
 cargo test --release --offline -q -p qaoa --test memo_identity >/dev/null
 cargo test --release --offline -q -p qaoa-gnn --lib golden_digest >/dev/null
-echo "OK: serial state-vector path and golden digests match their pinned bits"
+cargo test --release --offline -q -p tensor --lib kernels >/dev/null
+echo "OK: serial state-vector path, tensor kernels and golden digests match their pinned bits"
 
 echo "==> artifact smoke (train tiny, save, reload in a fresh process, diff bits)"
 cargo run --release --offline -q -p qaoa-gnn-bench --bin artifact_smoke
