@@ -4,11 +4,13 @@
 //! and verifies the tentpole guarantees end to end:
 //!
 //! 1. **Closed loop** — `submitters` threads each keep exactly one request
-//!    outstanding (submit → wait → repeat), the classic closed-loop
-//!    arrival pattern that measures un-queued service latency. While the
-//!    phase runs, a swapper thread publishes `swaps` retrained artifacts
-//!    mid-traffic; every request must complete (zero drops) and at least
-//!    two artifact generations must be observed in the responses.
+//!    outstanding (`handle_wait` → repeat), the classic closed-loop
+//!    arrival pattern that measures un-queued service latency. A request
+//!    runs on its submitter's own thread when a worker slot is free and
+//!    queues otherwise; the totals line reports how many ran inline.
+//!    While the phase runs, a swapper thread publishes `swaps` retrained
+//!    artifacts mid-traffic; every request must complete (zero drops) and
+//!    at least two artifact generations must be observed in the responses.
 //! 2. **Open loop (forced saturation)** — submitters fire a burst of
 //!    requests *without* waiting, which drives the bounded queue through
 //!    its shed watermark and into hard capacity. Excess load must shed to
@@ -271,13 +273,14 @@ fn main() -> ExitCode {
     }
     println!(
         "swaps {} (generations observed in responses: {}), queue max depth {} (capacity 512), \
-         totals: served {} shed {} rejected {}",
+         totals: served {} shed {} rejected {}, served inline on the caller's thread {}",
         stats.generation,
         closed.generations_seen,
         stats.max_depth,
         stats.served,
         stats.shed,
         stats.rejected,
+        stats.served_inline,
     );
 
     let total_expected = (per_thread * submitters + burst_total) as u64;

@@ -19,7 +19,7 @@
 //! | [`SIM_EVAL`] | the guarded simulator verification | score becomes NaN (`Nan`) or evaluation panics |
 //! | [`JOURNAL_IO`] | [`crate::store::LabelJournal::append`] | append fails or panics |
 //! | [`HOT_SWAP`] | [`crate::serve_loop::ServeLoop::swap_artifact`] | swap rejected (`Error`) or panics; the old artifact keeps serving |
-//! | [`ADMISSION`] | [`crate::serve_loop::ServeLoop::submit`] | request refused (`Error`) or panics at admission |
+//! | [`ADMISSION`] | [`crate::serve_loop::ServeLoop::submit`] and [`crate::serve_loop::ServeLoop::handle_wait`] | request refused (`Error`) or panics at admission |
 //! | [`CACHE_LOOKUP`] | [`crate::cache::PredictionCache::lookup`] | the canonical-hash/lookup path panics (`Panic`) or aborts (`Error`/`Nan`); the request degrades to a normal GNN-rung miss |
 //! | [`CHECKPOINT_WRITE`] | the atomic training-checkpoint write, between tmp-file flush and rename | write fails (`Error`), panics (`Panic`), or pauses (`Stall`) with the tmp file visible — a kill window for crash harnesses |
 //! | [`ARTIFACT_SAVE`] | [`crate::store::RunArtifact::save`], between tmp-file flush and rename | save fails (`Error`), panics (`Panic`), or pauses (`Stall`); the previous artifact stays intact either way |
@@ -51,7 +51,7 @@
 //! stream: each [`ScheduledFault`] is a failpoint × action × firing window
 //! over a request-index range, with a bounded budget. The serving path
 //! tags the current request index on its thread
-//! ([`set_request_index`], set by the serve-loop worker per job), and a
+//! ([`set_request_index`], set on whichever thread serves the job), and a
 //! schedule installed with [`arm_schedule`] fires whenever a tagged
 //! request walks through a failpoint inside one of its windows. Because
 //! the windows are request-indexed (never time-based) and
@@ -84,8 +84,9 @@ pub const JOURNAL_IO: &str = "journal_io";
 /// incoming artifact's model rebuild fails (`Error`) or panics (`Panic`),
 /// and the loop must keep serving the old generation.
 pub const HOT_SWAP: &str = "hot_swap";
-/// Failpoint inside [`crate::serve_loop::ServeLoop::submit`]: admission
-/// refuses (`Error`) or panics (`Panic`) instead of enqueueing.
+/// Failpoint at admission in [`crate::serve_loop::ServeLoop::submit`] and
+/// [`crate::serve_loop::ServeLoop::handle_wait`]: admission refuses
+/// (`Error`) or panics (`Panic`) instead of serving.
 pub const ADMISSION: &str = "admission";
 /// Failpoint inside [`crate::cache::PredictionCache::lookup`], *before* the
 /// canonical hash is computed: a `Panic` unwinds out of the hash/lookup
@@ -228,8 +229,9 @@ thread_local! {
 
 /// Tags this thread as processing the request with the given index;
 /// scheduled faults whose window contains it may now fire here. The
-/// serve-loop worker calls this per job; the admission path calls it for
-/// the index being admitted.
+/// serve loop calls this per job on the thread serving it (a worker, or
+/// the caller of an inline `handle_wait`); the admission path calls it
+/// for the index being admitted.
 pub fn set_request_index(index: u64) {
     REQUEST_INDEX.with(|cell| cell.set(index));
 }

@@ -1451,6 +1451,7 @@ impl ToJson for crate::serve_loop::LoopMetrics {
             ("cache_invalidations", Json::uint(self.cache_invalidations)),
             ("cache_collisions", Json::uint(self.cache_collisions)),
             ("cache_lookup_faults", Json::uint(self.cache_lookup_faults)),
+            ("served_inline", Json::uint(self.served_inline)),
             ("health", Json::Str(self.health.to_string())),
         ])
     }

@@ -15,6 +15,22 @@
 //! answered inside its own panic guard and workers refuse to exit while
 //! the queue is non-empty (even during shutdown).
 //!
+//! **Inline service.** At most [`LoopConfig::workers`] requests are in
+//! service at once. One count, kept under the queue lock, covers both the
+//! workers holding a batch and the callers of [`ServeLoop::handle_wait`]
+//! serving their own request. When the queue is empty and a slot is free,
+//! `handle_wait` takes the slot and serves the request on the caller's
+//! thread: that is exactly the request an idle worker would have claimed
+//! with no queue wait, so capacity, watermark and deadline behaviour are
+//! unchanged, and a queued request is never overtaken. Otherwise it
+//! queues like [`ServeLoop::submit`]. A worker claims a batch only while
+//! a slot is free, and whoever frees a slot while jobs are queued wakes a
+//! worker. Both paths run one per-request body (request tag, shed
+//! decision, guarded ladder, counters), so no serving logic differs
+//! between them. The hand-off it skips — a condvar wake of a parked
+//! worker, a channel reply and two context switches — was most of a
+//! cache hit's latency.
+//!
 //! **Artifact hot-swap.** The active model is published as a
 //! `(generation, predictor)` pair behind a `Mutex`: one
 //! [`GuardedPredictor`] per generation, frozen once when it is published
@@ -48,8 +64,9 @@
 //! between requests: each request runs inside its own `catch_unwind`,
 //! every lock a worker takes recovers from poisoning, and Rust aborts on
 //! allocation failure rather than unwinding. What is left between two
-//! requests is atomics, a condvar wait and a channel send, none of which
-//! panics.
+//! requests is atomics, the queue lock (taken once per batch to claim and
+//! once to give back the service slot), a condvar wait and a channel
+//! send, none of which panics.
 //!
 //! A request that is not shed runs the full ladder on its own, exactly as
 //! [`GuardedPredictor::handle`] does outside the loop: a GNN-rung failure
@@ -61,7 +78,7 @@
 //! one observable state:
 //!
 //! ```text
-//! Starting ──first worker picks up work──► Ready ◄──────────┐
+//! Starting ──first request served────────► Ready ◄──────────┐
 //!                                            │              │ last reason
 //!                     any degradation reason │              │ clears
 //!                     (queue past watermark, │              │
@@ -115,9 +132,11 @@ use crate::store::RunArtifact;
 /// treatment as [`crate::pipeline::PipelineConfig`].
 #[derive(Debug, Clone)]
 pub struct LoopConfig {
-    /// Worker threads draining the queue. `0` resolves to
-    /// "available parallelism − 1" (leaving the submitting thread a core),
-    /// floored at 1. The loop spawns exactly this many threads, once.
+    /// Worker threads draining the queue, and the bound on requests in
+    /// service at once (inline [`ServeLoop::handle_wait`] callers
+    /// included). `0` resolves to "available parallelism − 1" (leaving the
+    /// submitting thread a core), floored at 1. The loop spawns exactly
+    /// this many threads, once.
     pub workers: usize,
     /// Hard queue bound: at this depth new requests shed inline on the
     /// caller thread instead of enqueueing. Memory is bounded by
@@ -250,8 +269,9 @@ struct Published {
 pub struct Completed {
     /// The typed response (outcome or typed rejection — never absent).
     pub response: ServeResponse,
-    /// Time the request spent queued before a worker picked it up
-    /// (0 for inline-shed admissions).
+    /// Time the request spent queued before a worker picked it up (0 when
+    /// it never queued: answered at admission, or served inline by
+    /// [`ServeLoop::handle_wait`]).
     pub queued_micros: u64,
     /// The artifact generation that answered (0-based; bumped by every
     /// successful [`ServeLoop::swap_artifact`]).
@@ -341,7 +361,7 @@ impl std::error::Error for WaitTimeout {}
 /// availability. See the module docs for the state machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Health {
-    /// Workers are up but none has picked up work yet.
+    /// No request has been served yet.
     Starting,
     /// Fully operational: queue below the watermark, model serving.
     Ready,
@@ -455,6 +475,10 @@ pub struct LoopMetrics {
     pub cache_collisions: u64,
     /// Cache lookup/insert faults contained on the serving path.
     pub cache_lookup_faults: u64,
+    /// Requests [`ServeLoop::handle_wait`] served on the caller's own
+    /// thread instead of through the queue (any outcome; also counted in
+    /// `served`, `shed` or `rejected`).
+    pub served_inline: u64,
     /// Current folded health state.
     pub health: Health,
 }
@@ -482,6 +506,15 @@ struct Job {
     reply: mpsc::Sender<Completed>,
 }
 
+/// The queue and the requests in service, under one lock.
+struct Queue {
+    jobs: VecDeque<Job>,
+    /// Requests being served right now: one per worker holding a batch
+    /// plus one per inline [`ServeLoop::handle_wait`] caller. Never above
+    /// `Shared::workers`.
+    in_service: usize,
+}
+
 struct Shared {
     /// The serving generation; read through [`Shared::published`].
     published: Mutex<Published>,
@@ -490,8 +523,10 @@ struct Shared {
     /// Canonical-form prediction cache attached to every published
     /// predictor (a no-op instance when the config disables caching).
     cache: Arc<PredictionCache>,
-    queue: Mutex<VecDeque<Job>>,
+    queue: Mutex<Queue>,
     available: Condvar,
+    /// The worker-thread count, and so the bound on `Queue::in_service`.
+    workers: usize,
     depth: AtomicUsize,
     shutdown: AtomicBool,
     served: AtomicU64,
@@ -501,9 +536,9 @@ struct Shared {
     batch_size: usize,
     /// Monotone submission counter; assigns `Job::index`.
     submitted: AtomicU64,
-    /// Set the first time any worker reaches its serving loop; gates
-    /// `Starting → Ready`.
+    /// Set the first time a request is served; gates `Starting → Ready`.
     ever_ready: AtomicBool,
+    served_inline: AtomicU64,
     shed_watermark_n: AtomicU64,
     shed_capacity_n: AtomicU64,
     shed_deadline_n: AtomicU64,
@@ -533,8 +568,69 @@ impl Shared {
         }
     }
 
-    fn lock_queue(&self) -> std::sync::MutexGuard<'_, VecDeque<Job>> {
+    fn lock_queue(&self) -> std::sync::MutexGuard<'_, Queue> {
         self.queue.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Takes a service slot for an inline request: only when no job is
+    /// queued (so none is overtaken) and a slot is free (so a worker could
+    /// have claimed the request at once).
+    fn try_claim_inline(&self) -> bool {
+        let mut queue = self.lock_queue();
+        let free = queue.jobs.is_empty() && queue.in_service < self.workers;
+        queue.in_service += usize::from(free);
+        free
+    }
+
+    /// Gives an inline slot back, waking a worker for any job that queued
+    /// behind it.
+    fn release_inline(&self) {
+        let mut queue = self.lock_queue();
+        queue.in_service -= 1;
+        if !queue.jobs.is_empty() {
+            drop(queue);
+            self.available.notify_one();
+        }
+    }
+
+    /// Serves one admitted request on the calling thread against
+    /// `published`, the generation read when its slot was claimed: the
+    /// worker loop and the inline path of [`ServeLoop::handle_wait`] both
+    /// end here. A deadline that expired while queued sheds now (a fast
+    /// degraded answer beats a late full-quality one); the request runs
+    /// inside its own panic guard and is counted once.
+    fn serve(
+        &self,
+        published: &Published,
+        index: u64,
+        request: &ServeRequest,
+        shed: Option<usize>,
+        queued_micros: u64,
+    ) -> Completed {
+        faults::set_request_index(index);
+        self.ever_ready.store(true, SeqCst);
+        let deadline_expired =
+            shed.is_none() && request.deadline_micros.is_some_and(|d| queued_micros > d);
+        if deadline_expired {
+            self.shed_deadline_n.fetch_add(1, SeqCst);
+        }
+        let shed = shed.or_else(|| deadline_expired.then(|| self.depth.load(SeqCst)));
+        let predictor = &published.predictor;
+        let response = catch_unwind(AssertUnwindSafe(|| match shed {
+            Some(at_depth) => predictor.handle_shed(request, at_depth),
+            None => predictor.handle(request),
+        }))
+        .unwrap_or_else(|payload| ServeResponse {
+            result: Err(RequestError::Internal(crate::serve::panic_message(
+                &payload,
+            ))),
+        });
+        self.record(&response);
+        Completed {
+            response,
+            queued_micros,
+            generation: published.generation,
+        }
     }
 
     /// A clone of the serving generation. The lock is held for the clone
@@ -595,6 +691,7 @@ impl ServeLoop {
     pub fn new(artifact: RunArtifact, config: LoopConfig) -> ServeLoop {
         let queue_capacity = config.queue_capacity.max(1);
         let shed_watermark = config.shed_watermark.min(queue_capacity);
+        let workers = config.resolved_workers();
         let cache = Arc::new(PredictionCache::new(config.cache.clone()));
         let predictor =
             GuardedPredictor::new(artifact, config.serve.clone()).with_cache(Arc::clone(&cache), 0);
@@ -605,8 +702,12 @@ impl ServeLoop {
             }),
             serve: config.serve.clone(),
             cache,
-            queue: Mutex::new(VecDeque::new()),
+            queue: Mutex::new(Queue {
+                jobs: VecDeque::new(),
+                in_service: 0,
+            }),
             available: Condvar::new(),
+            workers,
             depth: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
             served: AtomicU64::new(0),
@@ -616,6 +717,7 @@ impl ServeLoop {
             batch_size: config.batch_size.max(1),
             submitted: AtomicU64::new(0),
             ever_ready: AtomicBool::new(false),
+            served_inline: AtomicU64::new(0),
             shed_watermark_n: AtomicU64::new(0),
             shed_capacity_n: AtomicU64::new(0),
             shed_deadline_n: AtomicU64::new(0),
@@ -623,7 +725,7 @@ impl ServeLoop {
             rung_fixed: AtomicU64::new(0),
             rung_fallback: AtomicU64::new(0),
         });
-        let workers = (0..config.resolved_workers())
+        let workers = (0..workers)
             .map(|i| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
@@ -660,6 +762,46 @@ impl ServeLoop {
     ///   [`RequestError::Admission`] (a contained panic reports the same
     ///   way). Healthy saturation sheds; it never refuses.
     pub fn submit(&self, request: ServeRequest) -> Ticket {
+        match self.admit() {
+            Ok(index) => self.enqueue(index, request),
+            Err(refusal) => Ticket::Ready(self.refuse(&refusal)),
+        }
+    }
+
+    /// [`Self::submit`] + [`Ticket::wait`]: the synchronous path.
+    ///
+    /// When no job is queued and fewer than [`LoopConfig::workers`]
+    /// requests are in service, the request is served right here on the
+    /// caller's thread, exactly as an idle worker would have served it
+    /// with no queue wait: same admission, same watermark decision (at
+    /// depth 0), same ladder and panic guard, and it holds one of the
+    /// `workers` service slots while it runs. That skips the hand-off to
+    /// a worker and the reply channel. Otherwise it queues behind the
+    /// waiting jobs like any [`Self::submit`]. Either way exactly one
+    /// [`Completed`] comes back; [`LoopMetrics::served_inline`] counts the
+    /// inline ones. Guard-armed failpoints ([`crate::faults::armed`]) fire
+    /// only on the arming thread, so they do fire for a request that
+    /// thread serves inline, and never for one a worker serves.
+    pub fn handle_wait(&self, request: ServeRequest) -> Completed {
+        let index = match self.admit() {
+            Ok(index) => index,
+            Err(refusal) => return self.refuse(&refusal),
+        };
+        if !self.shared.try_claim_inline() {
+            return self.enqueue(index, request).wait();
+        }
+        let shed = self.watermark_shed(0, &request);
+        let published = self.shared.published();
+        let completed = self.shared.serve(&published, index, &request, shed, 0);
+        self.shared.served_inline.fetch_add(1, SeqCst);
+        self.shared.release_inline();
+        completed
+    }
+
+    /// The admission prologue of every request: draws its index, tags the
+    /// calling thread with it, and fires the `admission` failpoint. `Err`
+    /// carries the refusal's message for [`Self::refuse`].
+    fn admit(&self) -> Result<u64, String> {
         // Tag the submitting thread with this request's index so a chaos
         // schedule can target admission (and anything else the caller does
         // between submissions, e.g. hot-swaps) by request index.
@@ -668,14 +810,28 @@ impl ServeLoop {
         match catch_unwind(AssertUnwindSafe(|| {
             faults::fire_may_panic(faults::ADMISSION)
         })) {
-            Ok(None) => {}
-            Ok(Some(_)) => return self.refuse("fault injected: admission"),
+            Ok(None) => Ok(index),
+            Ok(Some(_)) => Err("fault injected: admission".to_string()),
             Err(payload) => {
                 let msg = crate::serve::panic_message(&payload);
-                return self.refuse(&format!("admission panicked (contained): {msg}"));
+                Err(format!("admission panicked (contained): {msg}"))
             }
         }
+    }
 
+    /// The watermark decision for a request admitted at queue `depth`:
+    /// past the watermark, [`Priority::Normal`] sheds.
+    fn watermark_shed(&self, depth: usize, request: &ServeRequest) -> Option<usize> {
+        let shed =
+            (depth >= self.shed_watermark && request.priority == Priority::Normal).then_some(depth);
+        if shed.is_some() {
+            self.shared.shed_watermark_n.fetch_add(1, SeqCst);
+        }
+        shed
+    }
+
+    /// Queues an admitted request, or sheds it inline at hard capacity.
+    fn enqueue(&self, index: u64, request: ServeRequest) -> Ticket {
         // Reserve a slot; if the queue is hard-full, give the slot back and
         // answer from the shed ladder right here on the caller thread —
         // bounded memory and backpressure in one move.
@@ -693,11 +849,7 @@ impl ServeLoop {
             });
         }
         self.shared.max_depth.fetch_max(depth + 1, SeqCst);
-        let shed =
-            (depth >= self.shed_watermark && request.priority == Priority::Normal).then_some(depth);
-        if shed.is_some() {
-            self.shared.shed_watermark_n.fetch_add(1, SeqCst);
-        }
+        let shed = self.watermark_shed(depth, &request);
         let (tx, rx) = mpsc::channel();
         let job = Job {
             index,
@@ -706,15 +858,9 @@ impl ServeLoop {
             enqueued: Instant::now(),
             reply: tx,
         };
-        self.shared.lock_queue().push_back(job);
+        self.shared.lock_queue().jobs.push_back(job);
         self.shared.available.notify_one();
         Ticket::Pending(rx)
-    }
-
-    /// [`Self::submit`] + [`Ticket::wait`]: the synchronous convenience
-    /// path.
-    pub fn handle_wait(&self, request: ServeRequest) -> Completed {
-        self.submit(request).wait()
     }
 
     /// Atomically publishes a retrained artifact to all workers,
@@ -797,6 +943,7 @@ impl ServeLoop {
             cache_invalidations: cache.invalidations,
             cache_collisions: cache.collisions,
             cache_lookup_faults: cache.lookup_faults,
+            served_inline: shared.served_inline.load(SeqCst),
             health: self.health().state,
         }
     }
@@ -850,16 +997,16 @@ impl ServeLoop {
         self.shared.published().generation
     }
 
-    fn refuse(&self, message: &str) -> Ticket {
+    fn refuse(&self, message: &str) -> Completed {
         let response = ServeResponse {
             result: Err(RequestError::Admission(message.to_string())),
         };
         self.shared.record(&response);
-        Ticket::Ready(Completed {
+        Completed {
             response,
             queued_micros: 0,
             generation: self.generation(),
-        })
+        }
     }
 }
 
@@ -884,68 +1031,43 @@ impl Drop for ServeLoop {
     }
 }
 
-/// One worker: claim a batch under the lock, resolve the published
-/// generation once, serve the batch with no lock held, repeat. Exits only
-/// when shut down *and* the queue is empty. Nothing outside the
-/// per-request guard can panic (module docs, "Workers"), so every claimed
-/// job is answered.
+/// One worker: claim a batch and a service slot under the lock, resolve
+/// the published generation once, serve the batch with no lock held, give
+/// the slot back, repeat. Exits only when shut down *and* the queue is
+/// empty. Nothing outside the per-request guard can panic (module docs,
+/// "Workers"), so every claimed job is answered.
 fn worker_loop(shared: &Shared) {
     let mut batch = Vec::new();
+    let mut queue = shared.lock_queue();
     loop {
-        {
-            let mut queue = shared.lock_queue();
-            while queue.is_empty() {
-                if shared.shutdown.load(SeqCst) {
-                    return;
-                }
-                queue = shared
-                    .available
-                    .wait(queue)
-                    .unwrap_or_else(|e| e.into_inner());
+        // Inline callers may hold every slot; whoever frees one while jobs
+        // wait wakes a worker.
+        while queue.jobs.is_empty() || queue.in_service >= shared.workers {
+            if queue.jobs.is_empty() && shared.shutdown.load(SeqCst) {
+                return;
             }
-            let claim = queue.len().min(shared.batch_size);
-            batch.extend(queue.drain(..claim));
+            queue = shared
+                .available
+                .wait(queue)
+                .unwrap_or_else(|e| e.into_inner());
         }
-        shared.ever_ready.store(true, SeqCst);
+        let claim = queue.jobs.len().min(shared.batch_size);
+        batch.extend(queue.jobs.drain(..claim));
+        queue.in_service += 1;
+        drop(queue);
 
         let published = shared.published();
-        let predictor = &published.predictor;
-        let generation = published.generation;
-
         for job in batch.drain(..) {
-            faults::set_request_index(job.index);
             shared.depth.fetch_sub(1, SeqCst);
             let queued_micros = job.enqueued.elapsed().as_micros() as u64;
-            // A deadline that expired while queued sheds now: a fast
-            // degraded answer beats a late full-quality one.
-            let deadline_expired = job.shed.is_none()
-                && job
-                    .request
-                    .deadline_micros
-                    .is_some_and(|d| queued_micros > d);
-            if deadline_expired {
-                shared.shed_deadline_n.fetch_add(1, SeqCst);
-            }
-            let shed = job
-                .shed
-                .or_else(|| deadline_expired.then(|| shared.depth.load(SeqCst)));
-            let response = catch_unwind(AssertUnwindSafe(|| match shed {
-                Some(at_depth) => predictor.handle_shed(&job.request, at_depth),
-                None => predictor.handle(&job.request),
-            }))
-            .unwrap_or_else(|payload| ServeResponse {
-                result: Err(RequestError::Internal(crate::serve::panic_message(
-                    &payload,
-                ))),
-            });
-            shared.record(&response);
+            let completed =
+                shared.serve(&published, job.index, &job.request, job.shed, queued_micros);
             // A dropped receiver (caller gave up on the ticket) is fine;
             // the request was still served and counted.
-            let _ = job.reply.send(Completed {
-                response,
-                queued_micros,
-                generation,
-            });
+            let _ = job.reply.send(completed);
         }
+
+        queue = shared.lock_queue();
+        queue.in_service -= 1;
     }
 }

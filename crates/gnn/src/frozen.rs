@@ -188,11 +188,17 @@ impl Frozen {
                 let s_src = z.matmul(a_src);
                 let s_dst = z.matmul(a_dst);
                 let n = z.rows();
+                let slope = self.config.leaky_slope;
+                // Row v of the scores over the n×1 columns' slices: the
+                // same sums as indexing (v, u), without a call per entry.
                 let mut scores = Matrix::zeros(n, n);
-                for v in 0..n {
-                    for u in 0..n {
-                        scores[(v, u)] =
-                            leaky_relu(s_src[(v, 0)] + s_dst[(u, 0)], self.config.leaky_slope);
+                for (row, &src) in scores
+                    .data_mut()
+                    .chunks_exact_mut(n.max(1))
+                    .zip(s_src.data())
+                {
+                    for (score, &dst) in row.iter_mut().zip(s_dst.data()) {
+                        *score = leaky_relu(src + dst, slope);
                     }
                 }
                 scores.masked_row_softmax(mask).matmul(&z)

@@ -3,10 +3,15 @@
 //! deadline boundaries, per-request degradation (a GNN failure on one
 //! graph never degrades another), mid-traffic hot-swap correctness (no
 //! torn or stale artifact, old generation keeps serving on a refused
-//! swap), the `admission` and `hot_swap` failpoints, and the zero-drop
-//! shutdown contract. The published generation sits behind a std `Mutex`, so
+//! swap), the `admission` and `hot_swap` failpoints, the zero-drop
+//! shutdown contract, and `handle_wait`'s inline service (bounded by the
+//! worker count, never ahead of a queued request, admitted and shed like
+//! a submission). The published generation sits behind a std `Mutex`, so
 //! these tests check the protocol around it: generations never go
 //! backwards for a caller, and racing swaps publish in numbering order.
+
+use std::sync::{mpsc, Arc, Mutex};
+use std::time::{Duration, Instant};
 
 use qrand::rngs::StdRng;
 use qrand::SeedableRng;
@@ -17,8 +22,8 @@ use qaoa_gnn::dataset::{LabelConfig, LabelReport};
 use qaoa_gnn::faults::{self, FaultAction, FaultSchedule};
 use qaoa_gnn::pipeline::{Pipeline, PipelineConfig};
 use qaoa_gnn::serve::{Priority, RequestError, ServeRequest, SkipReason};
-use qaoa_gnn::serve_loop::{LoopConfig, ServeLoop, SwapError, Ticket};
-use qaoa_gnn::{GuardedPredictor, RunArtifact, Rung, ServeConfig, TrainingEnvelope};
+use qaoa_gnn::serve_loop::{Completed, Health, LoopConfig, ServeLoop, SwapError, Ticket};
+use qaoa_gnn::{GuardedPredictor, Json, RunArtifact, Rung, ServeConfig, ToJson, TrainingEnvelope};
 use qgraph::generate::DatasetSpec;
 use qgraph::Graph;
 
@@ -671,4 +676,283 @@ fn cache_churn_through_loop_respects_bounds_and_keeps_recency() {
         replay.cached,
         "the most recently inserted graph must survive LRU"
     );
+}
+
+// ------------------------------------------------------- inline service
+
+/// Polls `done` every millisecond for up to ten seconds.
+fn wait_until(what: &str, done: impl Fn() -> bool) {
+    let start = Instant::now();
+    while !done() {
+        assert!(
+            start.elapsed() < Duration::from_secs(10),
+            "timed out waiting until {what}"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+const HOLDER: &str = "inline-holder";
+
+/// Holds one request in service on a helper thread until the returned
+/// sender fires. The helper arms `forward` to panic (guard-armed faults
+/// fire only on the arming thread) and calls `handle_wait` on an idle
+/// loop, so the fault fires only if that request is served inline on the
+/// helper's own thread. A panic hook, which runs on the panicking thread
+/// before the request's guard catches the unwind, parks it there, holding
+/// its service slot. Every other panic goes to the previous hook, which
+/// is back in place once the helper is joined.
+fn hold_inline_request(
+    serve: &Arc<ServeLoop>,
+) -> (mpsc::Sender<()>, std::thread::JoinHandle<Completed>) {
+    let (parked_tx, parked_rx) = mpsc::channel();
+    let (release_tx, release_rx) = mpsc::channel::<()>();
+    let gate = Mutex::new((parked_tx, release_rx));
+    let previous = Arc::new(std::panic::take_hook());
+    let fallback = Arc::clone(&previous);
+    std::panic::set_hook(Box::new(move |info| {
+        if std::thread::current().name() == Some(HOLDER) {
+            let gate = gate.lock().unwrap();
+            let _ = gate.0.send(());
+            let _ = gate.1.recv();
+        } else {
+            fallback(info);
+        }
+    }));
+    let serve = Arc::clone(serve);
+    let holder = std::thread::Builder::new()
+        .name(HOLDER.to_string())
+        .spawn(move || {
+            let _fault = faults::armed(faults::FORWARD, FaultAction::Panic, 1);
+            let done = serve.handle_wait(ServeRequest::from_graph(Graph::cycle(6).unwrap()));
+            let _ = std::panic::take_hook();
+            std::panic::set_hook(Box::new(move |info| previous(info)));
+            done
+        })
+        .unwrap();
+    parked_rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("the idle loop's first handle_wait must run on the caller's thread");
+    (release_tx, holder)
+}
+
+/// One worker, and one inline caller holding the only service slot: the
+/// worker must not claim, later `handle_wait` callers must queue, and
+/// nothing is answered until the slot frees. Then every caller gets
+/// exactly one reply, from the worker.
+#[test]
+fn inline_caller_holds_the_only_slot_so_callers_queue_and_the_worker_waits() {
+    const CALLERS: usize = 6;
+    let serve = Arc::new(ServeLoop::new(
+        artifact(9601),
+        LoopConfig::default().with_workers(1).with_batch_size(8),
+    ));
+    let (release, holder) = hold_inline_request(&serve);
+    let (replies_tx, replies) = mpsc::channel();
+    let callers: Vec<_> = (0..CALLERS)
+        .map(|i| {
+            let serve = Arc::clone(&serve);
+            let replies_tx = replies_tx.clone();
+            std::thread::spawn(move || {
+                let done =
+                    serve.handle_wait(ServeRequest::from_graph(Graph::cycle(4 + i).unwrap()));
+                replies_tx.send(done).unwrap();
+            })
+        })
+        .collect();
+    wait_until("every caller queued", || {
+        serve.metrics().queue_depth == CALLERS
+    });
+    // Time for a worker that wrongly claims to serve something.
+    std::thread::sleep(Duration::from_millis(20));
+    let held = serve.metrics();
+    assert_eq!(held.queue_depth, CALLERS);
+    assert_eq!(held.total(), 0, "answered past the service bound: {held:?}");
+
+    release.send(()).unwrap();
+    let done = holder.join().unwrap();
+    assert_eq!(done.queued_micros, 0);
+    let outcome = done.response.result.unwrap();
+    assert_eq!(outcome.rung, Rung::FixedAngle);
+    assert_eq!(outcome.skips[0].reason, SkipReason::Panicked);
+    for _ in 0..CALLERS {
+        let done = replies
+            .recv_timeout(Duration::from_secs(10))
+            .expect("freeing the slot must wake a worker for the queued callers");
+        assert!(done.queued_micros > 0, "a queued caller waited");
+        assert_eq!(done.response.result.unwrap().rung, Rung::Gnn);
+    }
+    for caller in callers {
+        caller.join().unwrap();
+    }
+    let metrics = serve.metrics();
+    assert_eq!(metrics.total(), 1 + CALLERS as u64);
+    assert_eq!(metrics.served_inline, 1, "only the holder ran inline");
+    assert_eq!(metrics.queue_depth, 0);
+}
+
+/// Many closed-loop callers on two workers: each call returns exactly one
+/// reply, bit-identical to a standalone predictor's, whichever path served
+/// it, and the counters add up to the calls made.
+#[test]
+fn many_threads_through_handle_wait_get_exactly_one_reply_each() {
+    const THREADS: usize = 8;
+    const CALLS: usize = 40;
+    let serve = Arc::new(ServeLoop::new(
+        artifact(9701),
+        LoopConfig::default().with_workers(2).with_batch_size(4),
+    ));
+    let reference = GuardedPredictor::new(artifact(9701), ServeConfig::default());
+    let expected: Vec<_> = (3..=12usize)
+        .map(|n| {
+            reference
+                .handle(&ServeRequest::from_graph(Graph::cycle(n).unwrap()))
+                .result
+                .unwrap()
+        })
+        .collect();
+    let expected = Arc::new(expected);
+    let threads: Vec<_> = (0..THREADS)
+        .map(|t| {
+            let serve = Arc::clone(&serve);
+            let expected = Arc::clone(&expected);
+            std::thread::spawn(move || {
+                for call in 0..CALLS {
+                    let k = (t + call) % expected.len();
+                    let graph = Graph::cycle(3 + k).unwrap();
+                    let done = serve.handle_wait(ServeRequest::from_graph(graph));
+                    assert_eq!(done.generation, 0);
+                    assert_eq!(done.response.result.unwrap(), expected[k]);
+                }
+            })
+        })
+        .collect();
+    for thread in threads {
+        thread.join().unwrap();
+    }
+    let metrics = serve.metrics();
+    assert_eq!(metrics.total(), (THREADS * CALLS) as u64);
+    assert_eq!(metrics.served, (THREADS * CALLS) as u64);
+    assert!(metrics.served_inline >= 1 && metrics.served_inline <= metrics.served);
+    assert_eq!(metrics.queue_depth, 0);
+    assert_eq!(metrics.health, Health::Ready);
+}
+
+/// The `admission` failpoint refuses a `handle_wait` request before it
+/// can take a slot, with the same reply `submit` gives.
+#[test]
+fn admission_failpoint_refuses_inline_requests_as_submit_does() {
+    let serve = small_loop(64, 64);
+    for action in [FaultAction::Error, FaultAction::Panic] {
+        let graph = Graph::cycle(5).unwrap();
+        let submitted = {
+            let _fault = faults::armed(faults::ADMISSION, action, 1);
+            serve.submit(ServeRequest::from_graph(graph.clone())).wait()
+        };
+        let inline = {
+            let _fault = faults::armed(faults::ADMISSION, action, 1);
+            serve.handle_wait(ServeRequest::from_graph(graph))
+        };
+        let refusal = |done: Completed| match done.response.result {
+            Err(RequestError::Admission(message)) => message,
+            other => panic!("expected an admission refusal, got {other:?}"),
+        };
+        assert_eq!(inline.queued_micros, 0);
+        assert_eq!(refusal(inline), refusal(submitted), "{action}");
+    }
+    let metrics = serve.metrics();
+    assert_eq!(metrics.rejected, 4);
+    assert_eq!(metrics.served_inline, 0, "a refusal takes no slot");
+    let done = serve.handle_wait(ServeRequest::from_graph(Graph::cycle(5).unwrap()));
+    assert_eq!(done.response.result.unwrap().rung, Rung::Gnn);
+    assert_eq!(serve.metrics().served_inline, 1);
+}
+
+/// Watermark 0 sheds a `Priority::Normal` request served inline exactly
+/// as `submit` sheds one admitted at depth 0; `Priority::High` keeps the
+/// full ladder.
+#[test]
+fn zero_watermark_sheds_inline_normal_requests_as_submit_does() {
+    let serve = small_loop(64, 0);
+    let graph = Graph::cycle(9).unwrap();
+    let submitted = serve
+        .submit(ServeRequest::from_graph(graph.clone()))
+        .wait()
+        .response
+        .result
+        .unwrap();
+    let inline = serve.handle_wait(ServeRequest::from_graph(graph.clone()));
+    let outcome = inline.response.result.unwrap();
+    assert_eq!(outcome.skips[0].reason, SkipReason::Shed { queue_depth: 0 });
+    assert_eq!(outcome, submitted);
+    let high = serve.handle_wait(ServeRequest::from_graph(graph).with_priority(Priority::High));
+    assert_eq!(high.response.result.unwrap().rung, Rung::Gnn);
+    let metrics = serve.metrics();
+    assert_eq!(metrics.shed_watermark, 2);
+    assert_eq!(metrics.served_inline, 2);
+    assert_eq!((metrics.shed, metrics.served), (2, 1));
+}
+
+/// "First request served" counts a request served on the caller's thread:
+/// a loop that only ever served inline reports `Ready`.
+#[test]
+fn health_is_ready_after_inline_only_traffic() {
+    let serve = small_loop(64, 64);
+    assert_eq!(serve.health().state, Health::Starting);
+    let done = serve.handle_wait(ServeRequest::from_graph(Graph::cycle(7).unwrap()));
+    assert_eq!(done.queued_micros, 0);
+    assert_eq!(done.response.result.unwrap().rung, Rung::Gnn);
+    let metrics = serve.metrics();
+    assert_eq!(metrics.served_inline, 1, "an idle loop serves inline");
+    assert_eq!(metrics.health, Health::Ready);
+    assert_eq!(serve.health().state, Health::Ready);
+}
+
+/// Every `LoopMetrics` counter survives the JSON form, `served_inline`
+/// included.
+#[test]
+fn loop_metrics_json_round_trips_every_counter() {
+    let serve = small_loop(64, 64);
+    for n in 4..8 {
+        serve.handle_wait(ServeRequest::from_graph(Graph::cycle(n).unwrap()));
+    }
+    serve
+        .submit(ServeRequest::from_graph(Graph::cycle(8).unwrap()))
+        .wait();
+    let m = serve.metrics();
+    let parsed = Json::parse(&m.to_json().to_compact()).unwrap();
+    let read = |key: &str| parsed.get(key).unwrap().as_u64().unwrap();
+    let counters = [
+        ("served", m.served),
+        ("shed", m.shed),
+        ("rejected", m.rejected),
+        ("shed_watermark", m.shed_watermark),
+        ("shed_capacity", m.shed_capacity),
+        ("shed_deadline", m.shed_deadline),
+        ("generation", m.generation),
+        ("max_depth", m.max_depth as u64),
+        ("queue_depth", m.queue_depth as u64),
+        ("workers_target", m.workers_target as u64),
+        ("rung_gnn", m.rung_gnn),
+        ("rung_fixed", m.rung_fixed),
+        ("rung_fallback", m.rung_fallback),
+        ("cache_hits", m.cache_hits),
+        ("cache_misses", m.cache_misses),
+        ("cache_inserts", m.cache_inserts),
+        ("cache_evictions", m.cache_evictions),
+        ("cache_invalidations", m.cache_invalidations),
+        ("cache_collisions", m.cache_collisions),
+        ("cache_lookup_faults", m.cache_lookup_faults),
+        ("served_inline", m.served_inline),
+    ];
+    for (key, value) in counters {
+        assert_eq!(read(key), value, "{key}");
+    }
+    assert_eq!(parsed.as_obj().unwrap().len(), counters.len() + 1);
+    assert_eq!(
+        parsed.get("health").unwrap().as_str().unwrap(),
+        m.health.to_string()
+    );
+    assert_eq!(m.served_inline, 4);
+    assert_eq!(m.served, 5);
 }
