@@ -110,8 +110,7 @@ fn run_once(seed: u64, requests: u64, workers: usize) -> RunReport {
         LoopConfig::default()
             .with_workers(workers)
             .with_queue_capacity(256)
-            .with_shed_watermark(256)
-            .with_batch_size(8),
+            .with_shed_watermark(256),
     );
     let start = Instant::now();
     let mut digest = FNV1A_OFFSET;

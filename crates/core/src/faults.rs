@@ -328,24 +328,6 @@ pub fn fire(name: &str) -> Option<FaultAction> {
     None
 }
 
-/// `true` when the named failpoint is currently armed for this thread —
-/// guard-armed here, env-armed anywhere, or covered by a live schedule
-/// window for the request this thread is tagged with. Does not consume a
-/// firing.
-pub fn is_armed(name: &str) -> bool {
-    let mut reg = lock();
-    load_env(&mut reg);
-    if reg.armed.iter().any(|a| matches_here(a, name)) {
-        return true;
-    }
-    let index = current_request_index();
-    index != u64::MAX
-        && reg
-            .schedule
-            .iter()
-            .any(|e| e.matches(name, index) && e.budget > 0)
-}
-
 /// Panics with a recognizable message if the failpoint fires with
 /// [`FaultAction::Panic`]; otherwise returns the fired action (if any) for
 /// the caller to apply. Convenience for hook sites whose panic handling is
@@ -529,11 +511,6 @@ impl ScheduleGuard {
     pub fn fired(&self) -> u64 {
         lock().schedule_fired
     }
-
-    /// Sum of the remaining budgets of the installed schedule.
-    pub fn remaining_budget(&self) -> u64 {
-        lock().schedule.iter().map(|e| e.budget).sum()
-    }
 }
 
 impl Drop for ScheduleGuard {
@@ -569,27 +546,24 @@ mod tests {
     fn unarmed_failpoints_fire_nothing() {
         let _guard = armed("some_other_point", FaultAction::Nan, 1);
         assert_eq!(fire("not_armed"), None);
-        assert!(!is_armed("not_armed"));
     }
 
     #[test]
     fn armed_failpoint_fires_exactly_count_times() {
         let _guard = armed(FORWARD, FaultAction::Nan, 3);
-        assert!(is_armed(FORWARD));
         for _ in 0..3 {
             assert_eq!(fire(FORWARD), Some(FaultAction::Nan));
         }
         assert_eq!(fire(FORWARD), None);
-        assert!(!is_armed(FORWARD));
     }
 
     #[test]
     fn guard_disarms_on_drop() {
         {
             let _guard = armed(SIM_EVAL, FaultAction::Error, 100);
-            assert!(is_armed(SIM_EVAL));
+            assert_eq!(fire(SIM_EVAL), Some(FaultAction::Error));
         }
-        assert!(!is_armed(SIM_EVAL));
+        assert_eq!(fire(SIM_EVAL), None);
     }
 
     #[test]
@@ -618,10 +592,9 @@ mod tests {
     #[test]
     fn guard_armed_faults_are_thread_local() {
         let _guard = armed(ARTIFACT_LOAD, FaultAction::Error, 1);
-        assert!(is_armed(ARTIFACT_LOAD));
         // Another thread never sees a guard-armed fault.
-        let other = std::thread::spawn(|| (is_armed(ARTIFACT_LOAD), fire(ARTIFACT_LOAD)));
-        assert_eq!(other.join().unwrap(), (false, None));
+        let other = std::thread::spawn(|| fire(ARTIFACT_LOAD));
+        assert_eq!(other.join().unwrap(), None);
         // The arming thread still gets its full budget.
         assert_eq!(fire(ARTIFACT_LOAD), Some(FaultAction::Error));
     }
@@ -656,7 +629,6 @@ mod tests {
         // Inside: fires, on the right failpoint only.
         set_request_index(10);
         assert_eq!(fire(SIM_EVAL), None);
-        assert!(is_armed(FORWARD));
         assert_eq!(fire(FORWARD), Some(FaultAction::Nan));
         set_request_index(11);
         assert_eq!(fire(FORWARD), Some(FaultAction::Nan));
@@ -683,8 +655,7 @@ mod tests {
         assert_eq!(fire(ADMISSION), Some(FaultAction::Panic));
         assert_eq!(fire(ADMISSION), Some(FaultAction::Panic));
         assert_eq!(fire(ADMISSION), None, "budget spent");
-        assert!(!is_armed(ADMISSION));
-        assert_eq!(guard.remaining_budget(), 0);
+        assert_eq!(guard.fired(), 2);
         clear_request_index();
     }
 

@@ -59,6 +59,6 @@ pub use serve::{
 };
 pub use serve_loop::{
     Completed, Health, HealthReason, HealthReport, LoopConfig, LoopMetrics, ServeLoop, SwapError,
-    Ticket, WaitTimeout,
+    Ticket,
 };
 pub use store::{ArtifactError, EnvelopeViolation, RunArtifact, TrainCheckpoint, TrainingEnvelope};

@@ -44,7 +44,7 @@
 //! a [`Rung`] quality floor) — and returning a [`ServeResponse`]. The
 //! concurrent request loop ([`crate::serve_loop`]) calls `handle` per
 //! request behind an outer `catch_unwind`, so one poisoned request cannot
-//! take down its batch. Degradation is per request: a GNN-rung failure on
+//! take down its worker. Degradation is per request: a GNN-rung failure on
 //! one graph never changes how any other request is served, in the loop
 //! or out of it. The loop also honors the deadline and priority
 //! fields and drives the **load-shed path**
@@ -64,15 +64,12 @@ use qaoa::{fixed_angle, MaxCutHamiltonian, Params, QaoaCircuit};
 use qgraph::io::ParseLimits;
 use qgraph::{Graph, ParseError};
 
-use crate::env;
 use crate::faults::{self, FaultAction};
 use crate::store::{ArtifactError, EnvelopeViolation, RunArtifact, TrainingEnvelope};
 
 /// Serving policy knobs.
 ///
-/// Built like [`crate::pipeline::PipelineConfig`]: start from
-/// [`Default::default`] (or [`ServeConfig::from_env`]) and refine with the
-/// `with_*` builders.
+/// Start from [`Default::default`] and refine with the `with_*` builders.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Caps applied to incoming requests (text requests at parse time,
@@ -98,33 +95,6 @@ impl Default for ServeConfig {
 }
 
 impl ServeConfig {
-    /// [`Default::default`] with optional environment overrides, the same
-    /// treatment [`crate::pipeline::PipelineConfig::from_env`] gives the
-    /// training side:
-    ///
-    /// * `QAOA_GNN_SERVE_STRICT` — non-empty, non-`0`: reject
-    ///   out-of-envelope requests instead of degrading.
-    /// * `QAOA_GNN_SERVE_VERIFY_MAX_NODES` — simulator-verification node
-    ///   cap (`0` disables verification).
-    /// * `QAOA_GNN_SERVE_MAX_NODES` / `QAOA_GNN_SERVE_MAX_EDGES` —
-    ///   request size caps.
-    pub fn from_env() -> Self {
-        let mut config = ServeConfig::default();
-        if env::flag("QAOA_GNN_SERVE_STRICT") {
-            config = config.with_strict_envelope(true);
-        }
-        if let Some(cap) = env::num("QAOA_GNN_SERVE_VERIFY_MAX_NODES") {
-            config = config.with_verify_max_nodes(cap);
-        }
-        if let Some(max_nodes) = env::num("QAOA_GNN_SERVE_MAX_NODES") {
-            config.limits.max_nodes = max_nodes;
-        }
-        if let Some(max_edges) = env::num("QAOA_GNN_SERVE_MAX_EDGES") {
-            config.limits.max_edges = max_edges;
-        }
-        config
-    }
-
     /// Builder-style: sets the request parsing/size caps.
     pub fn with_limits(mut self, limits: ParseLimits) -> Self {
         self.limits = limits;
@@ -1174,22 +1144,5 @@ mod tests {
             .unwrap_err();
         let source = std::error::Error::source(&err).expect("parse source");
         assert!(source.to_string().contains("line 1"), "got: {source}");
-    }
-
-    #[test]
-    fn serve_config_env_overrides_apply() {
-        // Serialized with other fault/env tests via the fault guard lock.
-        let _guard = faults::armed("serve_config_env_test", FaultAction::Error, 1);
-        std::env::set_var("QAOA_GNN_SERVE_STRICT", "1");
-        std::env::set_var("QAOA_GNN_SERVE_VERIFY_MAX_NODES", "3");
-        std::env::set_var("QAOA_GNN_SERVE_MAX_NODES", "11");
-        let config = ServeConfig::from_env();
-        std::env::remove_var("QAOA_GNN_SERVE_STRICT");
-        std::env::remove_var("QAOA_GNN_SERVE_VERIFY_MAX_NODES");
-        std::env::remove_var("QAOA_GNN_SERVE_MAX_NODES");
-        assert!(config.strict_envelope);
-        assert_eq!(config.verify_max_nodes, 3);
-        assert_eq!(config.limits.max_nodes, 11);
-        assert!(!ServeConfig::from_env().strict_envelope);
     }
 }

@@ -5,11 +5,12 @@
 //! from one bounded queue, and layers four mechanisms on top of the
 //! degradation ladder:
 //!
-//! **Batched admission.** [`ServeLoop::submit`] enqueues a typed
-//! [`ServeRequest`] and returns a [`Ticket`] immediately; workers drain
-//! the queue in batches of [`LoopConfig::batch_size`], taking the queue
-//! lock once per batch rather than once per request and resolving the
-//! current artifact generation once per batch rather than once per
+//! **Admission.** [`ServeLoop::submit`] enqueues a typed [`ServeRequest`]
+//! and returns a [`Ticket`] immediately. The queue's depth is its length,
+//! read under the queue lock: admission checks capacity, takes the
+//! watermark decision and pushes in one critical section. A worker claims
+//! the oldest job in the same critical section that gives back its
+//! previous slot, then resolves the current artifact generation for that
 //! request. Exactly one [`Completed`] reply exists per submitted request
 //! — the loop structurally cannot drop work, because every request is
 //! answered inside its own panic guard and workers refuse to exit while
@@ -17,13 +18,13 @@
 //!
 //! **Inline service.** At most [`LoopConfig::workers`] requests are in
 //! service at once. One count, kept under the queue lock, covers both the
-//! workers holding a batch and the callers of [`ServeLoop::handle_wait`]
+//! workers holding a job and the callers of [`ServeLoop::handle_wait`]
 //! serving their own request. When the queue is empty and a slot is free,
 //! `handle_wait` takes the slot and serves the request on the caller's
 //! thread: that is exactly the request an idle worker would have claimed
 //! with no queue wait, so capacity, watermark and deadline behaviour are
 //! unchanged, and a queued request is never overtaken. Otherwise it
-//! queues like [`ServeLoop::submit`]. A worker claims a batch only while
+//! queues like [`ServeLoop::submit`]. A worker claims a job only while
 //! a slot is free, and whoever frees a slot while jobs are queued wakes a
 //! worker. Both paths run one per-request body (request tag, shed
 //! decision, guarded ladder, counters), so no serving logic differs
@@ -35,14 +36,14 @@
 //! `(generation, predictor)` pair behind a `Mutex`: one
 //! [`GuardedPredictor`] per generation, frozen once when it is published
 //! and shared by every worker through an `Arc`. A worker holds that lock
-//! once per batch, only to clone the pair out (a `u64` and an `Arc`), so
-//! serving never happens under it. [`ServeLoop::swap_artifact`] builds
+//! once per request, only to clone the pair out (a `u64` and an `Arc`),
+//! so serving never happens under it. [`ServeLoop::swap_artifact`] builds
 //! the retrained [`RunArtifact`]'s predictor outside the lock (behind the
 //! `hot_swap` and `weight_build` failpoints — a rejected or panicking
 //! swap leaves the old generation serving untouched), then numbers and
 //! installs it in one critical section, so generations publish in the
 //! order they are numbered even when swaps race. In-flight requests keep
-//! the `Arc` they already cloned; later batches observe the new
+//! the `Arc` they already cloned; later requests observe the new
 //! generation.
 //!
 //! **Load shedding.** The queue is bounded by [`LoopConfig::queue_capacity`]
@@ -64,8 +65,8 @@
 //! between requests: each request runs inside its own `catch_unwind`,
 //! every lock a worker takes recovers from poisoning, and Rust aborts on
 //! allocation failure rather than unwinding. What is left between two
-//! requests is atomics, the queue lock (taken once per batch to claim and
-//! once to give back the service slot), a condvar wait and a channel
+//! requests is atomics, the queue lock (taken once to give back the
+//! service slot and claim the next job), a condvar wait and a channel
 //! send, none of which panics.
 //!
 //! A request that is not shed runs the full ladder on its own, exactly as
@@ -115,21 +116,20 @@
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::SeqCst};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use crate::cache::{CacheConfig, CacheStats, PredictionCache};
-use crate::env;
 use crate::faults;
 use crate::serve::{
     GuardedPredictor, Priority, RequestError, Rung, ServeConfig, ServeRequest, ServeResponse,
 };
 use crate::store::RunArtifact;
 
-/// Sizing and policy for a [`ServeLoop`]. Same builder + env-override
-/// treatment as [`crate::pipeline::PipelineConfig`].
+/// Sizing and policy for a [`ServeLoop`]: start from [`Default::default`]
+/// and refine with the `with_*` builders.
 #[derive(Debug, Clone)]
 pub struct LoopConfig {
     /// Worker threads draining the queue, and the bound on requests in
@@ -145,9 +145,6 @@ pub struct LoopConfig {
     /// Soft bound: at this depth newly admitted [`Priority::Normal`]
     /// requests are marked to shed. Clamped to `queue_capacity`.
     pub shed_watermark: usize,
-    /// Jobs a worker claims per queue-lock acquisition (also the grain at
-    /// which workers re-resolve the published artifact generation).
-    pub batch_size: usize,
     /// Per-request serving policy handed to every worker's predictor.
     pub serve: ServeConfig,
     /// Canonical-form prediction cache sizing (see [`crate::cache`]).
@@ -163,7 +160,6 @@ impl Default for LoopConfig {
             workers: 0,
             queue_capacity: 1024,
             shed_watermark: 768,
-            batch_size: 32,
             serve: ServeConfig::default(),
             cache: CacheConfig::disabled(),
         }
@@ -171,43 +167,6 @@ impl Default for LoopConfig {
 }
 
 impl LoopConfig {
-    /// [`Default::default`] with environment overrides:
-    /// `QAOA_GNN_SERVE_WORKERS`, `QAOA_GNN_SERVE_QUEUE` (capacity),
-    /// `QAOA_GNN_SERVE_SHED` (watermark), `QAOA_GNN_SERVE_BATCH`, plus
-    /// everything [`ServeConfig::from_env`] reads. The prediction cache
-    /// stays disabled unless any `QAOA_GNN_CACHE_*` variable is present,
-    /// in which case [`CacheConfig::from_env`] sizes it.
-    pub fn from_env() -> Self {
-        let cache_keys = [
-            "QAOA_GNN_CACHE_SHARDS",
-            "QAOA_GNN_CACHE_ENTRIES",
-            "QAOA_GNN_CACHE_BYTES",
-        ];
-        let cache = if cache_keys.iter().any(|k| std::env::var_os(k).is_some()) {
-            CacheConfig::from_env()
-        } else {
-            CacheConfig::disabled()
-        };
-        let mut config = LoopConfig {
-            serve: ServeConfig::from_env(),
-            cache,
-            ..LoopConfig::default()
-        };
-        if let Some(workers) = env::num("QAOA_GNN_SERVE_WORKERS") {
-            config.workers = workers;
-        }
-        if let Some(capacity) = env::num("QAOA_GNN_SERVE_QUEUE") {
-            config.queue_capacity = capacity;
-        }
-        if let Some(watermark) = env::num("QAOA_GNN_SERVE_SHED") {
-            config.shed_watermark = watermark;
-        }
-        if let Some(batch) = env::num("QAOA_GNN_SERVE_BATCH") {
-            config.batch_size = batch;
-        }
-        config
-    }
-
     /// Builder-style: sets the worker-thread count (`0` = auto).
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers;
@@ -223,12 +182,6 @@ impl LoopConfig {
     /// Builder-style: sets the shed watermark.
     pub fn with_shed_watermark(mut self, shed_watermark: usize) -> Self {
         self.shed_watermark = shed_watermark;
-        self
-    }
-
-    /// Builder-style: sets the per-worker batch size.
-    pub fn with_batch_size(mut self, batch_size: usize) -> Self {
-        self.batch_size = batch_size;
         self
     }
 
@@ -284,8 +237,7 @@ pub enum Ticket {
     /// Resolved synchronously at admission (inline shed at hard capacity,
     /// or an admission-failpoint refusal).
     Ready(Completed),
-    /// In flight; resolve with [`Ticket::wait`] or
-    /// [`Ticket::wait_timeout`].
+    /// In flight; resolve with [`Ticket::wait`].
     Pending(mpsc::Receiver<Completed>),
 }
 
@@ -302,60 +254,7 @@ impl Ticket {
                 .expect("serving loop dropped a request without replying — this is a bug"),
         }
     }
-
-    /// [`Self::wait`] with an upper bound: blocks at most `timeout`.
-    ///
-    /// On timeout the ticket comes back inside the [`WaitTimeout`] error,
-    /// still live — the caller can log, adjust, and wait again; the reply
-    /// (which the loop still guarantees) is never lost by timing out. Use
-    /// it when the caller's own wait must be bounded, e.g. behind a deep
-    /// queue of slow requests.
-    ///
-    /// # Errors
-    ///
-    /// [`WaitTimeout`] when no reply arrived within `timeout`.
-    // The "large" Err is the point: it carries the live ticket back to
-    // the caller so the reply is never lost by timing out.
-    #[allow(clippy::result_large_err)]
-    pub fn wait_timeout(self, timeout: Duration) -> Result<Completed, WaitTimeout> {
-        match self {
-            Ticket::Ready(completed) => Ok(completed),
-            Ticket::Pending(rx) => match rx.recv_timeout(timeout) {
-                Ok(completed) => Ok(completed),
-                Err(mpsc::RecvTimeoutError::Timeout) => Err(WaitTimeout {
-                    ticket: Ticket::Pending(rx),
-                    waited: timeout,
-                }),
-                Err(mpsc::RecvTimeoutError::Disconnected) => {
-                    panic!("serving loop dropped a request without replying — this is a bug")
-                }
-            },
-        }
-    }
 }
-
-/// Typed timeout from [`Ticket::wait_timeout`]: the reply did not arrive
-/// in time, but the ticket is returned intact for another wait.
-#[derive(Debug)]
-pub struct WaitTimeout {
-    /// The still-live ticket; the loop's exactly-once reply guarantee is
-    /// unaffected by the timeout.
-    pub ticket: Ticket,
-    /// How long the call waited before giving up.
-    pub waited: Duration,
-}
-
-impl std::fmt::Display for WaitTimeout {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "no reply within {:?}; the ticket is still live and can be waited again",
-            self.waited
-        )
-    }
-}
-
-impl std::error::Error for WaitTimeout {}
 
 /// Overall loop condition, folded from queue depth and model
 /// availability. See the module docs for the state machine.
@@ -506,13 +405,41 @@ struct Job {
     reply: mpsc::Sender<Completed>,
 }
 
-/// The queue and the requests in service, under one lock.
+/// The queue and the requests in service, under one lock. Its claim
+/// rules are the only places `in_service` grows.
 struct Queue {
+    /// Queued jobs, oldest first; their count is the queue depth.
     jobs: VecDeque<Job>,
-    /// Requests being served right now: one per worker holding a batch
-    /// plus one per inline [`ServeLoop::handle_wait`] caller. Never above
-    /// `Shared::workers`.
+    /// High-water mark of the queue depth.
+    max_depth: usize,
+    /// Requests being served right now: one per worker holding a job plus
+    /// one per inline [`ServeLoop::handle_wait`] caller. Never above
+    /// `workers`.
     in_service: usize,
+    /// The worker-thread count, and so the bound on `in_service`.
+    workers: usize,
+}
+
+impl Queue {
+    /// The worker's claim: the oldest job and a service slot, only while a
+    /// slot is free. Returns the job with the depth it leaves behind.
+    fn claim_job(&mut self) -> Option<(Job, usize)> {
+        if self.in_service >= self.workers {
+            return None;
+        }
+        let job = self.jobs.pop_front()?;
+        self.in_service += 1;
+        Some((job, self.jobs.len()))
+    }
+
+    /// The inline claim: a service slot only when no job is queued (so
+    /// none is overtaken) and a slot is free (so a worker could have
+    /// claimed the request at once).
+    fn claim_inline(&mut self) -> bool {
+        let free = self.jobs.is_empty() && self.in_service < self.workers;
+        self.in_service += usize::from(free);
+        free
+    }
 }
 
 struct Shared {
@@ -525,15 +452,10 @@ struct Shared {
     cache: Arc<PredictionCache>,
     queue: Mutex<Queue>,
     available: Condvar,
-    /// The worker-thread count, and so the bound on `Queue::in_service`.
-    workers: usize,
-    depth: AtomicUsize,
     shutdown: AtomicBool,
     served: AtomicU64,
     shed: AtomicU64,
     rejected: AtomicU64,
-    max_depth: AtomicUsize,
-    batch_size: usize,
     /// Monotone submission counter; assigns `Job::index`.
     submitted: AtomicU64,
     /// Set the first time a request is served; gates `Starting → Ready`.
@@ -572,16 +494,6 @@ impl Shared {
         self.queue.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Takes a service slot for an inline request: only when no job is
-    /// queued (so none is overtaken) and a slot is free (so a worker could
-    /// have claimed the request at once).
-    fn try_claim_inline(&self) -> bool {
-        let mut queue = self.lock_queue();
-        let free = queue.jobs.is_empty() && queue.in_service < self.workers;
-        queue.in_service += usize::from(free);
-        free
-    }
-
     /// Gives an inline slot back, waking a worker for any job that queued
     /// behind it.
     fn release_inline(&self) {
@@ -598,7 +510,8 @@ impl Shared {
     /// worker loop and the inline path of [`ServeLoop::handle_wait`] both
     /// end here. A deadline that expired while queued sheds now (a fast
     /// degraded answer beats a late full-quality one); the request runs
-    /// inside its own panic guard and is counted once.
+    /// inside its own panic guard and is counted once. `depth` is the
+    /// queue depth such a deadline shed records.
     fn serve(
         &self,
         published: &Published,
@@ -606,6 +519,7 @@ impl Shared {
         request: &ServeRequest,
         shed: Option<usize>,
         queued_micros: u64,
+        depth: usize,
     ) -> Completed {
         faults::set_request_index(index);
         self.ever_ready.store(true, SeqCst);
@@ -614,7 +528,7 @@ impl Shared {
         if deadline_expired {
             self.shed_deadline_n.fetch_add(1, SeqCst);
         }
-        let shed = shed.or_else(|| deadline_expired.then(|| self.depth.load(SeqCst)));
+        let shed = shed.or(deadline_expired.then_some(depth));
         let predictor = &published.predictor;
         let response = catch_unwind(AssertUnwindSafe(|| match shed {
             Some(at_depth) => predictor.handle_shed(request, at_depth),
@@ -704,17 +618,15 @@ impl ServeLoop {
             cache,
             queue: Mutex::new(Queue {
                 jobs: VecDeque::new(),
+                max_depth: 0,
                 in_service: 0,
+                workers,
             }),
             available: Condvar::new(),
-            workers,
-            depth: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
             served: AtomicU64::new(0),
             shed: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
-            max_depth: AtomicUsize::new(0),
-            batch_size: config.batch_size.max(1),
             submitted: AtomicU64::new(0),
             ever_ready: AtomicBool::new(false),
             served_inline: AtomicU64::new(0),
@@ -740,14 +652,6 @@ impl ServeLoop {
             queue_capacity,
             shed_watermark,
         }
-    }
-
-    /// [`Self::new`] on an artifact loaded (and fully validated) from disk.
-    pub fn load<P: AsRef<std::path::Path>>(
-        path: P,
-        config: LoopConfig,
-    ) -> Result<ServeLoop, crate::store::ArtifactError> {
-        Ok(ServeLoop::new(RunArtifact::load(path)?, config))
     }
 
     /// Admits one request and returns its receipt immediately. Exactly one
@@ -787,12 +691,12 @@ impl ServeLoop {
             Ok(index) => index,
             Err(refusal) => return self.refuse(&refusal),
         };
-        if !self.shared.try_claim_inline() {
+        if !self.shared.lock_queue().claim_inline() {
             return self.enqueue(index, request).wait();
         }
         let shed = self.watermark_shed(0, &request);
         let published = self.shared.published();
-        let completed = self.shared.serve(&published, index, &request, shed, 0);
+        let completed = self.shared.serve(&published, index, &request, shed, 0, 0);
         self.shared.served_inline.fetch_add(1, SeqCst);
         self.shared.release_inline();
         completed
@@ -832,12 +736,12 @@ impl ServeLoop {
 
     /// Queues an admitted request, or sheds it inline at hard capacity.
     fn enqueue(&self, index: u64, request: ServeRequest) -> Ticket {
-        // Reserve a slot; if the queue is hard-full, give the slot back and
-        // answer from the shed ladder right here on the caller thread —
-        // bounded memory and backpressure in one move.
-        let depth = self.shared.depth.fetch_add(1, SeqCst);
+        let mut queue = self.shared.lock_queue();
+        let depth = queue.jobs.len();
         if depth >= self.queue_capacity {
-            self.shared.depth.fetch_sub(1, SeqCst);
+            // Hard-full: answer from the shed ladder right here on the
+            // caller thread — bounded memory and backpressure in one move.
+            drop(queue);
             let published = self.shared.published();
             let response = published.predictor.handle_shed(&request, depth);
             self.shared.shed_capacity_n.fetch_add(1, SeqCst);
@@ -848,17 +752,17 @@ impl ServeLoop {
                 generation: published.generation,
             });
         }
-        self.shared.max_depth.fetch_max(depth + 1, SeqCst);
         let shed = self.watermark_shed(depth, &request);
         let (tx, rx) = mpsc::channel();
-        let job = Job {
+        queue.jobs.push_back(Job {
             index,
             request,
             shed,
             enqueued: Instant::now(),
             reply: tx,
-        };
-        self.shared.lock_queue().jobs.push_back(job);
+        });
+        queue.max_depth = queue.max_depth.max(depth + 1);
+        drop(queue);
         self.shared.available.notify_one();
         Ticket::Pending(rx)
     }
@@ -922,6 +826,10 @@ impl ServeLoop {
     pub fn metrics(&self) -> LoopMetrics {
         let shared = &self.shared;
         let cache = shared.cache.stats();
+        let (queue_depth, max_depth) = {
+            let queue = shared.lock_queue();
+            (queue.jobs.len(), queue.max_depth)
+        };
         LoopMetrics {
             served: shared.served.load(SeqCst),
             shed: shared.shed.load(SeqCst),
@@ -930,8 +838,8 @@ impl ServeLoop {
             shed_capacity: shared.shed_capacity_n.load(SeqCst),
             shed_deadline: shared.shed_deadline_n.load(SeqCst),
             generation: self.generation(),
-            max_depth: shared.max_depth.load(SeqCst),
-            queue_depth: shared.depth.load(SeqCst),
+            max_depth,
+            queue_depth,
             workers_target: self.workers.len(),
             rung_gnn: shared.rung_gnn.load(SeqCst),
             rung_fixed: shared.rung_fixed.load(SeqCst),
@@ -961,7 +869,7 @@ impl ServeLoop {
         let shared = &self.shared;
         let published = shared.published();
         let generation = published.generation;
-        let queue_depth = shared.depth.load(SeqCst);
+        let queue_depth = shared.lock_queue().jobs.len();
         let mut reasons = Vec::new();
         let state = if shared.shutdown.load(SeqCst) {
             Health::Draining
@@ -1031,18 +939,17 @@ impl Drop for ServeLoop {
     }
 }
 
-/// One worker: claim a batch and a service slot under the lock, resolve
-/// the published generation once, serve the batch with no lock held, give
-/// the slot back, repeat. Exits only when shut down *and* the queue is
-/// empty. Nothing outside the per-request guard can panic (module docs,
-/// "Workers"), so every claimed job is answered.
+/// One worker: claim a job and a service slot under the lock, resolve the
+/// published generation, serve the job with no lock held, then give the
+/// slot back and claim the next job under one lock. Exits only when shut
+/// down *and* the queue is empty. Nothing outside the per-request guard
+/// can panic (module docs, "Workers"), so every claimed job is answered.
 fn worker_loop(shared: &Shared) {
-    let mut batch = Vec::new();
     let mut queue = shared.lock_queue();
     loop {
         // Inline callers may hold every slot; whoever frees one while jobs
         // wait wakes a worker.
-        while queue.jobs.is_empty() || queue.in_service >= shared.workers {
+        let Some((job, depth)) = queue.claim_job() else {
             if queue.jobs.is_empty() && shared.shutdown.load(SeqCst) {
                 return;
             }
@@ -1050,24 +957,84 @@ fn worker_loop(shared: &Shared) {
                 .available
                 .wait(queue)
                 .unwrap_or_else(|e| e.into_inner());
-        }
-        let claim = queue.jobs.len().min(shared.batch_size);
-        batch.extend(queue.jobs.drain(..claim));
-        queue.in_service += 1;
+            continue;
+        };
         drop(queue);
 
         let published = shared.published();
-        for job in batch.drain(..) {
-            shared.depth.fetch_sub(1, SeqCst);
-            let queued_micros = job.enqueued.elapsed().as_micros() as u64;
-            let completed =
-                shared.serve(&published, job.index, &job.request, job.shed, queued_micros);
-            // A dropped receiver (caller gave up on the ticket) is fine;
-            // the request was still served and counted.
-            let _ = job.reply.send(completed);
-        }
+        let queued_micros = job.enqueued.elapsed().as_micros() as u64;
+        let completed = shared.serve(
+            &published,
+            job.index,
+            &job.request,
+            job.shed,
+            queued_micros,
+            depth,
+        );
+        // A dropped receiver (caller gave up on the ticket) is fine; the
+        // request was still served and counted.
+        let _ = job.reply.send(completed);
 
         queue = shared.lock_queue();
         queue.in_service -= 1;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A bare queue with `queued` jobs (indices `0..queued`) and
+    /// `in_service` slots taken: no worker thread, so no timing.
+    fn queue(workers: usize, in_service: usize, queued: u64) -> Queue {
+        let jobs = (0..queued)
+            .map(|index| Job {
+                index,
+                request: ServeRequest::from_text("n 2\ne 0 1\n"),
+                shed: None,
+                enqueued: Instant::now(),
+                reply: mpsc::channel().0,
+            })
+            .collect();
+        Queue {
+            jobs,
+            max_depth: 0,
+            in_service,
+            workers,
+        }
+    }
+
+    #[test]
+    fn inline_claim_never_overtakes_a_queued_job() {
+        // A slot is free but a job waits: the inline caller must queue
+        // behind it, and the worker takes the job instead.
+        let mut q = queue(2, 0, 1);
+        assert!(!q.claim_inline());
+        assert_eq!(q.in_service, 0);
+        assert_eq!(
+            q.claim_job().map(|(job, depth)| (job.index, depth)),
+            Some((0, 0))
+        );
+        // Queue empty with a slot free: inline service, up to the bound.
+        assert!(q.claim_inline());
+        assert_eq!(q.in_service, 2);
+        assert!(!q.claim_inline());
+        assert_eq!(q.in_service, 2);
+    }
+
+    #[test]
+    fn worker_claims_the_oldest_job_only_while_a_slot_is_free() {
+        let mut q = queue(1, 1, 2);
+        assert!(q.claim_job().is_none(), "every slot is taken");
+        assert_eq!((q.in_service, q.jobs.len()), (1, 2));
+        q.in_service = 0;
+        let (job, depth) = q.claim_job().expect("a free slot claims");
+        assert_eq!((job.index, depth, q.in_service), (0, 1, 1));
+        assert!(q.claim_job().is_none(), "one job per slot");
+        q.in_service = 0;
+        let (job, depth) = q.claim_job().expect("the next job");
+        assert_eq!((job.index, depth), (1, 0));
+        assert!(q.claim_job().is_none(), "queue empty");
+        assert_eq!(q.in_service, 1);
     }
 }

@@ -19,7 +19,6 @@
 //! so chaos tests must never overlap another loop's workers.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::time::Duration;
 
 use qrand::rngs::StdRng;
 use qrand::SeedableRng;
@@ -68,8 +67,7 @@ fn chaos_loop(seed: u64) -> ServeLoop {
         LoopConfig::default()
             .with_workers(2)
             .with_queue_capacity(64)
-            .with_shed_watermark(64)
-            .with_batch_size(4),
+            .with_shed_watermark(64),
     )
 }
 
@@ -279,10 +277,7 @@ fn health_names_model_unavailable_for_headless_artifact() {
     let _guard = faults::arm_schedule(FaultSchedule::new());
     let mut headless = artifact(7401);
     headless.weights.params.pop();
-    let serve = ServeLoop::new(
-        headless,
-        LoopConfig::default().with_workers(1).with_batch_size(4),
-    );
+    let serve = ServeLoop::new(headless, LoopConfig::default().with_workers(1));
     let done = serve
         .submit(ServeRequest::from_graph(Graph::cycle(6).unwrap()))
         .wait();
@@ -382,45 +377,6 @@ fn weight_build_fault_at_construction_degrades_until_a_clean_swap() {
     assert_eq!(done.generation, 1);
     assert_eq!(done.response.result.unwrap().rung, Rung::Gnn);
     assert_eq!(serve.health().state, Health::Ready);
-}
-
-/// `wait_timeout` is the caller-side seatbelt: a timeout hands the live
-/// ticket back (reply guarantee intact), and a resolved ticket returns
-/// immediately.
-#[test]
-fn wait_timeout_returns_live_ticket_on_timeout() {
-    let _guard = faults::arm_schedule(FaultSchedule::new());
-    let serve = ServeLoop::new(
-        artifact(7601),
-        LoopConfig::default()
-            .with_workers(1)
-            .with_queue_capacity(256)
-            .with_shed_watermark(256)
-            .with_batch_size(4),
-    );
-    // Pile slow work in front so the probe request cannot resolve
-    // instantly.
-    let patient: Vec<_> = (0..24)
-        .map(|_| serve.submit(ServeRequest::from_graph(Graph::cycle(12).unwrap())))
-        .collect();
-    let probe = serve.submit(ServeRequest::from_graph(Graph::cycle(4).unwrap()));
-    let timed_out = probe
-        .wait_timeout(Duration::ZERO)
-        .expect_err("zero timeout behind a full queue must time out");
-    assert_eq!(timed_out.waited, Duration::ZERO);
-    let text = timed_out.to_string();
-    assert!(text.contains("still live"), "Display must reassure: {text}");
-    // The returned ticket is still live: waiting again resolves it.
-    let done = timed_out.ticket.wait();
-    assert!(done.response.result.is_ok());
-    for ticket in patient {
-        assert!(ticket.wait().response.result.is_ok());
-    }
-    assert_eq!(
-        serve.metrics().total(),
-        25,
-        "timeout must not double-answer"
-    );
 }
 
 /// The metrics snapshot serializes via `core::json` and parses back with

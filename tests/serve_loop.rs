@@ -59,8 +59,7 @@ fn small_loop(queue_capacity: usize, shed_watermark: usize) -> ServeLoop {
         LoopConfig::default()
             .with_workers(2)
             .with_queue_capacity(queue_capacity)
-            .with_shed_watermark(shed_watermark)
-            .with_batch_size(8),
+            .with_shed_watermark(shed_watermark),
     )
 }
 
@@ -169,8 +168,7 @@ fn hard_capacity_sheds_inline_and_bounds_the_queue() {
         LoopConfig::default()
             .with_workers(1)
             .with_queue_capacity(4)
-            .with_shed_watermark(4)
-            .with_batch_size(4),
+            .with_shed_watermark(4),
     );
     let tickets: Vec<Ticket> = (0..64)
         .map(|_| serve.submit(ServeRequest::from_graph(Graph::cycle(10).unwrap())))
@@ -210,8 +208,7 @@ fn expired_deadline_sheds_at_execution_time() {
         LoopConfig::default()
             .with_workers(1)
             .with_queue_capacity(256)
-            .with_shed_watermark(256)
-            .with_batch_size(4),
+            .with_shed_watermark(256),
     );
     let patient: Vec<Ticket> = (0..32)
         .map(|_| serve.submit(ServeRequest::from_graph(Graph::cycle(12).unwrap())))
@@ -288,7 +285,6 @@ fn hot_swap_under_traffic_never_tears_and_rolls_generations_forward() {
             .with_workers(3)
             .with_queue_capacity(512)
             .with_shed_watermark(512)
-            .with_batch_size(4)
             .with_serve(ServeConfig::default().with_verify_max_nodes(0)),
     );
     const SWAPS: u64 = 8;
@@ -467,8 +463,7 @@ fn shutdown_drains_every_queued_request() {
             LoopConfig::default()
                 .with_workers(1)
                 .with_queue_capacity(512)
-                .with_shed_watermark(512)
-                .with_batch_size(8),
+                .with_shed_watermark(512),
         );
         tickets = (0..100)
             .map(|i| serve.submit(ServeRequest::from_graph(Graph::cycle(3 + i % 8).unwrap())))
@@ -502,10 +497,7 @@ fn loop_propagates_typed_rejections_and_floor_refusals() {
     // weights cannot rebuild disables the GNN rung in every worker.)
     let mut headless = artifact(9401);
     headless.weights.params.pop();
-    let serve = ServeLoop::new(
-        headless,
-        LoopConfig::default().with_workers(1).with_batch_size(4),
-    );
+    let serve = ServeLoop::new(headless, LoopConfig::default().with_workers(1));
     let done = serve
         .handle_wait(ServeRequest::from_graph(Graph::cycle(6).unwrap()).with_rung_floor(Rung::Gnn));
     match done.response.result {
@@ -521,10 +513,7 @@ fn loop_propagates_typed_rejections_and_floor_refusals() {
 
 #[test]
 fn pipeline_publish_hot_swaps_trained_model_into_live_loop() {
-    let serve = ServeLoop::new(
-        artifact(9201),
-        LoopConfig::default().with_workers(1).with_batch_size(4),
-    );
+    let serve = ServeLoop::new(artifact(9201), LoopConfig::default().with_workers(1));
     assert_eq!(serve.generation(), 0);
     let mut rng = StdRng::seed_from_u64(9301);
     let config = PipelineConfig::paper_scale()
@@ -565,7 +554,6 @@ fn hot_swap_empties_cache_and_next_request_misses_on_new_artifact() {
         artifact(9401),
         LoopConfig::default()
             .with_workers(1)
-            .with_batch_size(4)
             .with_cache(CacheConfig::default()),
     );
     let graph = Graph::cycle(8).unwrap();
@@ -622,12 +610,7 @@ fn cache_churn_through_loop_respects_bounds_and_keeps_recency() {
         artifact(9501),
         LoopConfig::default()
             .with_workers(2)
-            .with_batch_size(4)
-            .with_cache(
-                CacheConfig::default()
-                    .with_shards(2)
-                    .with_capacity_entries(CAPACITY),
-            ),
+            .with_cache(CacheConfig::default().with_capacity_entries(CAPACITY)),
     );
     let max_bytes = CacheConfig::default().max_bytes;
     // 3..=14 nodes × {cycle, path, star, complete} = 48 distinct
@@ -664,8 +647,8 @@ fn cache_churn_through_loop_respects_bounds_and_keeps_recency() {
     assert!(stats.evictions > 0, "churn this size must evict");
     assert!(stats.inserts > CAPACITY as u64);
 
-    // The most recent CAPACITY/shard survivors are the recently-used
-    // tail of the churn: replaying the very last graph must hit.
+    // The CAPACITY survivors are the recently-used tail of the churn:
+    // replaying the very last graph must hit.
     let last = graphs.last().unwrap().clone();
     let replay = serve
         .handle_wait(ServeRequest::from_graph(last))
@@ -745,7 +728,7 @@ fn inline_caller_holds_the_only_slot_so_callers_queue_and_the_worker_waits() {
     const CALLERS: usize = 6;
     let serve = Arc::new(ServeLoop::new(
         artifact(9601),
-        LoopConfig::default().with_workers(1).with_batch_size(8),
+        LoopConfig::default().with_workers(1),
     ));
     let (release, holder) = hold_inline_request(&serve);
     let (replies_tx, replies) = mpsc::channel();
@@ -800,7 +783,7 @@ fn many_threads_through_handle_wait_get_exactly_one_reply_each() {
     const CALLS: usize = 40;
     let serve = Arc::new(ServeLoop::new(
         artifact(9701),
-        LoopConfig::default().with_workers(2).with_batch_size(4),
+        LoopConfig::default().with_workers(2),
     ));
     let reference = GuardedPredictor::new(artifact(9701), ServeConfig::default());
     let expected: Vec<_> = (3..=12usize)
