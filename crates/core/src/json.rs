@@ -1436,7 +1436,6 @@ impl ToJson for crate::serve_loop::LoopMetrics {
             ("rejected", Json::uint(self.rejected)),
             ("shed_watermark", Json::uint(self.shed_watermark)),
             ("shed_capacity", Json::uint(self.shed_capacity)),
-            ("shed_deadline", Json::uint(self.shed_deadline)),
             ("generation", Json::uint(self.generation)),
             ("max_depth", Json::uint(self.max_depth as u64)),
             ("queue_depth", Json::uint(self.queue_depth as u64)),

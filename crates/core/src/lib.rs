@@ -54,8 +54,8 @@ pub use faults::{FaultSchedule, ScheduledFault};
 pub use json::{FromJson, Json, JsonError, ToJson};
 pub use pipeline::{Pipeline, PipelineConfig, PipelineError};
 pub use serve::{
-    EnvelopeStatus, GuardedPredictor, PredictionOutcome, Priority, RequestError, RequestPayload,
-    Rung, ServeConfig, ServeRequest, ServeResponse, Skip, SkipReason,
+    EnvelopeStatus, GuardedPredictor, PredictionOutcome, RequestError, RequestPayload, Rung,
+    ServeConfig, ServeRequest, ServeResponse, Skip, SkipReason,
 };
 pub use serve_loop::{
     Completed, Health, HealthReason, HealthReport, LoopConfig, LoopMetrics, ServeLoop, SwapError,

@@ -6,16 +6,15 @@
 //! through four defenses:
 //!
 //! 1. **Strict input validation** — text requests parse under
-//!    [`ParseLimits`] (size/node/edge caps checked *before* allocation,
-//!    non-finite weights, self-loops and duplicate edges rejected with
-//!    typed, line-numbered [`qgraph::ParseError`]s); pre-built graphs are
-//!    checked against the same caps.
+//!    [`ParseLimits::serving`] (size/node/edge caps checked *before*
+//!    allocation, non-finite weights, self-loops and duplicate edges
+//!    rejected with typed, line-numbered [`qgraph::ParseError`]s);
+//!    pre-built graphs are checked against the same caps.
 //! 2. **Envelope checks** — the request is compared against the
 //!    [`TrainingEnvelope`] recorded in the artifact (§3.1 trains on
 //!    2–15-node graphs; Jain et al., arXiv:2111.03016, show GNN
 //!    warm-starts degrade out-of-distribution). Out-of-envelope requests
-//!    skip the GNN rung — or are rejected outright under
-//!    [`ServeConfig::strict_envelope`].
+//!    skip the GNN rung.
 //! 3. **Prediction guardrails** — non-finite model outputs are never
 //!    served; finite outputs are clamped to the principal domain
 //!    `γ ∈ [0, 2π]`, `β ∈ [0, π/2]` (a no-op for a healthy model, whose
@@ -40,14 +39,12 @@
 //!
 //! Every way into the predictor is one method,
 //! [`GuardedPredictor::handle`], taking a [`ServeRequest`] message — a
-//! graph-or-text payload plus per-request policy (deadline, [`Priority`],
-//! a [`Rung`] quality floor) — and returning a [`ServeResponse`]. The
+//! graph-or-text payload — and returning a [`ServeResponse`]. The
 //! concurrent request loop ([`crate::serve_loop`]) calls `handle` per
 //! request behind an outer `catch_unwind`, so one poisoned request cannot
 //! take down its worker. Degradation is per request: a GNN-rung failure on
 //! one graph never changes how any other request is served, in the loop
-//! or out of it. The loop also honors the deadline and priority
-//! fields and drives the **load-shed path**
+//! or out of it. The loop also drives the **load-shed path**
 //! ([`GuardedPredictor::handle_shed`]): under saturation a request skips
 //! the GNN rung — recorded as [`SkipReason::Shed`] — and is answered from
 //! the cheap fixed-angle rung instead of queueing unboundedly.
@@ -56,6 +53,7 @@
 //! ([`crate::faults`]) rather than trusted on inspection — see
 //! `tests/serve_degradation.rs` for the failpoint × rung matrix.
 
+use std::borrow::Cow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
@@ -67,17 +65,11 @@ use qgraph::{Graph, ParseError};
 use crate::faults::{self, FaultAction};
 use crate::store::{ArtifactError, EnvelopeViolation, RunArtifact, TrainingEnvelope};
 
-/// Serving policy knobs.
-///
-/// Start from [`Default::default`] and refine with the `with_*` builders.
+/// Serving policy: how far the simulator re-checks served parameters.
+/// Every request is capped by [`ParseLimits::serving`] (text at parse
+/// time, pre-built graphs before any other work).
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Caps applied to incoming requests (text requests at parse time,
-    /// pre-built graphs before any other work).
-    pub limits: ParseLimits,
-    /// Reject out-of-envelope requests with [`RequestError::OutOfEnvelope`]
-    /// instead of degrading past the GNN rung.
-    pub strict_envelope: bool,
     /// Verify served GNN / fixed-angle parameters on the statevector
     /// simulator when the request has at most this many nodes (`0`
     /// disables verification). A non-finite score degrades the rung.
@@ -87,27 +79,12 @@ pub struct ServeConfig {
 impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
-            limits: ParseLimits::serving(),
-            strict_envelope: false,
             verify_max_nodes: 16,
         }
     }
 }
 
 impl ServeConfig {
-    /// Builder-style: sets the request parsing/size caps.
-    pub fn with_limits(mut self, limits: ParseLimits) -> Self {
-        self.limits = limits;
-        self
-    }
-
-    /// Builder-style: sets strict envelope policy (reject instead of
-    /// degrade on out-of-envelope requests).
-    pub fn with_strict_envelope(mut self, strict: bool) -> Self {
-        self.strict_envelope = strict;
-        self
-    }
-
     /// Builder-style: sets the simulator-verification node cap (`0`
     /// disables verification).
     pub fn with_verify_max_nodes(mut self, verify_max_nodes: usize) -> Self {
@@ -130,9 +107,7 @@ pub enum Rung {
 
 impl Rung {
     /// Ladder quality: higher serves better parameters. `Gnn` (2) >
-    /// `FixedAngle` (1) > `Fallback` (0). Used by
-    /// [`ServeRequest::rung_floor`] to reject answers below a requested
-    /// quality instead of silently serving them.
+    /// `FixedAngle` (1) > `Fallback` (0).
     pub fn quality(self) -> u8 {
         match self {
             Rung::Gnn => 2,
@@ -291,27 +266,6 @@ impl PredictionOutcome {
     }
 }
 
-/// Request urgency, honored by the serving loop's admission policy: under
-/// saturation `Normal` requests shed to the fixed-angle rung first, while
-/// `High` requests keep the full ladder until the queue is hard-full.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Priority {
-    /// Best-effort (the default): sheds first under load.
-    #[default]
-    Normal,
-    /// Latency/quality-critical: sheds only at hard queue capacity.
-    High,
-}
-
-impl std::fmt::Display for Priority {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Priority::Normal => write!(f, "normal"),
-            Priority::High => write!(f, "high"),
-        }
-    }
-}
-
 /// What a [`ServeRequest`] carries: a pre-built graph or untrusted text
 /// to parse under the serving limits.
 #[derive(Debug, Clone, PartialEq)]
@@ -323,74 +277,50 @@ pub enum RequestPayload {
     Text(String),
 }
 
-/// One typed serving request: the payload plus per-request policy.
+impl RequestPayload {
+    /// The request graph, checked against the serving caps: text parses
+    /// under [`ParseLimits::serving`]; a pre-built graph is borrowed as is
+    /// (its caps are checked at admission). The one payload dispatch every
+    /// serving path shares.
+    fn graph(&self) -> Result<Cow<'_, Graph>, RequestError> {
+        Ok(match self {
+            RequestPayload::Graph(graph) => Cow::Borrowed(graph),
+            RequestPayload::Text(text) => Cow::Owned(qgraph::io::graph_from_str_limited(
+                text,
+                &ParseLimits::serving(),
+            )?),
+        })
+    }
+}
+
+/// One typed serving request.
 ///
-/// Construct with [`ServeRequest::from_graph`] / [`ServeRequest::from_text`]
-/// and refine with the `with_*` builders:
+/// Construct with [`ServeRequest::from_graph`] / [`ServeRequest::from_text`]:
 ///
 /// ```
-/// use qaoa_gnn::serve::{Priority, Rung, ServeRequest};
-/// let request = ServeRequest::from_text("n 3\ne 0 1\ne 1 2\ne 0 2\n")
-///     .with_priority(Priority::High)
-///     .with_deadline_micros(5_000)
-///     .with_rung_floor(Rung::FixedAngle);
-/// assert_eq!(request.priority, Priority::High);
+/// use qaoa_gnn::serve::{RequestPayload, ServeRequest};
+/// let request = ServeRequest::from_text("n 3\ne 0 1\ne 1 2\ne 0 2\n");
+/// assert!(matches!(request.payload, RequestPayload::Text(_)));
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeRequest {
     /// The instance to predict parameters for.
     pub payload: RequestPayload,
-    /// Admission urgency (see [`Priority`]).
-    pub priority: Priority,
-    /// Queueing budget in microseconds: if the request waits longer than
-    /// this in the serving loop's queue it is shed to the fixed-angle
-    /// rung rather than served late at full quality. `None` = patient.
-    /// Ignored by the direct synchronous [`GuardedPredictor::handle`]
-    /// path, which never queues.
-    pub deadline_micros: Option<u64>,
-    /// Minimum acceptable answer quality. A response whose serving rung
-    /// is *below* this floor becomes [`RequestError::BelowFloor`] instead
-    /// of a silently degraded answer. `None` accepts the whole ladder.
-    pub rung_floor: Option<Rung>,
 }
 
 impl ServeRequest {
-    /// A default-policy request for a pre-built graph.
+    /// A request for a pre-built graph.
     pub fn from_graph(graph: Graph) -> ServeRequest {
         ServeRequest {
             payload: RequestPayload::Graph(graph),
-            priority: Priority::Normal,
-            deadline_micros: None,
-            rung_floor: None,
         }
     }
 
-    /// A default-policy request for untrusted graph text.
+    /// A request for untrusted graph text.
     pub fn from_text(text: impl Into<String>) -> ServeRequest {
         ServeRequest {
             payload: RequestPayload::Text(text.into()),
-            priority: Priority::Normal,
-            deadline_micros: None,
-            rung_floor: None,
         }
-    }
-
-    /// Builder-style: sets the admission priority.
-    pub fn with_priority(mut self, priority: Priority) -> Self {
-        self.priority = priority;
-        self
-    }
-
-    /// Builder-style: sets the queueing deadline in microseconds.
-    pub fn with_deadline_micros(mut self, deadline_micros: u64) -> Self {
-        self.deadline_micros = Some(deadline_micros);
-        self
-    }
-
-    /// Builder-style: sets the minimum acceptable serving rung.
-    pub fn with_rung_floor(mut self, floor: Rung) -> Self {
-        self.rung_floor = Some(floor);
-        self
     }
 }
 
@@ -429,25 +359,15 @@ pub enum RequestError {
     TooManyNodes {
         /// Request graph's node count.
         n: usize,
-        /// Configured cap.
+        /// The serving cap ([`ParseLimits::serving`]).
         cap: usize,
     },
     /// A pre-built graph exceeds the serving edge cap.
     TooManyEdges {
         /// Request graph's edge count.
         m: usize,
-        /// Configured cap.
+        /// The serving cap ([`ParseLimits::serving`]).
         cap: usize,
-    },
-    /// Out-of-envelope request under [`ServeConfig::strict_envelope`].
-    OutOfEnvelope(EnvelopeViolation),
-    /// The ladder answered below the request's [`ServeRequest::rung_floor`];
-    /// the caller preferred a typed refusal over a low-quality answer.
-    BelowFloor {
-        /// The rung that would have served.
-        served: Rung,
-        /// The floor the request demanded.
-        floor: Rung,
     },
     /// The serving loop's admission stage refused the request (only
     /// reachable through the `admission` failpoint or a poisoned queue —
@@ -469,15 +389,6 @@ impl std::fmt::Display for RequestError {
             RequestError::TooManyEdges { m, cap } => {
                 write!(f, "request has {m} edges, serving cap is {cap}")
             }
-            RequestError::OutOfEnvelope(v) => {
-                write!(f, "request rejected (strict envelope): {v}")
-            }
-            RequestError::BelowFloor { served, floor } => {
-                write!(
-                    f,
-                    "ladder answered on the {served} rung, below the requested {floor} floor"
-                )
-            }
             RequestError::Admission(e) => write!(f, "request refused at admission: {e}"),
             RequestError::Internal(e) => write!(f, "internal serving failure: {e}"),
         }
@@ -488,7 +399,6 @@ impl std::error::Error for RequestError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             RequestError::Parse(e) => Some(e),
-            RequestError::OutOfEnvelope(v) => Some(v),
             _ => None,
         }
     }
@@ -580,11 +490,6 @@ impl GuardedPredictor {
         &self.artifact
     }
 
-    /// The serving policy this predictor was built with.
-    pub fn config(&self) -> &ServeConfig {
-        &self.config
-    }
-
     /// `true` when the GNN rung is available (weights frozen cleanly).
     pub fn model_available(&self) -> bool {
         self.model.is_ok()
@@ -602,18 +507,15 @@ impl GuardedPredictor {
     }
 
     /// Serves one typed request — the single entry point every payload
-    /// shape and policy routes through. Text payloads parse under the
-    /// strict serving limits; graph payloads are cap-checked; the ladder
-    /// runs; then the request's [`ServeRequest::rung_floor`] is enforced
-    /// on the answer. Never panics, never drops: exactly one
-    /// [`ServeResponse`] per call.
-    ///
-    /// `deadline_micros` and `priority` are queue-admission policy and are
-    /// not consulted here (this path never queues); the concurrent loop in
-    /// [`crate::serve_loop`] honors them.
+    /// shape routes through. Text payloads parse under the strict serving
+    /// limits; graph payloads are cap-checked; then the ladder runs. Never
+    /// panics, never drops: exactly one [`ServeResponse`] per call.
     pub fn handle(&self, request: &ServeRequest) -> ServeResponse {
         ServeResponse {
-            result: self.handle_request(request),
+            result: request
+                .payload
+                .graph()
+                .and_then(|graph| self.predict_graph(&graph)),
         }
     }
 
@@ -625,59 +527,49 @@ impl GuardedPredictor {
     /// serving loop calls for saturation overflow; it is deterministic,
     /// allocation-light, and never queues further work.
     pub fn handle_shed(&self, request: &ServeRequest, queue_depth: usize) -> ServeResponse {
-        let result = (|| {
-            let graph = match &request.payload {
-                RequestPayload::Graph(graph) => std::borrow::Cow::Borrowed(graph),
-                RequestPayload::Text(text) => std::borrow::Cow::Owned(
-                    qgraph::io::graph_from_str_limited(text, &self.config.limits)?,
-                ),
-            };
-            let status = self.admit_graph(&graph)?;
-            let mut skips = vec![Skip {
-                rung: Rung::Gnn,
-                reason: SkipReason::Shed { queue_depth },
-            }];
-            // Fixed angles unverified: the simulator is exactly the cost
-            // shedding avoids.
-            let outcome = if let Some(fa) = fixed_angle::nearest_for_graph(&graph) {
-                PredictionOutcome {
-                    params: fa.params,
-                    rung: Rung::FixedAngle,
-                    skips,
-                    envelope: status,
-                    clamped: false,
-                    verified_score: None,
-                    cached: false,
-                }
-            } else {
-                skips.push(Skip {
-                    rung: Rung::FixedAngle,
-                    reason: SkipReason::NotApplicable,
-                });
-                self.fallback_outcome(skips, status)
-            };
-            enforce_floor(outcome, request.rung_floor)
-        })();
-        ServeResponse { result }
+        ServeResponse {
+            result: request
+                .payload
+                .graph()
+                .and_then(|graph| self.shed_graph(&graph, queue_depth)),
+        }
     }
 
-    /// [`Self::handle`] without the response wrapper: payload dispatch,
-    /// the ladder, then the rung floor.
-    fn handle_request(&self, request: &ServeRequest) -> Result<PredictionOutcome, RequestError> {
-        let outcome = match &request.payload {
-            RequestPayload::Graph(graph) => self.predict_graph(graph)?,
-            RequestPayload::Text(text) => {
-                let graph = qgraph::io::graph_from_str_limited(text, &self.config.limits)?;
-                self.predict_graph(&graph)?
-            }
+    /// The shed ladder on a pre-built graph: admission, then fixed angles
+    /// unverified (the simulator is exactly the cost shedding avoids), then
+    /// the total fallback.
+    fn shed_graph(
+        &self,
+        graph: &Graph,
+        queue_depth: usize,
+    ) -> Result<PredictionOutcome, RequestError> {
+        let status = self.admit_graph(graph)?;
+        let mut skips = vec![Skip {
+            rung: Rung::Gnn,
+            reason: SkipReason::Shed { queue_depth },
+        }];
+        let Some(fa) = fixed_angle::nearest_for_graph(graph) else {
+            skips.push(Skip {
+                rung: Rung::FixedAngle,
+                reason: SkipReason::NotApplicable,
+            });
+            return Ok(self.fallback_outcome(skips, status));
         };
-        enforce_floor(outcome, request.rung_floor)
+        Ok(PredictionOutcome {
+            params: fa.params,
+            rung: Rung::FixedAngle,
+            skips,
+            envelope: status,
+            clamped: false,
+            verified_score: None,
+            cached: false,
+        })
     }
 
     /// Request cap checks and envelope classification, shared by the full
     /// ladder and the shed path.
     fn admit_graph(&self, graph: &Graph) -> Result<EnvelopeStatus, RequestError> {
-        let limits = &self.config.limits;
+        let limits = ParseLimits::serving();
         if graph.n() > limits.max_nodes {
             return Err(RequestError::TooManyNodes {
                 n: graph.n(),
@@ -694,7 +586,6 @@ impl GuardedPredictor {
             None => Ok(EnvelopeStatus::Unknown),
             Some(env) => match env.check(graph) {
                 Ok(()) => Ok(EnvelopeStatus::InEnvelope),
-                Err(v) if self.config.strict_envelope => Err(RequestError::OutOfEnvelope(v)),
                 Err(v) => Ok(EnvelopeStatus::Violated(v)),
             },
         }
@@ -865,20 +756,6 @@ fn clamp_principal(gamma: f64, beta: f64) -> (f64, f64, bool) {
     (g, b, g != gamma || b != beta)
 }
 
-/// Applies a request's quality floor to a served outcome.
-fn enforce_floor(
-    outcome: PredictionOutcome,
-    floor: Option<Rung>,
-) -> Result<PredictionOutcome, RequestError> {
-    match floor {
-        Some(floor) if outcome.rung.quality() < floor.quality() => Err(RequestError::BelowFloor {
-            served: outcome.rung,
-            floor,
-        }),
-        _ => Ok(outcome),
-    }
-}
-
 /// Best-effort text of a caught panic payload.
 pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -956,29 +833,6 @@ mod tests {
     }
 
     #[test]
-    fn rung_floor_turns_degraded_answers_into_typed_refusals() {
-        let served =
-            GuardedPredictor::new(tiny_artifact(Some(wide_envelope())), ServeConfig::default());
-        let g = Graph::cycle(8).unwrap();
-        // Forced degradation + a Gnn floor: refusal naming both rungs.
-        let _fault = faults::armed(faults::FORWARD, FaultAction::Nan, 1);
-        let request = ServeRequest::from_graph(g.clone()).with_rung_floor(Rung::Gnn);
-        match served.handle(&request).result {
-            Err(RequestError::BelowFloor { served, floor }) => {
-                assert_eq!(served, Rung::FixedAngle);
-                assert_eq!(floor, Rung::Gnn);
-            }
-            other => panic!("expected BelowFloor, got {other:?}"),
-        }
-        drop(_fault);
-        // A FixedAngle floor accepts a fixed-angle answer.
-        let _fault = faults::armed(faults::FORWARD, FaultAction::Nan, 1);
-        let request = ServeRequest::from_graph(g).with_rung_floor(Rung::FixedAngle);
-        let outcome = served.handle(&request).result.unwrap();
-        assert_eq!(outcome.rung, Rung::FixedAngle);
-    }
-
-    #[test]
     fn shed_path_skips_gnn_and_serves_fixed_angles_unverified() {
         let served =
             GuardedPredictor::new(tiny_artifact(Some(wide_envelope())), ServeConfig::default());
@@ -1008,6 +862,33 @@ mod tests {
     }
 
     #[test]
+    fn text_payload_sheds_like_the_equal_graph_and_rejects_like_handle() {
+        let served =
+            GuardedPredictor::new(tiny_artifact(Some(wide_envelope())), ServeConfig::default());
+        let g = Graph::cycle(7).unwrap();
+        let text = qgraph::io::graph_to_string(&g);
+        let from_text = served.handle_shed(&ServeRequest::from_text(text), 5);
+        let from_graph = served.handle_shed(&ServeRequest::from_graph(g), 5);
+        let (text_outcome, graph_outcome) = (from_text.result.unwrap(), from_graph.result.unwrap());
+        assert!(text_outcome.was_shed());
+        let (tg, tb) = text_outcome.angles();
+        let (gg, gb) = graph_outcome.angles();
+        assert_eq!((tg.to_bits(), tb.to_bits()), (gg.to_bits(), gb.to_bits()));
+        assert_eq!(text_outcome, graph_outcome);
+        // Hostile text: the same line-numbered rejection `handle` gives.
+        let hostile = ServeRequest::from_text("n 3\ne 0 1\ne 1 1\n");
+        let shed = served.handle_shed(&hostile, 5).result.unwrap_err();
+        let full = served.handle(&hostile).result.unwrap_err();
+        match (&shed, &full) {
+            (RequestError::Parse(a), RequestError::Parse(b)) => {
+                assert_eq!(a.line, 3);
+                assert_eq!(a.to_string(), b.to_string());
+            }
+            other => panic!("expected two Parse errors, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn text_request_round_trips_through_strict_parser() {
         let served =
             GuardedPredictor::new(tiny_artifact(Some(wide_envelope())), ServeConfig::default());
@@ -1026,14 +907,13 @@ mod tests {
     }
 
     #[test]
-    fn out_of_envelope_degrades_and_strict_rejects() {
+    fn out_of_envelope_degrades_past_the_gnn_rung() {
         let narrow = TrainingEnvelope {
             max_nodes: 6,
             ..wide_envelope()
         };
         let big = Graph::cycle(10).unwrap();
-        let served =
-            GuardedPredictor::new(tiny_artifact(Some(narrow.clone())), ServeConfig::default());
+        let served = GuardedPredictor::new(tiny_artifact(Some(narrow)), ServeConfig::default());
         let outcome = serve(&served, &big).unwrap();
         assert_ne!(outcome.rung, Rung::Gnn);
         assert!(matches!(outcome.envelope, EnvelopeStatus::Violated(_)));
@@ -1041,15 +921,6 @@ mod tests {
             .skips
             .iter()
             .any(|s| s.rung == Rung::Gnn && matches!(s.reason, SkipReason::OutOfEnvelope(_))));
-
-        let strict = GuardedPredictor::new(
-            tiny_artifact(Some(narrow)),
-            ServeConfig::default().with_strict_envelope(true),
-        );
-        match serve(&strict, &big) {
-            Err(RequestError::OutOfEnvelope(EnvelopeViolation::NodeCount { n: 10, .. })) => {}
-            other => panic!("expected strict rejection, got {other:?}"),
-        }
     }
 
     #[test]
@@ -1074,15 +945,9 @@ mod tests {
 
     #[test]
     fn oversized_graph_request_is_rejected_before_any_work() {
-        let served = GuardedPredictor::new(
-            tiny_artifact(None),
-            ServeConfig::default().with_limits(ParseLimits {
-                max_nodes: 8,
-                ..ParseLimits::serving()
-            }),
-        );
-        match serve(&served, &Graph::cycle(9).unwrap()) {
-            Err(RequestError::TooManyNodes { n: 9, cap: 8 }) => {}
+        let served = GuardedPredictor::new(tiny_artifact(None), ServeConfig::default());
+        match serve(&served, &Graph::cycle(4097).unwrap()) {
+            Err(RequestError::TooManyNodes { n: 4097, cap: 4096 }) => {}
             other => panic!("expected TooManyNodes, got {other:?}"),
         }
     }
@@ -1128,13 +993,15 @@ mod tests {
 
     #[test]
     fn request_builders_and_error_sources() {
-        let request = ServeRequest::from_text("n 2\ne 0 1\n")
-            .with_priority(Priority::High)
-            .with_deadline_micros(250)
-            .with_rung_floor(Rung::FixedAngle);
-        assert_eq!(request.priority, Priority::High);
-        assert_eq!(request.deadline_micros, Some(250));
-        assert_eq!(request.rung_floor, Some(Rung::FixedAngle));
+        let g = Graph::cycle(3).unwrap();
+        assert_eq!(
+            ServeRequest::from_graph(g.clone()).payload,
+            RequestPayload::Graph(g)
+        );
+        assert_eq!(
+            ServeRequest::from_text("n 2\ne 0 1\n").payload,
+            RequestPayload::Text("n 2\ne 0 1\n".to_string())
+        );
 
         // RequestError::source chains to the typed parse cause.
         let served = GuardedPredictor::new(tiny_artifact(None), ServeConfig::default());

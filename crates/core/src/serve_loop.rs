@@ -22,7 +22,7 @@
 //! serving their own request. When the queue is empty and a slot is free,
 //! `handle_wait` takes the slot and serves the request on the caller's
 //! thread: that is exactly the request an idle worker would have claimed
-//! with no queue wait, so capacity, watermark and deadline behaviour are
+//! with no queue wait, so capacity and watermark behaviour are
 //! unchanged, and a queued request is never overtaken. Otherwise it
 //! queues like [`ServeLoop::submit`]. A worker claims a job only while
 //! a slot is free, and whoever frees a slot while jobs are queued wakes a
@@ -48,16 +48,13 @@
 //!
 //! **Load shedding.** The queue is bounded by [`LoopConfig::queue_capacity`]
 //! and never grows past it. Between [`LoopConfig::shed_watermark`] and
-//! capacity, newly admitted [`Priority::Normal`] requests are marked to
-//! shed — served from the fixed-angle rung, recorded as
-//! [`crate::serve::SkipReason::Shed`] — while [`Priority::High`] requests
-//! keep the full ladder. At capacity, *every* new request sheds inline on
-//! the caller's own thread ([`Ticket::Ready`]), which simultaneously
-//! bounds memory and applies backpressure. A request whose
-//! [`ServeRequest::deadline_micros`] expires while queued sheds at
-//! execution time rather than being served late at full quality. Shed
-//! answers are still real answers off the ladder — degraded, accounted,
-//! never dropped.
+//! capacity, newly admitted requests are marked to shed — served from the
+//! fixed-angle rung, recorded as [`crate::serve::SkipReason::Shed`]. At
+//! capacity, every new request sheds inline on the caller's own thread
+//! ([`Ticket::Ready`]), which simultaneously bounds memory and applies
+//! backpressure. Shedding is decided in this one place, at admission, by
+//! queue depth. Shed answers are still real answers off the ladder —
+//! degraded, accounted, never dropped.
 //!
 //! **Workers.** A loop runs exactly [`LoopConfig::workers`] threads,
 //! spawned once in [`ServeLoop::new`] and joined when the loop is
@@ -85,8 +82,6 @@
 //!                     (queue past watermark, │              │
 //!                     model down)            │              ▼
 //!                                            └─────────► Degraded
-//!
-//!        any state ──ServeLoop dropped──► Draining (terminal)
 //! ```
 //!
 //! [`HealthReport::reasons`] lists every active cause, so "Degraded" is
@@ -124,7 +119,7 @@ use std::time::Instant;
 use crate::cache::{CacheConfig, CacheStats, PredictionCache};
 use crate::faults;
 use crate::serve::{
-    GuardedPredictor, Priority, RequestError, Rung, ServeConfig, ServeRequest, ServeResponse,
+    GuardedPredictor, RequestError, Rung, ServeConfig, ServeRequest, ServeResponse,
 };
 use crate::store::RunArtifact;
 
@@ -142,10 +137,11 @@ pub struct LoopConfig {
     /// caller thread instead of enqueueing. Memory is bounded by
     /// construction.
     pub queue_capacity: usize,
-    /// Soft bound: at this depth newly admitted [`Priority::Normal`]
-    /// requests are marked to shed. Clamped to `queue_capacity`.
+    /// Soft bound: at this depth newly admitted requests are marked to
+    /// shed. Clamped to `queue_capacity`.
     pub shed_watermark: usize,
-    /// Per-request serving policy handed to every worker's predictor.
+    /// Serving policy (simulator verification) handed to every published
+    /// predictor.
     pub serve: ServeConfig,
     /// Canonical-form prediction cache sizing (see [`crate::cache`]).
     /// Defaults to [`CacheConfig::disabled`] — caching is opt-in, so the
@@ -267,8 +263,6 @@ pub enum Health {
     /// Operational but impaired; [`HealthReport::reasons`] says why.
     /// Every ticket is still answered.
     Degraded,
-    /// Shutting down: draining the queue, then exiting. Terminal.
-    Draining,
 }
 
 impl std::fmt::Display for Health {
@@ -277,7 +271,6 @@ impl std::fmt::Display for Health {
             Health::Starting => write!(f, "starting"),
             Health::Ready => write!(f, "ready"),
             Health::Degraded => write!(f, "degraded"),
-            Health::Draining => write!(f, "draining"),
         }
     }
 }
@@ -287,7 +280,7 @@ impl std::error::Error for Health {}
 /// One attributable cause of a [`Health::Degraded`] report.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HealthReason {
-    /// Queue depth at or past the shed watermark: normal-priority traffic
+    /// Queue depth at or past the shed watermark: newly admitted traffic
     /// is being shed.
     QueueSaturated {
         /// Current queue depth.
@@ -341,8 +334,6 @@ pub struct LoopMetrics {
     pub shed_watermark: u64,
     /// Sheds answered inline at hard capacity.
     pub shed_capacity: u64,
-    /// Sheds decided at execution by an expired deadline.
-    pub shed_deadline: u64,
     /// Currently published artifact generation (the number of successful
     /// hot-swaps).
     pub generation: u64,
@@ -422,14 +413,14 @@ struct Queue {
 
 impl Queue {
     /// The worker's claim: the oldest job and a service slot, only while a
-    /// slot is free. Returns the job with the depth it leaves behind.
-    fn claim_job(&mut self) -> Option<(Job, usize)> {
+    /// slot is free.
+    fn claim_job(&mut self) -> Option<Job> {
         if self.in_service >= self.workers {
             return None;
         }
         let job = self.jobs.pop_front()?;
         self.in_service += 1;
-        Some((job, self.jobs.len()))
+        Some(job)
     }
 
     /// The inline claim: a service slot only when no job is queued (so
@@ -463,7 +454,6 @@ struct Shared {
     served_inline: AtomicU64,
     shed_watermark_n: AtomicU64,
     shed_capacity_n: AtomicU64,
-    shed_deadline_n: AtomicU64,
     rung_gnn: AtomicU64,
     rung_fixed: AtomicU64,
     rung_fallback: AtomicU64,
@@ -508,10 +498,8 @@ impl Shared {
     /// Serves one admitted request on the calling thread against
     /// `published`, the generation read when its slot was claimed: the
     /// worker loop and the inline path of [`ServeLoop::handle_wait`] both
-    /// end here. A deadline that expired while queued sheds now (a fast
-    /// degraded answer beats a late full-quality one); the request runs
-    /// inside its own panic guard and is counted once. `depth` is the
-    /// queue depth such a deadline shed records.
+    /// end here. `shed` is the admission decision; the request runs inside
+    /// its own panic guard and is counted once.
     fn serve(
         &self,
         published: &Published,
@@ -519,16 +507,9 @@ impl Shared {
         request: &ServeRequest,
         shed: Option<usize>,
         queued_micros: u64,
-        depth: usize,
     ) -> Completed {
         faults::set_request_index(index);
         self.ever_ready.store(true, SeqCst);
-        let deadline_expired =
-            shed.is_none() && request.deadline_micros.is_some_and(|d| queued_micros > d);
-        if deadline_expired {
-            self.shed_deadline_n.fetch_add(1, SeqCst);
-        }
-        let shed = shed.or(deadline_expired.then_some(depth));
         let predictor = &published.predictor;
         let response = catch_unwind(AssertUnwindSafe(|| match shed {
             Some(at_depth) => predictor.handle_shed(request, at_depth),
@@ -632,7 +613,6 @@ impl ServeLoop {
             served_inline: AtomicU64::new(0),
             shed_watermark_n: AtomicU64::new(0),
             shed_capacity_n: AtomicU64::new(0),
-            shed_deadline_n: AtomicU64::new(0),
             rung_gnn: AtomicU64::new(0),
             rung_fixed: AtomicU64::new(0),
             rung_fallback: AtomicU64::new(0),
@@ -658,8 +638,7 @@ impl ServeLoop {
     /// [`Completed`] will exist for it:
     ///
     /// * queue below the watermark — enqueued for the full ladder;
-    /// * watermark ≤ depth < capacity — [`Priority::Normal`] enqueued
-    ///   marked to shed, [`Priority::High`] keeps the full ladder;
+    /// * watermark ≤ depth < capacity — enqueued marked to shed;
     /// * depth at capacity — shed *inline* on the caller thread
     ///   ([`Ticket::Ready`]); the queue never grows past its bound;
     /// * `admission` failpoint armed — refused with
@@ -694,9 +673,9 @@ impl ServeLoop {
         if !self.shared.lock_queue().claim_inline() {
             return self.enqueue(index, request).wait();
         }
-        let shed = self.watermark_shed(0, &request);
+        let shed = self.watermark_shed(0);
         let published = self.shared.published();
-        let completed = self.shared.serve(&published, index, &request, shed, 0, 0);
+        let completed = self.shared.serve(&published, index, &request, shed, 0);
         self.shared.served_inline.fetch_add(1, SeqCst);
         self.shared.release_inline();
         completed
@@ -724,10 +703,9 @@ impl ServeLoop {
     }
 
     /// The watermark decision for a request admitted at queue `depth`:
-    /// past the watermark, [`Priority::Normal`] sheds.
-    fn watermark_shed(&self, depth: usize, request: &ServeRequest) -> Option<usize> {
-        let shed =
-            (depth >= self.shed_watermark && request.priority == Priority::Normal).then_some(depth);
+    /// past the watermark, it sheds.
+    fn watermark_shed(&self, depth: usize) -> Option<usize> {
+        let shed = (depth >= self.shed_watermark).then_some(depth);
         if shed.is_some() {
             self.shared.shed_watermark_n.fetch_add(1, SeqCst);
         }
@@ -752,7 +730,7 @@ impl ServeLoop {
                 generation: published.generation,
             });
         }
-        let shed = self.watermark_shed(depth, &request);
+        let shed = self.watermark_shed(depth);
         let (tx, rx) = mpsc::channel();
         queue.jobs.push_back(Job {
             index,
@@ -836,7 +814,6 @@ impl ServeLoop {
             rejected: shared.rejected.load(SeqCst),
             shed_watermark: shared.shed_watermark_n.load(SeqCst),
             shed_capacity: shared.shed_capacity_n.load(SeqCst),
-            shed_deadline: shared.shed_deadline_n.load(SeqCst),
             generation: self.generation(),
             max_depth,
             queue_depth,
@@ -863,17 +840,15 @@ impl ServeLoop {
     }
 
     /// Folds queue depth and model availability into the `Starting →
-    /// Ready ⇄ Degraded → Draining` state machine (module docs have the
-    /// diagram). Every `Degraded` report carries its reasons.
+    /// Ready ⇄ Degraded` state machine (module docs have the diagram).
+    /// Every `Degraded` report carries its reasons.
     pub fn health(&self) -> HealthReport {
         let shared = &self.shared;
         let published = shared.published();
         let generation = published.generation;
         let queue_depth = shared.lock_queue().jobs.len();
         let mut reasons = Vec::new();
-        let state = if shared.shutdown.load(SeqCst) {
-            Health::Draining
-        } else if !shared.ever_ready.load(SeqCst) {
+        let state = if !shared.ever_ready.load(SeqCst) {
             Health::Starting
         } else {
             if queue_depth >= self.shed_watermark {
@@ -949,7 +924,7 @@ fn worker_loop(shared: &Shared) {
     loop {
         // Inline callers may hold every slot; whoever frees one while jobs
         // wait wakes a worker.
-        let Some((job, depth)) = queue.claim_job() else {
+        let Some(job) = queue.claim_job() else {
             if queue.jobs.is_empty() && shared.shutdown.load(SeqCst) {
                 return;
             }
@@ -963,14 +938,7 @@ fn worker_loop(shared: &Shared) {
 
         let published = shared.published();
         let queued_micros = job.enqueued.elapsed().as_micros() as u64;
-        let completed = shared.serve(
-            &published,
-            job.index,
-            &job.request,
-            job.shed,
-            queued_micros,
-            depth,
-        );
+        let completed = shared.serve(&published, job.index, &job.request, job.shed, queued_micros);
         // A dropped receiver (caller gave up on the ticket) is fine; the
         // request was still served and counted.
         let _ = job.reply.send(completed);
@@ -1011,10 +979,7 @@ mod tests {
         let mut q = queue(2, 0, 1);
         assert!(!q.claim_inline());
         assert_eq!(q.in_service, 0);
-        assert_eq!(
-            q.claim_job().map(|(job, depth)| (job.index, depth)),
-            Some((0, 0))
-        );
+        assert_eq!(q.claim_job().map(|job| job.index), Some(0));
         // Queue empty with a slot free: inline service, up to the bound.
         assert!(q.claim_inline());
         assert_eq!(q.in_service, 2);
@@ -1028,12 +993,12 @@ mod tests {
         assert!(q.claim_job().is_none(), "every slot is taken");
         assert_eq!((q.in_service, q.jobs.len()), (1, 2));
         q.in_service = 0;
-        let (job, depth) = q.claim_job().expect("a free slot claims");
-        assert_eq!((job.index, depth, q.in_service), (0, 1, 1));
+        let job = q.claim_job().expect("a free slot claims");
+        assert_eq!((job.index, q.jobs.len(), q.in_service), (0, 1, 1));
         assert!(q.claim_job().is_none(), "one job per slot");
         q.in_service = 0;
-        let (job, depth) = q.claim_job().expect("the next job");
-        assert_eq!((job.index, depth), (1, 0));
+        let job = q.claim_job().expect("the next job");
+        assert_eq!((job.index, q.jobs.len()), (1, 0));
         assert!(q.claim_job().is_none(), "queue empty");
         assert_eq!(q.in_service, 1);
     }

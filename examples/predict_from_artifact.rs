@@ -90,9 +90,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("\n{:<22} {:>12} {:>8}  outcome", "graph", "E[cut]", "ratio");
     for (name, g) in &instances {
-        // One typed entry point for every payload shape; `ServeRequest`
-        // also carries per-request deadline/priority/rung-floor policy for
-        // the concurrent loop (`qaoa_gnn::ServeLoop`).
+        // One typed entry point for every payload shape; the concurrent
+        // loop (`qaoa_gnn::ServeLoop`) serves the same `ServeRequest`.
         match served.handle(&ServeRequest::from_graph(g.clone())).result {
             Ok(outcome) if g.n() <= 16 => {
                 let circuit = QaoaCircuit::new(MaxCutHamiltonian::new(g));

@@ -1,6 +1,6 @@
 //! The concurrent serving loop under fire: text-vs-graph payload parity
-//! on a trained artifact, load shedding at the watermark / capacity /
-//! deadline boundaries, per-request degradation (a GNN failure on one
+//! on a trained artifact, load shedding at the watermark and capacity
+//! boundaries, per-request degradation (a GNN failure on one
 //! graph never degrades another), mid-traffic hot-swap correctness (no
 //! torn or stale artifact, old generation keeps serving on a refused
 //! swap), the `admission` and `hot_swap` failpoints, the zero-drop
@@ -21,7 +21,7 @@ use gnn::{GnnKind, GnnModel};
 use qaoa_gnn::dataset::{LabelConfig, LabelReport};
 use qaoa_gnn::faults::{self, FaultAction, FaultSchedule};
 use qaoa_gnn::pipeline::{Pipeline, PipelineConfig};
-use qaoa_gnn::serve::{Priority, RequestError, ServeRequest, SkipReason};
+use qaoa_gnn::serve::{RequestError, ServeRequest, SkipReason};
 use qaoa_gnn::serve_loop::{Completed, Health, LoopConfig, ServeLoop, SwapError, Ticket};
 use qaoa_gnn::{GuardedPredictor, Json, RunArtifact, Rung, ServeConfig, ToJson, TrainingEnvelope};
 use qgraph::generate::DatasetSpec;
@@ -134,32 +134,6 @@ fn shed_requests_report_skip_reason_and_valid_fixed_angles() {
 }
 
 #[test]
-fn watermark_sheds_normal_but_not_high_priority() {
-    // Watermark 0: every Normal admission is marked to shed; High keeps
-    // the full ladder until hard capacity.
-    let serve = small_loop(64, 0);
-    let normal = serve.handle_wait(ServeRequest::from_graph(Graph::cycle(6).unwrap()));
-    let outcome = normal.response.result.as_ref().unwrap();
-    assert!(
-        outcome
-            .skips
-            .iter()
-            .any(|s| matches!(s.reason, SkipReason::Shed { .. })),
-        "normal-priority request above the watermark must shed: {outcome:?}"
-    );
-    let high = serve.handle_wait(
-        ServeRequest::from_graph(Graph::cycle(6).unwrap()).with_priority(Priority::High),
-    );
-    let outcome = high.response.result.as_ref().unwrap();
-    assert_eq!(
-        outcome.rung,
-        Rung::Gnn,
-        "high priority keeps the full ladder"
-    );
-    assert!(!outcome.was_shed());
-}
-
-#[test]
 fn hard_capacity_sheds_inline_and_bounds_the_queue() {
     // One worker, capacity 4: a burst of submissions must overflow into
     // inline Ready sheds, and the queue depth must never exceed capacity.
@@ -196,37 +170,6 @@ fn hard_capacity_sheds_inline_and_bounds_the_queue() {
         "queue exceeded its bound: {}",
         stats.max_depth
     );
-}
-
-#[test]
-fn expired_deadline_sheds_at_execution_time() {
-    // One worker, slow lane: queue 32 patient requests, then one with a
-    // zero deadline behind them. By the time a worker reaches it, it has
-    // waited far longer than 0µs and must shed.
-    let serve = ServeLoop::new(
-        artifact(8601),
-        LoopConfig::default()
-            .with_workers(1)
-            .with_queue_capacity(256)
-            .with_shed_watermark(256),
-    );
-    let patient: Vec<Ticket> = (0..32)
-        .map(|_| serve.submit(ServeRequest::from_graph(Graph::cycle(12).unwrap())))
-        .collect();
-    let deadline =
-        serve.submit(ServeRequest::from_graph(Graph::cycle(6).unwrap()).with_deadline_micros(0));
-    let done = deadline.wait();
-    let outcome = done.response.result.unwrap();
-    assert!(
-        outcome
-            .skips
-            .iter()
-            .any(|s| matches!(s.reason, SkipReason::Shed { .. })),
-        "expired deadline must shed: {outcome:?}"
-    );
-    for ticket in patient {
-        assert!(ticket.wait().response.result.is_ok());
-    }
 }
 
 // ------------------------------------------------- per-request degradation
@@ -483,29 +426,13 @@ fn shutdown_drains_every_queued_request() {
 // ------------------------------------------------- rejections still typed
 
 #[test]
-fn loop_propagates_typed_rejections_and_floor_refusals() {
+fn loop_propagates_typed_rejections() {
     let serve = small_loop(64, 64);
     // Hostile text through the loop: typed parse rejection, line number intact.
     let done = serve.handle_wait(ServeRequest::from_text("n 3\ne 0 1 nan\n"));
     match done.response.result {
         Err(RequestError::Parse(e)) => assert_eq!(e.line, 2),
         other => panic!("expected Parse rejection, got {other:?}"),
-    }
-    // A Gnn rung floor on a model-down loop: typed BelowFloor refusal.
-    // (Guard-armed failpoints are thread-gated and cannot reach the worker
-    // threads, so model-down is forced structurally: an artifact whose
-    // weights cannot rebuild disables the GNN rung in every worker.)
-    let mut headless = artifact(9401);
-    headless.weights.params.pop();
-    let serve = ServeLoop::new(headless, LoopConfig::default().with_workers(1));
-    let done = serve
-        .handle_wait(ServeRequest::from_graph(Graph::cycle(6).unwrap()).with_rung_floor(Rung::Gnn));
-    match done.response.result {
-        Err(RequestError::BelowFloor { served, floor }) => {
-            assert_eq!(served, Rung::FixedAngle);
-            assert_eq!(floor, Rung::Gnn);
-        }
-        other => panic!("expected BelowFloor, got {other:?}"),
     }
 }
 
@@ -851,9 +778,8 @@ fn admission_failpoint_refuses_inline_requests_as_submit_does() {
     assert_eq!(serve.metrics().served_inline, 1);
 }
 
-/// Watermark 0 sheds a `Priority::Normal` request served inline exactly
-/// as `submit` sheds one admitted at depth 0; `Priority::High` keeps the
-/// full ladder.
+/// Watermark 0 sheds a request served inline exactly as `submit` sheds
+/// one admitted at depth 0.
 #[test]
 fn zero_watermark_sheds_inline_normal_requests_as_submit_does() {
     let serve = small_loop(64, 0);
@@ -864,16 +790,14 @@ fn zero_watermark_sheds_inline_normal_requests_as_submit_does() {
         .response
         .result
         .unwrap();
-    let inline = serve.handle_wait(ServeRequest::from_graph(graph.clone()));
+    let inline = serve.handle_wait(ServeRequest::from_graph(graph));
     let outcome = inline.response.result.unwrap();
     assert_eq!(outcome.skips[0].reason, SkipReason::Shed { queue_depth: 0 });
     assert_eq!(outcome, submitted);
-    let high = serve.handle_wait(ServeRequest::from_graph(graph).with_priority(Priority::High));
-    assert_eq!(high.response.result.unwrap().rung, Rung::Gnn);
     let metrics = serve.metrics();
     assert_eq!(metrics.shed_watermark, 2);
-    assert_eq!(metrics.served_inline, 2);
-    assert_eq!((metrics.shed, metrics.served), (2, 1));
+    assert_eq!(metrics.served_inline, 1);
+    assert_eq!((metrics.shed, metrics.served), (2, 0));
 }
 
 /// "First request served" counts a request served on the caller's thread:
@@ -911,7 +835,6 @@ fn loop_metrics_json_round_trips_every_counter() {
         ("rejected", m.rejected),
         ("shed_watermark", m.shed_watermark),
         ("shed_capacity", m.shed_capacity),
-        ("shed_deadline", m.shed_deadline),
         ("generation", m.generation),
         ("max_depth", m.max_depth as u64),
         ("queue_depth", m.queue_depth as u64),
