@@ -1,5 +1,6 @@
-//! Environment-variable reads shared by every `from_env` constructor, so
-//! each knob family spells only its keys and where the value goes.
+//! Environment-variable reads shared by `PipelineConfig::from_env` and the
+//! fault-stall budget (`QAOA_GNN_STALL_MS`), so each reader spells only its
+//! keys and where the value goes.
 
 use std::path::PathBuf;
 use std::str::FromStr;

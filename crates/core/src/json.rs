@@ -1,11 +1,12 @@
-//! Hand-rolled JSON encoding and decoding for persisted configurations and
-//! reports.
+//! Hand-rolled JSON encoding and decoding for run artifacts, training
+//! checkpoints and the configurations inside them.
 //!
 //! The workspace is hermetic (no external crates), so the serialization the
-//! experiment binaries need — saving a [`PipelineConfig`] next to a run,
-//! emitting an [`EvaluationReport`] for plotting — is implemented here
-//! directly: a small [`Json`] value tree, a recursive-descent parser, a
-//! writer, and [`ToJson`]/[`FromJson`] impls for every persisted struct.
+//! pipeline needs — a [`PipelineConfig`] with its trained weights and
+//! reports in a run artifact, a training checkpoint's state — is
+//! implemented here directly: a small [`Json`] value tree, a
+//! recursive-descent parser, a writer, and [`ToJson`]/[`FromJson`] impls
+//! for every persisted struct.
 //!
 //! Numbers are kept as parsed ([`Number::U64`]/[`Number::I64`]/
 //! [`Number::F64`]) so 64-bit seeds survive a round trip exactly; floats are
@@ -19,12 +20,11 @@ use gnn::train::{DivergenceEvent, EpochStats, TrainConfig, TrainHistory, TrainSt
 use gnn::{GnnKind, ModelConfig, ModelWeights, Readout};
 use qgraph::features::FeatureConfig;
 use qgraph::generate::DatasetSpec;
-use tensor::optim::AdamState;
-use tensor::sched::PlateauState;
+use tensor::optim::Adam;
 use tensor::Matrix;
 
 use crate::dataset::{FailurePolicy, LabelConfig, LabelFailure, LabelFailureReason, LabelReport};
-use crate::eval::{EvalConfig, EvaluationReport, GraphComparison};
+use crate::eval::EvalConfig;
 use crate::pipeline::PipelineConfig;
 use crate::sdp::SdpConfig;
 
@@ -956,76 +956,32 @@ fn matrix_bits_from_json(json: &Json) -> Result<Matrix, JsonError> {
     Ok(Matrix::from_flat(rows, cols, data))
 }
 
-fn moments_to_json(moments: &[(usize, Matrix)]) -> Json {
-    Json::Arr(
-        moments
-            .iter()
-            .map(|(index, matrix)| {
-                obj(vec![
-                    ("index", Json::uint(*index as u64)),
-                    ("matrix", matrix_bits_to_json(matrix)),
-                ])
-            })
-            .collect(),
-    )
+fn matrices_to_json(matrices: &[Matrix]) -> Json {
+    Json::Arr(matrices.iter().map(matrix_bits_to_json).collect())
 }
 
-fn moments_from_json(json: &Json) -> Result<Vec<(usize, Matrix)>, JsonError> {
-    json.as_arr()?
-        .iter()
-        .map(|entry| {
-            Ok((
-                entry.get("index")?.as_usize()?,
-                matrix_bits_from_json(entry.get("matrix")?)?,
-            ))
-        })
-        .collect()
+fn matrices_from_json(json: &Json) -> Result<Vec<Matrix>, JsonError> {
+    json.as_arr()?.iter().map(matrix_bits_from_json).collect()
 }
 
-impl ToJson for AdamState {
+impl ToJson for Adam {
     fn to_json(&self) -> Json {
         obj(vec![
             ("lr", Json::float(self.lr)),
-            ("beta1", Json::float(self.beta1)),
-            ("beta2", Json::float(self.beta2)),
-            ("eps", Json::float(self.eps)),
-            ("weight_decay", Json::float(self.weight_decay)),
             ("t", Json::uint(self.t)),
-            ("m", moments_to_json(&self.m)),
-            ("v", moments_to_json(&self.v)),
+            ("m", matrices_to_json(&self.m)),
+            ("v", matrices_to_json(&self.v)),
         ])
     }
 }
 
-impl FromJson for AdamState {
+impl FromJson for Adam {
     fn from_json(json: &Json) -> Result<Self, JsonError> {
-        Ok(AdamState {
+        Ok(Adam {
             lr: json.get("lr")?.as_f64()?,
-            beta1: json.get("beta1")?.as_f64()?,
-            beta2: json.get("beta2")?.as_f64()?,
-            eps: json.get("eps")?.as_f64()?,
-            weight_decay: json.get("weight_decay")?.as_f64()?,
             t: json.get("t")?.as_u64()?,
-            m: moments_from_json(json.get("m")?)?,
-            v: moments_from_json(json.get("v")?)?,
-        })
-    }
-}
-
-impl ToJson for PlateauState {
-    fn to_json(&self) -> Json {
-        obj(vec![
-            ("best", self.best.map_or(Json::Null, Json::float)),
-            ("bad_epochs", Json::uint(self.bad_epochs as u64)),
-        ])
-    }
-}
-
-impl FromJson for PlateauState {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        Ok(PlateauState {
-            best: json.get_opt("best")?.map(Json::as_f64).transpose()?,
-            bad_epochs: json.get("bad_epochs")?.as_usize()?,
+            m: matrices_from_json(json.get("m")?)?,
+            v: matrices_from_json(json.get("v")?)?,
         })
     }
 }
@@ -1035,19 +991,13 @@ impl ToJson for TrainState {
         obj(vec![
             ("next_epoch", Json::uint(self.next_epoch as u64)),
             ("done", Json::Bool(self.done)),
-            (
-                "params",
-                Json::Arr(self.params.iter().map(matrix_bits_to_json).collect()),
-            ),
+            ("params", matrices_to_json(&self.params)),
             ("optimizer", self.optimizer.to_json()),
-            ("scheduler", self.scheduler.to_json()),
             // Bit-pattern encoding: before the first epoch the best loss is
             // `+∞`, which a plain JSON float cannot carry.
             ("best_loss_bits", Json::uint(self.best_loss.to_bits())),
-            (
-                "best_params",
-                Json::Arr(self.best_params.iter().map(matrix_bits_to_json).collect()),
-            ),
+            ("bad_epochs", Json::uint(self.bad_epochs as u64)),
+            ("best_params", matrices_to_json(&self.best_params)),
             (
                 "order",
                 Json::Arr(self.order.iter().map(|&i| Json::uint(i as u64)).collect()),
@@ -1074,21 +1024,11 @@ impl FromJson for TrainState {
         Ok(TrainState {
             next_epoch: json.get("next_epoch")?.as_usize()?,
             done: json.get("done")?.as_bool()?,
-            params: json
-                .get("params")?
-                .as_arr()?
-                .iter()
-                .map(matrix_bits_from_json)
-                .collect::<Result<_, _>>()?,
-            optimizer: AdamState::from_json(json.get("optimizer")?)?,
-            scheduler: PlateauState::from_json(json.get("scheduler")?)?,
+            params: matrices_from_json(json.get("params")?)?,
+            optimizer: Adam::from_json(json.get("optimizer")?)?,
             best_loss: f64::from_bits(json.get("best_loss_bits")?.as_u64()?),
-            best_params: json
-                .get("best_params")?
-                .as_arr()?
-                .iter()
-                .map(matrix_bits_from_json)
-                .collect::<Result<_, _>>()?,
+            bad_epochs: json.get("bad_epochs")?.as_usize()?,
+            best_params: matrices_from_json(json.get("best_params")?)?,
             order: json
                 .get("order")?
                 .as_arr()?
@@ -1370,60 +1310,6 @@ impl FromJson for PipelineConfig {
                 .map(Json::as_usize)
                 .transpose()?
                 .unwrap_or(1),
-        })
-    }
-}
-
-impl ToJson for GraphComparison {
-    fn to_json(&self) -> Json {
-        obj(vec![
-            ("nodes", Json::uint(self.nodes as u64)),
-            ("degree", Json::uint(self.degree as u64)),
-            ("random_ratio", Json::float(self.random_ratio)),
-            ("gnn_ratio", Json::float(self.gnn_ratio)),
-        ])
-    }
-}
-
-impl FromJson for GraphComparison {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        Ok(GraphComparison {
-            nodes: json.get("nodes")?.as_usize()?,
-            degree: json.get("degree")?.as_usize()?,
-            random_ratio: json.get("random_ratio")?.as_f64()?,
-            gnn_ratio: json.get("gnn_ratio")?.as_f64()?,
-        })
-    }
-}
-
-impl ToJson for EvaluationReport {
-    fn to_json(&self) -> Json {
-        obj(vec![
-            (
-                "per_graph",
-                Json::Arr(self.per_graph.iter().map(ToJson::to_json).collect()),
-            ),
-            ("mean_improvement", Json::float(self.mean_improvement)),
-            ("std_improvement", Json::float(self.std_improvement)),
-            ("mean_random_ratio", Json::float(self.mean_random_ratio)),
-            ("mean_gnn_ratio", Json::float(self.mean_gnn_ratio)),
-        ])
-    }
-}
-
-impl FromJson for EvaluationReport {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        Ok(EvaluationReport {
-            per_graph: json
-                .get("per_graph")?
-                .as_arr()?
-                .iter()
-                .map(GraphComparison::from_json)
-                .collect::<Result<_, _>>()?,
-            mean_improvement: json.get("mean_improvement")?.as_f64()?,
-            std_improvement: json.get("std_improvement")?.as_f64()?,
-            mean_random_ratio: json.get("mean_random_ratio")?.as_f64()?,
-            mean_gnn_ratio: json.get("mean_gnn_ratio")?.as_f64()?,
         })
     }
 }
@@ -1720,25 +1606,6 @@ mod tests {
         for r in [Readout::Mean, Readout::Sum, Readout::Max] {
             round_trip(&r);
         }
-    }
-
-    #[test]
-    fn report_round_trips() {
-        let report = EvaluationReport::from_comparisons(vec![
-            GraphComparison {
-                nodes: 8,
-                degree: 3,
-                random_ratio: 0.61,
-                gnn_ratio: 0.87,
-            },
-            GraphComparison {
-                nodes: 12,
-                degree: 4,
-                random_ratio: 0.7,
-                gnn_ratio: 0.66,
-            },
-        ]);
-        round_trip(&report);
     }
 
     #[test]

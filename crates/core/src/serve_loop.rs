@@ -275,8 +275,6 @@ impl std::fmt::Display for Health {
     }
 }
 
-impl std::error::Error for Health {}
-
 /// One attributable cause of a [`Health::Degraded`] report.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HealthReason {

@@ -1001,11 +1001,12 @@ fn kind_slug(kind: GnnKind) -> &'static str {
 /// The `format` tag every training checkpoint carries.
 pub const TRAIN_CHECKPOINT_FORMAT: &str = "qaoa-gnn-train-checkpoint";
 
-/// Current training-checkpoint schema version. Version 2 stores every
-/// matrix of the state as f64 bit patterns; no version 1 reader is kept, so
-/// a version 1 file loads as [`ArtifactError::Version`] and the run trains
-/// from scratch.
-pub const TRAIN_CHECKPOINT_VERSION: u64 = 2;
+/// Current training-checkpoint schema version. Version 3 stores Adam's
+/// moments as plain per-parameter arrays and the plateau schedule's streak
+/// as one `bad_epochs` count, with no optimizer or schedule constants.
+/// No older reader is kept, so a version 1 or 2 file loads as
+/// [`ArtifactError::Version`] and the run trains from scratch.
+pub const TRAIN_CHECKPOINT_VERSION: u64 = 3;
 
 /// The training checkpoint's sealed layout.
 const CHECKPOINT_SEAL: SealedFormat<2> = SealedFormat {
@@ -1049,8 +1050,8 @@ pub fn train_identity(
 
 /// A mid-training snapshot as one self-describing, checksummed file: the
 /// architecture it belongs to, the [`train_identity`] binding it to its
-/// run, and the full [`gnn::train::TrainState`] (parameters, Adam moments,
-/// scheduler state, divergence-guard snapshot, epoch shuffle, RNG words,
+/// run, and the full [`gnn::train::TrainState`] (parameters, Adam's state,
+/// plateau streak, divergence-guard snapshot, epoch shuffle, RNG words,
 /// history). Written atomically after epoch boundaries so SIGKILL at any
 /// instant leaves a loadable checkpoint, and a relaunched run continues
 /// bit-identically to one that was never killed.
@@ -1060,7 +1061,7 @@ pub fn train_identity(
 /// ```text
 /// {
 ///   "format": "qaoa-gnn-train-checkpoint",
-///   "version": 2,
+///   "version": 3,
 ///   "sections": { "meta": {"kind": …, "identity": …}, "state": … },
 ///   "checksums": { "<section>": <fnv1a of the section's compact JSON> }
 /// }
@@ -1463,12 +1464,9 @@ mod tests {
                 next_epoch: 0,
                 done: false,
                 params: artifact.weights.params.clone(),
-                optimizer: tensor::optim::Adam::new(0.01).export_state(),
-                scheduler: tensor::sched::PlateauState {
-                    best: None,
-                    bad_epochs: 0,
-                },
+                optimizer: tensor::optim::Adam::new(0.01),
                 best_loss: f64::INFINITY,
+                bad_epochs: 0,
                 best_params: artifact.weights.params.clone(),
                 order: vec![2, 0, 1],
                 rng_state: [1, 2, 3, 4],
@@ -1713,10 +1711,10 @@ mod tests {
     #[test]
     fn saved_checkpoint_bytes_match_golden_digest() {
         let pins = [
-            (GnnKind::Gcn, 11261, 0x3e3c_5cf2_17f9_e105),
-            (GnnKind::Gat, 14251, 0xb3f7_33d8_78cb_b466),
-            (GnnKind::Gin, 17288, 0x4267_cafe_ca6b_0a85),
-            (GnnKind::Sage, 20917, 0xf73d_85b2_396e_2112),
+            (GnnKind::Gcn, 10280, 0x3261_b28e_77f5_cde9),
+            (GnnKind::Gat, 12728, 0x4cb5_7dab_2104_394c),
+            (GnnKind::Gin, 15489, 0xa519_0b24_f824_fbdc),
+            (GnnKind::Sage, 19391, 0x405a_b1c1_e96e_29ef),
         ];
         for (kind, len, digest) in pins {
             assert_eq!(saved_checkpoint_digest(kind), (len, digest), "{kind}");
@@ -1733,13 +1731,6 @@ mod tests {
                 .into_iter()
                 .chain(m.data().iter().map(|v| v.to_bits()))
                 .fold(hash, fnv1a_word)
-        }
-        fn moments(hash: u64, moments: &[(usize, Matrix)]) -> u64 {
-            moments
-                .iter()
-                .fold(fnv1a_word(hash, moments.len() as u64), |h, (i, m)| {
-                    matrix(fnv1a_word(h, *i as u64), m)
-                })
         }
         fn matrices(hash: u64, ms: &[Matrix]) -> u64 {
             ms.iter().fold(fnv1a_word(hash, ms.len() as u64), matrix)
@@ -1758,25 +1749,10 @@ mod tests {
         h = matrices(h, &s.params);
         h = matrices(h, &s.best_params);
         let adam = &s.optimizer;
-        h = [
-            adam.t,
-            adam.lr.to_bits(),
-            adam.beta1.to_bits(),
-            adam.beta2.to_bits(),
-        ]
-        .into_iter()
-        .chain([adam.eps.to_bits(), adam.weight_decay.to_bits()])
-        .fold(h, fnv1a_word);
-        h = moments(h, &adam.m);
-        h = moments(h, &adam.v);
-        let best = s.scheduler.best.map_or(u64::MAX, f64::to_bits);
-        h = [
-            u64::from(s.scheduler.best.is_some()),
-            best,
-            s.scheduler.bad_epochs as u64,
-        ]
-        .into_iter()
-        .fold(h, fnv1a_word);
+        h = [adam.t, adam.lr.to_bits()].into_iter().fold(h, fnv1a_word);
+        h = matrices(h, &adam.m);
+        h = matrices(h, &adam.v);
+        h = fnv1a_word(h, s.bad_epochs as u64);
         h = s
             .history
             .epochs
@@ -1801,10 +1777,10 @@ mod tests {
     #[test]
     fn checkpoint_state_bits_match_golden_digest() {
         let pins = [
-            (GnnKind::Gcn, 0xbaf9_6502_986a_da1c),
-            (GnnKind::Gat, 0x3b38_2a2a_7d68_b0be),
-            (GnnKind::Gin, 0xe127_9d8f_c90f_8bb5),
-            (GnnKind::Sage, 0xf605_3fb9_e38a_b072),
+            (GnnKind::Gcn, 0xd8ad_cac2_8dea_adc4),
+            (GnnKind::Gat, 0x9044_5c9e_1da9_ac42),
+            (GnnKind::Gin, 0x9545_3245_9d5d_601b),
+            (GnnKind::Sage, 0xd8dd_47e2_47d5_83cf),
         ];
         for (kind, digest) in pins {
             assert_eq!(state_bits_digest(kind), digest, "{kind}");

@@ -2,17 +2,24 @@
 //!
 //! Per-graph (batch size 1) regression of normalized `(γ, β)` targets with
 //! MSE loss, Adam, and the paper's ReduceLROnPlateau schedule monitoring the
-//! training loss. Models train for 100 epochs before evaluation.
+//! training loss: "mode to min, factor to 5, patience to 5 and minimum
+//! learning rate to 1e-5". Models train for 100 epochs before evaluation.
 
 use qrand::rngs::StdRng;
 use qrand::seq::SliceRandom;
-use qrand::Rng;
 
-use tensor::optim::{Adam, AdamState, Optimizer};
-use tensor::sched::{PlateauState, ReduceLrOnPlateau};
+use tensor::optim::Adam;
 use tensor::Matrix;
 
 use crate::{GnnModel, GraphContext, WeightError};
+
+/// The plateau schedule's cut: "factor 5" divides the learning rate by 5.
+const PLATEAU_FACTOR: f64 = 0.2;
+/// Epochs in a row without a lower loss that the schedule tolerates; the
+/// next one cuts the learning rate.
+const PLATEAU_PATIENCE: usize = 5;
+/// The schedule never cuts the learning rate below this.
+const MIN_LEARNING_RATE: f64 = 1e-5;
 
 /// One training example: a graph context and its normalized `(γ, β)` label.
 #[derive(Debug, Clone)]
@@ -123,69 +130,16 @@ pub fn train(
         .expect("a fresh run with a discarding sink cannot fail")
 }
 
-/// One epoch of the §4.1 loop: shuffle, then per example forward, loss
-/// check, backward and optimizer step, then the scheduler. Returns `true`
-/// when the epoch diverged (recorded in `history`); the caller stops
-/// training.
-#[allow(clippy::too_many_arguments)]
-fn run_epoch<R: Rng + ?Sized>(
-    model: &GnnModel,
-    examples: &[Example],
-    config: &TrainConfig,
-    order: &mut [usize],
-    optimizer: &mut Adam,
-    scheduler: &mut ReduceLrOnPlateau,
-    rng: &mut R,
-    epoch: usize,
-    history: &mut TrainHistory,
-    best: &mut (f64, Vec<Matrix>),
-) -> bool {
-    if config.shuffle {
-        order.shuffle(rng);
-    }
-    let lr = optimizer.learning_rate();
-    let mut total_loss = 0.0;
-    for &i in order.iter() {
-        let example = &examples[i];
-        model.tape().reset();
-        let out = model.forward(&example.context, rng);
-        let target = Matrix::row_vector(&example.target);
-        let loss = out.mse(&target);
-        let loss_value = loss.value()[(0, 0)];
-        if !loss_value.is_finite() {
-            history.diverged = Some(DivergenceEvent {
-                epoch,
-                loss: loss_value,
-            });
-            return true;
-        }
-        total_loss += loss_value;
-        model.tape().backward(&loss);
-        optimizer.step(model.parameters());
-    }
-    model.tape().reset();
-    let train_loss = total_loss / examples.len() as f64;
-    scheduler.step(train_loss, optimizer);
-    history.epochs.push(EpochStats {
-        epoch,
-        train_loss,
-        learning_rate: lr,
-    });
-    if train_loss < best.0 {
-        *best = (train_loss, model.snapshot());
-    }
-    false
-}
-
 /// Everything the training loop needs to continue from an epoch boundary:
-/// the live parameters, both Adam moments and the step counter, the plateau
-/// scheduler's streak, the divergence-guard best-finite snapshot, the exact
-/// RNG stream position, the epoch permutation (the shuffle mutates it in
-/// place across epochs), and the history so far.
+/// the parameters, Adam's state, the plateau schedule's streak, the
+/// divergence-guard best-finite snapshot, the exact RNG stream position, the
+/// epoch permutation (the shuffle mutates it in place across epochs), and
+/// the history so far.
 ///
-/// Captured by [`train_resumable`] after each completed epoch and handed to
-/// its `on_checkpoint` sink; feeding the state back as `resume` continues
-/// the run bit-identically to one that was never interrupted.
+/// [`train_resumable`] trains by mutating one such value and hands that
+/// value to its `on_checkpoint` sink at checkpointed epoch boundaries;
+/// feeding a state back as `resume` continues the run bit-identically to
+/// one that was never interrupted.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrainState {
     /// Next epoch to run (= completed epoch count). Equals `config.epochs`
@@ -194,14 +148,18 @@ pub struct TrainState {
     /// True once training finished (all epochs done, or diverged and the
     /// best weights restored); resuming a done state is a no-op replay.
     pub done: bool,
-    /// Live model parameters at the epoch boundary.
+    /// Model parameters at the epoch boundary. While an epoch runs the model
+    /// holds the live values; they are copied here before every checkpoint.
     pub params: Vec<Matrix>,
-    /// Adam moments, step count, and (scheduler-reduced) learning rate.
-    pub optimizer: AdamState,
-    /// ReduceLROnPlateau best metric and bad-epoch streak.
-    pub scheduler: PlateauState,
-    /// Best finite train loss so far (`+∞` before the first epoch).
+    /// Adam's moments, step count and learning rate (as cut by the plateau
+    /// schedule).
+    pub optimizer: Adam,
+    /// Lowest finite epoch loss so far (`+∞` before the first epoch): the
+    /// plateau schedule's reference and the divergence guard's.
     pub best_loss: f64,
+    /// Epochs in a row whose loss did not fall below `best_loss`; the
+    /// plateau schedule cuts the learning rate when it passes the patience.
+    pub bad_epochs: usize,
     /// Parameters at the best-loss epoch (the divergence-guard snapshot).
     pub best_params: Vec<Matrix>,
     /// Epoch example order; the per-epoch shuffle permutes the previous
@@ -214,18 +172,37 @@ pub struct TrainState {
 }
 
 impl TrainState {
+    /// The state of a run that has not started.
+    fn fresh(model: &GnnModel, config: &TrainConfig, num_examples: usize, rng: &StdRng) -> Self {
+        let params = model.snapshot();
+        TrainState {
+            next_epoch: 0,
+            done: false,
+            best_params: params.clone(),
+            params,
+            optimizer: Adam::new(config.learning_rate),
+            best_loss: f64::INFINITY,
+            bad_epochs: 0,
+            order: (0..num_examples).collect(),
+            rng_state: rng.state(),
+            history: TrainHistory::default(),
+        }
+    }
+
     /// Validates this state against a model and config before resuming:
-    /// parameter/best/moment counts and shapes must match the architecture,
-    /// the epoch cursor must lie inside the schedule, the permutation must
-    /// cover the example range, and the RNG state must be legal. A foreign
-    /// or corrupted checkpoint fails here — typed, without touching the
-    /// model — so callers can fall back to a fresh start.
+    /// parameter/best/moment counts and shapes must match the architecture
+    /// (Adam's moments may also be empty, before its first step), the epoch
+    /// cursor must lie inside the schedule, the permutation must cover the
+    /// example range, and the RNG state must be legal. A foreign or
+    /// corrupted checkpoint fails here — typed, without touching the model —
+    /// so callers can fall back to a fresh start.
     ///
     /// # Errors
     ///
     /// [`WeightError::ParamCount`] / [`WeightError::ShapeMismatch`] for
     /// architecture conflicts, [`WeightError::BadConfig`] for everything
-    /// else (epoch out of range, bad permutation, zero RNG state, …).
+    /// else (moment count, epoch out of range, bad permutation, zero RNG
+    /// state, …).
     pub fn compatible_with(
         &self,
         model: &GnnModel,
@@ -233,6 +210,20 @@ impl TrainState {
         num_examples: usize,
     ) -> Result<(), WeightError> {
         let shapes: Vec<(usize, usize)> = model.parameters().iter().map(|p| p.shape()).collect();
+        let adam = &self.optimizer;
+        let moments = if adam.m.is_empty() && adam.v.is_empty() {
+            0
+        } else {
+            shapes.len()
+        };
+        if adam.m.len() != moments || adam.v.len() != moments {
+            return Err(WeightError::BadConfig(format!(
+                "optimizer holds {} and {} moments, model has {} parameters",
+                adam.m.len(),
+                adam.v.len(),
+                shapes.len()
+            )));
+        }
         for set in [&self.params, &self.best_params] {
             if set.len() != shapes.len() {
                 return Err(WeightError::ParamCount {
@@ -240,24 +231,9 @@ impl TrainState {
                     found: set.len(),
                 });
             }
-            for (index, (value, &expected)) in set.iter().zip(&shapes).enumerate() {
-                if value.shape() != expected {
-                    return Err(WeightError::ShapeMismatch {
-                        index,
-                        expected,
-                        found: value.shape(),
-                    });
-                }
-            }
         }
-        for moments in [&self.optimizer.m, &self.optimizer.v] {
-            for &(index, ref value) in moments {
-                let Some(&expected) = shapes.get(index) else {
-                    return Err(WeightError::BadConfig(format!(
-                        "optimizer moment for parameter {index}, model has {}",
-                        shapes.len()
-                    )));
-                };
+        for set in [&self.params, &self.best_params, &adam.m, &adam.v] {
+            for (index, (value, &expected)) in set.iter().zip(&shapes).enumerate() {
                 if value.shape() != expected {
                     return Err(WeightError::ShapeMismatch {
                         index,
@@ -303,31 +279,82 @@ impl TrainState {
         Ok(())
     }
 
-    /// Captures the loop state at an epoch boundary.
-    #[allow(clippy::too_many_arguments)]
-    fn capture(
-        next_epoch: usize,
-        done: bool,
+    /// One epoch of the §4.1 loop: shuffle, then per example forward, loss
+    /// check, backward and Adam step, then the plateau schedule. Returns
+    /// `true` when the epoch diverged (recorded in the history); the caller
+    /// stops training.
+    fn run_epoch(
+        &mut self,
         model: &GnnModel,
-        optimizer: &Adam,
-        scheduler: &ReduceLrOnPlateau,
-        best: &(f64, Vec<Matrix>),
-        order: &[usize],
-        rng: &StdRng,
-        history: &TrainHistory,
-    ) -> TrainState {
-        TrainState {
-            next_epoch,
-            done,
-            params: model.snapshot(),
-            optimizer: optimizer.export_state(),
-            scheduler: scheduler.export_state(),
-            best_loss: best.0,
-            best_params: best.1.clone(),
-            order: order.to_vec(),
-            rng_state: rng.state(),
-            history: history.clone(),
+        examples: &[Example],
+        config: &TrainConfig,
+        rng: &mut StdRng,
+    ) -> bool {
+        let epoch = self.next_epoch;
+        if config.shuffle {
+            self.order.shuffle(rng);
         }
+        let learning_rate = self.optimizer.lr;
+        let mut total_loss = 0.0;
+        for &i in &self.order {
+            let example = &examples[i];
+            model.tape().reset();
+            let out = model.forward(&example.context, rng);
+            let target = Matrix::row_vector(&example.target);
+            let loss = out.mse(&target);
+            let loss_value = loss.value()[(0, 0)];
+            if !loss_value.is_finite() {
+                self.history.diverged = Some(DivergenceEvent {
+                    epoch,
+                    loss: loss_value,
+                });
+                return true;
+            }
+            total_loss += loss_value;
+            model.tape().backward(&loss);
+            self.optimizer.step(model.parameters());
+        }
+        model.tape().reset();
+        let train_loss = total_loss / examples.len() as f64;
+        self.history.epochs.push(EpochStats {
+            epoch,
+            train_loss,
+            learning_rate,
+        });
+        if self.schedule(train_loss) {
+            self.best_params = model.snapshot();
+        }
+        self.next_epoch = epoch + 1;
+        false
+    }
+
+    /// ReduceLROnPlateau in `min` mode after an epoch with mean loss
+    /// `train_loss`. A loss below `best_loss` becomes the new best and
+    /// restarts the streak; any other loss extends it, and the epoch that
+    /// takes it past the patience cuts the learning rate (never below the
+    /// minimum) and restarts it. Returns whether the loss improved.
+    fn schedule(&mut self, train_loss: f64) -> bool {
+        let improved = train_loss < self.best_loss;
+        if improved {
+            self.best_loss = train_loss;
+            self.bad_epochs = 0;
+        } else {
+            self.bad_epochs += 1;
+            if self.bad_epochs > PLATEAU_PATIENCE {
+                let lr = &mut self.optimizer.lr;
+                *lr = (*lr * PLATEAU_FACTOR).max(MIN_LEARNING_RATE);
+                self.bad_epochs = 0;
+            }
+        }
+        improved
+    }
+
+    /// Copies the model's parameters and the RNG position into the state,
+    /// which is then complete for a checkpoint.
+    fn capture(&mut self, model: &GnnModel, rng: &StdRng) -> &TrainState {
+        self.params = model.snapshot();
+        self.rng_state = rng.state();
+        self
     }
 }
 
@@ -335,12 +362,13 @@ impl TrainState {
 ///
 /// Runs the identical loop (same RNG draws, same floating-point op order),
 /// but after every `checkpoint_every`-th completed epoch — and always once
-/// more when training finishes — hands a [`TrainState`] to `on_checkpoint`.
-/// Passing a state captured there back as `resume` continues the run from
-/// that boundary; the concatenation of the two runs is bit-identical to an
-/// uninterrupted [`train`] call with the same model, examples, config, and
-/// RNG. Resuming a `done` state replays nothing: it restores the final
-/// parameters and RNG position and returns the recorded history.
+/// more when training finishes — hands its [`TrainState`] to
+/// `on_checkpoint`. Passing a state captured there back as `resume`
+/// continues the run from that boundary; the concatenation of the two runs
+/// is bit-identical to an uninterrupted [`train`] call with the same model,
+/// examples, config, and RNG. Resuming a `done` state replays nothing: it
+/// restores the final parameters and RNG position and returns the recorded
+/// history.
 ///
 /// The caller owns durability: `on_checkpoint` is where a
 /// `core::store::TrainCheckpoint` gets written. Its error aborts training
@@ -372,63 +400,29 @@ pub fn train_resumable(
         )
     };
 
-    let mut optimizer;
-    let mut scheduler = ReduceLrOnPlateau::paper_default();
-    let mut order: Vec<usize>;
-    let mut history;
-    let mut best: (f64, Vec<Matrix>);
-    let start_epoch;
-    match resume {
+    let mut state = match resume {
         Some(state) => {
             state
                 .compatible_with(model, config, examples.len())
                 .map_err(invalid)?;
+            model.try_restore(&state.params).map_err(invalid)?;
+            *rng = StdRng::from_state(state.rng_state);
             if state.done {
-                model.try_restore(&state.params).map_err(invalid)?;
-                *rng = StdRng::from_state(state.rng_state);
                 return Ok(state.history);
             }
-            model.try_restore(&state.params).map_err(invalid)?;
-            optimizer = Adam::from_state(&state.optimizer);
-            scheduler.import_state(&state.scheduler);
-            order = state.order;
-            history = state.history;
-            best = (state.best_loss, state.best_params);
-            *rng = StdRng::from_state(state.rng_state);
-            start_epoch = state.next_epoch;
+            state
         }
-        None => {
-            optimizer = Adam::new(config.learning_rate);
-            order = (0..examples.len()).collect();
-            history = TrainHistory::default();
-            best = (f64::INFINITY, model.snapshot());
-            start_epoch = 0;
-        }
-    }
+        None => TrainState::fresh(model, config, examples.len(), rng),
+    };
 
     model.tape().set_training(true);
-    for epoch in start_epoch..config.epochs {
-        let diverged = run_epoch(
-            model,
-            examples,
-            config,
-            &mut order,
-            &mut optimizer,
-            &mut scheduler,
-            rng,
-            epoch,
-            &mut history,
-            &mut best,
-        );
-        if diverged {
+    while state.next_epoch < config.epochs {
+        if state.run_epoch(model, examples, config, rng) {
             break;
         }
-        let completed = epoch + 1;
+        let completed = state.next_epoch;
         if completed < config.epochs && completed % checkpoint_every == 0 {
-            let state = TrainState::capture(
-                completed, false, model, &optimizer, &scheduler, &best, &order, rng, &history,
-            );
-            if let Err(e) = on_checkpoint(&state) {
+            if let Err(e) = on_checkpoint(state.capture(model, rng)) {
                 model.tape().reset();
                 model.tape().set_training(false);
                 return Err(e);
@@ -436,23 +430,14 @@ pub fn train_resumable(
         }
     }
     model.tape().reset();
-    if history.diverged.is_some() {
-        model.restore(&best.1);
+    if state.history.diverged.is_some() {
+        model.restore(&state.best_params);
     }
     model.tape().set_training(false);
-    let final_state = TrainState::capture(
-        config.epochs,
-        true,
-        model,
-        &optimizer,
-        &scheduler,
-        &best,
-        &order,
-        rng,
-        &history,
-    );
-    on_checkpoint(&final_state)?;
-    Ok(history)
+    state.next_epoch = config.epochs;
+    state.done = true;
+    on_checkpoint(state.capture(model, rng))?;
+    Ok(state.history)
 }
 
 /// Mean MSE of the model's (normalized) predictions over a labeled set,
@@ -569,17 +554,70 @@ mod tests {
         assert!(evaluate(&model, &self_labeled) < 1e-18);
     }
 
+    /// A 60-epoch GCN run with dropout on, whose loss stalls often enough
+    /// that the plateau schedule cuts the learning rate four times (at
+    /// epochs 25, 42, 48 and 54). The digest over every epoch's loss and
+    /// learning-rate bits was recorded before the schedule moved from its
+    /// own scheduler type into this loop.
     #[test]
     fn scheduler_reduces_learning_rate_on_plateau() {
-        // Constant targets equal to the sigmoid's saturated region make
-        // progress stall quickly; the recorded learning rate must drop.
         let data = toy_dataset();
         let mut rng = StdRng::seed_from_u64(104);
         let model = GnnModel::new(GnnKind::Gcn, ModelConfig::default(), &mut rng);
         let history = train(&model, &data, &TrainConfig::quick(60), &mut rng);
-        let first_lr = history.epochs.first().unwrap().learning_rate;
-        let last_lr = history.epochs.last().unwrap().learning_rate;
-        assert!(last_lr <= first_lr);
+        let mut rates: Vec<f64> = history.epochs.iter().map(|e| e.learning_rate).collect();
+        rates.dedup();
+        assert_eq!(rates.len(), 5, "{rates:?}");
+        let digest = history
+            .epochs
+            .iter()
+            .flat_map(|e| [e.train_loss.to_bits(), e.learning_rate.to_bits()])
+            .fold(0xcbf2_9ce4_8422_2325, |h: u64, word| {
+                (h ^ word).wrapping_mul(0x0100_0000_01b3)
+            });
+        assert_eq!(digest, 0xb225_211f_cfe9_beb4);
+    }
+
+    /// The §4.1 schedule on scripted epoch losses: equal is not better, the
+    /// sixth epoch in a row without a lower loss cuts the rate by 5 (the
+    /// fifth does not), an improvement restarts the streak, and the rate
+    /// stops at 1e-5.
+    #[test]
+    fn plateau_schedule_follows_section_4_1() {
+        let data = toy_dataset();
+        let mut rng = StdRng::seed_from_u64(108);
+        let model = GnnModel::new(GnnKind::Gcn, ModelConfig::default(), &mut rng);
+        let config = TrainConfig {
+            learning_rate: 1.0,
+            ..TrainConfig::default()
+        };
+        let mut state = TrainState::fresh(&model, &config, data.len(), &rng);
+        assert_eq!((state.best_loss, state.bad_epochs), (f64::INFINITY, 0));
+        // The learning rate after each scripted epoch.
+        fn rates(state: &mut TrainState, losses: &[f64]) -> Vec<f64> {
+            losses
+                .iter()
+                .map(|&loss| {
+                    state.schedule(loss);
+                    state.optimizer.lr
+                })
+                .collect()
+        }
+        // The first loss sets the best; five equal ones are tolerated.
+        assert_eq!(rates(&mut state, &[1.0; 6]), [1.0; 6]);
+        assert_eq!(rates(&mut state, &[1.0]), [0.2]);
+        // The cut restarted the streak; an improvement restarts it again.
+        assert_eq!(rates(&mut state, &[1.0, 1.0, 1.0, 0.5]), [0.2; 4]);
+        assert_eq!(rates(&mut state, &[0.6; 5]), [0.2; 5]);
+        assert_eq!(rates(&mut state, &[0.6]), [0.2 * 0.2]);
+        assert_eq!(state.best_loss, 0.5);
+        assert_eq!(state.bad_epochs, 0);
+
+        state.optimizer.lr = 1e-4;
+        let tail = rates(&mut state, &[0.7; 100]);
+        assert_eq!(tail[5], 1e-4 * 0.2);
+        assert!(tail.iter().all(|&lr| lr >= 1e-5));
+        assert_eq!(tail[11..], [1e-5; 89]);
     }
 
     #[test]
@@ -832,6 +870,25 @@ mod tests {
             .compatible_with(&gin, &config, data.len() - 1)
             .is_err());
         assert!(foreign.compatible_with(&gin, &config, data.len()).is_ok());
+
+        // Adam's moments are empty or one per parameter, in its shapes.
+        let mut fresh = foreign.clone();
+        fresh.optimizer = Adam::new(0.01);
+        assert!(fresh.compatible_with(&gin, &config, data.len()).is_ok());
+        let mut truncated = foreign.clone();
+        truncated.optimizer.m.pop();
+        assert!(truncated
+            .compatible_with(&gin, &config, data.len())
+            .is_err());
+        let mut half = foreign.clone();
+        half.optimizer.v.clear();
+        assert!(half.compatible_with(&gin, &config, data.len()).is_err());
+        let mut reshaped = foreign;
+        reshaped.optimizer.v[1] = Matrix::zeros(1, 1);
+        assert!(matches!(
+            reshaped.compatible_with(&gin, &config, data.len()),
+            Err(WeightError::ShapeMismatch { index: 1, .. })
+        ));
     }
 
     /// Resuming a `done` state replays nothing and restores everything.

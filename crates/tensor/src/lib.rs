@@ -10,12 +10,11 @@
 //!   activations, dropout, masked row softmax (GAT attention), neighbor max
 //!   pooling (GraphSAGE), mean-pooling readout, and the MSE loss (§4.1).
 //! * [`optim`] — Adam, the paper's optimizer (§4.1).
-//! * [`sched`] — the paper's ReduceLROnPlateau learning-rate scheduler.
 //!
 //! ## Example: one gradient step
 //!
 //! ```
-//! use tensor::optim::{Adam, Optimizer};
+//! use tensor::optim::Adam;
 //! use tensor::{Matrix, Tape};
 //!
 //! let tape = Tape::new();
@@ -39,7 +38,6 @@ mod tape;
 
 pub mod activation;
 pub mod optim;
-pub mod sched;
 
 pub use matrix::Matrix;
 pub use tape::{Tape, Tensor};

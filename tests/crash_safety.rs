@@ -211,10 +211,10 @@ fn corrupted_checkpoint_falls_back_to_fresh_start() {
         .position(|w| w == b"\"state\"")
         .unwrap();
     flipped[state_start + 64] ^= 0x20;
-    // A checkpoint from before the bit-pattern state encoding.
+    // A version 2 checkpoint, which still carried the optimizer constants.
     let stale = String::from_utf8(good_bytes.clone())
         .unwrap()
-        .replacen("\"version\": 2", "\"version\": 1", 1)
+        .replacen("\"version\": 3", "\"version\": 2", 1)
         .into_bytes();
     assert_ne!(stale, good_bytes);
     let corruptions: [&[u8]; 4] = [
@@ -231,8 +231,8 @@ fn corrupted_checkpoint_falls_back_to_fresh_start() {
                 || matches!(
                     err,
                     ArtifactError::Version {
-                        found: 1,
-                        supported: 2
+                        found: 2,
+                        supported: 3
                     }
                 ),
             "corruption {i}: {err}"
