@@ -38,6 +38,7 @@ mod checkpoint;
 mod context;
 mod frozen;
 mod model;
+mod sched;
 
 pub mod train;
 

@@ -11,15 +11,7 @@ use qrand::seq::SliceRandom;
 use tensor::optim::Adam;
 use tensor::Matrix;
 
-use crate::{GnnModel, GraphContext, WeightError};
-
-/// The plateau schedule's cut: "factor 5" divides the learning rate by 5.
-const PLATEAU_FACTOR: f64 = 0.2;
-/// Epochs in a row without a lower loss that the schedule tolerates; the
-/// next one cuts the learning rate.
-const PLATEAU_PATIENCE: usize = 5;
-/// The schedule never cuts the learning rate below this.
-const MIN_LEARNING_RATE: f64 = 1e-5;
+use crate::{sched, GnnModel, GraphContext, WeightError};
 
 /// One training example: a graph context and its normalized `(γ, β)` label.
 #[derive(Debug, Clone)]
@@ -173,7 +165,12 @@ pub struct TrainState {
 
 impl TrainState {
     /// The state of a run that has not started.
-    fn fresh(model: &GnnModel, config: &TrainConfig, num_examples: usize, rng: &StdRng) -> Self {
+    pub(crate) fn fresh(
+        model: &GnnModel,
+        config: &TrainConfig,
+        num_examples: usize,
+        rng: &StdRng,
+    ) -> Self {
         let params = model.snapshot();
         TrainState {
             next_epoch: 0,
@@ -321,32 +318,17 @@ impl TrainState {
             train_loss,
             learning_rate,
         });
-        if self.schedule(train_loss) {
+        let improved = sched::plateau_step(
+            &mut self.best_loss,
+            &mut self.bad_epochs,
+            &mut self.optimizer.lr,
+            train_loss,
+        );
+        if improved {
             self.best_params = model.snapshot();
         }
         self.next_epoch = epoch + 1;
         false
-    }
-
-    /// ReduceLROnPlateau in `min` mode after an epoch with mean loss
-    /// `train_loss`. A loss below `best_loss` becomes the new best and
-    /// restarts the streak; any other loss extends it, and the epoch that
-    /// takes it past the patience cuts the learning rate (never below the
-    /// minimum) and restarts it. Returns whether the loss improved.
-    fn schedule(&mut self, train_loss: f64) -> bool {
-        let improved = train_loss < self.best_loss;
-        if improved {
-            self.best_loss = train_loss;
-            self.bad_epochs = 0;
-        } else {
-            self.bad_epochs += 1;
-            if self.bad_epochs > PLATEAU_PATIENCE {
-                let lr = &mut self.optimizer.lr;
-                *lr = (*lr * PLATEAU_FACTOR).max(MIN_LEARNING_RATE);
-                self.bad_epochs = 0;
-            }
-        }
-        improved
     }
 
     /// Copies the model's parameters and the RNG position into the state,
@@ -576,48 +558,6 @@ mod tests {
                 (h ^ word).wrapping_mul(0x0100_0000_01b3)
             });
         assert_eq!(digest, 0xb225_211f_cfe9_beb4);
-    }
-
-    /// The §4.1 schedule on scripted epoch losses: equal is not better, the
-    /// sixth epoch in a row without a lower loss cuts the rate by 5 (the
-    /// fifth does not), an improvement restarts the streak, and the rate
-    /// stops at 1e-5.
-    #[test]
-    fn plateau_schedule_follows_section_4_1() {
-        let data = toy_dataset();
-        let mut rng = StdRng::seed_from_u64(108);
-        let model = GnnModel::new(GnnKind::Gcn, ModelConfig::default(), &mut rng);
-        let config = TrainConfig {
-            learning_rate: 1.0,
-            ..TrainConfig::default()
-        };
-        let mut state = TrainState::fresh(&model, &config, data.len(), &rng);
-        assert_eq!((state.best_loss, state.bad_epochs), (f64::INFINITY, 0));
-        // The learning rate after each scripted epoch.
-        fn rates(state: &mut TrainState, losses: &[f64]) -> Vec<f64> {
-            losses
-                .iter()
-                .map(|&loss| {
-                    state.schedule(loss);
-                    state.optimizer.lr
-                })
-                .collect()
-        }
-        // The first loss sets the best; five equal ones are tolerated.
-        assert_eq!(rates(&mut state, &[1.0; 6]), [1.0; 6]);
-        assert_eq!(rates(&mut state, &[1.0]), [0.2]);
-        // The cut restarted the streak; an improvement restarts it again.
-        assert_eq!(rates(&mut state, &[1.0, 1.0, 1.0, 0.5]), [0.2; 4]);
-        assert_eq!(rates(&mut state, &[0.6; 5]), [0.2; 5]);
-        assert_eq!(rates(&mut state, &[0.6]), [0.2 * 0.2]);
-        assert_eq!(state.best_loss, 0.5);
-        assert_eq!(state.bad_epochs, 0);
-
-        state.optimizer.lr = 1e-4;
-        let tail = rates(&mut state, &[0.7; 100]);
-        assert_eq!(tail[5], 1e-4 * 0.2);
-        assert!(tail.iter().all(|&lr| lr >= 1e-5));
-        assert_eq!(tail[11..], [1e-5; 89]);
     }
 
     #[test]

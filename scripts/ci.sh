@@ -33,7 +33,7 @@ cargo test -q --offline | tee "$test_log"
 echo "==> test-count floor"
 # The suite must never silently shrink: the floor is the passing-test
 # count at the time of the last change to it. Raise it when adding tests.
-TEST_FLOOR=664
+TEST_FLOOR=668
 total=$(grep -oE '[0-9]+ passed' "$test_log" | awk '{s+=$1} END {print s+0}')
 rm -f "$test_log"
 if [ "$total" -lt "$TEST_FLOOR" ]; then
